@@ -78,10 +78,13 @@ def main(argv=None) -> int:
     features = build_training_corpus(
         gallery, proxies, args.baseline, n_train_sets=args.train_sets, cap=args.cap, seed=5
     )
+    t_train = time.time()
     model = train(features)
+    t_train = time.time() - t_train
     save_model(model, out / "model.qts")
     print(
-        f"trained on {len(features)} features: {model.n_support} support vectors, "
+        f"trained on {len(features)} features: {len(model.objective_trace) - 1} pair updates "
+        f"in {t_train:.1f}s, {model.n_support} support vectors, "
         f"KKT gap {model.kkt_violation:.1e}  [{time.time() - t0:.0f}s]"
     )
 

@@ -208,12 +208,12 @@ def _subspace_side_arrays(
 
 
 def _subspace_pair_arrays(
-    reference: FaceSet, proxy: FaceSet, k: int
+    reference: FaceSet, proxy: FaceSet, ref_sub: SubspaceModel, prox_sub: SubspaceModel
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(positives, negatives, skipped positives, skipped negatives) for one
+    reference/proxy pair, given both sets' fitted subspaces."""
     if reference.dim != proxy.dim:
         raise DimensionMismatchError(f"set dims differ: {reference.dim} vs {proxy.dim}")
-    ref_sub = fit_subspace(reference, k)
-    prox_sub = fit_subspace(proxy, k)
     corr = max_corr(ref_sub, prox_sub)
     f_tp, f_pt = corr.mode_a, corr.mode_b
     pos_rows, skipped_pos = _subspace_side_arrays(
@@ -233,7 +233,9 @@ def train_extract_subspace(
     whose projection onto either subspace is degenerate."""
     if reference.set_id == proxy.set_id:
         raise ValueError("reference and proxy must be different sets")
-    pos_rows, neg_rows, skipped_pos, skipped_neg = _subspace_pair_arrays(reference, proxy, k)
+    pos_rows, neg_rows, skipped_pos, skipped_neg = _subspace_pair_arrays(
+        reference, proxy, fit_subspace(reference, k), fit_subspace(proxy, k)
+    )
     prov = (reference.set_id, proxy.set_id)
     feats = [TransitivityFeature(s=row, label=1.0, provenance=prov) for row in pos_rows]
     feats += [TransitivityFeature(s=row, label=0.0, provenance=prov) for row in neg_rows]
@@ -292,6 +294,13 @@ def build_training_corpus(
             reduced[s.set_id] = robust_select(s, n_samples)
         return reduced[s.set_id]
 
+    subspaces: dict[str, SubspaceModel] = {}
+
+    def subspace_of(s: FaceSet) -> SubspaceModel:
+        if s.set_id not in subspaces:
+            subspaces[s.set_id] = fit_subspace(s, subspace_k)
+        return subspaces[s.set_id]
+
     pos_blocks: list[np.ndarray] = []
     neg_blocks: list[np.ndarray] = []
     pos_prov: list[tuple[str, str]] = []
@@ -304,7 +313,9 @@ def build_training_corpus(
             if baseline == EXEMPLAR:
                 pos, neg = _exemplar_pair_arrays(exemplar_form(ref), exemplar_form(prox))
             else:
-                pos, neg, skip_p, skip_n = _subspace_pair_arrays(ref, prox, subspace_k)
+                pos, neg, skip_p, skip_n = _subspace_pair_arrays(
+                    ref, prox, subspace_of(ref), subspace_of(prox)
+                )
                 skipped += skip_p + skip_n
             pos_blocks.append(pos)
             neg_blocks.append(neg)

@@ -13,17 +13,26 @@ The dual box-constrained QP
 
 is solved by pairwise coordinate descent on the maximal KKT-violating
 pair, with exact two-variable line search and kernel rows computed on
-demand behind a small cache. The predictor is
+demand behind a small cache. The solver state is theta, shape (2, l)
+(row 0 a, row 1 a*), and two (2, l) arrays holding the KKT criterion
+-sign * gradient: `upv` where a variable may still move up (-inf
+elsewhere) and `lowv` where it may move down (+inf elsewhere). Each
+pair update costs one argmax, one argmin and two broadcast subtracts
+over O(l) entries, plus a refresh of the two entries whose bound status
+may have changed. The predictor is
 h(x) = sum_i b_i * exp(-gamma ||x_i - x||^2) + bias.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TrainingError
+
+log = logging.getLogger(__name__)
 
 ETA_FLOOR = 1e-12
 COEFF_SUM_TOL = 1e-6
@@ -185,44 +194,54 @@ def train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
     """Fit the dual QP by maximal-violating-pair coordinate descent.
 
     Stops when the KKT gap falls below config.kkt_tolerance or after
-    config.max_passes pair updates. The bias is the average of the
-    KKT-implied value over non-bound support vectors, or the target mean
-    when none exist. Fully deterministic for fixed inputs.
+    config.max_passes pair updates; running out of updates is logged as
+    a warning. The bias is the average of the KKT-implied value over
+    non-bound support vectors, or the target mean when none exist. Fully
+    deterministic for fixed inputs.
     """
     x, y = _as_training_arrays(features)
     l = x.shape[0]
     c = config.cost
     eps = config.epsilon
 
-    theta = np.zeros(2 * l)
-    sign = np.concatenate([np.ones(l), -np.ones(l)])
-    g = np.concatenate([eps - y, eps + y])  # gradient at theta = 0
+    # row 0 holds alpha (sign +1), row 1 alpha* (sign -1)
+    theta = np.zeros((2, l))
+    sign = np.array([[1.0], [-1.0]])
+    crit = -sign * np.vstack([eps - y, eps + y])  # -sign * gradient at theta = 0
+    # crit where a variable may move up (down), -inf (+inf) elsewhere;
+    # every variable is in at least one, so no gradient array is kept
+    upv = np.where(sign > 0, crit, -np.inf)
+    lowv = np.where(sign < 0, crit, np.inf)
     cache = _RowCache(x, config.kernel_gamma)
+    t = np.empty(l)
+
+    def refresh(r: int, a: int) -> None:
+        """Re-file variable (r, a) after its bound status may have changed."""
+        v = upv[r, a] if upv[r, a] != -np.inf else lowv[r, a]
+        th = theta[r, a]
+        upv[r, a] = v if (th < c if r == 0 else th > 0.0) else -np.inf
+        lowv[r, a] = v if (th > 0.0 if r == 0 else th < c) else np.inf
 
     obj = 0.0
     trace = [0.0]
     gap = 0.0
     for _ in range(config.max_passes):
-        crit = -sign * g
-        up = ((sign > 0) & (theta < c)) | ((sign < 0) & (theta > 0))
-        low = ((sign > 0) & (theta > 0)) | ((sign < 0) & (theta < c))
-        up_vals = np.where(up, crit, -np.inf)
-        low_vals = np.where(low, crit, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        m_up, m_low = up_vals[i], low_vals[j]
+        i = int(np.argmax(upv))
+        j = int(np.argmin(lowv))
+        ri, ia = divmod(i, l)
+        rj, ja = divmod(j, l)
+        m_up, m_low = upv[ri, ia], lowv[rj, ja]
         gap = float(m_up - m_low)
         if not np.isfinite(gap) or gap <= config.kkt_tolerance:
             gap = max(gap, 0.0) if np.isfinite(gap) else 0.0
             break
 
-        ia, ja = i % l, j % l
         ki = cache.row(ia)
         kj = cache.row(ja)
         eta = max(2.0 * (1.0 - ki[ja]), ETA_FLOOR)
-        dg = float(sign[i] * g[i] - sign[j] * g[j])  # negative by selection
-        lim_i = (c - theta[i]) if sign[i] > 0 else theta[i]
-        lim_j = theta[j] if sign[j] > 0 else (c - theta[j])
+        dg = float(m_low - m_up)  # negative by selection
+        lim_i = (c - theta[ri, ia]) if ri == 0 else theta[ri, ia]
+        lim_j = theta[rj, ja] if rj == 0 else (c - theta[rj, ja])
         delta = min(-dg / eta, lim_i, lim_j)
 
         obj += delta * dg + 0.5 * delta * delta * eta
@@ -230,21 +249,32 @@ def train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
 
         # land exactly on a bound when clipped, so bound checks stay exact
         if delta == lim_i:
-            theta[i] = c if sign[i] > 0 else 0.0
+            theta[ri, ia] = c if ri == 0 else 0.0
         else:
-            theta[i] += sign[i] * delta
+            theta[ri, ia] += delta if ri == 0 else -delta
         if delta == lim_j:
-            theta[j] = 0.0 if sign[j] > 0 else c
+            theta[rj, ja] = 0.0 if rj == 0 else c
         else:
-            theta[j] -= sign[j] * delta
+            theta[rj, ja] -= delta if rj == 0 else -delta
 
-        kdiff = ki - kj
-        g += delta * sign * np.concatenate([kdiff, kdiff])
+        np.subtract(ki, kj, out=t)
+        t *= delta
+        upv -= t
+        lowv -= t
+        refresh(ri, ia)
+        refresh(rj, ja)
+    else:
+        log.warning(
+            "SVR stopped after max_passes=%d pair updates with KKT gap %.3g",
+            config.max_passes,
+            max(gap, 0.0),
+        )
 
-    beta = theta[:l] - theta[l:]
+    beta = theta[0] - theta[1]
     nonbound = (theta > 0.0) & (theta < c)
     if np.any(nonbound):
-        bias = float(np.mean((-sign * g)[nonbound]))
+        # a non-bound variable can move both ways, so upv holds its criterion
+        bias = float(np.mean(upv[nonbound]))
     else:
         bias = float(np.mean(y))
 

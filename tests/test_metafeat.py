@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+import lqts.metafeat
 from lqts.corpus import FaceSet, Gallery, ProxyTable
 from lqts.metafeat import (
     build_training_corpus,
@@ -277,3 +280,54 @@ class TestBuildTrainingCorpus:
         )
         # 5 refs x 1 proxy x (4 pos + 4 neg), no degenerate skips expected
         assert len(feats) == 40
+
+    def test_subspace_baseline_matches_per_pair_extraction(self, rng, monkeypatch, caplog):
+        # in R^3 with k=1 the subspaces of g0, g1 and g2 are the x, x and y
+        # axes, so g1's y-exemplar and g2's z-exemplar project to zero on
+        # some of them and their pairs skip rows
+        sets = (
+            FaceSet("g0", np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])),
+            FaceSet("g1", np.array([[0.0, 1.0, 0.0], [3.0, 0.0, 0.0]])),
+            FaceSet("g2", np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])),
+            random_set(rng, "g3", n=4, d=3),
+            random_set(rng, "g4", n=5, d=3),
+        )
+        g = Gallery(sets=sets)
+        ids = g.set_ids
+        entries = {
+            sid: tuple((ids[(i + j + 1) % 5], 1.0 - 0.1 * j) for j in range(2))
+            for i, sid in enumerate(ids)
+        }
+        table = ProxyTable(k_p=2, entries=entries)
+
+        pos, neg, skipped = [], [], 0
+        for ref in g.sets:
+            for pid, _ in table.proxies_of(ref.set_id):
+                res = train_extract_subspace(ref, g.get(pid), k=1)
+                pos += [f for f in res.features if f.label == 1.0]
+                neg += [f for f in res.features if f.label == 0.0]
+                skipped += res.skipped_positive + res.skipped_negative
+        assert skipped > 0
+
+        fitted = []
+        real_fit = lqts.metafeat.fit_subspace
+
+        def counting_fit(s, k):
+            fitted.append(s.set_id)
+            return real_fit(s, k)
+
+        monkeypatch.setattr(lqts.metafeat, "fit_subspace", counting_fit)
+        with caplog.at_level(logging.INFO, logger="lqts.metafeat"):
+            feats = build_training_corpus(
+                g, table, baseline="subspace", n_train_sets=5, cap=10**6, seed=0, subspace_k=1
+            )
+        assert sorted(fitted) == sorted(ids)
+        assert [r.getMessage() for r in caplog.records if r.name == "lqts.metafeat"] == [
+            f"subspace extraction skipped {skipped} degenerate projections"
+        ]
+        expected = pos + neg
+        assert len(feats) == len(expected)
+        for got, want in zip(feats, expected):
+            assert np.array_equal(got.s, want.s)
+            assert got.label == want.label
+            assert got.provenance == want.provenance

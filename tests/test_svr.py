@@ -1,9 +1,123 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from lqts.errors import TrainingError
-from lqts.svr import SvrConfig, SvrModel, dual_objective, predict, rbf_kernel, train
+from lqts.svr import (
+    ETA_FLOOR,
+    SvrConfig,
+    SvrModel,
+    _as_training_arrays,
+    _RowCache,
+    dual_objective,
+    predict,
+    rbf_kernel,
+    train,
+)
+
+
+def reference_train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
+    """The solver loop as it was before its state became two (2, l)
+    criterion arrays: masks, criterion and gradient rebuilt over 2l
+    entries on every pair update. Kept as the oracle `train` must match
+    bit for bit.
+    """
+    x, y = _as_training_arrays(features)
+    l = x.shape[0]
+    c = config.cost
+    eps = config.epsilon
+
+    theta = np.zeros(2 * l)
+    sign = np.concatenate([np.ones(l), -np.ones(l)])
+    g = np.concatenate([eps - y, eps + y])  # gradient at theta = 0
+    cache = _RowCache(x, config.kernel_gamma)
+
+    obj = 0.0
+    trace = [0.0]
+    gap = 0.0
+    for _ in range(config.max_passes):
+        crit = -sign * g
+        up = ((sign > 0) & (theta < c)) | ((sign < 0) & (theta > 0))
+        low = ((sign > 0) & (theta > 0)) | ((sign < 0) & (theta < c))
+        up_vals = np.where(up, crit, -np.inf)
+        low_vals = np.where(low, crit, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        m_up, m_low = up_vals[i], low_vals[j]
+        gap = float(m_up - m_low)
+        if not np.isfinite(gap) or gap <= config.kkt_tolerance:
+            gap = max(gap, 0.0) if np.isfinite(gap) else 0.0
+            break
+
+        ia, ja = i % l, j % l
+        ki = cache.row(ia)
+        kj = cache.row(ja)
+        eta = max(2.0 * (1.0 - ki[ja]), ETA_FLOOR)
+        dg = float(sign[i] * g[i] - sign[j] * g[j])  # negative by selection
+        lim_i = (c - theta[i]) if sign[i] > 0 else theta[i]
+        lim_j = theta[j] if sign[j] > 0 else (c - theta[j])
+        delta = min(-dg / eta, lim_i, lim_j)
+
+        obj += delta * dg + 0.5 * delta * delta * eta
+        trace.append(obj)
+
+        # land exactly on a bound when clipped, so bound checks stay exact
+        if delta == lim_i:
+            theta[i] = c if sign[i] > 0 else 0.0
+        else:
+            theta[i] += sign[i] * delta
+        if delta == lim_j:
+            theta[j] = 0.0 if sign[j] > 0 else c
+        else:
+            theta[j] -= sign[j] * delta
+
+        kdiff = ki - kj
+        g += delta * sign * np.concatenate([kdiff, kdiff])
+
+    beta = theta[:l] - theta[l:]
+    nonbound = (theta > 0.0) & (theta < c)
+    if np.any(nonbound):
+        bias = float(np.mean((-sign * g)[nonbound]))
+    else:
+        bias = float(np.mean(y))
+
+    keep = beta != 0.0
+    sv, coeff = x[keep], beta[keep]
+
+    # exact objective at the returned point, chunked so K never materializes
+    exact = eps * float(np.sum(theta)) - float(y @ beta)
+    if coeff.size:
+        quad = 0.0
+        rows_kept = np.where(keep)[0]
+        for start in range(0, rows_kept.size, 1024):
+            idx = rows_kept[start : start + 1024]
+            kblock = rbf_kernel(x[idx], sv, config.kernel_gamma)
+            quad += float(beta[idx] @ (kblock @ coeff))
+        exact += 0.5 * quad
+
+    return SvrModel(
+        support_vectors=sv,
+        coefficients=coeff,
+        bias=bias,
+        config=config,
+        kkt_violation=float(max(gap, 0.0)),
+        objective=exact,
+        objective_trace=np.asarray(trace),
+    )
+
+
+def assert_same_model(got: SvrModel, want: SvrModel) -> None:
+    """Exact equality of everything train returns, no tolerance."""
+    assert np.array_equal(got.support_vectors, want.support_vectors)
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert got.bias == want.bias
+    assert np.array_equal(got.objective_trace, want.objective_trace)
+    assert got.kkt_violation == want.kkt_violation
+    assert got.objective == want.objective
 
 
 def oracle_two_point_grid(x, y, config, steps=400_001):
@@ -229,3 +343,105 @@ class TestPredict:
         assert dual_objective(x, y, alpha, alpha_star, cfg) == pytest.approx(
             m.objective, abs=1e-8
         )
+
+
+# coarse coordinates make duplicate rows (kernel 1, so the eta floor) and
+# exact ties between criterion values likely
+GRID = (0.0, 0.5, 1.0)
+TARGETS = (0.0, 0.25, 1.0)
+
+
+@st.composite
+def svr_problems(draw):
+    l = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.sampled_from(GRID), min_size=5 * l, max_size=5 * l))
+        x = np.array(cells).reshape(l, 5)
+    else:
+        x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((l, 5))
+    y = np.array(draw(st.lists(st.sampled_from(TARGETS), min_size=l, max_size=l)))
+    config = SvrConfig(
+        epsilon=draw(st.sampled_from([0.05, 0.4])),
+        cost=draw(st.sampled_from([1e-3, 0.1, 1.0, 1000.0])),
+        max_passes=draw(st.sampled_from([1, 2, 3, 1_000_000])),
+    )
+    return x, y, config
+
+
+class TestMatchesReferenceSolver:
+    """train returns exactly what the pre-rewrite loop returns."""
+
+    @given(svr_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_property_exact(self, problem):
+        x, y, config = problem
+        assert_same_model(train((x, y), config), reference_train((x, y), config))
+
+    @pytest.mark.parametrize("max_passes", [1, 2, 3])
+    def test_budget_runs_out(self, rng, max_passes):
+        x = rng.random((30, 5))
+        y = (x[:, 0] > 0.5).astype(float)
+        config = SvrConfig(epsilon=0.05, cost=10.0, max_passes=max_passes)
+        got = train((x, y), config)
+        assert len(got.objective_trace) - 1 == max_passes
+        assert_same_model(got, reference_train((x, y), config))
+
+    def test_duplicate_rows(self, rng):
+        base = rng.random((4, 5))
+        x = np.vstack([base, base, base[:2]])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.25, 1.0])
+        config = SvrConfig(epsilon=0.05, cost=10.0)
+        got = train((x, y), config)
+        assert got.n_support > 0
+        assert_same_model(got, reference_train((x, y), config))
+
+    def test_all_equal_rows_tie_everywhere(self):
+        x = np.full((6, 5), 0.5)
+        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        config = SvrConfig(epsilon=0.05, cost=1.0)
+        assert_same_model(train((x, y), config), reference_train((x, y), config))
+
+    def test_constant_targets(self, rng):
+        x = rng.random((12, 5))
+        y = np.full(12, 0.25)
+        got = train((x, y))
+        assert got.n_support == 0
+        assert_same_model(got, reference_train((x, y)))
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_tiny_corpora(self, rng, l):
+        x = rng.random((l, 5))
+        y = np.array([0.0, 1.0][:l])
+        config = SvrConfig(epsilon=0.05, cost=50.0)
+        assert_same_model(train((x, y), config), reference_train((x, y), config))
+
+    def test_every_variable_at_a_bound(self, rng):
+        x = rng.random((20, 5))
+        y = (x[:, 2] > 0.5).astype(float)
+        config = SvrConfig(epsilon=0.05, cost=1e-3)
+        got = train((x, y), config)
+        assert got.n_support > 0
+        assert np.all(np.abs(got.coefficients) == config.cost)
+        assert_same_model(got, reference_train((x, y), config))
+
+
+class TestMaxPassesWarning:
+    def test_exhausted_budget_is_logged(self, rng, caplog):
+        x = rng.random((30, 5))
+        y = (x[:, 0] > 0.5).astype(float)
+        with caplog.at_level(logging.WARNING, logger="lqts.svr"):
+            m = train((x, y), SvrConfig(epsilon=0.05, cost=10.0, max_passes=3))
+        warnings = [r for r in caplog.records if r.name == "lqts.svr"]
+        assert len(warnings) == 1
+        assert warnings[0].levelno == logging.WARNING
+        assert "max_passes=3" in warnings[0].getMessage()
+        assert f"{m.kkt_violation:.3g}" in warnings[0].getMessage()
+        assert m.kkt_violation > m.config.kkt_tolerance
+
+    def test_converged_run_is_quiet(self, rng, caplog):
+        x = rng.random((30, 5))
+        y = (x[:, 0] > 0.5).astype(float)
+        with caplog.at_level(logging.WARNING, logger="lqts.svr"):
+            m = train((x, y), SvrConfig(epsilon=0.05, cost=10.0))
+        assert m.kkt_violation <= m.config.kkt_tolerance
+        assert not [r for r in caplog.records if r.name == "lqts.svr"]
