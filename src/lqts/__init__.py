@@ -5,19 +5,10 @@ from .evaluation import AnrRecord, anr, anr_cdf, evaluate_all, independence_pred
 from .metafeat import (
     TransitivityFeature,
     build_training_corpus,
-    feature_exemplar,
-    feature_subspace,
     train_extract_exemplar,
     train_extract_subspace,
 )
-from .retrieval import (
-    RankedResult,
-    RetrievalConfig,
-    rank_gallery,
-    score_lqts,
-    score_simple,
-    select_proxies,
-)
+from .retrieval import RankedResult, RetrievalConfig, rank_gallery, select_proxies
 from .sampling import KpcaModel, energy_report, fit_kpca, pre_image, robust_select
 from .similarity import (
     MatchResult,
@@ -26,7 +17,6 @@ from .similarity import (
     fit_subspace,
     max_corr,
     max_max_sim,
-    vector_subspace_sim,
 )
 from .svr import SvrConfig, SvrModel, predict, train
 from .synth import SynthConfig, generate

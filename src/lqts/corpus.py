@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,13 @@ class FaceSet:
     @property
     def dim(self) -> int:
         return self.exemplars.shape[1]
+
+    @cached_property
+    def unit_exemplars(self) -> np.ndarray:
+        """Exemplars scaled to unit norm, one per row; computed on first use."""
+        out = self.exemplars / np.linalg.norm(self.exemplars, axis=1, keepdims=True)
+        out.setflags(write=False)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, FaceSet):
@@ -282,28 +290,46 @@ def save_proxies(table: ProxyTable, path: str | Path) -> None:
                 fh.write(f"{sid}\t{rank}\t{pid}\t{repr(score)}\n")
 
 
+def _parse(kind, text: str, what: str, where: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise CorpusError(f"{where}: {what} {text!r}") from None
+
+
 def load_proxies(path: str | Path) -> ProxyTable:
+    """Read a proxy table. A missing ``# k_p=`` header, a non-integer k_p
+    or rank, a non-numeric score or a list longer than k_p raises
+    CorpusError naming the file and line."""
     entries: dict[str, list[tuple[str, float]]] = {}
-    k_p = 0
+    k_p = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             if line.startswith("#"):
                 if "k_p=" in line:
-                    k_p = int(line.split("k_p=")[1])
+                    k_p = _parse(int, line.split("k_p=")[1], "non-integer k_p", where)
+                    if k_p < 0:
+                        raise CorpusError(f"{where}: k_p must be >= 0")
                 continue
+            if k_p is None:
+                raise CorpusError(f"{where}: proxy row before the '# k_p=' header")
             parts = line.split("\t")
             if len(parts) != 4:
-                raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated columns")
+                raise CorpusError(f"{where}: expected 4 tab-separated columns")
             sid, rank, pid, score = parts
             plist = entries.setdefault(sid, [])
-            if int(rank) != len(plist) + 1:
-                raise CorpusError(f"{path}:{lineno}: rank {rank} out of order for {sid!r}")
-            plist.append((pid, float(score)))
-    table = ProxyTable(k_p=k_p, entries={k: tuple(v) for k, v in entries.items()})
-    return table
+            if _parse(int, rank, "non-integer rank", where) != len(plist) + 1:
+                raise CorpusError(f"{where}: rank {rank} out of order for {sid!r}")
+            if len(plist) == k_p:
+                raise CorpusError(f"{where}: proxy list of {sid!r} longer than k_p={k_p}")
+            plist.append((pid, _parse(float, score, "non-numeric score", where)))
+    if k_p is None:
+        raise CorpusError(f"{path}:1: missing '# k_p=' header")
+    return ProxyTable(k_p=k_p, entries={k: tuple(v) for k, v in entries.items()})
 
 
 # ---------------------------------------------------------------------------

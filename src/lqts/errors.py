@@ -25,10 +25,6 @@ class ZeroVectorError(LqtsError):
     """A similarity was requested for a zero-norm vector."""
 
 
-class DegenerateProjectionError(LqtsError):
-    """A vector is numerically orthogonal to the target subspace."""
-
-
 class DegenerateSetError(LqtsError):
     """A set has no usable variation (e.g. all exemplars identical)."""
 

@@ -1,4 +1,4 @@
-"""Transitivity meta-features and their unsupervised extraction.
+"""Transitivity meta-features: their unsupervised training extraction.
 
 A query/target/proxy triplet yields a 5-vector of similarities:
 
@@ -6,6 +6,8 @@ A query/target/proxy triplet yields a 5-vector of similarities:
     s2  query-target          (nearest to query vs nearest to target)
     s3  proxy-target      s5  between the two target-side modes
 
+Retrieval-time rows for a whole query are built by
+:class:`lqts.retrieval.Ranker`; this module builds the training rows.
 Training data comes from set PAIRS only, because the gallery is
 unlabelled: same-identity examples are simulated by treating every
 ordered pair of exemplars inside one reference set as the query/target
@@ -28,13 +30,11 @@ from .errors import DimensionMismatchError
 from .sampling import DEFAULT_SAMPLES, robust_select
 from .similarity import (
     DEFAULT_SUBSPACE_DIM,
-    PROJECTION_FLOOR,
     SubspaceModel,
-    cosine_sim,
+    cosine_sim,  # noqa: F401  unused; perfbench/tracing.py patches this name here
     fit_subspace,
     max_corr,
-    max_max_sim,
-    normalized_exemplars,
+    max_max_sim,  # noqa: F401  unused; perfbench/tracing.py patches this name here
 )
 
 log = logging.getLogger(__name__)
@@ -45,6 +45,8 @@ BASELINES = (EXEMPLAR, SUBSPACE)
 
 DEFAULT_TRAIN_SETS = 200
 DEFAULT_CAP = 50_000
+# projection norms below this count as degenerate in subspace extraction
+PROJECTION_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,35 +64,6 @@ class TransitivityFeature:
         object.__setattr__(self, "s", arr)
 
 
-def feature_exemplar(query: FaceSet, target: FaceSet, proxy: FaceSet) -> TransitivityFeature:
-    """Retrieval-time transitivity feature under the exemplar baseline."""
-    r_qp = max_max_sim(query, proxy)
-    r_qt = max_max_sim(query, target)
-    r_pt = max_max_sim(proxy, target)
-    f_pq, f_pt = r_qp.mode_b, r_pt.mode_a
-    f_tq, f_tp = r_qt.mode_b, r_pt.mode_b
-    s = np.array(
-        [r_qp.score, r_qt.score, r_pt.score, cosine_sim(f_pq, f_pt), cosine_sim(f_tq, f_tp)]
-    )
-    return TransitivityFeature(s=s, provenance=(query.set_id, target.set_id, proxy.set_id))
-
-
-def feature_subspace(
-    query: SubspaceModel, target: SubspaceModel, proxy: SubspaceModel
-) -> TransitivityFeature:
-    """Retrieval-time transitivity feature under the subspace baseline:
-    the max-correlation scores plus cosines between canonical vectors."""
-    r_qp = max_corr(query, proxy)
-    r_qt = max_corr(query, target)
-    r_pt = max_corr(proxy, target)
-    f_pq, f_pt = r_qp.mode_b, r_pt.mode_a
-    f_tq, f_tp = r_qt.mode_b, r_pt.mode_b
-    s = np.array(
-        [r_qp.score, r_qt.score, r_pt.score, cosine_sim(f_pq, f_pt), cosine_sim(f_tq, f_tp)]
-    )
-    return TransitivityFeature(s=s, provenance=(query.set_id, target.set_id, proxy.set_id))
-
-
 # ---------------------------------------------------------------------------
 # training extraction, exemplar baseline
 
@@ -104,8 +77,8 @@ def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarra
     """(positives, negatives) feature rows for one reference/proxy pair."""
     if reference.dim != proxy.dim:
         raise DimensionMismatchError(f"set dims differ: {reference.dim} vs {proxy.dim}")
-    r = normalized_exemplars(reference)
-    p = normalized_exemplars(proxy)
+    r = reference.unit_exemplars
+    p = proxy.unit_exemplars
     c_rp = np.abs(r @ p.T)
     c_rr = np.abs(r @ r.T)
     c_pp = np.abs(p @ p.T)
@@ -217,10 +190,10 @@ def _subspace_pair_arrays(
     corr = max_corr(ref_sub, prox_sub)
     f_tp, f_pt = corr.mode_a, corr.mode_b
     pos_rows, skipped_pos = _subspace_side_arrays(
-        normalized_exemplars(reference), ref_sub, prox_sub, f_pt, f_tp, corr.score
+        reference.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, corr.score
     )
     neg_rows, skipped_neg = _subspace_side_arrays(
-        normalized_exemplars(proxy), ref_sub, prox_sub, f_pt, f_tp, corr.score
+        proxy.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, corr.score
     )
     return pos_rows, neg_rows, skipped_pos, skipped_neg
 
@@ -269,7 +242,6 @@ def build_training_corpus(
     cap: int = DEFAULT_CAP,
     seed: int = 0,
     n_samples: int | None = DEFAULT_SAMPLES,
-    subspace_k: int = DEFAULT_SUBSPACE_DIM,
 ) -> list[TransitivityFeature]:
     """Pool training features over a seeded random choice of reference
     sets, pairing each with every proxy in its table entry.
@@ -298,7 +270,7 @@ def build_training_corpus(
 
     def subspace_of(s: FaceSet) -> SubspaceModel:
         if s.set_id not in subspaces:
-            subspaces[s.set_id] = fit_subspace(s, subspace_k)
+            subspaces[s.set_id] = fit_subspace(s)
         return subspaces[s.set_id]
 
     pos_blocks: list[np.ndarray] = []
@@ -342,10 +314,3 @@ def build_training_corpus(
         for row, prov in zip(neg_all, neg_prov)
     ]
     return out
-
-
-def features_to_arrays(features) -> tuple[np.ndarray, np.ndarray]:
-    """Stack labelled features into (X, y) arrays for the regressor."""
-    x = np.array([f.s for f in features], dtype=np.float64).reshape(-1, 5)
-    y = np.array([0.0 if f.label is None else f.label for f in features], dtype=np.float64)
-    return x, y

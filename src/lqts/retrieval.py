@@ -14,19 +14,13 @@ import numpy as np
 
 from .corpus import FaceSet, Gallery, ProxyTable
 from .errors import UsageError
-from .metafeat import (
-    BASELINES,
-    EXEMPLAR,
-    SUBSPACE,
-    feature_exemplar,
-    feature_subspace,
-)
+from .metafeat import BASELINES, EXEMPLAR
 from .sampling import DEFAULT_SAMPLES, robust_select
 from .similarity import (
     DEFAULT_SUBSPACE_DIM,
     MatchResult,
     SubspaceModel,
-    cosine_sim,
+    cosine_sim,  # noqa: F401  unused; perfbench/tracing.py patches this name here
     fit_subspace,
     max_corr,
     max_max_sim,
@@ -35,7 +29,13 @@ from .svr import SvrModel, predict
 
 METHOD_BASELINE = "baseline"
 METHOD_LQTS = "lqts"
-SIMPLE_RULES = ("arith", "geom", "quad")
+# combiners of the query-proxy and proxy-target similarities, on arrays
+COMBINERS = {
+    "arith": lambda rho_qp, rho_pt: 0.5 * (rho_qp + rho_pt),
+    "geom": lambda rho_qp, rho_pt: np.sqrt(rho_qp * rho_pt),
+    "quad": lambda rho_qp, rho_pt: np.sqrt(0.5 * rho_qp**2 + 0.5 * rho_pt**2),
+}
+SIMPLE_RULES = tuple(COMBINERS)
 METHODS = (METHOD_BASELINE, METHOD_LQTS) + SIMPLE_RULES
 
 
@@ -45,7 +45,6 @@ class RetrievalConfig:
     method: str = METHOD_BASELINE
     k_p: int = 0
     model: SvrModel | None = None
-    subspace_k: int = DEFAULT_SUBSPACE_DIM
     # reduction applied to external exemplar queries, mirroring the gallery
     n_samples: int | None = DEFAULT_SAMPLES
 
@@ -79,43 +78,48 @@ class RankedResult:
         raise KeyError(set_id)
 
 
-def _combine(rule: str, rho_qp: float, rho_pt: float) -> float:
-    if rule == "arith":
-        return 0.5 * (rho_qp + rho_pt)
-    if rule == "geom":
-        return float(np.sqrt(rho_qp * rho_pt))
-    if rule == "quad":
-        return float(np.sqrt(0.5 * rho_qp**2 + 0.5 * rho_pt**2))
-    raise UsageError(f"unknown combiner rule {rule!r}")
+def _frame_coords(sub: SubspaceModel, mode: np.ndarray) -> np.ndarray:
+    """A mode of `sub` as coordinates in its basis, zero-padded to
+    DEFAULT_SUBSPACE_DIM so that rank-deficient sets stack with the rest."""
+    out = np.zeros(DEFAULT_SUBSPACE_DIM)
+    out[: sub.k] = mode @ sub.basis
+    return out
 
 
 class GalleryScorer:
     """Caches per-set representations and pairwise comparisons.
 
     Pair results are cached under the ordered index pair they were
-    computed for, so mode orientation stays consistent with the feature
-    construction that consumes them.
+    computed for. Each result keeps its two modes in the frame of the set
+    that owns them: a view of the set's unit-exemplar row (exemplar
+    baseline) or the canonical coordinates in the set's basis (subspace
+    baseline). Two modes of the same set therefore compare by a plain
+    dot product.
     """
 
-    def __init__(self, gallery: Gallery, baseline: str, subspace_k: int = DEFAULT_SUBSPACE_DIM):
+    def __init__(self, gallery: Gallery, baseline: str):
         if baseline not in BASELINES:
             raise UsageError(f"unknown baseline {baseline!r}")
         self.gallery = gallery
         self.baseline = baseline
-        self.subspace_k = subspace_k
         self._reps: list = [None] * len(gallery)
         self._pairs: dict[tuple[int, int], MatchResult] = {}
+
+    @property
+    def mode_width(self) -> int:
+        return self.gallery.dim if self.baseline == EXEMPLAR else DEFAULT_SUBSPACE_DIM
 
     def rep(self, i: int):
         if self._reps[i] is None:
             s = self.gallery.sets[i]
-            self._reps[i] = s if self.baseline == EXEMPLAR else fit_subspace(s, self.subspace_k)
+            self._reps[i] = s if self.baseline == EXEMPLAR else fit_subspace(s)
         return self._reps[i]
 
     def compare(self, a, b) -> MatchResult:
         if self.baseline == EXEMPLAR:
             return max_max_sim(a, b)
-        return max_corr(a, b)
+        res = max_corr(a, b)
+        return MatchResult(res.score, _frame_coords(a, res.mode_a), _frame_coords(b, res.mode_b))
 
     def pair(self, i: int, j: int) -> MatchResult:
         key = (i, j)
@@ -130,9 +134,7 @@ class GalleryScorer:
         return hit.score if hit is not None else self.pair(i, j).score
 
 
-def select_proxies(
-    gallery: Gallery, baseline: str, k_p: int, subspace_k: int = DEFAULT_SUBSPACE_DIM
-) -> ProxyTable:
+def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
     """The k_p most-similar other sets for every gallery set, descending,
     ties broken by ascending gallery position."""
     n = len(gallery)
@@ -140,7 +142,7 @@ def select_proxies(
         raise UsageError("k_p must be >= 0")
     if k_p > n - 1:
         raise UsageError(f"k_p={k_p} too large for a gallery of {n} sets")
-    scorer = GalleryScorer(gallery, baseline, subspace_k)
+    scorer = GalleryScorer(gallery, baseline)
     ids = gallery.set_ids
     entries: dict[str, tuple[tuple[str, float], ...]] = {}
     for i in range(n):
@@ -157,41 +159,19 @@ def _clamp01(v):
     return np.minimum(np.maximum(v, 0.0), 1.0)
 
 
-def score_lqts(query, target, proxies, model: SvrModel) -> float:
-    """max(baseline(query,target), regression estimates through each proxy).
-
-    Arguments are FaceSets under the exemplar baseline or SubspaceModels
-    under the subspace baseline; an empty proxy list reduces to the
-    baseline similarity.
-    """
-    subspace = isinstance(query, SubspaceModel)
-    baseline_fn = max_corr if subspace else max_max_sim
-    feature_fn = feature_subspace if subspace else feature_exemplar
-    best = baseline_fn(query, target).score
-    for p in proxies:
-        est = float(_clamp01(predict(model, feature_fn(query, target, p).s)))
-        best = max(best, est)
-    return float(best)
-
-
-def score_simple(query, target, proxies, rule: str) -> float:
-    """max(baseline(query,target), combiner(query-proxy, proxy-target))
-    over the proxies, with the arithmetic/geometric/quadratic mean rule."""
-    subspace = isinstance(query, SubspaceModel)
-    baseline_fn = max_corr if subspace else max_max_sim
-    best = baseline_fn(query, target).score
-    for p in proxies:
-        rho_qp = baseline_fn(query, p).score
-        rho_pt = baseline_fn(p, target).score
-        best = max(best, _combine(rule, rho_qp, rho_pt))
-    return float(best)
+def _row_cos(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Absolute cosine between matching rows of two stacks of unit modes."""
+    return np.minimum(np.abs(np.einsum("ij,ij->i", u, v)), 1.0)
 
 
 class Ranker:
     """Ranks queries against a fixed gallery under one configuration.
 
-    Reusable across queries: pairwise comparisons between gallery sets
-    (notably proxy-target modes) are computed once and shared.
+    The single implementation of every scoring rule. The proxy table is
+    resolved once to (target, proxy) gallery-index rows, each with its
+    proxy-target score and modes. A query then compares itself with the
+    gallery, gathers whole arrays of feature rows by index and merges the
+    rule's estimates into the baseline scores with one maximum.
     """
 
     def __init__(self, gallery: Gallery, config: RetrievalConfig, proxies: ProxyTable | None = None):
@@ -201,8 +181,18 @@ class Ranker:
             raise UsageError(f"method {config.method!r} with k_p > 0 needs a proxy table")
         self.gallery = gallery
         self.config = config
-        self.proxies = proxies
-        self.scorer = GalleryScorer(gallery, config.baseline, config.subspace_k)
+        self.scorer = GalleryScorer(gallery, config.baseline)
+        # rows by ascending target, each target's proxies in table order
+        rows = []
+        if config.method != METHOD_BASELINE and proxies is not None:
+            for j, sid in enumerate(gallery.set_ids):
+                rows += [(j, gallery.index_of(pid)) for pid, _ in proxies.proxies_of(sid, config.k_p)]
+        self._target, self._proxy = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+        pt = [self.scorer.pair(p, j) for j, p in rows]
+        width = self.scorer.mode_width
+        self._s3 = np.array([r.score for r in pt])
+        self._proxy_mode = np.array([r.mode_a for r in pt]).reshape(-1, width)
+        self._target_mode = np.array([r.mode_b for r in pt]).reshape(-1, width)
 
     def _query_rep(self, query):
         """(gallery index or None, representation) for a query."""
@@ -216,75 +206,54 @@ class Ranker:
             if self.config.n_samples is not None:
                 s = robust_select(s, self.config.n_samples)
             return None, s
-        return None, fit_subspace(s, self.config.subspace_k)
+        return None, fit_subspace(s)
 
     def rank(self, query) -> RankedResult:
         q_idx, q_rep = self._query_rep(query)
         query_id = query if isinstance(query, str) else query.set_id
-        targets = [j for j in range(len(self.gallery)) if j != q_idx]
+        n = len(self.gallery)
+        targets = np.array([j for j in range(n) if j != q_idx], dtype=np.intp)
+        rows = np.flatnonzero(self._target != q_idx)
+        t, p = self._target[rows], self._proxy[rows]
 
-        qcache: dict[int, MatchResult] = {}
-
-        def qpair(j: int) -> MatchResult:
-            if q_idx is not None:
-                return self.scorer.pair(q_idx, j)
-            res = qcache.get(j)
-            if res is None:
-                res = self.scorer.compare(q_rep, self.scorer.rep(j))
-                qcache[j] = res
-            return res
-
-        base = np.array([qpair(j).score for j in targets])
-        method = self.config.method
-        if method == METHOD_BASELINE or self.config.k_p == 0:
-            scores = base
-        elif method == METHOD_LQTS:
-            scores = self._lqts_scores(targets, base, qpair)
+        # the query against every target and every proxy in use, by gallery index
+        sides = np.union1d(targets, p)
+        if q_idx is None:
+            res = [self.scorer.compare(q_rep, self.scorer.rep(j)) for j in sides.tolist()]
         else:
-            scores = self._simple_scores(targets, base, qpair, method)
+            res = [self.scorer.pair(q_idx, j) for j in sides.tolist()]
+        q_score = np.zeros(n)
+        q_score[sides] = [r.score for r in res]
 
-        order = sorted(range(len(targets)), key=lambda t: (-scores[t], targets[t]))
+        scores = q_score.copy()
+        method = self.config.method
+        if rows.size:
+            if method == METHOD_LQTS:
+                q_mode = np.zeros((n, self.scorer.mode_width))
+                q_mode[sides] = [r.mode_b for r in res]
+                features = np.column_stack(
+                    [
+                        q_score[p],
+                        q_score[t],
+                        self._s3[rows],
+                        _row_cos(q_mode[p], self._proxy_mode[rows]),
+                        _row_cos(q_mode[t], self._target_mode[rows]),
+                    ]
+                )
+                # predict distinct rows once: BLAS rounds a row by its position
+                # in the batch, and equal rows must get equal estimates
+                distinct, inverse = np.unique(features, axis=0, return_inverse=True)
+                est = _clamp01(predict(self.config.model, distinct))[inverse.reshape(-1)]
+            else:
+                est = COMBINERS[method](q_score[p], self._s3[rows])
+            np.maximum.at(scores, t, est)
+
+        scores = scores[targets]
+        order = np.argsort(-scores, kind="stable")  # ties: ascending gallery index
         ids = self.gallery.set_ids
-        ranking = tuple((ids[targets[t]], float(scores[t])) for t in order)
+        ranking = tuple((ids[j], score) for j, score in zip(targets[order], scores[order].tolist()))
         label = f"{method}/{self.config.baseline}/k_p={self.config.k_p}"
         return RankedResult(query_id=query_id, ranking=ranking, method=label)
-
-    def _target_proxy_indices(self, j: int) -> list[int]:
-        sid = self.gallery.set_ids[j]
-        plist = self.proxies.proxies_of(sid, self.config.k_p) if self.proxies else ()
-        return [self.gallery.index_of(pid) for pid, _ in plist]
-
-    def _lqts_scores(self, targets, base, qpair) -> np.ndarray:
-        rows, owners = [], []
-        for t_pos, j in enumerate(targets):
-            r_qt = qpair(j)
-            for p in self._target_proxy_indices(j):
-                r_qp = qpair(p)
-                r_pt = self.scorer.pair(p, j)
-                rows.append(
-                    (
-                        r_qp.score,
-                        r_qt.score,
-                        r_pt.score,
-                        cosine_sim(r_qp.mode_b, r_pt.mode_a),
-                        cosine_sim(r_qt.mode_b, r_pt.mode_b),
-                    )
-                )
-                owners.append(t_pos)
-        scores = base.copy()
-        if rows:
-            est = _clamp01(predict(self.config.model, np.asarray(rows)))
-            np.maximum.at(scores, np.asarray(owners), est)
-        return scores
-
-    def _simple_scores(self, targets, base, qpair, rule: str) -> np.ndarray:
-        scores = base.copy()
-        for t_pos, j in enumerate(targets):
-            for p in self._target_proxy_indices(j):
-                rho_qp = qpair(p).score
-                rho_pt = self.scorer.score(p, j)
-                scores[t_pos] = max(scores[t_pos], _combine(rule, rho_qp, rho_pt))
-        return scores
 
 
 def rank_gallery(

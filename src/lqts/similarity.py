@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FaceSet
-from .errors import DegenerateProjectionError, DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, ZeroVectorError
 
 DEFAULT_SUBSPACE_DIM = 6
 # singular values below this fraction of the largest are treated as rank deficiency
 RANK_RTOL = 1e-10
-PROJECTION_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,6 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(abs(float(uu @ vv)), 1.0))
 
 
-def normalized_exemplars(s: FaceSet) -> np.ndarray:
-    """Exemplars scaled to unit norm, one per row."""
-    norms = np.linalg.norm(s.exemplars, axis=1, keepdims=True)
-    return s.exemplars / norms
-
-
 def max_max_sim(a: FaceSet, b: FaceSet) -> MatchResult:
     """Largest absolute cosine over all exemplar pairs (a_i, b_j).
 
@@ -83,8 +76,8 @@ def max_max_sim(a: FaceSet, b: FaceSet) -> MatchResult:
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"set dims differ: {a.dim} vs {b.dim}")
-    ua = normalized_exemplars(a)
-    ub = normalized_exemplars(b)
+    ua = a.unit_exemplars
+    ub = b.unit_exemplars
     cos = np.abs(ua @ ub.T)
     flat = int(np.argmax(cos))  # row-major argmax = smallest (i, j) on ties
     ia, ib = divmod(flat, cos.shape[1])
@@ -138,23 +131,3 @@ def max_corr(a: SubspaceModel, b: SubspaceModel) -> MatchResult:
     if float(mode_a @ mode_b) < 0:
         mode_b = -mode_b
     return MatchResult(score=score, mode_a=mode_a, mode_b=mode_b)
-
-
-def vector_subspace_sim(v: np.ndarray, s: SubspaceModel) -> MatchResult:
-    """Cosine between a vector and its projection onto a subspace.
-
-    mode_b is the unit projection; a projection norm below 1e-12 (vector
-    numerically orthogonal to the subspace) raises
-    DegenerateProjectionError.
-    """
-    unit_v = _unit(v, "query vector")
-    if unit_v.shape[0] != s.dim:
-        raise DimensionMismatchError(f"vector dim {unit_v.shape[0]} vs subspace dim {s.dim}")
-    coords = s.basis.T @ unit_v
-    proj = s.basis @ coords
-    pnorm = float(np.linalg.norm(proj))
-    if pnorm < PROJECTION_FLOOR:
-        raise DegenerateProjectionError(
-            f"vector is numerically orthogonal to subspace {s.set_id!r}"
-        )
-    return MatchResult(score=float(min(pnorm, 1.0)), mode_a=unit_v, mode_b=proj / pnorm)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lqts.corpus import FaceSet, Gallery
+from lqts.corpus import FaceSet, Gallery, ProxyTable
+from lqts.retrieval import rank_gallery
 
 
 @pytest.fixture
@@ -19,3 +22,13 @@ def random_set(rng, set_id="s", n=5, d=8, positive=False):
 def tiny_gallery(rng, n_sets=6, n=4, d=8, labels=None):
     sets = tuple(random_set(rng, f"set{i}", n=n, d=d) for i in range(n_sets))
     return Gallery(sets=sets, labels=labels)
+
+
+def ranker_score(query, target, proxies, config) -> float:
+    """The target's score when `query` is ranked by `rank_gallery` against a
+    gallery of query, target and proxies whose table gives the target
+    exactly `proxies`, in order."""
+    gallery = Gallery(sets=(query, target, *proxies))
+    table = ProxyTable(k_p=len(proxies), entries={target.set_id: tuple((p.set_id, 1.0) for p in proxies)})
+    config = replace(config, k_p=len(proxies))
+    return dict(rank_gallery(query.set_id, gallery, config, table).ranking)[target.set_id]

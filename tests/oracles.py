@@ -1,0 +1,71 @@
+"""Scalar reference scorers that `lqts.retrieval.Ranker` is checked against.
+
+Each builds one retrieval-time transitivity 5-vector or one target score
+at a time, straight from the baseline similarity functions and their
+ambient mode vectors, with no caching or batching.
+"""
+
+import numpy as np
+
+from lqts.metafeat import TransitivityFeature
+from lqts.similarity import SubspaceModel, cosine_sim, max_corr, max_max_sim
+from lqts.svr import predict
+
+
+def _feature(baseline_fn, query, target, proxy) -> TransitivityFeature:
+    r_qp = baseline_fn(query, proxy)
+    r_qt = baseline_fn(query, target)
+    r_pt = baseline_fn(proxy, target)
+    f_pq, f_pt = r_qp.mode_b, r_pt.mode_a
+    f_tq, f_tp = r_qt.mode_b, r_pt.mode_b
+    s = np.array(
+        [r_qp.score, r_qt.score, r_pt.score, cosine_sim(f_pq, f_pt), cosine_sim(f_tq, f_tp)]
+    )
+    return TransitivityFeature(s=s, provenance=(query.set_id, target.set_id, proxy.set_id))
+
+
+def feature_exemplar(query, target, proxy) -> TransitivityFeature:
+    """Retrieval-time transitivity feature of FaceSets, exemplar baseline."""
+    return _feature(max_max_sim, query, target, proxy)
+
+
+def feature_subspace(query, target, proxy) -> TransitivityFeature:
+    """Retrieval-time transitivity feature of SubspaceModels: the
+    max-correlation scores plus cosines between canonical vectors."""
+    return _feature(max_corr, query, target, proxy)
+
+
+def _baseline_fn(query):
+    return max_corr if isinstance(query, SubspaceModel) else max_max_sim
+
+
+def score_lqts(query, target, proxies, model) -> float:
+    """max(baseline(query, target), clamped regression estimate through
+    each proxy). FaceSets under the exemplar baseline, SubspaceModels
+    under the subspace baseline."""
+    feature_fn = feature_subspace if isinstance(query, SubspaceModel) else feature_exemplar
+    best = _baseline_fn(query)(query, target).score
+    for p in proxies:
+        est = min(max(predict(model, feature_fn(query, target, p).s), 0.0), 1.0)
+        best = max(best, est)
+    return float(best)
+
+
+def combine(rule: str, rho_qp: float, rho_pt: float) -> float:
+    if rule == "arith":
+        return 0.5 * (rho_qp + rho_pt)
+    if rule == "geom":
+        return float(np.sqrt(rho_qp * rho_pt))
+    if rule == "quad":
+        return float(np.sqrt(0.5 * rho_qp**2 + 0.5 * rho_pt**2))
+    raise ValueError(f"unknown combiner rule {rule!r}")
+
+
+def score_simple(query, target, proxies, rule: str) -> float:
+    """max(baseline(query, target), combiner(query-proxy, proxy-target))
+    over the proxies, with the arithmetic/geometric/quadratic mean rule."""
+    baseline_fn = _baseline_fn(query)
+    best = baseline_fn(query, target).score
+    for p in proxies:
+        best = max(best, combine(rule, baseline_fn(query, p).score, baseline_fn(p, target).score))
+    return float(best)

@@ -15,17 +15,13 @@ from lqts import sampling, svr, synth
 from lqts.corpus import FaceSet, Gallery
 from lqts.evaluation import AnrRecord, anr, independence_prediction, rank_k_stats
 from lqts.metafeat import build_training_corpus, train_extract_exemplar, train_extract_subspace
-from lqts.retrieval import (
-    RetrievalConfig,
-    rank_gallery,
-    score_simple,
-    select_proxies,
-)
+from lqts.retrieval import RetrievalConfig, rank_gallery, select_proxies
 from lqts.evaluation import evaluate_all
 from lqts.similarity import fit_subspace, max_corr, max_max_sim
 from lqts.svr import SvrConfig, SvrModel, predict, train
 
-from conftest import random_set
+from conftest import random_set, ranker_score
+from oracles import score_simple
 from test_svr import oracle_slsqp, oracle_two_point_grid
 
 
@@ -277,11 +273,16 @@ class TestCriterion7SimpleCombiners:
         q = FaceSet("q", np.array([[0.6, 0.8, 0.0]]))
         p = FaceSet("p", np.array([[1.0, 0.0, 0.0]]))
         t = FaceSet("t", np.array([[0.8, 0.0, 0.6]]))
-        assert score_simple(q, t, [p], "arith") == pytest.approx(0.7, abs=1e-9)
-        assert score_simple(q, t, [p], "quad") == pytest.approx(0.707107, abs=1e-6)
         q2 = FaceSet("q2", np.array([[0.25, np.sqrt(1 - 0.0625), 0.0]]))
         t2 = FaceSet("t2", np.array([[2.0, 0.0, 0.0]]))
-        assert score_simple(q2, t2, [p], "geom") == pytest.approx(0.5, abs=1e-9)
+
+        def through_ranker(query, target, proxies, rule):
+            return ranker_score(query, target, proxies, RetrievalConfig(method=rule))
+
+        for score in (score_simple, through_ranker):
+            assert score(q, t, [p], "arith") == pytest.approx(0.7, abs=1e-9)
+            assert score(q, t, [p], "quad") == pytest.approx(0.707107, abs=1e-6)
+            assert score(q2, t2, [p], "geom") == pytest.approx(0.5, abs=1e-9)
         print("\nACCEPTANCE 7 (combiner reduction + formulas): PASS")
 
 

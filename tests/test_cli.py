@@ -61,6 +61,17 @@ class TestDataErrors:
         (gal / "sets" / "a.csv").write_text("1.0,oops\n")
         assert run("energy", "--gallery", str(gal), "--out", str(tmp_path / "e.csv")) == 2
 
+    def test_malformed_proxy_table(self, pipeline_dirs, tmp_path, capsys):
+        root, gal = pipeline_dirs
+        proxies = tmp_path / "proxies.tsv"
+        proxies.write_text("# k_p=1\nid000_s0\tfirst\tid000_s1\t0.9\n")
+        code = run(
+            "evaluate", "--gallery", str(gal), "--method", "arith", "--k", "1",
+            "--proxies", str(proxies), "--out-dir", str(tmp_path / "eval"),
+        )
+        assert code == 2
+        assert f"{proxies}:2: non-integer rank 'first'" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_pipeline_produces_reports(self, pipeline_dirs):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,24 @@ class TestProxyTable:
         t = ProxyTable(k_p=0, entries={})
         save_proxies(t, tmp_path / "p.tsv")
         assert load_proxies(tmp_path / "p.tsv") == t
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("a\t1\tb\t0.9\n", 1, "before the '# k_p=' header"),
+            ("", 1, "missing '# k_p=' header"),
+            ("# k_p=two\na\t1\tb\t0.9\n", 1, "non-integer k_p 'two'"),
+            ("# k_p=-1\n", 1, "k_p must be >= 0"),
+            ("# k_p=2\na\t1\tb\t0.9\na\tsecond\tc\t0.5\n", 3, "non-integer rank 'second'"),
+            ("# k_p=2\na\t1\tb\thigh\n", 2, "non-numeric score 'high'"),
+            ("# k_p=1\na\t1\tb\t0.9\n\na\t2\tc\t0.5\n", 4, "longer than k_p=1"),
+        ],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "p.tsv"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:{line}: ") + ".*" + re.escape(message)):
+            load_proxies(path)
 
 
 class TestFeatureFile:

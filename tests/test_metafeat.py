@@ -5,16 +5,11 @@ import pytest
 
 import lqts.metafeat
 from lqts.corpus import FaceSet, Gallery, ProxyTable
-from lqts.metafeat import (
-    build_training_corpus,
-    feature_exemplar,
-    feature_subspace,
-    train_extract_exemplar,
-    train_extract_subspace,
-)
+from lqts.metafeat import build_training_corpus, train_extract_exemplar, train_extract_subspace
 from lqts.similarity import SubspaceModel, fit_subspace
 
 from conftest import random_set
+from oracles import feature_exemplar, feature_subspace
 
 
 def unit(v):
@@ -282,9 +277,9 @@ class TestBuildTrainingCorpus:
         assert len(feats) == 40
 
     def test_subspace_baseline_matches_per_pair_extraction(self, rng, monkeypatch, caplog):
-        # in R^3 with k=1 the subspaces of g0, g1 and g2 are the x, x and y
-        # axes, so g1's y-exemplar and g2's z-exemplar project to zero on
-        # some of them and their pairs skip rows
+        # in R^3 the subspaces of g0, g1 and g2 are the x axis, the xy plane
+        # and the yz plane, so g1's y-exemplar projects to zero on g0's and
+        # g0's exemplars on g2's, and their pairs skip rows
         sets = (
             FaceSet("g0", np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])),
             FaceSet("g1", np.array([[0.0, 1.0, 0.0], [3.0, 0.0, 0.0]])),
@@ -303,7 +298,7 @@ class TestBuildTrainingCorpus:
         pos, neg, skipped = [], [], 0
         for ref in g.sets:
             for pid, _ in table.proxies_of(ref.set_id):
-                res = train_extract_subspace(ref, g.get(pid), k=1)
+                res = train_extract_subspace(ref, g.get(pid))
                 pos += [f for f in res.features if f.label == 1.0]
                 neg += [f for f in res.features if f.label == 0.0]
                 skipped += res.skipped_positive + res.skipped_negative
@@ -312,14 +307,14 @@ class TestBuildTrainingCorpus:
         fitted = []
         real_fit = lqts.metafeat.fit_subspace
 
-        def counting_fit(s, k):
+        def counting_fit(s, *args):
             fitted.append(s.set_id)
-            return real_fit(s, k)
+            return real_fit(s, *args)
 
         monkeypatch.setattr(lqts.metafeat, "fit_subspace", counting_fit)
         with caplog.at_level(logging.INFO, logger="lqts.metafeat"):
             feats = build_training_corpus(
-                g, table, baseline="subspace", n_train_sets=5, cap=10**6, seed=0, subspace_k=1
+                g, table, baseline="subspace", n_train_sets=5, cap=10**6, seed=0
             )
         assert sorted(fitted) == sorted(ids)
         assert [r.getMessage() for r in caplog.records if r.name == "lqts.metafeat"] == [

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lqts.corpus import FaceSet, Gallery
+from lqts.corpus import FaceSet, Gallery, ProxyTable
 from lqts.errors import UsageError
-from lqts.metafeat import feature_exemplar
 from lqts.retrieval import (
+    METHODS,
+    Ranker,
     RetrievalConfig,
     rank_gallery,
-    score_lqts,
-    score_simple,
     select_proxies,
 )
-from lqts.similarity import fit_subspace, max_max_sim
+from lqts.similarity import fit_subspace, max_corr, max_max_sim
 from lqts.svr import SvrConfig, SvrModel, predict
 
-from conftest import random_set
+from conftest import random_set, ranker_score
+from oracles import feature_exemplar, score_lqts, score_simple
 
 
 def constant_model(value: float) -> SvrModel:
@@ -78,17 +80,25 @@ class TestSelectProxies:
             select_proxies(g, "exemplar", 3)
 
 
+def lqts_config(model):
+    return RetrievalConfig(method="lqts", model=model)
+
+
 class TestScoreLqts:
+    """Hand cases of the lqts rule, for the oracle and the Ranker alike."""
+
     def test_identical_content_scores_one(self, rng):
         s = random_set(rng, "q", n=3, d=4)
         t = FaceSet("t", s.exemplars.copy())
         assert score_lqts(s, t, [], constant_model(0.0)) == pytest.approx(1.0)
+        assert ranker_score(s, t, [], lqts_config(constant_model(0.0))) == pytest.approx(1.0)
 
     def test_empty_proxies_reduce_to_baseline(self, rng):
         q = random_set(rng, "q", n=3, d=4)
         t = random_set(rng, "t", n=3, d=4)
         base = max_max_sim(q, t).score
         assert score_lqts(q, t, [], constant_model(0.99)) == pytest.approx(base)
+        assert ranker_score(q, t, [], lqts_config(constant_model(0.99))) == base
 
     def test_constant_stub_model_wins_over_low_baseline(self):
         q = FaceSet("q", np.array([[1.0, 0.0, 0.0]]))
@@ -96,6 +106,7 @@ class TestScoreLqts:
         p = FaceSet("p", np.array([[0.5, 0.5, 0.5]]))
         assert max_max_sim(q, t).score == pytest.approx(0.306, abs=0.01)
         assert score_lqts(q, t, [p], constant_model(0.9)) == pytest.approx(0.9)
+        assert ranker_score(q, t, [p], lqts_config(constant_model(0.9))) == pytest.approx(0.9)
 
     def test_never_below_baseline(self, rng):
         for _ in range(15):
@@ -103,9 +114,10 @@ class TestScoreLqts:
             t = random_set(rng, "t", n=3, d=5)
             p = random_set(rng, "p", n=3, d=5)
             base = max_max_sim(q, t).score
-            s = score_lqts(q, t, [p], constant_model(float(rng.random() * 2 - 0.5)))
-            assert s >= base - 1e-12
-            assert 0.0 <= s <= 1.0
+            model = constant_model(float(rng.random() * 2 - 0.5))
+            for s in (score_lqts(q, t, [p], model), ranker_score(q, t, [p], lqts_config(model))):
+                assert s >= base - 1e-12
+                assert 0.0 <= s <= 1.0
 
     def test_prediction_clamped(self, rng):
         q = FaceSet("q", np.array([[1.0, 0.0]]))
@@ -113,6 +125,8 @@ class TestScoreLqts:
         p = FaceSet("p", np.array([[1.0, 1.0]]))
         assert score_lqts(q, t, [p], constant_model(7.5)) == 1.0
         assert score_lqts(q, t, [p], constant_model(-3.0)) == 0.0
+        assert ranker_score(q, t, [p], lqts_config(constant_model(7.5))) == 1.0
+        assert ranker_score(q, t, [p], lqts_config(constant_model(-3.0))) == 0.0
 
     def test_subspace_dispatch(self, rng):
         q = fit_subspace(random_set(rng, "q", n=4, d=6), k=2)
@@ -123,6 +137,8 @@ class TestScoreLqts:
 
 
 class TestScoreSimple:
+    """Hand cases of the combiner rules, for the oracle and the Ranker alike."""
+
     def setup_method(self):
         # singleton sets with prescribed pairwise cosines to the proxy:
         # rho_qp = 0.6, rho_pt = 0.8, baseline(q, t) tiny
@@ -130,24 +146,31 @@ class TestScoreSimple:
         self.p = FaceSet("p", np.array([[1.0, 0.0, 0.0]]))
         self.t = FaceSet("t", np.array([[0.8, 0.0, 0.6]]))
 
+    def both(self, rule, proxies):
+        config = RetrievalConfig(method=rule)
+        return (
+            score_simple(self.q, self.t, proxies, rule),
+            ranker_score(self.q, self.t, proxies, config),
+        )
+
     def test_arith(self):
-        got = score_simple(self.q, self.t, [self.p], "arith")
-        assert got == pytest.approx(0.5 * (0.6 + 0.8), abs=1e-9)
+        for got in self.both("arith", [self.p]):
+            assert got == pytest.approx(0.5 * (0.6 + 0.8), abs=1e-9)
 
     def test_geom_hand_values(self):
         # rule evaluated directly on the prescribed similarities
-        assert score_simple(self.q, self.t, [self.p], "geom") == pytest.approx(
-            np.sqrt(0.6 * 0.8), abs=1e-9
-        )
+        for got in self.both("geom", [self.p]):
+            assert got == pytest.approx(np.sqrt(0.6 * 0.8), abs=1e-9)
 
     def test_quad(self):
-        got = score_simple(self.q, self.t, [self.p], "quad")
-        assert got == pytest.approx(np.sqrt(0.5 * 0.36 + 0.5 * 0.64), abs=1e-6)
-        assert got == pytest.approx(0.707107, abs=1e-6)
+        for got in self.both("quad", [self.p]):
+            assert got == pytest.approx(np.sqrt(0.5 * 0.36 + 0.5 * 0.64), abs=1e-6)
+            assert got == pytest.approx(0.707107, abs=1e-6)
 
     def test_no_proxies_reduces_to_baseline(self):
         base = max_max_sim(self.q, self.t).score
-        assert score_simple(self.q, self.t, [], "arith") == pytest.approx(base)
+        for got in self.both("arith", []):
+            assert got == pytest.approx(base)
 
 
 class TestRankGallery:
@@ -229,6 +252,27 @@ class TestRankGallery:
                     score_simple(query, g.get(sid), proxies, rule), abs=1e-12
                 )
 
+    def test_duplicate_targets_tie_under_lqts(self):
+        # BLAS rounds a row of a batched product by its position in the
+        # batch, so equal feature rows could predict values ulps apart
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            base = [np.abs(rng.normal(size=(3, 6))) + 0.05 for _ in range(5)]
+            sets = [FaceSet(f"s{i}", x) for i, x in enumerate(base)] + [FaceSet("dup", base[1])]
+            g = Gallery(sets=tuple(sets))
+            table = select_proxies(g, "exemplar", 2)
+            beta = rng.normal(size=16)
+            beta -= beta.mean()
+            model = SvrModel(
+                support_vectors=rng.random((16, 5)), coefficients=beta, bias=0.5, config=SvrConfig()
+            )
+            config = RetrievalConfig(method="lqts", k_p=2, model=model)
+            for query in ("s0", "s2", "s3", "s4"):
+                got = rank_gallery(query, g, config, table)
+                scores = dict(got.ranking)
+                assert scores["s1"] == scores["dup"]
+                assert got.rank_of("s1") < got.rank_of("dup")
+
     def test_external_query_ranks_whole_gallery(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(4)))
         external = random_set(rng, "ext", n=3, d=5)
@@ -262,3 +306,99 @@ class TestRetrievalConfig:
     def test_unknown_baseline(self):
         with pytest.raises(UsageError):
             RetrievalConfig(baseline="manifold")
+
+
+@st.composite
+def ranking_cases(draw):
+    """A gallery, a hand-drawn proxy table, a model and a query.
+
+    The gallery always holds a single-exemplar set, a duplicate of another
+    set (so that scores tie exactly) and sets with fewer exemplars than the
+    subspace dimension (so that subspace coordinates are ragged). The
+    query is a gallery set that is placed in some target's proxy list, or
+    an external set.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 8))
+    sizes = [1] + draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    contents = [rng.normal(size=(n, d)) for n in sizes]
+    contents += [contents[i] for i in draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=2))]
+    order = draw(st.permutations(range(len(contents))))
+    gallery = Gallery(sets=tuple(FaceSet(f"s{i}", contents[j]) for i, j in enumerate(order)))
+    n = len(gallery)
+
+    width = draw(st.integers(1, min(3, n - 1)))
+    lists = {}
+    for i, sid in enumerate(gallery.set_ids):
+        others = [j for j in range(n) if j != i]
+        picked = draw(st.lists(st.sampled_from(others), max_size=width, unique=True))
+        lists[sid] = [gallery.set_ids[j] for j in picked]
+
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        like = draw(st.sampled_from([None, *range(n)]))
+        x = rng.normal(size=(m, d)) if like is None else gallery.sets[like].exemplars
+        query = FaceSet("external", x)
+    else:
+        q = draw(st.integers(0, n - 1))
+        query = gallery.set_ids[q]
+        t = draw(st.sampled_from([j for j in range(n) if j != q]))
+        tlist = lists[gallery.set_ids[t]]
+        tlist[:] = [query] + [p for p in tlist if p != query][: width - 1]
+    table = ProxyTable(
+        k_p=width,
+        entries={sid: tuple((p, 1.0 - 0.1 * r) for r, p in enumerate(pl)) for sid, pl in lists.items()},
+    )
+
+    n_sv = draw(st.integers(2, 12))
+    beta = 0.3 * rng.normal(size=n_sv)
+    beta -= beta.mean()
+    model = SvrModel(
+        support_vectors=rng.random((n_sv, 5)),
+        coefficients=beta,
+        bias=float(rng.random()),
+        config=SvrConfig(),
+    )
+    k_p = draw(st.integers(0, width))
+    return gallery, table, model, query, k_p
+
+
+def oracle_ranking(gallery, table, model, query, k_p, baseline, method):
+    """(ranked ids, scores) from the scalar oracles, one target at a time."""
+    rep = (lambda s: s) if baseline == "exemplar" else fit_subspace
+    if isinstance(query, str):
+        q_idx, q_rep = gallery.index_of(query), rep(gallery.get(query))
+    else:
+        q_idx, q_rep = None, rep(query)
+    reps = [q_rep if i == q_idx else rep(s) for i, s in enumerate(gallery.sets)]
+    base_fn = max_max_sim if baseline == "exemplar" else max_corr
+    targets = [j for j in range(len(gallery)) if j != q_idx]
+    scores = {}
+    for j in targets:
+        proxies = [reps[gallery.index_of(p)] for p, _ in table.proxies_of(gallery.set_ids[j], k_p)]
+        if method == "baseline":
+            scores[j] = base_fn(q_rep, reps[j]).score
+        elif method == "lqts":
+            scores[j] = score_lqts(q_rep, reps[j], proxies, model)
+        else:
+            scores[j] = score_simple(q_rep, reps[j], proxies, method)
+    order = sorted(targets, key=lambda j: (-scores[j], j))
+    return [gallery.set_ids[j] for j in order], [scores[j] for j in order]
+
+
+class TestRankerMatchesOracles:
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @given(case=ranking_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_method(self, baseline, case):
+        gallery, table, model, query, k_p = case
+        for method in METHODS:
+            config = RetrievalConfig(baseline=baseline, method=method, k_p=k_p, model=model)
+            got = Ranker(gallery, config, table).rank(query)
+            want_ids, want_scores = oracle_ranking(gallery, table, model, query, k_p, baseline, method)
+            assert got.ids() == want_ids, method
+            got_scores = [s for _, s in got.ranking]
+            if method == "baseline":
+                assert got_scores == want_scores
+            else:
+                np.testing.assert_allclose(got_scores, want_scores, rtol=0, atol=1e-12)

@@ -12,7 +12,7 @@ from lqts.sampling import (
     pre_image,
     robust_select,
 )
-from lqts.similarity import max_max_sim, normalized_exemplars
+from lqts.similarity import max_max_sim
 
 from conftest import random_set
 
@@ -136,9 +136,7 @@ class TestRobustSelect:
         s = segment_set(n=100)
         sel = robust_select(s, 10)
         assert max_max_sim(sel, s).score >= 0.999
-        un_o = normalized_exemplars(s)
-        un_s = normalized_exemplars(sel)
-        coverage = np.max(np.abs(un_o @ un_s.T), axis=1)
+        coverage = np.max(np.abs(s.unit_exemplars @ sel.unit_exemplars.T), axis=1)
         assert np.min(coverage) >= 0.99
 
     def test_endpoints_attained(self):

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqts.corpus import FaceSet
-from lqts.errors import DegenerateProjectionError, DimensionMismatchError, ZeroVectorError
+from lqts.errors import DimensionMismatchError, ZeroVectorError
 from lqts.similarity import (
     SubspaceModel,
     cosine_sim,
     fit_subspace,
     max_corr,
     max_max_sim,
-    vector_subspace_sim,
 )
 
 from conftest import random_set
@@ -187,23 +186,3 @@ class TestMaxCorr:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = SubspaceModel("a_rot", a.basis @ q)
         assert max_corr(rotated, b).score == pytest.approx(max_corr(a, b).score, abs=1e-8)
-
-
-class TestVectorSubspace:
-    def test_contained_vector(self, rng):
-        sub = fit_subspace(random_set(rng, "s", n=6, d=5), k=3)
-        v = sub.basis @ np.array([0.3, -0.2, 0.9])
-        r = vector_subspace_sim(v, sub)
-        assert r.score == pytest.approx(1.0, abs=1e-9)
-        assert abs(abs(float(r.mode_b @ (v / np.linalg.norm(v))))) == pytest.approx(1.0, abs=1e-9)
-
-    def test_orthogonal_vector_degenerate(self):
-        sub = SubspaceModel("s", np.array([[1.0], [0.0], [0.0]]))
-        with pytest.raises(DegenerateProjectionError):
-            vector_subspace_sim(np.array([0.0, 1.0, 0.0]), sub)
-
-    def test_hand_case(self):
-        sub = SubspaceModel("s", np.array([[1.0], [0.0], [0.0]]))
-        r = vector_subspace_sim(np.array([1.0, 1.0, 0.0]), sub)
-        assert r.score == pytest.approx(0.707107, abs=1e-6)
-        np.testing.assert_allclose(r.mode_b, [1.0, 0.0, 0.0], atol=1e-12)
