@@ -71,10 +71,15 @@ def main(argv=None) -> int:
             labels=gallery.labels,
         )
         save_gallery(gallery, out / "gallery_sampled")
-    print(f"gallery: {len(gallery)} sets, dim {gallery.dim}  [{time.time() - t0:.0f}s]")
 
+    t_stage = time.time()
     proxies = select_proxies(gallery, args.baseline, 10)
+    t_stage = time.time() - t_stage
     save_proxies(proxies, out / "proxies.tsv")
+    print(
+        f"gallery: {len(gallery)} sets, dim {gallery.dim}; proxy table in {t_stage:.2f}s  "
+        f"[{time.time() - t0:.0f}s]"
+    )
     features = build_training_corpus(
         gallery, proxies, args.baseline, n_train_sets=args.train_sets, cap=args.cap, seed=5
     )
@@ -100,7 +105,9 @@ def main(argv=None) -> int:
     }
     summary = {}
     for name, config in methods.items():
+        t_stage = time.time()
         records = evaluate_all(gallery, config, proxies)
+        t_stage = time.time() - t_stage
         mdir = out / name
         mdir.mkdir(exist_ok=True)
         write_anr_report(records, mdir / "anr.tsv")
@@ -108,7 +115,7 @@ def main(argv=None) -> int:
         write_rank_k_report(records, mdir / "rank100.csv")
         anrs = np.array([r.anr for r in records])
         summary[name] = (float(np.mean(anrs)), float(np.mean(anrs < 0.3)))
-        print(f"evaluated {name:8s}  [{time.time() - t0:.0f}s]")
+        print(f"evaluated {name:8s} in {t_stage:6.2f}s  [{time.time() - t0:.0f}s]")
 
     print(f"\n{'method':10s} {'mean ANR':>9s} {'ANR<0.3':>8s}")
     for name, (mean_anr, frac) in summary.items():

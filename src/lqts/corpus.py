@@ -71,6 +71,15 @@ class FaceSet:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def subspace(self):
+        """The set's `lqts.similarity.fit_subspace` model at the default
+        dimension; fitted on first use, so once per set however many
+        proxy selections, rankers and training extractions read it."""
+        from .similarity import fit_subspace
+
+        return fit_subspace(self)
+
     def __eq__(self, other):
         if not isinstance(other, FaceSet):
             return NotImplemented

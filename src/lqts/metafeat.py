@@ -266,13 +266,6 @@ def build_training_corpus(
             reduced[s.set_id] = robust_select(s, n_samples)
         return reduced[s.set_id]
 
-    subspaces: dict[str, SubspaceModel] = {}
-
-    def subspace_of(s: FaceSet) -> SubspaceModel:
-        if s.set_id not in subspaces:
-            subspaces[s.set_id] = fit_subspace(s)
-        return subspaces[s.set_id]
-
     pos_blocks: list[np.ndarray] = []
     neg_blocks: list[np.ndarray] = []
     pos_prov: list[tuple[str, str]] = []
@@ -286,7 +279,7 @@ def build_training_corpus(
                 pos, neg = _exemplar_pair_arrays(exemplar_form(ref), exemplar_form(prox))
             else:
                 pos, neg, skip_p, skip_n = _subspace_pair_arrays(
-                    ref, prox, subspace_of(ref), subspace_of(prox)
+                    ref, prox, ref.subspace, prox.subspace
                 )
                 skipped += skip_p + skip_n
             pos_blocks.append(pos)

@@ -13,17 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FaceSet, Gallery, ProxyTable
-from .errors import UsageError
+from .errors import DimensionMismatchError, UsageError
 from .metafeat import BASELINES, EXEMPLAR
 from .sampling import DEFAULT_SAMPLES, robust_select
-from .similarity import (
+from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     DEFAULT_SUBSPACE_DIM,
-    MatchResult,
-    SubspaceModel,
-    cosine_sim,  # noqa: F401  unused; perfbench/tracing.py patches this name here
+    Matches,
+    cosine_sim,
     fit_subspace,
     max_corr,
+    max_corr_batch,
     max_max_sim,
+    max_max_sim_batch,
 )
 from .svr import SvrModel, predict
 
@@ -78,23 +79,23 @@ class RankedResult:
         raise KeyError(set_id)
 
 
-def _frame_coords(sub: SubspaceModel, mode: np.ndarray) -> np.ndarray:
-    """A mode of `sub` as coordinates in its basis, zero-padded to
-    DEFAULT_SUBSPACE_DIM so that rank-deficient sets stack with the rest."""
-    out = np.zeros(DEFAULT_SUBSPACE_DIM)
-    out[: sub.k] = mode @ sub.basis
-    return out
+# aligned pairs per kernel call, which bounds the stacks a pair list gathers
+PAIR_BLOCK = 256
 
 
 class GalleryScorer:
-    """Caches per-set representations and pairwise comparisons.
+    """Batched baseline comparisons against one gallery.
 
-    Pair results are cached under the ordered index pair they were
-    computed for. Each result keeps its two modes in the frame of the set
-    that owns them: a view of the set's unit-exemplar row (exemplar
-    baseline) or the canonical coordinates in the set's basis (subspace
-    baseline). Two modes of the same set therefore compare by a plain
-    dot product.
+    The gallery's sets are stacked once: unit exemplars as (n, m, d), zero
+    rows padding each set past its size (exemplar baseline), or subspace
+    bases as (n, d, DEFAULT_SUBSPACE_DIM), zero columns padding each set
+    past its k (subspace baseline). `compare` is the kernel, one call of
+    `max_max_sim_batch` or `max_corr_batch`. `pair` compares gallery sets
+    by index and `query` an outside set with gallery sets; both return one
+    row per pair. Each mode is in the frame
+    of the set that owns it, subspace coordinates zero-padded to
+    DEFAULT_SUBSPACE_DIM, so two modes of the same set compare by a plain
+    dot product. Nothing is cached between calls.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -102,36 +103,86 @@ class GalleryScorer:
             raise UsageError(f"unknown baseline {baseline!r}")
         self.gallery = gallery
         self.baseline = baseline
-        self._reps: list = [None] * len(gallery)
-        self._pairs: dict[tuple[int, int], MatchResult] = {}
+        reps, ks = zip(*(self._rep(s) for s in gallery.sets))
+        self.ks = np.array(ks, dtype=np.intp)
+        if baseline == EXEMPLAR:
+            shape = (self.ks.max(), gallery.dim)
+        else:
+            shape = (gallery.dim, DEFAULT_SUBSPACE_DIM)
+        self.stack = np.zeros((len(gallery), *shape))
+        for row, r in zip(self.stack, reps):
+            row[: r.shape[0], : r.shape[1]] = r
 
-    @property
-    def mode_width(self) -> int:
-        return self.gallery.dim if self.baseline == EXEMPLAR else DEFAULT_SUBSPACE_DIM
-
-    def rep(self, i: int):
-        if self._reps[i] is None:
-            s = self.gallery.sets[i]
-            self._reps[i] = s if self.baseline == EXEMPLAR else fit_subspace(s)
-        return self._reps[i]
-
-    def compare(self, a, b) -> MatchResult:
+    def _rep(self, s: FaceSet) -> tuple[np.ndarray, int]:
+        """A set's representation and its size k: unit exemplars of shape
+        (k, d), or a subspace basis of shape (d, k)."""
         if self.baseline == EXEMPLAR:
-            return max_max_sim(a, b)
-        res = max_corr(a, b)
-        return MatchResult(res.score, _frame_coords(a, res.mode_a), _frame_coords(b, res.mode_b))
+            return s.unit_exemplars, s.size
+        return s.subspace.basis, s.subspace.k
 
-    def pair(self, i: int, j: int) -> MatchResult:
-        key = (i, j)
-        res = self._pairs.get(key)
-        if res is None:
-            res = self.compare(self.rep(i), self.rep(j))
-            self._pairs[key] = res
-        return res
+    def compare(self, a, b) -> Matches:
+        """One kernel call: representation a, or each of a stack aligned
+        with b, against each representation of the stack b."""
+        if self.baseline == EXEMPLAR:
+            return max_max_sim_batch(a, b)
+        return max_corr_batch(a, b)
 
-    def score(self, i: int, j: int) -> float:
-        hit = self._pairs.get((i, j)) or self._pairs.get((j, i))
-        return hit.score if hit is not None else self.pair(i, j).score
+    def pair(self, i, j) -> Matches:
+        """Gallery sets i against gallery sets j: one index i against an
+        index array j (a query row), or two aligned index arrays (a pair
+        list)."""
+        return self._match(self.stack, self.ks, i, j)
+
+    def query(self, s: FaceSet, j) -> Matches:
+        """A set from outside the gallery against gallery sets j."""
+        if s.dim != self.gallery.dim:
+            raise DimensionMismatchError(f"set dims differ: {s.dim} vs {self.gallery.dim}")
+        rep, k = self._rep(s)
+        return self._match(rep[None], np.array([k]), 0, j)
+
+    def _cut(self, reps: np.ndarray, k: int) -> np.ndarray:
+        """The first k exemplar rows or basis columns of representations,
+        each laid out as the set's own array: BLAS sums a strided vector
+        in another order than a contiguous one."""
+        cut = reps[..., :k, :] if self.baseline == EXEMPLAR else reps[..., :k]
+        return np.ascontiguousarray(cut)
+
+    def _match(self, stack, ks, i, j) -> Matches:
+        """stack[i] against gallery sets j, PAIR_BLOCK pairs per kernel call.
+
+        Pairs are grouped by the true shapes of their two sets, so that
+        every product and SVD has the shape max_max_sim or max_corr gives
+        it: BLAS may round a padded product differently, and padding a
+        basis changes its SVD. A gallery set against itself is compared
+        with one buffer on both sides, as max_max_sim(s, s) and
+        max_corr(s, s) do: BLAS computes an array times its own transpose
+        by its symmetric routine, which rounds differently.
+        """
+        j = np.asarray(j, dtype=np.intp)
+        i_all = np.broadcast_to(i, j.shape)
+        score = np.empty(j.size)
+        mode_a, mode_b = np.zeros((2, j.size, self.stack.shape[2]))
+
+        def put(g, res: Matches) -> None:
+            score[g] = res.score
+            mode_a[g, : res.mode_a.shape[1]] = res.mode_a
+            mode_b[g, : res.mode_b.shape[1]] = res.mode_b
+
+        own = (i_all == j) if stack is self.stack else np.zeros(j.shape, dtype=bool)
+        rest = np.flatnonzero(~own)
+        base = max(ks.max(), self.ks.max()) + 1
+        shapes = ks[i_all[rest]] * base + self.ks[j[rest]]
+        for shape in np.unique(shapes).tolist():
+            k_a, k_b = divmod(shape, base)
+            same = rest[shapes == shape]
+            for g in np.split(same, range(PAIR_BLOCK, same.size, PAIR_BLOCK)):
+                # one index i stays one 2-D operand, broadcast by the kernel
+                left = stack[i] if np.ndim(i) == 0 else stack[i_all[g]]
+                put(g, self.compare(self._cut(left, k_a), self._cut(self.stack[j[g]], k_b)))
+        for p in np.flatnonzero(own).tolist():
+            rep = self._cut(stack[j[p]], ks[j[p]])
+            put([p], self.compare(rep, rep[None]))
+        return Matches(score, mode_a, mode_b)
 
 
 def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
@@ -143,15 +194,17 @@ def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
     if k_p > n - 1:
         raise UsageError(f"k_p={k_p} too large for a gallery of {n} sets")
     scorer = GalleryScorer(gallery, baseline)
+    # each unordered pair is compared once, as (lower index, higher index);
+    # the diagonal's -inf sorts after every score
+    scores = np.full((n, n), -np.inf)
+    for i in range(n - 1):
+        upper = np.arange(i + 1, n)
+        scores[i, upper] = scores[upper, i] = scorer.pair(i, upper).score
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k_p]
     ids = gallery.set_ids
-    entries: dict[str, tuple[tuple[str, float], ...]] = {}
-    for i in range(n):
-        others = sorted(
-            (j for j in range(n) if j != i),
-            key=lambda j: (-scorer.score(i, j), j),
-        )[:k_p]
-        if others:
-            entries[ids[i]] = tuple((ids[j], scorer.score(i, j)) for j in others)
+    entries = {
+        ids[i]: tuple((ids[j], scores[i, j]) for j in row) for i, row in enumerate(order.tolist())
+    }
     return ProxyTable(k_p=k_p, entries=entries)
 
 
@@ -188,49 +241,34 @@ class Ranker:
             for j, sid in enumerate(gallery.set_ids):
                 rows += [(j, gallery.index_of(pid)) for pid, _ in proxies.proxies_of(sid, config.k_p)]
         self._target, self._proxy = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-        pt = [self.scorer.pair(p, j) for j, p in rows]
-        width = self.scorer.mode_width
-        self._s3 = np.array([r.score for r in pt])
-        self._proxy_mode = np.array([r.mode_a for r in pt]).reshape(-1, width)
-        self._target_mode = np.array([r.mode_b for r in pt]).reshape(-1, width)
+        pt = self.scorer.pair(self._proxy, self._target)
+        self._s3, self._proxy_mode, self._target_mode = pt.score, pt.mode_a, pt.mode_b
 
-    def _query_rep(self, query):
-        """(gallery index or None, representation) for a query."""
+    def _compare_query(self, query) -> tuple[int | None, Matches]:
+        """(gallery index or None, the query against every gallery set)."""
+        everyone = np.arange(len(self.gallery))
         if isinstance(query, str):
             idx = self.gallery.index_of(query)
-            return idx, self.scorer.rep(idx)
+            return idx, self.scorer.pair(idx, everyone)
         if not isinstance(query, FaceSet):
             raise UsageError("query must be a set_id or a FaceSet")
-        s = query
-        if self.config.baseline == EXEMPLAR:
-            if self.config.n_samples is not None:
-                s = robust_select(s, self.config.n_samples)
-            return None, s
-        return None, fit_subspace(s)
+        if self.config.baseline == EXEMPLAR and self.config.n_samples is not None:
+            query = robust_select(query, self.config.n_samples)
+        return None, self.scorer.query(query, everyone)
 
     def rank(self, query) -> RankedResult:
-        q_idx, q_rep = self._query_rep(query)
+        q_idx, res = self._compare_query(query)
         query_id = query if isinstance(query, str) else query.set_id
         n = len(self.gallery)
         targets = np.array([j for j in range(n) if j != q_idx], dtype=np.intp)
         rows = np.flatnonzero(self._target != q_idx)
         t, p = self._target[rows], self._proxy[rows]
 
-        # the query against every target and every proxy in use, by gallery index
-        sides = np.union1d(targets, p)
-        if q_idx is None:
-            res = [self.scorer.compare(q_rep, self.scorer.rep(j)) for j in sides.tolist()]
-        else:
-            res = [self.scorer.pair(q_idx, j) for j in sides.tolist()]
-        q_score = np.zeros(n)
-        q_score[sides] = [r.score for r in res]
-
+        q_score, q_mode = res.score, res.mode_b
         scores = q_score.copy()
         method = self.config.method
         if rows.size:
             if method == METHOD_LQTS:
-                q_mode = np.zeros((n, self.scorer.mode_width))
-                q_mode[sides] = [r.mode_b for r in res]
                 features = np.column_stack(
                     [
                         q_score[p],

@@ -131,3 +131,60 @@ def max_corr(a: SubspaceModel, b: SubspaceModel) -> MatchResult:
     if float(mode_a @ mode_b) < 0:
         mode_b = -mode_b
     return MatchResult(score=score, mode_a=mode_a, mode_b=mode_b)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: many pairs per BLAS/LAPACK call, equal to the pair-at-a-time
+# functions above pair by pair
+
+
+@dataclass(frozen=True)
+class Matches:
+    """MatchResults of a batch of pairs, one row per pair.
+
+    Each mode is in the frame of the set that owns it: a unit-exemplar row
+    (exemplar baseline) or coordinates in the set's basis (subspace
+    baseline), so two modes of one set compare by a plain dot product.
+    """
+
+    score: np.ndarray
+    mode_a: np.ndarray
+    mode_b: np.ndarray
+    index_a: np.ndarray | None = None
+    index_b: np.ndarray | None = None
+
+
+def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
+    """max_max_sim of each pair (ua[p], ub[p]), or (ua, ub[p]) when ua is
+    2-D, for unit exemplars ua of shape (P, m_a, d) or (m_a, d) and ub of
+    shape (P, m_b, d). Ties resolve to the smallest (i, j) of each pair,
+    by a row-major argmax over its block, as in max_max_sim.
+    """
+    cos = np.abs(np.matmul(ua, np.swapaxes(ub, 1, 2)))
+    n, m_a, m_b = cos.shape
+    flat = cos.reshape(n, m_a * m_b).argmax(axis=1)
+    ia, ib = np.divmod(flat, m_b)
+    rows = np.arange(n)
+    mode_a = ua[ia] if ua.ndim == 2 else ua[rows, ia]
+    return Matches(np.minimum(cos[rows, ia, ib], 1.0), mode_a, ub[rows, ib], ia, ib)
+
+
+def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
+    """max_corr of each pair of bases (a[p], b[p]), or (a, b[p]) when a is
+    2-D, for bases a of shape (P, d, k_a) or (d, k_a) and b of shape
+    (P, d, k_b). The products, SVDs, sign rules and mode projections are
+    max_corr's, one batched call each; the modes are returned as
+    coordinates in each pair's own basis.
+    """
+    u, sing, vt = np.linalg.svd(np.matmul(np.swapaxes(a, -1, -2), b))
+    score = np.minimum(np.maximum(sing[:, 0], 0.0), 1.0)
+    mode_a = np.matmul(a, u[:, :, :1])[:, :, 0]
+    mode_b = np.matmul(b, np.swapaxes(vt[:, :1, :], 1, 2))[:, :, 0]
+    rows = np.arange(len(score))
+    top = np.argmax(np.abs(mode_a), axis=1)
+    mode_a = np.where(mode_a[rows, top, None] < 0, -mode_a, mode_a)
+    dot = np.matmul(mode_a[:, None, :], mode_b[:, :, None])[:, 0]
+    mode_b = np.where(dot < 0, -mode_b, mode_b)
+    coords_a = np.matmul(mode_a[:, None, :], a)[:, 0]
+    coords_b = np.matmul(mode_b[:, None, :], b)[:, 0]
+    return Matches(score, coords_a, coords_b)

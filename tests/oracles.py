@@ -1,15 +1,59 @@
-"""Scalar reference scorers that `lqts.retrieval.Ranker` is checked against.
+"""Scalar reference code that the batched retrieval path is checked against.
 
-Each builds one retrieval-time transitivity 5-vector or one target score
-at a time, straight from the baseline similarity functions and their
-ambient mode vectors, with no caching or batching.
+The scorers build one retrieval-time transitivity 5-vector or one target
+score at a time, straight from the baseline similarity functions and
+their ambient mode vectors, with no caching or batching. `frame_coords`
+and `per_pair_select_proxies` are the pair-at-a-time mode projection and
+proxy selection that `lqts.retrieval.GalleryScorer` and `select_proxies`
+replaced.
 """
 
 import numpy as np
 
+from lqts.corpus import ProxyTable
 from lqts.metafeat import TransitivityFeature
-from lqts.similarity import SubspaceModel, cosine_sim, max_corr, max_max_sim
+from lqts.similarity import (
+    DEFAULT_SUBSPACE_DIM,
+    SubspaceModel,
+    cosine_sim,
+    fit_subspace,
+    max_corr,
+    max_max_sim,
+)
 from lqts.svr import predict
+
+
+def frame_coords(sub: SubspaceModel, mode: np.ndarray) -> np.ndarray:
+    """A mode of `sub` as coordinates in its basis, zero-padded to
+    DEFAULT_SUBSPACE_DIM so that rank-deficient sets stack with the rest."""
+    out = np.zeros(DEFAULT_SUBSPACE_DIM)
+    out[: sub.k] = mode @ sub.basis
+    return out
+
+
+def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
+    """The k_p most-similar other sets for every gallery set, descending,
+    ties broken by ascending gallery position: each unordered pair compared
+    once by max_max_sim or max_corr, in the orientation first asked for,
+    and one Python sort per set."""
+    reps = [s if baseline == "exemplar" else fit_subspace(s) for s in gallery.sets]
+    compare = max_max_sim if baseline == "exemplar" else max_corr
+    pairs = {}
+
+    def score(i, j):
+        hit = pairs.get((i, j)) or pairs.get((j, i))
+        if hit is None:
+            hit = pairs[(i, j)] = compare(reps[i], reps[j])
+        return hit.score
+
+    n = len(gallery)
+    ids = gallery.set_ids
+    entries = {}
+    for i in range(n):
+        others = sorted((j for j in range(n) if j != i), key=lambda j: (-score(i, j), j))[:k_p]
+        if others:
+            entries[ids[i]] = tuple((ids[j], score(i, j)) for j in others)
+    return ProxyTable(k_p=k_p, entries=entries)
 
 
 def _feature(baseline_fn, query, target, proxy) -> TransitivityFeature:

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-import lqts.metafeat
+import lqts.similarity
 from lqts.corpus import FaceSet, Gallery, ProxyTable
 from lqts.metafeat import build_training_corpus, train_extract_exemplar, train_extract_subspace
 from lqts.similarity import SubspaceModel, fit_subspace
@@ -305,13 +305,13 @@ class TestBuildTrainingCorpus:
         assert skipped > 0
 
         fitted = []
-        real_fit = lqts.metafeat.fit_subspace
+        real_fit = lqts.similarity.fit_subspace
 
         def counting_fit(s, *args):
             fitted.append(s.set_id)
             return real_fit(s, *args)
 
-        monkeypatch.setattr(lqts.metafeat, "fit_subspace", counting_fit)
+        monkeypatch.setattr(lqts.similarity, "fit_subspace", counting_fit)
         with caplog.at_level(logging.INFO, logger="lqts.metafeat"):
             feats = build_training_corpus(
                 g, table, baseline="subspace", n_train_sets=5, cap=10**6, seed=0

@@ -1,22 +1,36 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqts.metafeat
+import lqts.retrieval
+import lqts.similarity
+from lqts import sampling, synth
 from lqts.corpus import FaceSet, Gallery, ProxyTable
-from lqts.errors import UsageError
+from lqts.errors import DimensionMismatchError, UsageError
+from lqts.metafeat import build_training_corpus
 from lqts.retrieval import (
     METHODS,
+    GalleryScorer,
     Ranker,
     RetrievalConfig,
     rank_gallery,
     select_proxies,
 )
-from lqts.similarity import fit_subspace, max_corr, max_max_sim
+from lqts.similarity import fit_subspace, max_corr, max_max_sim, max_max_sim_batch
 from lqts.svr import SvrConfig, SvrModel, predict
 
 from conftest import random_set, ranker_score
-from oracles import feature_exemplar, score_lqts, score_simple
+from oracles import (
+    feature_exemplar,
+    frame_coords,
+    per_pair_select_proxies,
+    score_lqts,
+    score_simple,
+)
 
 
 def constant_model(value: float) -> SvrModel:
@@ -43,6 +57,45 @@ def brute_force_proxy_table(gallery, k_p):
             (gallery.set_ids[j], scores[i, j]) for j in order[:k_p]
         )
     return entries
+
+
+@st.composite
+def scorer_cases(draw):
+    """A gallery, an external set and an aligned pair list.
+
+    Sets are ragged, one has a single exemplar and some are copies of
+    others. Exemplars are Gaussian, signed one-hot or ternary rows: the
+    last two give exact cosine ties, repeated exemplars, rank-deficient
+    subspaces (k < DEFAULT_SUBSPACE_DIM) and orthogonal ones (first
+    canonical correlation 0). The pair list holds self pairs too.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["normal", "onehot", "ternary"]))
+
+    def exemplars(m):
+        if kind == "normal":
+            return rng.normal(size=(m, d))
+        if kind == "onehot":
+            x = np.zeros((m, d))
+            x[np.arange(m), rng.integers(0, d, size=m)] = rng.choice([-1.0, 1.0], size=m)
+            return x
+        x = rng.integers(-1, 2, size=(m, d)).astype(float)
+        x[~x.any(axis=1), 0] = 1.0
+        return x
+
+    sizes = [1] + draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    contents = [exemplars(m) for m in sizes]
+    contents += [contents[i] for i in draw(st.lists(st.integers(0, len(sizes) - 1), max_size=2))]
+    order = draw(st.permutations(range(len(contents))))
+    gallery = Gallery(sets=tuple(FaceSet(f"s{i}", contents[j]) for i, j in enumerate(order)))
+    n = len(gallery)
+    like = draw(st.sampled_from([None, *range(n)]))
+    x = exemplars(draw(st.integers(1, 9))) if like is None else gallery.sets[like].exemplars
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=30))
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return gallery, FaceSet("external", x), i, j
 
 
 class TestSelectProxies:
@@ -78,6 +131,25 @@ class TestSelectProxies:
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=2, d=3) for i in range(3)))
         with pytest.raises(UsageError):
             select_proxies(g, "exemplar", 3)
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_acceptance_gallery_matches_per_pair_oracle(self, baseline):
+        if baseline == "exemplar":
+            gallery, _ = synth.generate(synth.SynthConfig(seed=11))
+            gallery = Gallery(sets=tuple(sampling.robust_select(s, 10) for s in gallery))
+        else:
+            gallery, _ = synth.generate(synth.SynthConfig(seed=11, noise=0.25, set_spacing=2.2))
+        want = per_pair_select_proxies(gallery, baseline, 10)
+        assert select_proxies(gallery, baseline, 10) == want
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @given(case=scorer_cases(), k_p=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_pair_oracle_with_ties(self, baseline, case, k_p):
+        gallery = case[0]
+        k_p = min(k_p, len(gallery) - 1)
+        want = per_pair_select_proxies(gallery, baseline, k_p)
+        assert select_proxies(gallery, baseline, k_p) == want
 
 
 def lqts_config(model):
@@ -292,6 +364,117 @@ class TestRankGallery:
         table = select_proxies(g, "exemplar", 2)
         config = RetrievalConfig(method="lqts", k_p=2, model=constant_model(0.5))
         assert rank_gallery("s1", g, config, table) == rank_gallery("s1", g, config, table)
+
+
+def representations(gallery, baseline):
+    """One max_max_sim or max_corr argument per set, reused by every pair
+    of its set, so that a set compared with itself passes one object twice."""
+    return list(gallery.sets) if baseline == "exemplar" else [fit_subspace(s) for s in gallery.sets]
+
+
+def pair_function_results(baseline, lefts, rights):
+    """(score, mode_a, mode_b) rows of max_max_sim or max_corr over aligned
+    pairs of representations, modes in their sets' frames."""
+    rows = []
+    for a, b in zip(lefts, rights):
+        if baseline == "exemplar":
+            r = max_max_sim(a, b)
+            rows.append((r.score, r.mode_a, r.mode_b))
+        else:
+            r = max_corr(a, b)
+            rows.append((r.score, frame_coords(a, r.mode_a), frame_coords(b, r.mode_b)))
+    return rows
+
+
+def assert_same_matches(got, want):
+    assert got.score.tolist() == [score for score, _, _ in want]
+    for p, (_, mode_a, mode_b) in enumerate(want):
+        assert np.array_equal(got.mode_a[p], mode_a)
+        assert np.array_equal(got.mode_b[p], mode_b)
+
+
+class TestGalleryScorer:
+    """The batched kernels against max_max_sim and max_corr, pair by pair:
+    equal scores, modes and frame coordinates, ties included."""
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @given(case=scorer_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_every_call_form_equals_pair_functions(self, baseline, case):
+        gallery, external, i, j = case
+        reps = representations(gallery, baseline)
+        ext = external if baseline == "exemplar" else fit_subspace(external)
+        scorer = GalleryScorer(gallery, baseline)
+        everyone = np.arange(len(gallery))
+        for q in everyone:  # query rows, the query against itself included
+            want = pair_function_results(baseline, [reps[q]] * len(reps), reps)
+            assert_same_matches(scorer.pair(q, everyone), want)
+        want = pair_function_results(baseline, [reps[p] for p in i], [reps[p] for p in j])
+        assert_same_matches(scorer.pair(i, j), want)
+        with mock.patch.object(lqts.retrieval, "PAIR_BLOCK", 2):
+            assert_same_matches(scorer.pair(i, j), want)
+        want = pair_function_results(baseline, [ext] * len(reps), reps)
+        assert_same_matches(scorer.query(external, everyone), want)
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_query_rows_of_wide_sets(self, rng, baseline):
+        # at this size BLAS computes a set against its own buffer by its
+        # symmetric routine, whose rounding moves the exemplar argmax
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{i}", n=10, d=96) for i in range(4)))
+        reps = representations(gallery, baseline)
+        scorer = GalleryScorer(gallery, baseline)
+        for q in range(len(gallery)):
+            want = pair_function_results(baseline, [reps[q]] * len(reps), reps)
+            assert_same_matches(scorer.pair(q, np.arange(len(gallery))), want)
+
+    @given(case=scorer_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_exemplar_kernel_mode_indices(self, case):
+        gallery, external, _, _ = case
+        for a in (*gallery.sets, external):
+            for m in sorted({s.size for s in gallery.sets}):
+                group = [s for s in gallery.sets if s.size == m]
+                stacked = np.stack([s.unit_exemplars for s in group])
+                got = max_max_sim_batch(a.unit_exemplars, stacked)
+                want = [max_max_sim(a, b) for b in group]
+                assert got.score.tolist() == [r.score for r in want]
+                assert got.index_a.tolist() == [r.index_a for r in want]
+                assert got.index_b.tolist() == [r.index_b for r in want]
+
+    def test_exact_tie_resolves_row_major(self):
+        a = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        b = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+        got = max_max_sim_batch(a, b)
+        assert (got.index_a[0], got.index_b[0], got.score[0]) == (0, 1, 1.0)
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_external_query_of_another_dimension(self, rng, baseline):
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
+        config = RetrievalConfig(baseline=baseline, n_samples=None)
+        with pytest.raises(DimensionMismatchError):
+            rank_gallery(random_set(rng, "ext", n=3, d=4), g, config)
+
+    def test_each_set_fitted_once_across_callers(self, rng, monkeypatch):
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=4, d=6) for i in range(6)))
+        fitted = []
+        real_fit = lqts.similarity.fit_subspace
+
+        def counting_fit(s, *args):
+            fitted.append(s.set_id)
+            return real_fit(s, *args)
+
+        for module in (lqts.similarity, lqts.retrieval, lqts.metafeat):
+            monkeypatch.setattr(module, "fit_subspace", counting_fit)
+        table = select_proxies(g, "subspace", 2)
+        build_training_corpus(g, table, "subspace", cap=10**6)
+        for method in ("baseline", "arith", "lqts"):
+            config = RetrievalConfig(
+                baseline="subspace", method=method, k_p=2, model=constant_model(0.5)
+            )
+            ranker = Ranker(g, config, table)
+            for q in g.set_ids:
+                ranker.rank(q)
+        assert sorted(fitted) == sorted(g.set_ids)
 
 
 class TestRetrievalConfig:
