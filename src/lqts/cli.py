@@ -130,8 +130,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    features = corpus.load_features(args.features)
     config = svr.SvrConfig(epsilon=args.epsilon, cost=args.cost, kernel_gamma=args.gamma)
+    features = corpus.load_features(args.features)
     model = svr.train(features, config)
     corpus.save_model(model, args.out)
     _write_sidecar(Path(args.out), args)

@@ -421,10 +421,10 @@ def load_model(path: str | Path):
         vecs.append(vals[1:])
     coeff = np.asarray(betas, dtype=np.float64)
     sv = np.asarray(vecs, dtype=np.float64).reshape(len(betas), 5)
-    config = SvrConfig(
-        epsilon=header["epsilon"], cost=header["cost"], kernel_gamma=header["gamma"]
-    )
     try:
+        config = SvrConfig(
+            epsilon=header["epsilon"], cost=header["cost"], kernel_gamma=header["gamma"]
+        )
         return SvrModel(
             support_vectors=sv, coefficients=coeff, bias=header["bias"], config=config
         )

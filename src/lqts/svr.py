@@ -21,12 +21,22 @@ pair update costs one argmax, one argmin and two broadcast subtracts
 over O(l) entries, plus a refresh of the two entries whose bound status
 may have changed. The predictor is
 h(x) = sum_i b_i * exp(-gamma ||x_i - x||^2) + bias.
+
+`predict` evaluates it in row blocks whose kernel buffer stays under
+PREDICT_BLOCK_BYTES: one GEMM of the augmented rows [x, |x|^2, 1] by a
+per-model matrix [2 gamma sv, -gamma, -gamma |sv|^2]^T gives the
+exponent -gamma ||x - sv||^2 directly, then the block is clamped to
+<= 0, exponentiated in place and multiplied by the coefficients, so
+memory does not grow with the number of rows. Training uses
+`rbf_kernel` and `_RowCache`, so models do not depend on how
+prediction rounds.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +47,12 @@ log = logging.getLogger(__name__)
 ETA_FLOOR = 1e-12
 COEFF_SUM_TOL = 1e-6
 ROW_CACHE_BYTES = 64 * 2**20
+# prediction's rows x support-vectors kernel buffer: small enough to stay in
+# a core's L2 cache, and for its exponent GEMM (7 multiply-adds per 8 bytes)
+# to stay under OpenBLAS's small-matrix limit of 1e6, past which kernels
+# that round rows differently mix; large enough that 1,397-SV blocks hold
+# 46 rows
+PREDICT_BLOCK_BYTES = 512 * 2**10
 
 
 @dataclass(frozen=True)
@@ -48,8 +64,10 @@ class SvrConfig:
     max_passes: int = 1_000_000
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.cost <= 0 or self.kernel_gamma <= 0:
-            raise ValueError("epsilon, cost and kernel_gamma must be positive")
+        for name in ("epsilon", "cost", "kernel_gamma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite (got {value!r})")
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -83,6 +101,8 @@ class SvrModel:
         coeff = np.asarray(self.coefficients, dtype=np.float64).reshape(-1)
         if sv.shape[0] != coeff.shape[0]:
             raise ValueError("support vector / coefficient count mismatch")
+        if not (np.all(np.isfinite(sv)) and np.all(np.isfinite(coeff)) and np.isfinite(self.bias)):
+            raise ValueError("support vectors, coefficients and bias must be finite")
         if coeff.size and abs(float(np.sum(coeff))) > COEFF_SUM_TOL:
             raise ValueError(
                 f"dual coefficients must sum to zero (got {float(np.sum(coeff)):.3g})"
@@ -97,6 +117,17 @@ class SvrModel:
     @property
     def n_support(self) -> int:
         return self.coefficients.shape[0]
+
+    @cached_property
+    def _exponent_weights(self) -> np.ndarray:
+        """(d + 2, n_support) W with [x, |x|^2, 1] @ W = -gamma ||x - sv||^2."""
+        sv, gamma = self.support_vectors, self.config.kernel_gamma
+        d = sv.shape[1]
+        w = np.empty((d + 2, sv.shape[0]))
+        w[:d] = (2.0 * gamma) * sv.T
+        w[d] = -gamma
+        w[d + 1] = -gamma * np.einsum("ij,ij->i", sv, sv)
+        return w
 
     def __eq__(self, other):
         if not isinstance(other, SvrModel):
@@ -115,18 +146,47 @@ def predict(model: SvrModel, x: np.ndarray):
     """h(x) = sum_i beta_i k(x_i, x) + bias, unclamped.
 
     Accepts one vector or a batch of rows; returns a float or an array
-    to match.
+    to match. Rows go through in blocks whose rows x support-vectors
+    kernel buffer stays under PREDICT_BLOCK_BYTES (two rows per block at
+    least), so the kernel's working memory is bounded by the budget or
+    two rows of support vectors, whatever the row count.
+
+    Rounding: a row's estimate does not depend on the batch it comes in.
+    The exponent GEMM always has at least two rows and stays below
+    OpenBLAS's small-matrix size, where every row is rounded alike, and
+    each row's coefficient sum is its own dot product. A BLAS that
+    rounds a GEMM row by its position would move estimates by about
+    1e-10 to 1e-9 on a 1.4k-SV model, whose coefficients sit at the cost
+    bound 1000 and cancel in the sum; `Ranker` predicts each distinct
+    row once, so equal rows get equal estimates even then.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     rows = np.atleast_2d(arr)
     if not np.all(np.isfinite(rows)):
         raise TrainingError("prediction input contains non-finite values")
-    if model.n_support == 0:
-        out = np.full(rows.shape[0], model.bias)
-    else:
-        k = rbf_kernel(rows, model.support_vectors, model.config.kernel_gamma)
-        out = k @ model.coefficients + model.bias
+    n, d = rows.shape
+    out = np.zeros(n)
+    if model.n_support:
+        block = max(2, min(n, PREDICT_BLOCK_BYTES // (8 * model.n_support)))
+        aug = np.zeros((block, d + 2))
+        aug[:, d + 1] = 1.0
+        buf = np.empty((block, model.n_support))
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            part, r = rows[start:stop], stop - start
+            # a lone row rides with a stale or zero one: numpy sends one-row
+            # products to gemv, which rounds unlike the GEMM
+            a, k = aug[: max(r, 2)], buf[: max(r, 2)]
+            aug[:r, :d] = part
+            np.einsum("ij,ij->i", part, part, out=aug[:r, d])
+            np.matmul(a, model._exponent_weights, out=k)
+            np.minimum(k, 0.0, out=k)
+            np.exp(k, out=k)
+            # one dot per row: gemv's summation order depends on the row's
+            # position in the block
+            np.vecdot(k[:r], model.coefficients, out=out[start:stop])
+    out += model.bias
     return float(out[0]) if single else out
 
 

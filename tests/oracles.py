@@ -5,7 +5,8 @@ score at a time, straight from the baseline similarity functions and
 their ambient mode vectors, with no caching or batching. `frame_coords`
 and `per_pair_select_proxies` are the pair-at-a-time mode projection and
 proxy selection that `lqts.retrieval.GalleryScorer` and `select_proxies`
-replaced.
+replaced, and `reference_predict` the whole-matrix RBF prediction that
+`lqts.svr.predict`'s row blocks replaced.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ from lqts.similarity import (
     max_corr,
     max_max_sim,
 )
-from lqts.svr import predict
+from lqts.errors import TrainingError
+from lqts.svr import SvrModel, predict, rbf_kernel
 
 
 def frame_coords(sub: SubspaceModel, mode: np.ndarray) -> np.ndarray:
@@ -113,3 +115,20 @@ def score_simple(query, target, proxies, rule: str) -> float:
     for p in proxies:
         best = max(best, combine(rule, baseline_fn(query, p).score, baseline_fn(p, target).score))
     return float(best)
+
+
+def reference_predict(model: SvrModel, x: np.ndarray):
+    """`lqts.svr.predict` as it was before it went through row blocks: the
+    whole rows x support-vectors kernel matrix from `rbf_kernel`, then one
+    matrix-vector product."""
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    rows = np.atleast_2d(arr)
+    if not np.all(np.isfinite(rows)):
+        raise TrainingError("prediction input contains non-finite values")
+    if model.n_support == 0:
+        out = np.full(rows.shape[0], model.bias)
+    else:
+        k = rbf_kernel(rows, model.support_vectors, model.config.kernel_gamma)
+        out = k @ model.coefficients + model.bias
+    return float(out[0]) if single else out

@@ -49,6 +49,15 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    def test_non_finite_svr_parameter(self, tmp_path):
+        feats = tmp_path / "feats.tsv"
+        feats.write_text(
+            "1.0\t0.9\t0.8\t0.9\t1.0\t1.0\ta\tb\n0.0\t0.1\t0.2\t0.1\t0.3\t0.2\tc\td\n"
+        )
+        out = tmp_path / "m.qts"
+        assert run("train", "--features", str(feats), "--gamma", "nan", "--out", str(out)) == 1
+        assert not out.exists()
+
 
 class TestDataErrors:
     def test_missing_gallery_dir(self, tmp_path):
@@ -71,6 +80,17 @@ class TestDataErrors:
         )
         assert code == 2
         assert f"{proxies}:2: non-integer rank 'first'" in capsys.readouterr().err
+
+    def test_non_finite_model_file(self, pipeline_dirs, tmp_path, capsys):
+        root, gal = pipeline_dirs
+        model = tmp_path / "model.qts"
+        model.write_text("gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=nan\n")
+        code = run(
+            "retrieve", "--gallery", str(gal), "--query", "id000_s0", "--method", "lqts",
+            "--model", str(model), "--k", "0", "--out", str(tmp_path / "r.tsv"),
+        )
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -197,6 +197,31 @@ class TestModelFile:
         with pytest.raises(CorpusError, match="sum to zero"):
             load_model(tmp_path / "bad.qts")
 
+    @pytest.mark.parametrize(
+        "header, body",
+        [
+            ("gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=nan\n", ""),
+            ("gamma=inf\nepsilon=0.4\ncost=1000.0\nbias=0.1\n", ""),
+            ("gamma=nan\nepsilon=0.4\ncost=1000.0\nbias=0.1\n", ""),
+            ("gamma=0.2\nepsilon=nan\ncost=1000.0\nbias=0.1\n", ""),
+            ("gamma=0.2\nepsilon=0.4\ncost=inf\nbias=0.1\n", ""),
+            (
+                "gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=0.1\n",
+                "0.5, nan, 0.1, 0.1, 0.1, 0.1\n-0.5, 0.2, 0.2, 0.2, 0.2, 0.2\n",
+            ),
+            (
+                "gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=0.1\n",
+                "nan, 0.1, 0.1, 0.1, 0.1, 0.1\n-0.5, 0.2, 0.2, 0.2, 0.2, 0.2\n",
+            ),
+        ],
+        ids=["bias-nan", "gamma-inf", "gamma-nan", "epsilon-nan", "cost-inf", "vector-nan", "beta-nan"],
+    )
+    def test_non_finite_parameters_rejected(self, tmp_path, header, body):
+        path = tmp_path / "bad.qts"
+        path.write_text(header + body)
+        with pytest.raises(CorpusError, match=re.escape(str(path))):
+            load_model(path)
+
     def test_empty_support_set_is_constant_predictor(self, tmp_path):
         (tmp_path / "c.qts").write_text("gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=0.7\n")
         m = load_model(tmp_path / "c.qts")

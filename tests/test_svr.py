@@ -1,4 +1,6 @@
 import logging
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import lqts.svr
 from lqts.errors import TrainingError
 from lqts.svr import (
     ETA_FLOOR,
+    PREDICT_BLOCK_BYTES,
     SvrConfig,
     SvrModel,
     _as_training_arrays,
@@ -18,6 +22,8 @@ from lqts.svr import (
     rbf_kernel,
     train,
 )
+
+from oracles import reference_predict
 
 
 def reference_train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
@@ -343,6 +349,106 @@ class TestPredict:
         assert dual_objective(x, y, alpha, alpha_star, cfg) == pytest.approx(
             m.objective, abs=1e-8
         )
+
+
+def predict_tolerance(model: SvrModel) -> float:
+    """How far `predict` may be from `reference_predict`.
+
+    Each kernel value is exp of an exponent that both forms compute with
+    an absolute error of a few ulps of gamma * (|x| + |sv|)^2 * k(x, sv),
+    which stays below about 4 for rows near the unit cube (and vanishes
+    for far rows, where k underflows); the two coefficient sums then
+    round differently. 64 ulps of the absolute sum covers both with room
+    to spare (the 1,397-SV exemplar model needs about 5), while a wrong or
+    missing term errs by its whole |beta_i| k(x, sv_i).
+    """
+    scale = float(np.sum(np.abs(model.coefficients))) + abs(model.bias)
+    return 64 * np.finfo(np.float64).eps * scale
+
+
+@st.composite
+def predict_problems(draw):
+    """A model of 0 to 24 support vectors in the unit cube, coefficients in
+    cancelling pairs from 1e-3 to the cost bound, and a block budget of 1
+    to 5 rows (predict raises 1 to 2); the rows mix fresh points,
+    duplicates, support vectors (kernel 1) and far points (kernel 0),
+    1, block - 1, block, block + 1 or several blocks of them."""
+    pairs = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sv = rng.random((2 * pairs, 5))
+    mags = draw(st.lists(st.sampled_from([1e-3, 0.5, 1.0, 1000.0]), min_size=pairs, max_size=pairs))
+    coeff = rng.permutation(np.concatenate([mags, np.negative(mags)]))
+    bias = draw(st.sampled_from([-0.3, 0.0, 0.7]))
+    model = SvrModel(support_vectors=sv, coefficients=coeff, bias=bias, config=SvrConfig())
+    block = draw(st.integers(1, 5))
+    n_rows = draw(st.sampled_from([1, max(block - 1, 1), block, block + 1, 3 * block + 2]))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["fresh", "duplicate", "support", "far"]),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    rows = rng.random((n_rows, 5))
+    for i, kind in enumerate(kinds):
+        if kind == "duplicate" and i:
+            rows[i] = rows[rng.integers(i)]
+        elif kind == "support" and pairs:
+            rows[i] = sv[rng.integers(2 * pairs)]
+        elif kind == "far":
+            rows[i] += 20.0
+    return model, 8 * 2 * pairs * block, rows
+
+
+class TestPredictMatchesReference:
+    """Row-blocked predict against the whole-matrix formula it replaced."""
+
+    @given(predict_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, problem):
+        model, budget, rows = problem
+        with mock.patch.object(lqts.svr, "PREDICT_BLOCK_BYTES", budget):
+            got = predict(model, rows)
+            single = predict(model, rows[0])
+        want = reference_predict(model, rows)
+        tol = predict_tolerance(model)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        assert isinstance(single, float)
+        assert abs(single - reference_predict(model, rows[0])) <= tol
+        assert single == got[0]  # a row's estimate does not depend on its batch
+
+    @pytest.mark.parametrize("n_rows", [1, 45, 46, 47, 3 * 46 + 5])
+    def test_default_budget_at_exemplar_model_size(self, rng, n_rows):
+        assert PREDICT_BLOCK_BYTES // (8 * 1397) == 46  # rows per block
+        sv = rng.random((1397, 5))
+        # 698 at +C, 697 at -C and two at -C/2: an odd count that sums to 0
+        coeff = rng.permutation(np.concatenate([np.full(698, 1e3), np.full(697, -1e3), [-500.0] * 2]))
+        model = SvrModel(support_vectors=sv, coefficients=coeff, bias=-0.3, config=SvrConfig())
+        rows = rng.random((n_rows, 5))
+        rows[::5] = sv[0]  # the same support vector at several block positions
+        got = predict(model, rows)
+        np.testing.assert_allclose(got, reference_predict(model, rows), rtol=0, atol=predict_tolerance(model))
+        assert [predict(model, row) for row in rows] == got.tolist()
+
+    @pytest.mark.parametrize("n_rows", [5_000, 20_000])
+    def test_memory_bounded_by_block_not_rows(self, rng, n_rows):
+        # one full 5,000 x 1,000 kernel matrix is 40 MB; the blocked form
+        # needs the block buffer plus O(rows) input and output vectors
+        m = SvrModel(
+            support_vectors=rng.random((1000, 5)),
+            coefficients=np.repeat([1.0, -1.0], 500),
+            bias=0.0,
+            config=SvrConfig(),
+        )
+        rows = rng.random((n_rows, 5))
+        tracemalloc.start()
+        try:
+            predict(m, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 # coarse coordinates make duplicate rows (kernel 1, so the eta floor) and
