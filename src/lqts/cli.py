@@ -124,7 +124,7 @@ def _cmd_extract(args) -> int:
     )
     corpus.save_features(features, args.out)
     _write_sidecar(Path(args.out), args)
-    n_pos = sum(1 for f in features if f.label == 1.0)
+    n_pos = int(np.sum(features.label == 1.0))
     print(f"wrote {len(features)} features ({n_pos} positive) to {args.out}")
     return 0
 

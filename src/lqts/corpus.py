@@ -342,34 +342,55 @@ def load_proxies(path: str | Path) -> ProxyTable:
 
 
 # ---------------------------------------------------------------------------
-# transitivity feature I/O
+# training-feature table and its I/O
+
+# one row per labelled transitivity 5-vector: the vector, its label (1.0
+# same identity, 0.0 differing) and the reference/proxy set pair it came from
+FEATURE_DTYPE = np.dtype(
+    [("s", np.float64, (5,)), ("label", np.float64), ("ref", object), ("proxy", object)]
+)
 
 
-def save_features(features, path: str | Path) -> None:
-    """Write features as TSV: label, s1..s5, ref_id, proxy_id."""
+def feature_table(s, label, ref, proxy) -> np.recarray:
+    """The training-feature table holding the given columns."""
+    table = np.zeros(len(label), dtype=FEATURE_DTYPE).view(np.recarray)
+    table.s, table.label, table.ref, table.proxy = s, label, ref, proxy
+    return table
+
+
+def save_features(features: np.recarray, path: str | Path) -> None:
+    """Write a feature table as TSV: label, s1..s5, ref_id, proxy_id."""
     with open(path, "w") as fh:
-        for f in features:
-            label = "" if f.label is None else repr(float(f.label))
-            svals = "\t".join(repr(float(v)) for v in f.s)
-            ref_id, proxy_id = f.provenance[0], f.provenance[1]
-            fh.write(f"{label}\t{svals}\t{ref_id}\t{proxy_id}\n")
+        for label, s, ref_id, proxy_id in zip(
+            features.label.tolist(), features.s.tolist(), features.ref, features.proxy
+        ):
+            svals = "\t".join(map(repr, s))
+            fh.write(f"{label!r}\t{svals}\t{ref_id}\t{proxy_id}\n")
 
 
-def load_features(path: str | Path):
-    from .metafeat import TransitivityFeature
-
-    out = []
+def load_features(path: str | Path) -> np.recarray:
+    """Read a feature table. A label other than 1 or 0, or a non-numeric or
+    non-finite value, raises CorpusError naming the file and line."""
+    vals, ids = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 8:
-                raise CorpusError(f"{path}:{lineno}: expected 8 tab-separated columns")
-            label = None if parts[0] == "" else float(parts[0])
-            s = np.array([float(v) for v in parts[1:6]], dtype=np.float64)
-            out.append(TransitivityFeature(s=s, label=label, provenance=(parts[6], parts[7])))
-    return out
+                raise CorpusError(f"{where}: expected 8 tab-separated columns")
+            label = _parse(float, parts[0], "label must be 1 or 0, got", where)
+            if label not in (0.0, 1.0):
+                raise CorpusError(f"{where}: label must be 1 or 0, got {parts[0]!r}")
+            s = [_parse(float, v, "non-numeric value", where) for v in parts[1:6]]
+            if not np.all(np.isfinite(s)):
+                raise CorpusError(f"{where}: non-finite value in {parts[1:6]}")
+            vals.append([label, *s])
+            ids.append(parts[6:])
+    vals = np.array(vals, dtype=np.float64).reshape(-1, 6)
+    ids = np.array(ids, dtype=object).reshape(-1, 2)
+    return feature_table(vals[:, 1:], vals[:, 0], ids[:, 0], ids[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,20 +21,18 @@ wide-margin regressor downstream.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import FaceSet, Gallery, ProxyTable
+from .corpus import FaceSet, Gallery, ProxyTable, feature_table
 from .errors import DimensionMismatchError
-from .sampling import DEFAULT_SAMPLES, robust_select
-from .similarity import (
-    DEFAULT_SUBSPACE_DIM,
+from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
+from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     SubspaceModel,
-    cosine_sim,  # noqa: F401  unused; perfbench/tracing.py patches this name here
+    cosine_sim,
     fit_subspace,
     max_corr,
-    max_max_sim,  # noqa: F401  unused; perfbench/tracing.py patches this name here
+    max_max_sim,
 )
 
 log = logging.getLogger(__name__)
@@ -49,28 +47,8 @@ DEFAULT_CAP = 50_000
 PROJECTION_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class TransitivityFeature:
-    """One 5-vector of transitivity similarities, optionally labelled."""
-
-    s: np.ndarray
-    label: float | None = None
-    provenance: tuple = ()
-
-    def __post_init__(self):
-        arr = np.asarray(self.s, dtype=np.float64).reshape(5)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("transitivity feature contains non-finite entries")
-        object.__setattr__(self, "s", arr)
-
-
 # ---------------------------------------------------------------------------
 # training extraction, exemplar baseline
-
-
-def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    first, second = np.where(~np.eye(n, dtype=bool))
-    return first, second
 
 
 def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +68,7 @@ def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarra
 
     # positives: ordered pairs of distinct reference exemplars as (f_qt, f_tq)
     nearest_proxy = np.argmax(c_rp, axis=1)
-    qs, ts = _ordered_pairs(reference.size)
+    qs, ts = np.where(~np.eye(reference.size, dtype=bool))
     pq = nearest_proxy[qs]
     pos = np.column_stack(
         [
@@ -104,7 +82,7 @@ def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarra
 
     # negatives: ordered pairs of distinct proxy exemplars as (f_qt, f_pq)
     nearest_ref = np.argmax(c_rp, axis=0)
-    qs_n, pq_n = _ordered_pairs(proxy.size)
+    qs_n, pq_n = np.where(~np.eye(proxy.size, dtype=bool))
     tq_n = nearest_ref[qs_n]
     neg = np.column_stack(
         [
@@ -118,35 +96,8 @@ def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarra
     return np.clip(pos, 0.0, 1.0), np.clip(neg, 0.0, 1.0)
 
 
-def train_extract_exemplar(reference: FaceSet, proxy: FaceSet) -> list[TransitivityFeature]:
-    """All n_r(n_r-1) positive and n_p(n_p-1) negative training features
-    from one reference/proxy pair under the exemplar baseline."""
-    if reference.set_id == proxy.set_id:
-        raise ValueError("reference and proxy must be different sets")
-    pos, neg = _exemplar_pair_arrays(reference, proxy)
-    prov = (reference.set_id, proxy.set_id)
-    out = [TransitivityFeature(s=row, label=1.0, provenance=prov) for row in pos]
-    out += [TransitivityFeature(s=row, label=0.0, provenance=prov) for row in neg]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # training extraction, subspace baseline
-
-
-@dataclass
-class SubspaceExtraction:
-    """Features from one pair plus the number of degenerate-projection skips."""
-
-    features: list[TransitivityFeature] = field(default_factory=list)
-    skipped_positive: int = 0
-    skipped_negative: int = 0
-
-    def __iter__(self):
-        return iter(self.features)
-
-    def __len__(self):
-        return len(self.features)
 
 
 def _subspace_side_arrays(
@@ -198,25 +149,6 @@ def _subspace_pair_arrays(
     return pos_rows, neg_rows, skipped_pos, skipped_neg
 
 
-def train_extract_subspace(
-    reference: FaceSet, proxy: FaceSet, k: int = DEFAULT_SUBSPACE_DIM
-) -> SubspaceExtraction:
-    """n_r positive and n_p negative training features from one
-    reference/proxy pair under the subspace baseline, skipping exemplars
-    whose projection onto either subspace is degenerate."""
-    if reference.set_id == proxy.set_id:
-        raise ValueError("reference and proxy must be different sets")
-    pos_rows, neg_rows, skipped_pos, skipped_neg = _subspace_pair_arrays(
-        reference, proxy, fit_subspace(reference, k), fit_subspace(proxy, k)
-    )
-    prov = (reference.set_id, proxy.set_id)
-    feats = [TransitivityFeature(s=row, label=1.0, provenance=prov) for row in pos_rows]
-    feats += [TransitivityFeature(s=row, label=0.0, provenance=prov) for row in neg_rows]
-    return SubspaceExtraction(
-        features=feats, skipped_positive=skipped_pos, skipped_negative=skipped_neg
-    )
-
-
 # ---------------------------------------------------------------------------
 # corpus assembly
 
@@ -241,42 +173,33 @@ def build_training_corpus(
     n_train_sets: int = DEFAULT_TRAIN_SETS,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
-    n_samples: int | None = DEFAULT_SAMPLES,
-) -> list[TransitivityFeature]:
-    """Pool training features over a seeded random choice of reference
-    sets, pairing each with every proxy in its table entry.
+) -> np.recarray:
+    """The training-feature table (`lqts.corpus.FEATURE_DTYPE`) pooled over
+    a seeded random choice of reference sets, each paired with every proxy
+    in its table entry: all positives, then all negatives.
 
-    Under the exemplar baseline every involved set is first reduced by
-    robust sample selection (a no-op for sets already at or below
-    n_samples; pass n_samples=None to disable). When the pool exceeds
-    `cap` it is subsampled per label, preserving the label ratio.
+    Sets are used as given; under the exemplar baseline, reduce the gallery
+    with `lqts.sampling.robust_select` (`qts sample`) first. When the pool
+    exceeds `cap` it is subsampled per label, preserving the label ratio.
     """
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}")
+    if n_train_sets < 1:
+        raise ValueError(f"n_train_sets must be >= 1 (got {n_train_sets})")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1 (got {cap})")
     rng = np.random.default_rng(seed)
     n_refs = min(n_train_sets, len(gallery))
     ref_idx = np.sort(rng.choice(len(gallery), size=n_refs, replace=False))
 
-    reduced: dict[str, FaceSet] = {}
-
-    def exemplar_form(s: FaceSet) -> FaceSet:
-        if n_samples is None:
-            return s
-        if s.set_id not in reduced:
-            reduced[s.set_id] = robust_select(s, n_samples)
-        return reduced[s.set_id]
-
-    pos_blocks: list[np.ndarray] = []
-    neg_blocks: list[np.ndarray] = []
-    pos_prov: list[tuple[str, str]] = []
-    neg_prov: list[tuple[str, str]] = []
+    pos_blocks, neg_blocks, pairs = [], [], []
     skipped = 0
     for i in ref_idx:
         ref = gallery.sets[int(i)]
         for pid, _ in proxies.proxies_of(ref.set_id):
             prox = gallery.get(pid)
             if baseline == EXEMPLAR:
-                pos, neg = _exemplar_pair_arrays(exemplar_form(ref), exemplar_form(prox))
+                pos, neg = _exemplar_pair_arrays(ref, prox)
             else:
                 pos, neg, skip_p, skip_n = _subspace_pair_arrays(
                     ref, prox, ref.subspace, prox.subspace
@@ -284,26 +207,24 @@ def build_training_corpus(
                 skipped += skip_p + skip_n
             pos_blocks.append(pos)
             neg_blocks.append(neg)
-            pos_prov.extend([(ref.set_id, pid)] * len(pos))
-            neg_prov.extend([(ref.set_id, pid)] * len(neg))
+            pairs.append((ref.set_id, pid))
     if skipped:
         log.info("subspace extraction skipped %d degenerate projections", skipped)
 
-    pos_all = np.concatenate(pos_blocks) if pos_blocks else np.empty((0, 5))
-    neg_all = np.concatenate(neg_blocks) if neg_blocks else np.empty((0, 5))
+    def pooled(blocks):
+        """All rows of the blocks and, per row, the index of its pair."""
+        sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+        rows = np.concatenate(blocks) if blocks else np.empty((0, 5))
+        return rows, np.repeat(np.arange(sizes.size), sizes)
+
+    pos_all, pos_pair = pooled(pos_blocks)
+    neg_all, neg_pair = pooled(neg_blocks)
     n_pos, n_neg = len(pos_all), len(neg_all)
     if n_pos + n_neg > cap:
         idx_pos, idx_neg = _stratified_cap(n_pos, n_neg, cap, rng)
-        pos_all, neg_all = pos_all[idx_pos], neg_all[idx_neg]
-        pos_prov = [pos_prov[j] for j in idx_pos]
-        neg_prov = [neg_prov[j] for j in idx_neg]
+        pos_all, pos_pair = pos_all[idx_pos], pos_pair[idx_pos]
+        neg_all, neg_pair = neg_all[idx_neg], neg_pair[idx_neg]
 
-    out = [
-        TransitivityFeature(s=row, label=1.0, provenance=prov)
-        for row, prov in zip(pos_all, pos_prov)
-    ]
-    out += [
-        TransitivityFeature(s=row, label=0.0, provenance=prov)
-        for row, prov in zip(neg_all, neg_prov)
-    ]
-    return out
+    ids = np.array(pairs, dtype=object).reshape(-1, 2)[np.concatenate([pos_pair, neg_pair])]
+    label = np.repeat([1.0, 0.0], [len(pos_all), len(neg_all)])
+    return feature_table(np.concatenate([pos_all, neg_all]), label, ids[:, 0], ids[:, 1])

@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import FaceSet, Gallery, ProxyTable
 from .errors import DimensionMismatchError, UsageError
 from .metafeat import BASELINES, EXEMPLAR
-from .sampling import DEFAULT_SAMPLES, robust_select
+from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     DEFAULT_SUBSPACE_DIM,
     Matches,
@@ -46,8 +46,6 @@ class RetrievalConfig:
     method: str = METHOD_BASELINE
     k_p: int = 0
     model: SvrModel | None = None
-    # reduction applied to external exemplar queries, mirroring the gallery
-    n_samples: int | None = DEFAULT_SAMPLES
 
     def __post_init__(self):
         if self.baseline not in BASELINES:
@@ -252,8 +250,6 @@ class Ranker:
             return idx, self.scorer.pair(idx, everyone)
         if not isinstance(query, FaceSet):
             raise UsageError("query must be a set_id or a FaceSet")
-        if self.config.baseline == EXEMPLAR and self.config.n_samples is not None:
-            query = robust_select(query, self.config.n_samples)
         return None, self.scorer.query(query, everyone)
 
     def rank(self, query) -> RankedResult:

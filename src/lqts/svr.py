@@ -203,31 +203,6 @@ def dual_objective(
     )
 
 
-def _as_training_arrays(features) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(features, tuple) and len(features) == 2:
-        x, y = features
-    else:
-        rows, targets = [], []
-        for f in features:
-            if hasattr(f, "s"):
-                rows.append(np.asarray(f.s, dtype=np.float64))
-                targets.append(0.0 if f.label is None else float(f.label))
-            else:
-                vec, t = f
-                rows.append(np.asarray(vec, dtype=np.float64))
-                targets.append(float(t))
-        x, y = np.array(rows), np.array(targets)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.shape[0] == 0:
-        raise TrainingError("empty training corpus")
-    if x.shape[0] != y.shape[0]:
-        raise TrainingError("feature / target count mismatch")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise TrainingError("training data contains non-finite values")
-    return x, y
-
-
 class _RowCache:
     """FIFO cache of kernel matrix rows, bounded by memory."""
 
@@ -250,8 +225,10 @@ class _RowCache:
         return r
 
 
-def train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
-    """Fit the dual QP by maximal-violating-pair coordinate descent.
+def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
+    """Fit the dual QP by maximal-violating-pair coordinate descent to a
+    training-feature table (`lqts.corpus.FEATURE_DTYPE`): rows `s`,
+    targets `label`.
 
     Stops when the KKT gap falls below config.kkt_tolerance or after
     config.max_passes pair updates; running out of updates is logged as
@@ -259,7 +236,11 @@ def train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
     non-bound support vectors, or the target mean when none exist. Fully
     deterministic for fixed inputs.
     """
-    x, y = _as_training_arrays(features)
+    x, y = np.ascontiguousarray(features.s), np.ascontiguousarray(features.label)
+    if len(y) == 0:
+        raise TrainingError("empty training corpus")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise TrainingError("training data contains non-finite values")
     l = x.shape[0]
     c = config.cost
     eps = config.epsilon

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lqts.corpus import FaceSet, Gallery, ProxyTable
+from lqts.corpus import FaceSet, Gallery, ProxyTable, feature_table
 from lqts.retrieval import rank_gallery
 
 
@@ -17,6 +17,11 @@ def random_set(rng, set_id="s", n=5, d=8, positive=False):
     if positive:
         x = np.abs(x) + 0.05
     return FaceSet(set_id=set_id, exemplars=x)
+
+
+def training_table(x, y):
+    """A training-feature table of rows x and targets y, with no set ids."""
+    return feature_table(x, y, "", "")
 
 
 def tiny_gallery(rng, n_sets=6, n=4, d=8, labels=None):

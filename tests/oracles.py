@@ -2,7 +2,9 @@
 
 The scorers build one retrieval-time transitivity 5-vector or one target
 score at a time, straight from the baseline similarity functions and
-their ambient mode vectors, with no caching or batching. `frame_coords`
+their ambient mode vectors, with no caching or batching.
+`extract_exemplar` and `extract_subspace` give one reference/proxy pair's
+training rows, as `lqts.metafeat.build_training_corpus` pools them. `frame_coords`
 and `per_pair_select_proxies` are the pair-at-a-time mode projection and
 proxy selection that `lqts.retrieval.GalleryScorer` and `select_proxies`
 replaced, and `reference_predict` the whole-matrix RBF prediction that
@@ -12,7 +14,7 @@ replaced, and `reference_predict` the whole-matrix RBF prediction that
 import numpy as np
 
 from lqts.corpus import ProxyTable
-from lqts.metafeat import TransitivityFeature
+from lqts.metafeat import _exemplar_pair_arrays, _subspace_pair_arrays
 from lqts.similarity import (
     DEFAULT_SUBSPACE_DIM,
     SubspaceModel,
@@ -58,27 +60,40 @@ def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
     return ProxyTable(k_p=k_p, entries=entries)
 
 
-def _feature(baseline_fn, query, target, proxy) -> TransitivityFeature:
+def _feature(baseline_fn, query, target, proxy) -> np.ndarray:
     r_qp = baseline_fn(query, proxy)
     r_qt = baseline_fn(query, target)
     r_pt = baseline_fn(proxy, target)
     f_pq, f_pt = r_qp.mode_b, r_pt.mode_a
     f_tq, f_tp = r_qt.mode_b, r_pt.mode_b
-    s = np.array(
+    return np.array(
         [r_qp.score, r_qt.score, r_pt.score, cosine_sim(f_pq, f_pt), cosine_sim(f_tq, f_tp)]
     )
-    return TransitivityFeature(s=s, provenance=(query.set_id, target.set_id, proxy.set_id))
 
 
-def feature_exemplar(query, target, proxy) -> TransitivityFeature:
+def feature_exemplar(query, target, proxy) -> np.ndarray:
     """Retrieval-time transitivity feature of FaceSets, exemplar baseline."""
     return _feature(max_max_sim, query, target, proxy)
 
 
-def feature_subspace(query, target, proxy) -> TransitivityFeature:
+def feature_subspace(query, target, proxy) -> np.ndarray:
     """Retrieval-time transitivity feature of SubspaceModels: the
     max-correlation scores plus cosines between canonical vectors."""
     return _feature(max_corr, query, target, proxy)
+
+
+def extract_exemplar(reference, proxy) -> tuple[np.ndarray, np.ndarray]:
+    """All n_r(n_r-1) positive and n_p(n_p-1) negative training rows of one
+    reference/proxy pair under the exemplar baseline."""
+    return _exemplar_pair_arrays(reference, proxy)
+
+
+def extract_subspace(reference, proxy, k: int = DEFAULT_SUBSPACE_DIM):
+    """(positives, negatives, skipped positives, skipped negatives) of one
+    reference/proxy pair under the subspace baseline, both subspaces fitted
+    at dimension k: a row per exemplar whose projection onto neither
+    subspace is degenerate."""
+    return _subspace_pair_arrays(reference, proxy, fit_subspace(reference, k), fit_subspace(proxy, k))
 
 
 def _baseline_fn(query):
@@ -92,7 +107,7 @@ def score_lqts(query, target, proxies, model) -> float:
     feature_fn = feature_subspace if isinstance(query, SubspaceModel) else feature_exemplar
     best = _baseline_fn(query)(query, target).score
     for p in proxies:
-        est = min(max(predict(model, feature_fn(query, target, p).s), 0.0), 1.0)
+        est = min(max(predict(model, feature_fn(query, target, p)), 0.0), 1.0)
         best = max(best, est)
     return float(best)
 

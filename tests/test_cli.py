@@ -81,6 +81,14 @@ class TestDataErrors:
         assert code == 2
         assert f"{proxies}:2: non-integer rank 'first'" in capsys.readouterr().err
 
+    def test_feature_file_without_labels(self, tmp_path, capsys):
+        features = tmp_path / "feats.tsv"
+        features.write_text("".join(f"\t0.{i}\t0.2\t0.3\t0.4\t0.5\ta\tb\n" for i in range(20)))
+        code = run("train", "--features", str(features), "--out", str(tmp_path / "model.qts"))
+        assert code == 2
+        assert f"{features}:1: label must be 1 or 0, got ''" in capsys.readouterr().err
+        assert not (tmp_path / "model.qts").exists()
+
     def test_non_finite_model_file(self, pipeline_dirs, tmp_path, capsys):
         root, gal = pipeline_dirs
         model = tmp_path / "model.qts"

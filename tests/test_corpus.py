@@ -2,11 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lqts.corpus import (
     FaceSet,
     Gallery,
     ProxyTable,
+    feature_table,
     load_features,
     load_gallery,
     load_model,
@@ -17,7 +20,6 @@ from lqts.corpus import (
     save_proxies,
 )
 from lqts.errors import CorpusError
-from lqts.metafeat import TransitivityFeature
 from lqts.svr import SvrConfig, SvrModel, predict
 
 from conftest import tiny_gallery
@@ -154,20 +156,65 @@ class TestProxyTable:
             load_proxies(path)
 
 
+# 0, 1, the smallest subnormal, a mid-range subnormal and values whose repr
+# needs 17 significant digits
+EDGE_VALUES = [0.0, 1.0, 5e-324, 1.2345e-310, 0.30000000000000004, 0.9999999999999999]
+FEATURE_ROW = "1.0\t0.1\t0.2\t0.3\t0.4\t0.5\tr\tp\n"
+set_ids = st.text("abyz019_-.", max_size=6)
+values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+feature_rows = st.tuples(
+    st.lists(values, min_size=5, max_size=5),
+    st.sampled_from([0.0, 1.0]),
+    set_ids,
+    set_ids,
+)
+
+
 class TestFeatureFile:
     def test_round_trip(self, tmp_path, rng):
-        feats = [
-            TransitivityFeature(
-                s=rng.random(5), label=float(i % 2), provenance=(f"r{i}", f"p{i}")
-            )
-            for i in range(10)
-        ]
+        feats = feature_table(
+            rng.random((10, 5)),
+            np.arange(10) % 2,
+            [f"r{i}" for i in range(10)],
+            [f"p{i}" for i in range(10)],
+        )
         save_features(feats, tmp_path / "f.tsv")
         again = load_features(tmp_path / "f.tsv")
         assert len(again) == 10
-        for a, b in zip(feats, again):
-            assert np.array_equal(a.s, b.s)
-            assert a.label == b.label and a.provenance == b.provenance
+        assert np.array_equal(feats.s, again.s) and np.array_equal(feats.label, again.label)
+        assert feats.ref.tolist() == again.ref.tolist()
+        assert feats.proxy.tolist() == again.proxy.tolist()
+
+    @given(rows=st.lists(feature_rows, max_size=8))
+    @example(rows=[(EDGE_VALUES[:5], 1.0, "r", "p"), (EDGE_VALUES[1:], 0.0, "p", "r")])
+    def test_round_trip_bit_for_bit(self, tmp_path_factory, rows):
+        s, label, ref, proxy = zip(*rows) if rows else ([], [], [], [])
+        feats = feature_table(np.array(s).reshape(-1, 5), np.array(label), ref, proxy)
+        path = tmp_path_factory.getbasetemp() / "features.tsv"
+        save_features(feats, path)
+        again = load_features(path)
+        assert again.s.tobytes() == feats.s.tobytes()
+        assert again.label.tobytes() == feats.label.tobytes()
+        assert again.ref.tolist() == list(ref) and again.proxy.tolist() == list(proxy)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("\t0.1\t0.2\t0.3\t0.4\t0.5\tr\tp\n", "label must be 1 or 0, got ''"),
+            ("7.0\t0.1\t0.2\t0.3\t0.4\t0.5\tr\tp\n", "label must be 1 or 0, got '7.0'"),
+            ("yes\t0.1\t0.2\t0.3\t0.4\t0.5\tr\tp\n", "label must be 1 or 0, got 'yes'"),
+            ("nan\t0.1\t0.2\t0.3\t0.4\t0.5\tr\tp\n", "label must be 1 or 0, got 'nan'"),
+            ("0.0\t0.1\tabc\t0.3\t0.4\t0.5\tr\tp\n", "non-numeric value 'abc'"),
+            ("0.0\t0.1\t0.2\tnan\t0.4\t0.5\tr\tp\n", "non-finite value"),
+            ("0.0\t0.1\t0.2\t0.3\t-inf\t0.5\tr\tp\n", "non-finite value"),
+            ("0.0\t0.1\t0.2\t0.3\t0.4\tr\tp\n", "expected 8 tab-separated columns"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "f.tsv"
+        path.write_text(FEATURE_ROW + row)
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2: {message}")):
+            load_features(path)
 
 
 class TestModelFile:

@@ -5,11 +5,11 @@ import pytest
 
 import lqts.similarity
 from lqts.corpus import FaceSet, Gallery, ProxyTable
-from lqts.metafeat import build_training_corpus, train_extract_exemplar, train_extract_subspace
+from lqts.metafeat import build_training_corpus
 from lqts.similarity import SubspaceModel, fit_subspace
 
 from conftest import random_set
-from oracles import feature_exemplar, feature_subspace
+from oracles import extract_exemplar, extract_subspace, feature_exemplar, feature_subspace
 
 
 def unit(v):
@@ -25,14 +25,14 @@ class TestFeatureExemplar:
     def test_identical_triplet_is_all_ones(self, rng):
         s = random_set(rng, "s", n=4, d=6)
         f = feature_exemplar(s, s, s)
-        np.testing.assert_allclose(f.s, np.ones(5), atol=1e-9)
+        np.testing.assert_allclose(f, np.ones(5), atol=1e-9)
 
     def test_hand_case(self):
         query = FaceSet("q", np.array([[1.0, 0.0]]))
         target = FaceSet("t", np.array([[1.0, 0.0], [0.0, 1.0]]))
         proxy = FaceSet("p", np.array([[0.6, 0.8]]))
         f = feature_exemplar(query, target, proxy)
-        np.testing.assert_allclose(f.s, [0.6, 1.0, 0.8, 1.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(f, [0.6, 1.0, 0.8, 1.0, 0.0], atol=1e-6)
 
     def test_exemplar_order_irrelevant(self, rng):
         q = random_set(rng, "q", n=3, d=5)
@@ -41,7 +41,7 @@ class TestFeatureExemplar:
         f1 = feature_exemplar(q, t, p)
         perm = lambda s: FaceSet(s.set_id, s.exemplars[::-1])
         f2 = feature_exemplar(perm(q), perm(t), perm(p))
-        np.testing.assert_allclose(f1.s, f2.s, atol=1e-12)
+        np.testing.assert_allclose(f1, f2, atol=1e-12)
 
     def test_range(self, rng):
         for _ in range(20):
@@ -50,23 +50,23 @@ class TestFeatureExemplar:
                 random_set(rng, "t", n=3, d=4),
                 random_set(rng, "p", n=3, d=4),
             )
-            assert np.all(f.s >= 0.0) and np.all(f.s <= 1.0 + 1e-9)
+            assert np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-9)
 
 
 class TestFeatureSubspace:
     def test_identical_triplet_is_all_ones(self, rng):
         sub = fit_subspace(random_set(rng, "s", n=6, d=6), k=3)
         f = feature_subspace(sub, sub, sub)
-        np.testing.assert_allclose(f.s, np.ones(5), atol=1e-8)
+        np.testing.assert_allclose(f, np.ones(5), atol=1e-8)
 
     def test_orthogonality_forces_correlations(self):
         q = SubspaceModel("q", np.array([[1.0], [0.0], [0.0]]))
         t = SubspaceModel("t", np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
         p = SubspaceModel("p", np.array([[0.0], [0.0], [1.0]]))
         f = feature_subspace(q, t, p)
-        assert f.s[0] == pytest.approx(0.0, abs=1e-9)
-        assert f.s[1] == pytest.approx(1.0, abs=1e-9)
-        assert f.s[2] == pytest.approx(0.0, abs=1e-9)
+        assert f[0] == pytest.approx(0.0, abs=1e-9)
+        assert f[1] == pytest.approx(1.0, abs=1e-9)
+        assert f[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_scores_match_grid_oracle_1d(self, rng):
         # 1-D subspaces in R^3: the correlation is just |cos| of the spans
@@ -76,9 +76,9 @@ class TestFeatureSubspace:
             t = SubspaceModel("t", ta[:, None])
             p = SubspaceModel("p", pa[:, None])
             f = feature_subspace(q, t, p)
-            assert f.s[0] == pytest.approx(crude_cos(qa, pa), abs=1e-3)
-            assert f.s[1] == pytest.approx(crude_cos(qa, ta), abs=1e-3)
-            assert f.s[2] == pytest.approx(crude_cos(pa, ta), abs=1e-3)
+            assert f[0] == pytest.approx(crude_cos(qa, pa), abs=1e-3)
+            assert f[1] == pytest.approx(crude_cos(qa, ta), abs=1e-3)
+            assert f[2] == pytest.approx(crude_cos(pa, ta), abs=1e-3)
 
 
 def oracle_extract_exemplar(reference, proxy):
@@ -123,25 +123,21 @@ class TestTrainExtractExemplar:
     def test_counts(self, rng):
         ref = random_set(rng, "r", n=4, d=6)
         prox = random_set(rng, "p", n=3, d=6)
-        feats = train_extract_exemplar(ref, prox)
-        pos = [f for f in feats if f.label == 1.0]
-        neg = [f for f in feats if f.label == 0.0]
+        pos, neg = extract_exemplar(ref, prox)
         assert len(pos) == 4 * 3 and len(neg) == 3 * 2
 
     def test_identical_pair_gives_s2_one(self, rng):
         x = rng.normal(size=(1, 5))
         ref = FaceSet("r", np.vstack([x, x, rng.normal(size=(1, 5))]))
         prox = random_set(rng, "p", n=2, d=5)
-        feats = [f for f in train_extract_exemplar(ref, prox) if f.label == 1.0]
+        pos, _ = extract_exemplar(ref, prox)
         # the ordered pair (0, 1) duplicates an exemplar
-        assert feats[0].s[1] == pytest.approx(1.0, abs=1e-9)
+        assert pos[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_hand_oracle_tiny_case(self):
         ref = FaceSet("r", np.array([[1.0, 0.2], [0.3, 1.0]]))
         prox = FaceSet("p", np.array([[0.9, 0.5], [0.1, 1.0]]))
-        feats = train_extract_exemplar(ref, prox)
-        pos = np.array([f.s for f in feats if f.label == 1.0])
-        neg = np.array([f.s for f in feats if f.label == 0.0])
+        pos, neg = extract_exemplar(ref, prox)
         opos, oneg = oracle_extract_exemplar(ref, prox)
         np.testing.assert_allclose(pos, opos, atol=1e-6)
         np.testing.assert_allclose(neg, oneg, atol=1e-6)
@@ -150,17 +146,10 @@ class TestTrainExtractExemplar:
         for _ in range(10):
             ref = random_set(rng, "r", n=int(rng.integers(2, 6)), d=4)
             prox = random_set(rng, "p", n=int(rng.integers(2, 6)), d=4)
-            feats = train_extract_exemplar(ref, prox)
-            pos = np.array([f.s for f in feats if f.label == 1.0])
-            neg = np.array([f.s for f in feats if f.label == 0.0])
+            pos, neg = extract_exemplar(ref, prox)
             opos, oneg = oracle_extract_exemplar(ref, prox)
             np.testing.assert_allclose(pos, opos, atol=1e-9)
             np.testing.assert_allclose(neg, oneg, atol=1e-9)
-
-    def test_same_set_rejected(self, rng):
-        s = random_set(rng, "r", n=3, d=4)
-        with pytest.raises(ValueError):
-            train_extract_exemplar(s, s)
 
     def test_agrees_with_feature_exemplar_on_singleton_query(self, rng):
         # a positive row built from pair (f_qt, f_tq) must equal the
@@ -170,16 +159,16 @@ class TestTrainExtractExemplar:
         # the target set), forcing s2 = 1 there
         ref = random_set(rng, "r", n=4, d=5)
         prox = random_set(rng, "p", n=3, d=5)
-        feats = [f for f in train_extract_exemplar(ref, prox) if f.label == 1.0]
+        feats, _ = extract_exemplar(ref, prox)
         k = 0
         for qi in range(4):
             query = FaceSet("q", ref.exemplars[qi : qi + 1])
-            retrieval_row = feature_exemplar(query, ref, prox).s
+            retrieval_row = feature_exemplar(query, ref, prox)
             assert retrieval_row[1] == pytest.approx(1.0, abs=1e-9)
             for ti in range(4):
                 if ti == qi:
                     continue
-                training_row = feats[k].s
+                training_row = feats[k]
                 k += 1
                 np.testing.assert_allclose(
                     training_row[[0, 2, 3]], retrieval_row[[0, 2, 3]], atol=1e-9
@@ -190,37 +179,31 @@ class TestTrainExtractSubspace:
     def test_counts(self, rng):
         ref = random_set(rng, "r", n=5, d=8)
         prox = random_set(rng, "p", n=7, d=8)
-        res = train_extract_subspace(ref, prox, k=3)
-        pos = [f for f in res.features if f.label == 1.0]
-        neg = [f for f in res.features if f.label == 0.0]
-        assert len(pos) == 5 - res.skipped_positive == 5
-        assert len(neg) == 7 - res.skipped_negative == 7
+        pos, neg, skipped_pos, skipped_neg = extract_subspace(ref, prox, k=3)
+        assert len(pos) == 5 - skipped_pos == 5
+        assert len(neg) == 7 - skipped_neg == 7
 
     def test_contained_exemplars_give_s2_one(self, rng):
         ref = random_set(rng, "r", n=3, d=8)  # n_r <= k: exemplars inside own span
         prox = random_set(rng, "p", n=6, d=8)
-        res = train_extract_subspace(ref, prox, k=6)
-        for f in res.features:
-            if f.label == 1.0:
-                assert f.s[1] == pytest.approx(1.0, abs=1e-9)
+        pos, _, _, _ = extract_subspace(ref, prox, k=6)
+        for f in pos:
+            assert f[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_projection_skipped_and_counted(self):
         # reference subspace = x-axis; one proxy exemplar along y is
         # orthogonal to it and must be skipped from the negatives
         ref = FaceSet("r", np.array([[1.0, 0.0], [2.0, 0.0]]))
         prox = FaceSet("p", np.array([[0.0, 1.0], [1.0, 0.0]]))
-        res = train_extract_subspace(ref, prox, k=1)
-        neg = [f for f in res.features if f.label == 0.0]
-        assert res.skipped_negative == 1
+        _, neg, _, skipped_neg = extract_subspace(ref, prox, k=1)
+        assert skipped_neg == 1
         assert len(neg) == 1
 
     def test_hand_computed_1d_case(self):
         # singleton sets in R^2: subspaces are the exemplar directions
         ref = FaceSet("r", np.array([[1.0, 0.0]]))
         prox = FaceSet("p", np.array([[1.0, 1.0]]))
-        res = train_extract_subspace(ref, prox, k=1)
-        pos = [f.s for f in res.features if f.label == 1.0]
-        neg = [f.s for f in res.features if f.label == 0.0]
+        pos, neg, _, _ = extract_subspace(ref, prox, k=1)
         c = 1 / np.sqrt(2)
         # positive: f_qt = (1,0); projections: onto ref = itself (s2=1),
         # onto proxy = c (s1); s3 = c; modes f_pt=(1,1)/sqrt2, f_tp=(1,0)
@@ -251,22 +234,45 @@ class TestBuildTrainingCorpus:
         a = build_training_corpus(g, table, n_train_sets=3, cap=50, seed=9)
         b = build_training_corpus(g, table, n_train_sets=3, cap=50, seed=9)
         assert len(a) == len(b)
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.s, fb.s) and fa.label == fb.label
+        assert np.array_equal(a.s, b.s) and np.array_equal(a.label, b.label)
 
     def test_cap_preserves_label_ratio(self, rng):
         g, table = self._gallery_and_proxies(rng, n_sets=8, n=5, k_p=3)
         feats = build_training_corpus(g, table, n_train_sets=8, cap=120, seed=2)
         assert len(feats) == 120
-        n_pos = sum(1 for f in feats if f.label == 1.0)
+        n_pos = int(np.sum(feats.label == 1.0))
         # uncapped corpus is balanced, so the capped one must stay balanced
         assert n_pos == pytest.approx(60, abs=1)
 
     def test_feature_values_in_range(self, rng):
         g, table = self._gallery_and_proxies(rng)
-        for f in build_training_corpus(g, table, cap=500, seed=3):
-            assert np.all(f.s >= 0.0) and np.all(f.s <= 1.0)
-            assert f.label in (0.0, 1.0)
+        feats = build_training_corpus(g, table, cap=500, seed=3)
+        assert np.all(feats.s >= 0.0) and np.all(feats.s <= 1.0)
+        assert np.all(np.isin(feats.label, (0.0, 1.0)))
+
+    def test_exemplar_sets_used_as_given(self, rng):
+        # sets past 10 exemplars are not reduced: every ordered exemplar pair
+        # of the reference (proxy) gives a positive (negative)
+        g, table = self._gallery_and_proxies(rng, n_sets=4, n=12, k_p=1)
+        feats = build_training_corpus(g, table, n_train_sets=4, cap=10**6, seed=0)
+        for ref in g.sets:
+            (pid, _), = table.proxies_of(ref.set_id)
+            rows = feats[(feats.ref == ref.set_id) & (feats.proxy == pid)]
+            pos, neg = extract_exemplar(ref, g.get(pid))
+            assert int(np.sum(rows.label == 1.0)) == 12 * 11
+            assert np.array_equal(rows.s, np.concatenate([pos, neg]))
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_cap_below_one_rejected(self, rng, value):
+        g, table = self._gallery_and_proxies(rng)
+        with pytest.raises(ValueError, match="cap"):
+            build_training_corpus(g, table, cap=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_train_sets_below_one_rejected(self, rng, value):
+        g, table = self._gallery_and_proxies(rng)
+        with pytest.raises(ValueError, match="n_train_sets"):
+            build_training_corpus(g, table, n_train_sets=value)
 
     def test_subspace_baseline_counts(self, rng):
         g, table = self._gallery_and_proxies(rng, n_sets=5, n=4, k_p=1)
@@ -295,13 +301,15 @@ class TestBuildTrainingCorpus:
         }
         table = ProxyTable(k_p=2, entries=entries)
 
-        pos, neg, skipped = [], [], 0
+        pos, neg, pos_ids, neg_ids, skipped = [], [], [], [], 0
         for ref in g.sets:
             for pid, _ in table.proxies_of(ref.set_id):
-                res = train_extract_subspace(ref, g.get(pid))
-                pos += [f for f in res.features if f.label == 1.0]
-                neg += [f for f in res.features if f.label == 0.0]
-                skipped += res.skipped_positive + res.skipped_negative
+                p, n, skip_p, skip_n = extract_subspace(ref, g.get(pid))
+                pos.append(p)
+                neg.append(n)
+                pos_ids += [(ref.set_id, pid)] * len(p)
+                neg_ids += [(ref.set_id, pid)] * len(n)
+                skipped += skip_p + skip_n
         assert skipped > 0
 
         fitted = []
@@ -320,9 +328,8 @@ class TestBuildTrainingCorpus:
         assert [r.getMessage() for r in caplog.records if r.name == "lqts.metafeat"] == [
             f"subspace extraction skipped {skipped} degenerate projections"
         ]
-        expected = pos + neg
-        assert len(feats) == len(expected)
-        for got, want in zip(feats, expected):
-            assert np.array_equal(got.s, want.s)
-            assert got.label == want.label
-            assert got.provenance == want.provenance
+        pos, neg = np.concatenate(pos), np.concatenate(neg)
+        assert len(feats) == len(pos) + len(neg)
+        assert np.array_equal(feats.s, np.concatenate([pos, neg]))
+        assert feats.label.tolist() == [1.0] * len(pos) + [0.0] * len(neg)
+        assert list(zip(feats.ref, feats.proxy)) == pos_ids + neg_ids

@@ -300,7 +300,7 @@ class TestRankGallery:
             best = max_max_sim(query, target).score
             for pid, _ in table.proxies_of(target.set_id)[:3]:
                 feat = feature_exemplar(query, target, g.get(pid))
-                est = min(max(predict(model, feat.s), 0.0), 1.0)
+                est = min(max(predict(model, feat), 0.0), 1.0)
                 best = max(best, est)
             expected_scores[target.set_id] = best
         order = sorted(
@@ -351,6 +351,13 @@ class TestRankGallery:
         r = rank_gallery(external, g, RetrievalConfig(method="baseline"))
         assert sorted(r.ids()) == sorted(g.set_ids)
         assert r.query_id == "ext"
+
+    def test_external_exemplar_query_used_as_given(self, rng):
+        # past 10 exemplars a query is scored whole: Ranker reduces nothing
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(4)))
+        external = random_set(rng, "ext", n=15, d=5)
+        r = rank_gallery(external, g, RetrievalConfig(method="baseline"))
+        assert dict(r.ranking) == {s.set_id: max_max_sim(external, s).score for s in g}
 
     def test_scores_non_increasing_and_permutation(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(8)))
@@ -450,7 +457,7 @@ class TestGalleryScorer:
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_external_query_of_another_dimension(self, rng, baseline):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
-        config = RetrievalConfig(baseline=baseline, n_samples=None)
+        config = RetrievalConfig(baseline=baseline)
         with pytest.raises(DimensionMismatchError):
             rank_gallery(random_set(rng, "ext", n=3, d=4), g, config)
 

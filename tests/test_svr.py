@@ -15,7 +15,6 @@ from lqts.svr import (
     PREDICT_BLOCK_BYTES,
     SvrConfig,
     SvrModel,
-    _as_training_arrays,
     _RowCache,
     dual_objective,
     predict,
@@ -23,6 +22,7 @@ from lqts.svr import (
     train,
 )
 
+from conftest import training_table
 from oracles import reference_predict
 
 
@@ -32,7 +32,7 @@ def reference_train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
     entries on every pair update. Kept as the oracle `train` must match
     bit for bit.
     """
-    x, y = _as_training_arrays(features)
+    x, y = np.ascontiguousarray(features.s), np.ascontiguousarray(features.label)
     l = x.shape[0]
     c = config.cost
     eps = config.epsilon
@@ -184,21 +184,21 @@ def oracle_slsqp(x, y, config, starts=12, seed=0):
 
 class TestTrainBasics:
     def test_single_sample_constant_model(self):
-        m = train((np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]), np.array([1.0])))
+        m = train(training_table(np.array([[0.1, 0.2, 0.3, 0.4, 0.5]]), np.array([1.0])))
         assert m.n_support == 0
         assert m.bias == 1.0
         assert predict(m, np.zeros(5)) == 1.0
 
     def test_constant_targets_constant_model(self, rng):
         x = rng.random((25, 5))
-        m = train((x, np.full(25, 0.5)))
+        m = train(training_table(x, np.full(25, 0.5)))
         assert m.n_support == 0
         assert m.bias == 0.5
         assert predict(m, rng.random(5)) == 0.5
 
     def test_two_point_case(self):
         x = np.vstack([np.zeros(5), np.ones(5)])
-        m = train((x, np.array([0.0, 1.0])))
+        m = train(training_table(x, np.array([0.0, 1.0])))
         pred = predict(m, x)
         assert abs(pred[0] - 0.0) <= 0.4 + 1e-9
         assert abs(pred[1] - 1.0) <= 0.4 + 1e-9
@@ -211,25 +211,16 @@ class TestTrainBasics:
         x = np.vstack([np.zeros(5), np.ones(5)])
         y = np.array([0.0, 1.0])
         cfg = SvrConfig()
-        m = train((x, y), cfg)
+        m = train(training_table(x, y), cfg)
         assert m.objective == pytest.approx(oracle_two_point_grid(x, y, cfg), rel=1e-6, abs=1e-9)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(TrainingError):
-            train((np.empty((0, 5)), np.empty(0)))
+            train(training_table(np.empty((0, 5)), np.empty(0)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(TrainingError):
-            train((np.array([[np.nan] * 5]), np.array([1.0])))
-
-    def test_accepts_feature_objects(self, rng):
-        from lqts.metafeat import TransitivityFeature
-
-        feats = [
-            TransitivityFeature(s=rng.random(5), label=float(i % 2)) for i in range(12)
-        ]
-        m = train(feats)
-        assert np.isfinite(predict(m, np.zeros(5)))
+            train(training_table(np.array([[np.nan] * 5]), np.array([1.0])))
 
 
 class TestDualContract:
@@ -244,7 +235,7 @@ class TestDualContract:
     def test_dual_feasibility(self, rng):
         x, y = self._corpus(rng)
         cfg = SvrConfig(epsilon=0.1, cost=10.0)
-        m = train((x, y), cfg)
+        m = train(training_table(x, y), cfg)
         assert abs(float(np.sum(m.coefficients))) <= 1e-6
         assert np.all(np.abs(m.coefficients) <= cfg.cost + 1e-9)
         assert not np.any(m.coefficients == 0.0)
@@ -252,7 +243,7 @@ class TestDualContract:
     def test_epsilon_insensitivity_at_nonbound_points(self, rng):
         x, y = self._corpus(rng)
         cfg = SvrConfig(epsilon=0.1, cost=10.0)
-        m = train((x, y), cfg)
+        m = train(training_table(x, y), cfg)
         preds = predict(m, m.support_vectors)
         targets = []
         for sv in m.support_vectors:
@@ -264,15 +255,15 @@ class TestDualContract:
 
     def test_objective_trace_non_increasing(self, rng):
         x, y = self._corpus(rng)
-        m = train((x, y), SvrConfig(epsilon=0.1, cost=10.0))
+        m = train(training_table(x, y), SvrConfig(epsilon=0.1, cost=10.0))
         trace = m.objective_trace
         assert len(trace) >= 2
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_deterministic(self, rng):
         x, y = self._corpus(rng)
-        m1 = train((x, y))
-        m2 = train((x, y))
+        m1 = train(training_table(x, y))
+        m2 = train(training_table(x, y))
         assert m1 == m2
 
     @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
@@ -281,7 +272,7 @@ class TestDualContract:
         x = rng.random((l, 5))
         y = rng.random(l)
         cfg = SvrConfig(epsilon=0.05, cost=50.0)
-        m = train((x, y), cfg)
+        m = train(training_table(x, y), cfg)
         oracle = oracle_slsqp(x, y, cfg)
         scale = max(abs(oracle), 1e-3)
         assert m.objective <= oracle + 1e-2 * scale
@@ -338,7 +329,7 @@ class TestPredict:
         x = rng.random((10, 5))
         y = rng.random(10)
         cfg = SvrConfig(epsilon=0.05, cost=5.0)
-        m = train((x, y), cfg)
+        m = train(training_table(x, y), cfg)
         # rebuild full (alpha, alpha*) from beta's minimal decomposition:
         # valid because the solver's optimum never has both sides active
         beta = np.zeros(10)
@@ -481,54 +472,61 @@ class TestMatchesReferenceSolver:
     @settings(max_examples=200, deadline=None)
     def test_property_exact(self, problem):
         x, y, config = problem
-        assert_same_model(train((x, y), config), reference_train((x, y), config))
+        table = training_table(x, y)
+        assert_same_model(train(table, config), reference_train(table, config))
 
     @pytest.mark.parametrize("max_passes", [1, 2, 3])
     def test_budget_runs_out(self, rng, max_passes):
         x = rng.random((30, 5))
         y = (x[:, 0] > 0.5).astype(float)
         config = SvrConfig(epsilon=0.05, cost=10.0, max_passes=max_passes)
-        got = train((x, y), config)
+        table = training_table(x, y)
+        got = train(table, config)
         assert len(got.objective_trace) - 1 == max_passes
-        assert_same_model(got, reference_train((x, y), config))
+        assert_same_model(got, reference_train(table, config))
 
     def test_duplicate_rows(self, rng):
         base = rng.random((4, 5))
         x = np.vstack([base, base, base[:2]])
         y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.25, 1.0])
         config = SvrConfig(epsilon=0.05, cost=10.0)
-        got = train((x, y), config)
+        table = training_table(x, y)
+        got = train(table, config)
         assert got.n_support > 0
-        assert_same_model(got, reference_train((x, y), config))
+        assert_same_model(got, reference_train(table, config))
 
     def test_all_equal_rows_tie_everywhere(self):
         x = np.full((6, 5), 0.5)
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         config = SvrConfig(epsilon=0.05, cost=1.0)
-        assert_same_model(train((x, y), config), reference_train((x, y), config))
+        table = training_table(x, y)
+        assert_same_model(train(table, config), reference_train(table, config))
 
     def test_constant_targets(self, rng):
         x = rng.random((12, 5))
         y = np.full(12, 0.25)
-        got = train((x, y))
+        table = training_table(x, y)
+        got = train(table)
         assert got.n_support == 0
-        assert_same_model(got, reference_train((x, y)))
+        assert_same_model(got, reference_train(table))
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_tiny_corpora(self, rng, l):
         x = rng.random((l, 5))
         y = np.array([0.0, 1.0][:l])
         config = SvrConfig(epsilon=0.05, cost=50.0)
-        assert_same_model(train((x, y), config), reference_train((x, y), config))
+        table = training_table(x, y)
+        assert_same_model(train(table, config), reference_train(table, config))
 
     def test_every_variable_at_a_bound(self, rng):
         x = rng.random((20, 5))
         y = (x[:, 2] > 0.5).astype(float)
         config = SvrConfig(epsilon=0.05, cost=1e-3)
-        got = train((x, y), config)
+        table = training_table(x, y)
+        got = train(table, config)
         assert got.n_support > 0
         assert np.all(np.abs(got.coefficients) == config.cost)
-        assert_same_model(got, reference_train((x, y), config))
+        assert_same_model(got, reference_train(table, config))
 
 
 class TestMaxPassesWarning:
@@ -536,7 +534,7 @@ class TestMaxPassesWarning:
         x = rng.random((30, 5))
         y = (x[:, 0] > 0.5).astype(float)
         with caplog.at_level(logging.WARNING, logger="lqts.svr"):
-            m = train((x, y), SvrConfig(epsilon=0.05, cost=10.0, max_passes=3))
+            m = train(training_table(x, y), SvrConfig(epsilon=0.05, cost=10.0, max_passes=3))
         warnings = [r for r in caplog.records if r.name == "lqts.svr"]
         assert len(warnings) == 1
         assert warnings[0].levelno == logging.WARNING
@@ -548,6 +546,6 @@ class TestMaxPassesWarning:
         x = rng.random((30, 5))
         y = (x[:, 0] > 0.5).astype(float)
         with caplog.at_level(logging.WARNING, logger="lqts.svr"):
-            m = train((x, y), SvrConfig(epsilon=0.05, cost=10.0))
+            m = train(training_table(x, y), SvrConfig(epsilon=0.05, cost=10.0))
         assert m.kkt_violation <= m.config.kkt_tolerance
         assert not [r for r in caplog.records if r.name == "lqts.svr"]
