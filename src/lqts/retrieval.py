@@ -274,10 +274,7 @@ class Ranker:
                         _row_cos(q_mode[t], self._target_mode[rows]),
                     ]
                 )
-                # predict distinct rows once: BLAS rounds a row by its position
-                # in the batch, and equal rows must get equal estimates
-                distinct, inverse = np.unique(features, axis=0, return_inverse=True)
-                est = _clamp01(predict(self.config.model, distinct))[inverse.reshape(-1)]
+                est = _clamp01(predict(self.config.model, features))
             else:
                 est = COMBINERS[method](q_score[p], self._s3[rows])
             np.maximum.at(scores, t, est)

@@ -11,15 +11,30 @@ The dual box-constrained QP
     min  0.5 * b'Kb + eps * sum(a + a*) - y'b,   b = a - a*
     s.t. sum(b) = 0,  a, a* in [0, C]
 
-is solved by pairwise coordinate descent on the maximal KKT-violating
-pair, with exact two-variable line search and kernel rows computed on
-demand behind a small cache. The solver state is theta, shape (2, l)
-(row 0 a, row 1 a*), and two (2, l) arrays holding the KKT criterion
--sign * gradient: `upv` where a variable may still move up (-inf
-elsewhere) and `lowv` where it may move down (+inf elsewhere). Each
-pair update costs one argmax, one argmin and two broadcast subtracts
-over O(l) entries, plus a refresh of the two entries whose bound status
-may have changed. The predictor is
+is solved by pairwise coordinate descent with exact two-variable line
+search and kernel rows computed on demand behind a small cache. The
+solver state is theta, shape (2, l) (row 0 a, row 1 a*), and two arrays
+holding the KKT criterion crit = -sign * gradient: `upv` where a
+variable may still move up (-inf elsewhere) and `lowv` where it may
+move down (+inf elsewhere). Each pair update takes the maximal violator
+i (the argmax of upv) and, by second-order working-set selection (Fan,
+Chen & Lin, JMLR 2005, as in LIBSVM), the j that may move down and
+maximises b^2 / a, with b = max(upv) - crit_j > 0 and a = 2 (1 - K_ij)
+floored at ETA_FLOOR, from the kernel row of i it fetches anyway. It
+then costs a few passes and two broadcast subtracts over the active
+entries, plus a refresh of the two entries whose bound status may have
+changed.
+
+Shrinking (Joachims 1999; LIBSVM section 5): every SHRINK_EVERY updates,
+a row leaves the arrays when both of its variables sit where the gap
+keeps them, each either only able to move up with crit below min(lowv)
+or only able to move down with crit above max(upv). The loop, the row
+cache and the subtracts then run over the remaining rows. The criteria
+of the rows that left are rebuilt from scratch, base - K[rows] @ beta,
+when the active gap first falls to 10 * kkt_tolerance and again when it
+falls to kkt_tolerance or the update budget runs out, and every row is
+active again. So the stopping rule, the reported gap and the budget
+warning always cover all 2l variables. The predictor is
 h(x) = sum_i b_i * exp(-gamma ||x_i - x||^2) + bias.
 
 `predict` evaluates it in row blocks whose kernel buffer stays under
@@ -27,9 +42,10 @@ PREDICT_BLOCK_BYTES: one GEMM of the augmented rows [x, |x|^2, 1] by a
 per-model matrix [2 gamma sv, -gamma, -gamma |sv|^2]^T gives the
 exponent -gamma ||x - sv||^2 directly, then the block is clamped to
 <= 0, exponentiated in place and multiplied by the coefficients, so
-memory does not grow with the number of rows. Training uses
-`rbf_kernel` and `_RowCache`, so models do not depend on how
-prediction rounds.
+memory does not grow with the number of rows. Training takes its
+kernel rows from `_RowCache` and its criterion rebuilds and objective
+from `_kernel_matvec`, which shares only the exponent weights with
+`predict`, so models do not depend on how prediction is blocked.
 """
 
 from __future__ import annotations
@@ -47,6 +63,11 @@ log = logging.getLogger(__name__)
 ETA_FLOOR = 1e-12
 COEFF_SUM_TOL = 1e-6
 ROW_CACHE_BYTES = 64 * 2**20
+# pair updates between two shrinking passes of `train`
+SHRINK_EVERY = 1000
+# kernel values per block when `train` multiplies kernel rows by the
+# coefficients (criterion rebuilds and the final objective)
+KERNEL_BLOCK_BYTES = 2**20
 # prediction's rows x support-vectors kernel buffer: small enough to stay in
 # a core's L2 cache, and for its exponent GEMM (7 multiply-adds per 8 bytes)
 # to stay under OpenBLAS's small-matrix limit of 1e6, past which kernels
@@ -80,6 +101,16 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
         - 2.0 * (a @ b.T)
     )
     return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+def _rbf_exponent_weights(sv: np.ndarray, gamma: float) -> np.ndarray:
+    """(d + 2, len(sv)) W with [x, |x|^2, 1] @ W = -gamma ||x - sv||^2."""
+    d = sv.shape[1]
+    w = np.empty((d + 2, sv.shape[0]))
+    w[:d] = (2.0 * gamma) * sv.T
+    w[d] = -gamma
+    w[d + 1] = -gamma * np.einsum("ij,ij->i", sv, sv)
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +151,7 @@ class SvrModel:
 
     @cached_property
     def _exponent_weights(self) -> np.ndarray:
-        """(d + 2, n_support) W with [x, |x|^2, 1] @ W = -gamma ||x - sv||^2."""
-        sv, gamma = self.support_vectors, self.config.kernel_gamma
-        d = sv.shape[1]
-        w = np.empty((d + 2, sv.shape[0]))
-        w[:d] = (2.0 * gamma) * sv.T
-        w[d] = -gamma
-        w[d + 1] = -gamma * np.einsum("ij,ij->i", sv, sv)
-        return w
+        return _rbf_exponent_weights(self.support_vectors, self.config.kernel_gamma)
 
     def __eq__(self, other):
         if not isinstance(other, SvrModel):
@@ -151,14 +175,14 @@ def predict(model: SvrModel, x: np.ndarray):
     least), so the kernel's working memory is bounded by the budget or
     two rows of support vectors, whatever the row count.
 
-    Rounding: a row's estimate does not depend on the batch it comes in.
-    The exponent GEMM always has at least two rows and stays below
+    Rounding: a row's estimate does not depend on the batch it comes in
+    or its position there, so equal rows get equal estimates. The
+    exponent GEMM always has at least two rows and stays below
     OpenBLAS's small-matrix size, where every row is rounded alike, and
     each row's coefficient sum is its own dot product. A BLAS that
     rounds a GEMM row by its position would move estimates by about
     1e-10 to 1e-9 on a 1.4k-SV model, whose coefficients sit at the cost
-    bound 1000 and cancel in the sum; `Ranker` predicts each distinct
-    row once, so equal rows get equal estimates even then.
+    bound 1000 and cancel in the sum, and could then split equal rows.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -210,8 +234,17 @@ class _RowCache:
         self.x = x
         self.gamma = gamma
         self.sq = np.sum(x * x, axis=1)
+        self.budget_bytes = budget_bytes
         self.max_rows = max(2, budget_bytes // (8 * x.shape[0]))
         self.rows: dict[int, np.ndarray] = {}
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Restrict to the points where mask is true, renumbering them in
+        order; cached rows keep their values and their FIFO order."""
+        pos = np.cumsum(mask) - 1
+        self.x, self.sq = self.x[mask], self.sq[mask]
+        self.max_rows = max(2, self.budget_bytes // (8 * self.x.shape[0]))
+        self.rows = {int(pos[i]): r[mask] for i, r in self.rows.items() if mask[i]}
 
     def row(self, i: int) -> np.ndarray:
         cached = self.rows.get(i)
@@ -225,16 +258,47 @@ class _RowCache:
         return r
 
 
-def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
-    """Fit the dual QP by maximal-violating-pair coordinate descent to a
-    training-feature table (`lqts.corpus.FEATURE_DTYPE`): rows `s`,
-    targets `label`.
+def _filed(crit: np.ndarray, theta: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """(upv, lowv): crit where a variable may move up (down), -inf (+inf)
+    elsewhere. Row 0 of theta holds alpha (sign +1), row 1 alpha* (sign -1)."""
+    up = np.vstack([theta[0] < c, theta[1] > 0.0])
+    low = np.vstack([theta[0] > 0.0, theta[1] < c])
+    return np.where(up, crit, -np.inf), np.where(low, crit, np.inf)
 
-    Stops when the KKT gap falls below config.kkt_tolerance or after
+
+def _kernel_matvec(x: np.ndarray, sv: np.ndarray, coeff: np.ndarray, gamma: float) -> np.ndarray:
+    """K(x, sv) @ coeff by the exponent GEMM that `predict` uses, in row
+    blocks of at most KERNEL_BLOCK_BYTES of kernel values, so the kernel
+    matrix never materializes."""
+    n, d = x.shape
+    aug = np.empty((n, d + 2))
+    aug[:, :d] = x
+    np.einsum("ij,ij->i", x, x, out=aug[:, d])
+    aug[:, d + 1] = 1.0
+    w = _rbf_exponent_weights(sv, gamma)
+    out = np.empty(n)
+    step = max(1, KERNEL_BLOCK_BYTES // (8 * max(sv.shape[0], 1)))
+    for start in range(0, n, step):
+        k = aug[start : start + step] @ w
+        np.minimum(k, 0.0, out=k)
+        np.exp(k, out=k)
+        np.matmul(k, coeff, out=out[start : start + step])
+    return out
+
+
+def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
+    """Fit the dual QP to a training-feature table
+    (`lqts.corpus.FEATURE_DTYPE`): rows `s`, targets `label`.
+
+    Each pair update moves the maximal violator i and the variable j that
+    the second-order rule picks, with shrinking every SHRINK_EVERY
+    updates (see the module docstring). Stops when the KKT gap over all
+    2l variables falls below config.kkt_tolerance or after
     config.max_passes pair updates; running out of updates is logged as
-    a warning. The bias is the average of the KKT-implied value over
-    non-bound support vectors, or the target mean when none exist. Fully
-    deterministic for fixed inputs.
+    a warning, and the reported gap is always that of the returned point
+    over all variables. The bias is the average of the KKT-implied value
+    over non-bound support vectors, or the target mean when none exist.
+    Fully deterministic for fixed inputs.
     """
     x, y = np.ascontiguousarray(features.s), np.ascontiguousarray(features.label)
     if len(y) == 0:
@@ -244,71 +308,132 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
     l = x.shape[0]
     c = config.cost
     eps = config.epsilon
+    tol = config.kkt_tolerance
+    gamma = config.kernel_gamma
 
-    # row 0 holds alpha (sign +1), row 1 alpha* (sign -1)
+    # row 0 holds alpha (sign +1), row 1 alpha* (sign -1); theta always
+    # covers every row, the other state only the active ones
     theta = np.zeros((2, l))
     sign = np.array([[1.0], [-1.0]])
-    crit = -sign * np.vstack([eps - y, eps + y])  # -sign * gradient at theta = 0
-    # crit where a variable may move up (down), -inf (+inf) elsewhere;
-    # every variable is in at least one, so no gradient array is kept
-    upv = np.where(sign > 0, crit, -np.inf)
-    lowv = np.where(sign < 0, crit, np.inf)
-    cache = _RowCache(x, config.kernel_gamma)
-    t = np.empty(l)
+    base = -sign * np.vstack([eps - y, eps + y])  # -sign * gradient at theta = 0
+    # every variable is in at least one of upv and lowv, so no gradient
+    # array is kept
+    upv, lowv = _filed(base, theta, c)
+    active = np.arange(l)  # the rows, in order, that upv, lowv and the cache hold
+    cache = _RowCache(x, gamma)
 
-    def refresh(r: int, a: int) -> None:
+    def refresh(r: int, a: int, row: int) -> None:
         """Re-file variable (r, a) after its bound status may have changed."""
         v = upv[r, a] if upv[r, a] != -np.inf else lowv[r, a]
-        th = theta[r, a]
+        th = theta[r, row]
         upv[r, a] = v if (th < c if r == 0 else th > 0.0) else -np.inf
         lowv[r, a] = v if (th > 0.0 if r == 0 else th < c) else np.inf
 
+    def shrink(m_up: float, m_low: float) -> bool:
+        """Drop the rows both of whose variables sit at a bound they would
+        only leave after the gap closed past them; True if any were."""
+        nonlocal upv, lowv, active
+        gone = ((lowv == np.inf) & (upv < m_low)) | ((upv == -np.inf) & (lowv > m_up))
+        keep = ~(gone[0] & gone[1])
+        if keep.all():
+            return False
+        # compress keeps them C-ordered; upv[:, keep] would be Fortran-ordered
+        upv, lowv = np.compress(keep, upv, axis=1), np.compress(keep, lowv, axis=1)
+        active = active[keep]
+        cache.keep(keep)
+        return True
+
+    def unshrink() -> None:
+        """Rebuild the dropped rows' criteria from scratch and make every
+        row active again."""
+        nonlocal upv, lowv, active, cache
+        crit = np.empty((2, l))
+        crit[:, active] = np.where(upv != -np.inf, upv, lowv)
+        stale = np.ones(l, dtype=bool)
+        stale[active] = False
+        beta = theta[0] - theta[1]
+        sv = np.flatnonzero(beta)
+        crit[:, stale] = base[:, stale] - _kernel_matvec(x[stale], x[sv], beta[sv], gamma)
+        upv, lowv = _filed(crit, theta, c)
+        active = np.arange(l)
+        cache = _RowCache(x, gamma)
+
     obj = 0.0
     trace = [0.0]
-    gap = 0.0
-    for _ in range(config.max_passes):
+    updates = 0
+    next_shrink = SHRINK_EVERY
+    near = False  # the active gap has reached 10 * tol
+    a = t = score = np.empty(0)  # work buffers, sized to the active rows
+    while True:
+        n = active.size
         i = int(np.argmax(upv))
-        j = int(np.argmin(lowv))
-        ri, ia = divmod(i, l)
-        rj, ja = divmod(j, l)
-        m_up, m_low = upv[ri, ia], lowv[rj, ja]
+        ri, ia = divmod(i, n)
+        m_up, m_low = upv[ri, ia], lowv.min()
         gap = float(m_up - m_low)
-        if not np.isfinite(gap) or gap <= config.kkt_tolerance:
-            gap = max(gap, 0.0) if np.isfinite(gap) else 0.0
+        stop = not np.isfinite(gap) or gap <= tol or updates == config.max_passes
+        first_near = not near and gap <= 10 * tol
+        near = near or first_near
+        if n < l and (stop or first_near):
+            unshrink()
+            continue
+        if stop:
             break
+        if updates == next_shrink:
+            next_shrink += SHRINK_EVERY
+            if shrink(m_up, m_low):
+                continue  # select again on the compacted arrays
 
+        # j: a variable that may move down with crit below m_up, maximising
+        # b^2 / a, b = m_up - crit, a = the pair's curvature 2 (1 - K_ij)
+        if a.shape[0] != n:
+            a, t, score = np.empty(n), np.empty(n), np.empty((2, n))
         ki = cache.row(ia)
+        np.subtract(1.0, ki, out=a)
+        a *= 2.0
+        np.maximum(a, ETA_FLOOR, out=a)
+        np.subtract(m_up, lowv, out=score)
+        np.maximum(score, 0.0, out=score)
+        score *= score
+        score /= a
+        j = int(np.argmax(score))
+        if score.flat[j] == 0.0:  # every b^2 / a underflowed: the first candidate
+            j = int(np.argmax(lowv < m_up))
+        rj, ja = divmod(j, n)
         kj = cache.row(ja)
-        eta = max(2.0 * (1.0 - ki[ja]), ETA_FLOOR)
-        dg = float(m_low - m_up)  # negative by selection
-        lim_i = (c - theta[ri, ia]) if ri == 0 else theta[ri, ia]
-        lim_j = theta[rj, ja] if rj == 0 else (c - theta[rj, ja])
+        eta = a[ja]
+        dg = float(lowv[rj, ja] - m_up)  # negative by selection
+        row_i, row_j = active[ia], active[ja]
+        lim_i = (c - theta[ri, row_i]) if ri == 0 else theta[ri, row_i]
+        lim_j = theta[rj, row_j] if rj == 0 else (c - theta[rj, row_j])
         delta = min(-dg / eta, lim_i, lim_j)
 
         obj += delta * dg + 0.5 * delta * delta * eta
         trace.append(obj)
+        updates += 1
 
         # land exactly on a bound when clipped, so bound checks stay exact
         if delta == lim_i:
-            theta[ri, ia] = c if ri == 0 else 0.0
+            theta[ri, row_i] = c if ri == 0 else 0.0
         else:
-            theta[ri, ia] += delta if ri == 0 else -delta
+            theta[ri, row_i] += delta if ri == 0 else -delta
         if delta == lim_j:
-            theta[rj, ja] = 0.0 if rj == 0 else c
+            theta[rj, row_j] = 0.0 if rj == 0 else c
         else:
-            theta[rj, ja] -= delta if rj == 0 else -delta
+            theta[rj, row_j] -= delta if rj == 0 else -delta
 
         np.subtract(ki, kj, out=t)
         t *= delta
         upv -= t
         lowv -= t
-        refresh(ri, ia)
-        refresh(rj, ja)
-    else:
+        refresh(ri, ia, row_i)
+        refresh(rj, ja, row_j)
+
+    gap = max(gap, 0.0) if np.isfinite(gap) else 0.0
+    if updates == config.max_passes and gap > tol:
         log.warning(
             "SVR stopped after max_passes=%d pair updates with KKT gap %.3g",
             config.max_passes,
-            max(gap, 0.0),
+            gap,
         )
 
     beta = theta[0] - theta[1]
@@ -321,24 +446,17 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
 
     keep = beta != 0.0
     sv, coeff = x[keep], beta[keep]
-
-    # exact objective at the returned point, chunked so K never materializes
+    # exact objective at the returned point
     exact = eps * float(np.sum(theta)) - float(y @ beta)
     if coeff.size:
-        quad = 0.0
-        rows_kept = np.where(keep)[0]
-        for start in range(0, rows_kept.size, 1024):
-            idx = rows_kept[start : start + 1024]
-            kblock = rbf_kernel(x[idx], sv, config.kernel_gamma)
-            quad += float(beta[idx] @ (kblock @ coeff))
-        exact += 0.5 * quad
+        exact += 0.5 * float(coeff @ _kernel_matvec(sv, sv, coeff, gamma))
 
     return SvrModel(
         support_vectors=sv,
         coefficients=coeff,
         bias=bias,
         config=config,
-        kkt_violation=float(max(gap, 0.0)),
+        kkt_violation=gap,
         objective=exact,
         objective_trace=np.asarray(trace),
     )

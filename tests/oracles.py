@@ -8,7 +8,10 @@ training rows, as `lqts.metafeat.build_training_corpus` pools them. `frame_coord
 and `per_pair_select_proxies` are the pair-at-a-time mode projection and
 proxy selection that `lqts.retrieval.GalleryScorer` and `select_proxies`
 replaced, and `reference_predict` the whole-matrix RBF prediction that
-`lqts.svr.predict`'s row blocks replaced.
+`lqts.svr.predict`'s row blocks replaced. `reference_train` and
+`reference_train_wss2` are SVR dual solvers with every mask rebuilt on
+each pair update: the maximal-violating-pair solver `lqts.svr.train`
+replaced, and `train`'s own pair rule without its shrinking.
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ from lqts.similarity import (
     max_max_sim,
 )
 from lqts.errors import TrainingError
-from lqts.svr import SvrModel, predict, rbf_kernel
+from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict, rbf_kernel
 
 
 def frame_coords(sub: SubspaceModel, mode: np.ndarray) -> np.ndarray:
@@ -147,3 +150,120 @@ def reference_predict(model: SvrModel, x: np.ndarray):
         k = rbf_kernel(rows, model.support_vectors, model.config.kernel_gamma)
         out = k @ model.coefficients + model.bias
     return float(out[0]) if single else out
+
+
+def _mvp_j(low_vals: np.ndarray, m_up: float, ki2: np.ndarray) -> int:
+    """The maximal violator that may move down."""
+    return int(np.argmin(low_vals))
+
+
+def _wss2_j(low_vals: np.ndarray, m_up: float, ki2: np.ndarray) -> int:
+    """Among the variables that may move down with crit below m_up, the one
+    maximising b^2 / a (Fan, Chen & Lin 2005): b = m_up - crit, a the
+    pair's curvature 2 (1 - K_it), floored at ETA_FLOOR."""
+    b = m_up - low_vals
+    a = np.maximum(2.0 * (1.0 - ki2), ETA_FLOOR)
+    return int(np.argmax(np.where(b > 0, b * b / a, -np.inf)))
+
+
+def _reference_solve(features, config: SvrConfig, choose_j) -> SvrModel:
+    """The pair-update loop as it was before its state became two (2, l)
+    criterion arrays: masks, criterion and gradient rebuilt over 2l
+    entries on every pair update, with no shrinking. `choose_j` picks the
+    second variable of the pair."""
+    x, y = np.ascontiguousarray(features.s), np.ascontiguousarray(features.label)
+    l = x.shape[0]
+    c = config.cost
+    eps = config.epsilon
+
+    theta = np.zeros(2 * l)
+    sign = np.concatenate([np.ones(l), -np.ones(l)])
+    g = np.concatenate([eps - y, eps + y])  # gradient at theta = 0
+    cache = _RowCache(x, config.kernel_gamma)
+
+    def filed():
+        """The criterion where a variable may move up (down), -inf (+inf) elsewhere."""
+        crit = -sign * g
+        up = ((sign > 0) & (theta < c)) | ((sign < 0) & (theta > 0))
+        low = ((sign > 0) & (theta > 0)) | ((sign < 0) & (theta < c))
+        return np.where(up, crit, -np.inf), np.where(low, crit, np.inf)
+
+    obj = 0.0
+    trace = [0.0]
+    gap = 0.0
+    for _ in range(config.max_passes):
+        up_vals, low_vals = filed()
+        i = int(np.argmax(up_vals))
+        m_up, m_low = up_vals[i], np.min(low_vals)
+        gap = float(m_up - m_low)
+        if not np.isfinite(gap) or gap <= config.kkt_tolerance:
+            break
+
+        ia = i % l
+        ki = cache.row(ia)
+        j = choose_j(low_vals, m_up, np.concatenate([ki, ki]))
+        ja = j % l
+        kj = cache.row(ja)
+        eta = max(2.0 * (1.0 - ki[ja]), ETA_FLOOR)
+        dg = float(sign[i] * g[i] - sign[j] * g[j])  # negative by selection
+        lim_i = (c - theta[i]) if sign[i] > 0 else theta[i]
+        lim_j = theta[j] if sign[j] > 0 else (c - theta[j])
+        delta = min(-dg / eta, lim_i, lim_j)
+
+        obj += delta * dg + 0.5 * delta * delta * eta
+        trace.append(obj)
+
+        # land exactly on a bound when clipped, so bound checks stay exact
+        if delta == lim_i:
+            theta[i] = c if sign[i] > 0 else 0.0
+        else:
+            theta[i] += sign[i] * delta
+        if delta == lim_j:
+            theta[j] = 0.0 if sign[j] > 0 else c
+        else:
+            theta[j] -= sign[j] * delta
+
+        kdiff = ki - kj
+        g += delta * sign * np.concatenate([kdiff, kdiff])
+    else:
+        # out of updates: the gap of the returned point
+        up_vals, low_vals = filed()
+        gap = float(np.max(up_vals) - np.min(low_vals))
+    gap = max(gap, 0.0) if np.isfinite(gap) else 0.0
+
+    beta = theta[:l] - theta[l:]
+    nonbound = (theta > 0.0) & (theta < c)
+    if np.any(nonbound):
+        bias = float(np.mean((-sign * g)[nonbound]))
+    else:
+        bias = float(np.mean(y))
+
+    keep = beta != 0.0
+    sv, coeff = x[keep], beta[keep]
+
+    # exact objective at the returned point, evaluated as train does
+    exact = eps * float(np.sum(theta)) - float(y @ beta)
+    if coeff.size:
+        exact += 0.5 * float(coeff @ _kernel_matvec(sv, sv, coeff, config.kernel_gamma))
+
+    return SvrModel(
+        support_vectors=sv,
+        coefficients=coeff,
+        bias=bias,
+        config=config,
+        kkt_violation=gap,
+        objective=exact,
+        objective_trace=np.asarray(trace),
+    )
+
+
+def reference_train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
+    """The maximal-violating-pair solver that `lqts.svr.train` replaced:
+    j is the minimum of the down-movable criteria."""
+    return _reference_solve(features, config, _mvp_j)
+
+
+def reference_train_wss2(features, config: SvrConfig = SvrConfig()) -> SvrModel:
+    """`lqts.svr.train` without shrinking: j by the second-order rule.
+    `train` must match it bit for bit while it has shrunk nothing."""
+    return _reference_solve(features, config, _wss2_j)

@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,6 @@ from scipy.optimize import minimize
 import lqts.svr
 from lqts.errors import TrainingError
 from lqts.svr import (
-    ETA_FLOOR,
     PREDICT_BLOCK_BYTES,
     SvrConfig,
     SvrModel,
@@ -23,97 +23,7 @@ from lqts.svr import (
 )
 
 from conftest import training_table
-from oracles import reference_predict
-
-
-def reference_train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
-    """The solver loop as it was before its state became two (2, l)
-    criterion arrays: masks, criterion and gradient rebuilt over 2l
-    entries on every pair update. Kept as the oracle `train` must match
-    bit for bit.
-    """
-    x, y = np.ascontiguousarray(features.s), np.ascontiguousarray(features.label)
-    l = x.shape[0]
-    c = config.cost
-    eps = config.epsilon
-
-    theta = np.zeros(2 * l)
-    sign = np.concatenate([np.ones(l), -np.ones(l)])
-    g = np.concatenate([eps - y, eps + y])  # gradient at theta = 0
-    cache = _RowCache(x, config.kernel_gamma)
-
-    obj = 0.0
-    trace = [0.0]
-    gap = 0.0
-    for _ in range(config.max_passes):
-        crit = -sign * g
-        up = ((sign > 0) & (theta < c)) | ((sign < 0) & (theta > 0))
-        low = ((sign > 0) & (theta > 0)) | ((sign < 0) & (theta < c))
-        up_vals = np.where(up, crit, -np.inf)
-        low_vals = np.where(low, crit, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        m_up, m_low = up_vals[i], low_vals[j]
-        gap = float(m_up - m_low)
-        if not np.isfinite(gap) or gap <= config.kkt_tolerance:
-            gap = max(gap, 0.0) if np.isfinite(gap) else 0.0
-            break
-
-        ia, ja = i % l, j % l
-        ki = cache.row(ia)
-        kj = cache.row(ja)
-        eta = max(2.0 * (1.0 - ki[ja]), ETA_FLOOR)
-        dg = float(sign[i] * g[i] - sign[j] * g[j])  # negative by selection
-        lim_i = (c - theta[i]) if sign[i] > 0 else theta[i]
-        lim_j = theta[j] if sign[j] > 0 else (c - theta[j])
-        delta = min(-dg / eta, lim_i, lim_j)
-
-        obj += delta * dg + 0.5 * delta * delta * eta
-        trace.append(obj)
-
-        # land exactly on a bound when clipped, so bound checks stay exact
-        if delta == lim_i:
-            theta[i] = c if sign[i] > 0 else 0.0
-        else:
-            theta[i] += sign[i] * delta
-        if delta == lim_j:
-            theta[j] = 0.0 if sign[j] > 0 else c
-        else:
-            theta[j] -= sign[j] * delta
-
-        kdiff = ki - kj
-        g += delta * sign * np.concatenate([kdiff, kdiff])
-
-    beta = theta[:l] - theta[l:]
-    nonbound = (theta > 0.0) & (theta < c)
-    if np.any(nonbound):
-        bias = float(np.mean((-sign * g)[nonbound]))
-    else:
-        bias = float(np.mean(y))
-
-    keep = beta != 0.0
-    sv, coeff = x[keep], beta[keep]
-
-    # exact objective at the returned point, chunked so K never materializes
-    exact = eps * float(np.sum(theta)) - float(y @ beta)
-    if coeff.size:
-        quad = 0.0
-        rows_kept = np.where(keep)[0]
-        for start in range(0, rows_kept.size, 1024):
-            idx = rows_kept[start : start + 1024]
-            kblock = rbf_kernel(x[idx], sv, config.kernel_gamma)
-            quad += float(beta[idx] @ (kblock @ coeff))
-        exact += 0.5 * quad
-
-    return SvrModel(
-        support_vectors=sv,
-        coefficients=coeff,
-        bias=bias,
-        config=config,
-        kkt_violation=float(max(gap, 0.0)),
-        objective=exact,
-        objective_trace=np.asarray(trace),
-    )
+from oracles import reference_predict, reference_train, reference_train_wss2
 
 
 def assert_same_model(got: SvrModel, want: SvrModel) -> None:
@@ -408,6 +318,9 @@ class TestPredictMatchesReference:
         assert isinstance(single, float)
         assert abs(single - reference_predict(model, rows[0])) <= tol
         assert single == got[0]  # a row's estimate does not depend on its batch
+        # nor on its position there: equal rows get equal estimates
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(got, got[first][inverse.reshape(-1)])
 
     @pytest.mark.parametrize("n_rows", [1, 45, 46, 47, 3 * 46 + 5])
     def test_default_budget_at_exemplar_model_size(self, rng, n_rows):
@@ -442,6 +355,21 @@ class TestPredictMatchesReference:
         assert peak < 2 * 2**20
 
 
+@contextlib.contextmanager
+def rows_left():
+    """Yield a list that gets the active row count after each shrinking
+    pass that drops rows from the row cache."""
+    counts = []
+    keep = _RowCache.keep
+
+    def spy(cache, mask):
+        keep(cache, mask)
+        counts.append(cache.x.shape[0])
+
+    with mock.patch.object(_RowCache, "keep", spy):
+        yield counts
+
+
 # coarse coordinates make duplicate rows (kernel 1, so the eta floor) and
 # exact ties between criterion values likely
 GRID = (0.0, 0.5, 1.0)
@@ -466,14 +394,18 @@ def svr_problems(draw):
 
 
 class TestMatchesReferenceSolver:
-    """train returns exactly what the pre-rewrite loop returns."""
+    """train returns exactly what the mask-rebuilding loop with the same pair
+    rule returns, while nothing has been shrunk."""
 
     @given(svr_problems())
     @settings(max_examples=200, deadline=None)
     def test_property_exact(self, problem):
         x, y, config = problem
         table = training_table(x, y)
-        assert_same_model(train(table, config), reference_train(table, config))
+        with rows_left() as left:
+            got = train(table, config)
+        assert not left  # too small a problem to shrink at SHRINK_EVERY updates
+        assert_same_model(got, reference_train_wss2(table, config))
 
     @pytest.mark.parametrize("max_passes", [1, 2, 3])
     def test_budget_runs_out(self, rng, max_passes):
@@ -483,7 +415,7 @@ class TestMatchesReferenceSolver:
         table = training_table(x, y)
         got = train(table, config)
         assert len(got.objective_trace) - 1 == max_passes
-        assert_same_model(got, reference_train(table, config))
+        assert_same_model(got, reference_train_wss2(table, config))
 
     def test_duplicate_rows(self, rng):
         base = rng.random((4, 5))
@@ -493,14 +425,14 @@ class TestMatchesReferenceSolver:
         table = training_table(x, y)
         got = train(table, config)
         assert got.n_support > 0
-        assert_same_model(got, reference_train(table, config))
+        assert_same_model(got, reference_train_wss2(table, config))
 
     def test_all_equal_rows_tie_everywhere(self):
         x = np.full((6, 5), 0.5)
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         config = SvrConfig(epsilon=0.05, cost=1.0)
         table = training_table(x, y)
-        assert_same_model(train(table, config), reference_train(table, config))
+        assert_same_model(train(table, config), reference_train_wss2(table, config))
 
     def test_constant_targets(self, rng):
         x = rng.random((12, 5))
@@ -508,7 +440,7 @@ class TestMatchesReferenceSolver:
         table = training_table(x, y)
         got = train(table)
         assert got.n_support == 0
-        assert_same_model(got, reference_train(table))
+        assert_same_model(got, reference_train_wss2(table))
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_tiny_corpora(self, rng, l):
@@ -516,7 +448,7 @@ class TestMatchesReferenceSolver:
         y = np.array([0.0, 1.0][:l])
         config = SvrConfig(epsilon=0.05, cost=50.0)
         table = training_table(x, y)
-        assert_same_model(train(table, config), reference_train(table, config))
+        assert_same_model(train(table, config), reference_train_wss2(table, config))
 
     def test_every_variable_at_a_bound(self, rng):
         x = rng.random((20, 5))
@@ -526,7 +458,7 @@ class TestMatchesReferenceSolver:
         got = train(table, config)
         assert got.n_support > 0
         assert np.all(np.abs(got.coefficients) == config.cost)
-        assert_same_model(got, reference_train(table, config))
+        assert_same_model(got, reference_train_wss2(table, config))
 
 
 class TestMaxPassesWarning:
@@ -549,3 +481,107 @@ class TestMaxPassesWarning:
             m = train(training_table(x, y), SvrConfig(epsilon=0.05, cost=10.0))
         assert m.kkt_violation <= m.config.kkt_tolerance
         assert not [r for r in caplog.records if r.name == "lqts.svr"]
+
+
+def kkt_certificate(x, y, model: SvrModel) -> tuple[float, float]:
+    """(gap, slack): the up/low KKT gap of the returned point over all 2l
+    variables, rebuilt from scratch as crit = base - K @ beta with
+    `rbf_kernel`, and the rounding by which the solver's running criteria
+    may differ from it.
+
+    Rows must be distinct, so each support vector names its row. The
+    solver never makes alpha and alpha* of one row both positive, so the
+    minimal decomposition of beta is its point. The slack allows 4 ulps
+    of the largest criterion, 2 + sum |beta|, for each pair update and
+    each row's kernel product.
+    """
+    cfg = model.config
+    beta = np.zeros(len(y))
+    for sv, coeff in zip(model.support_vectors, model.coefficients):
+        (row,) = np.flatnonzero((x == sv).all(axis=1))
+        beta[row] = coeff
+    alpha, alpha_star = np.maximum(beta, 0.0), np.maximum(-beta, 0.0)
+    f = rbf_kernel(x, x, cfg.kernel_gamma) @ beta
+    crit = np.vstack([y - cfg.epsilon - f, y + cfg.epsilon - f])
+    up = np.vstack([alpha < cfg.cost, alpha_star > 0.0])
+    low = np.vstack([alpha > 0.0, alpha_star < cfg.cost])
+    gap = max(float(np.max(crit[up], initial=-np.inf) - np.min(crit[low], initial=np.inf)), 0.0)
+    updates = len(model.objective_trace) - 1
+    slack = 4 * np.finfo(np.float64).eps * (updates + len(y)) * (2.0 + float(np.sum(np.abs(beta))))
+    return gap, slack
+
+
+@st.composite
+def shrink_problems(draw):
+    """Distinct rows, threshold or drawn targets with some flipped, a
+    shrinking pass every 1 to 3 updates, and budgets that run out before,
+    around or long after the rows start to leave."""
+    l = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((l, 5))
+    if draw(st.booleans()):
+        y = (x[:, 0] > 0.5).astype(float)
+        flip = rng.random(l) < 0.1
+        y[flip] = 1.0 - y[flip]
+    else:
+        y = np.array(draw(st.lists(st.sampled_from(TARGETS), min_size=l, max_size=l)))
+    config = SvrConfig(
+        epsilon=draw(st.sampled_from([0.05, 0.4])),
+        cost=draw(st.sampled_from([0.1, 1.0, 1000.0])),
+        max_passes=draw(st.sampled_from([1, 4, 30, 1_000_000])),
+    )
+    return x, y, config, draw(st.integers(1, 3))
+
+
+class TestShrinking:
+    """train with rows leaving every few updates certifies all 2l variables."""
+
+    @given(shrink_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate(self, problem):
+        x, y, config, every = problem
+        table = training_table(x, y)
+        with mock.patch.object(lqts.svr, "SHRINK_EVERY", every):
+            got = train(table, config)
+        gap, slack = kkt_certificate(x, y, got)
+        # the reported gap is the full-set gap, whether or not the budget ran out
+        assert abs(got.kkt_violation - gap) <= slack
+        if len(got.objective_trace) - 1 < config.max_passes:
+            assert gap <= config.kkt_tolerance + slack
+        # f - f* <= gap * l * C for any feasible point (the movable mass of
+        # 2l variables in [0, C] summing to 0 is at most l * C), so two
+        # points' objectives differ by at most the larger of those
+        plain = reference_train_wss2(table, config)
+        plain_gap, plain_slack = kkt_certificate(x, y, plain)
+        bound = len(y) * config.cost * (max(gap + slack, plain_gap + plain_slack))
+        assert abs(got.objective - plain.objective) <= bound + 1e-9 * (1.0 + abs(plain.objective))
+
+    def test_rows_leave_and_come_back(self, rng):
+        x = rng.random((60, 5))
+        y = (x[:, 1] > 0.5).astype(float)
+        y[:6] = 1.0 - y[:6]
+        config = SvrConfig(epsilon=0.05, cost=10.0)
+        with mock.patch.object(lqts.svr, "SHRINK_EVERY", 2), rows_left() as left:
+            got = train(training_table(x, y), config)
+        assert left  # rows did leave
+        gap, slack = kkt_certificate(x, y, got)
+        assert got.kkt_violation == pytest.approx(gap, abs=slack)
+        assert gap <= config.kkt_tolerance
+
+
+class TestNoisyCorpusConverges:
+    """On noisy labels the maximal-violating-pair rule stalls far from the
+    optimum; at the same budget the second-order rule gets closer."""
+
+    def test_lower_objective_and_gap_than_mvp(self):
+        rng = np.random.default_rng(8)
+        x = rng.random((400, 5))
+        y = (x[:, 0] > 0.5).astype(float)
+        flip = rng.choice(400, size=40, replace=False)
+        y[flip] = 1.0 - y[flip]
+        config = SvrConfig(max_passes=20_000)
+        table = training_table(x, y)
+        got = train(table, config)
+        mvp = reference_train(table, config)
+        assert got.objective < mvp.objective
+        assert got.kkt_violation < mvp.kkt_violation
