@@ -58,8 +58,8 @@ def main(argv=None) -> int:
     for _ in range(args.pairs):
         i, j = (int(v) for v in rng.choice(len(ids), 2, replace=False))
         a, b = gallery.sets[i], gallery.sets[j]
-        full = max_max_sim(a, b).score
-        red = max_max_sim(reduced[ids[i]], reduced[ids[j]]).score
+        full = float(max_max_sim(a, b).score[0])
+        red = float(max_max_sim(reduced[ids[i]], reduced[ids[j]]).score[0])
         rows.append((ids[i], ids[j], a.size * b.size, full, red, abs(full - red)))
 
     with open(out / "pair_errors.tsv", "w") as fh:

@@ -6,7 +6,6 @@ from .metafeat import build_training_corpus
 from .retrieval import RankedResult, RetrievalConfig, rank_gallery, select_proxies
 from .sampling import KpcaModel, energy_report, fit_kpca, pre_image, robust_select
 from .similarity import (
-    MatchResult,
     SubspaceModel,
     cosine_sim,
     fit_subspace,

@@ -139,12 +139,12 @@ def _subspace_pair_arrays(
     if reference.dim != proxy.dim:
         raise DimensionMismatchError(f"set dims differ: {reference.dim} vs {proxy.dim}")
     corr = max_corr(ref_sub, prox_sub)
-    f_tp, f_pt = corr.mode_a, corr.mode_b
+    s3, f_tp, f_pt = corr.score[0], corr.mode_a[0], corr.mode_b[0]
     pos_rows, skipped_pos = _subspace_side_arrays(
-        reference.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, corr.score
+        reference.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3
     )
     neg_rows, skipped_neg = _subspace_side_arrays(
-        proxy.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, corr.score
+        proxy.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3
     )
     return pos_rows, neg_rows, skipped_pos, skipped_neg
 

@@ -90,10 +90,13 @@ class GalleryScorer:
     past its k (subspace baseline). `compare` is the kernel, one call of
     `max_max_sim_batch` or `max_corr_batch`. `pair` compares gallery sets
     by index and `query` an outside set with gallery sets; both return one
-    row per pair. Each mode is in the frame
-    of the set that owns it, subspace coordinates zero-padded to
-    DEFAULT_SUBSPACE_DIM, so two modes of the same set compare by a plain
-    dot product. Nothing is cached between calls.
+    row per pair, modes as ambient unit vectors. Nothing is cached between
+    calls.
+
+    A gallery set against itself scores exactly 1, and both of its modes
+    are its first unit exemplar or its first basis vector: every diagonal
+    cosine of a unit set is 1, so this is the smallest-(i, j) tie rule
+    applied exactly, with no kernel call.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -129,14 +132,16 @@ class GalleryScorer:
         """Gallery sets i against gallery sets j: one index i against an
         index array j (a query row), or two aligned index arrays (a pair
         list)."""
-        return self._match(self.stack, self.ks, i, j)
+        j = np.asarray(j, dtype=np.intp)
+        return self._match(self.stack, self.ks, i, j, np.broadcast_to(i, j.shape) == j)
 
     def query(self, s: FaceSet, j) -> Matches:
         """A set from outside the gallery against gallery sets j."""
         if s.dim != self.gallery.dim:
             raise DimensionMismatchError(f"set dims differ: {s.dim} vs {self.gallery.dim}")
         rep, k = self._rep(s)
-        return self._match(rep[None], np.array([k]), 0, j)
+        j = np.asarray(j, dtype=np.intp)
+        return self._match(rep[None], np.array([k]), 0, j, np.zeros(j.shape, dtype=bool))
 
     def _cut(self, reps: np.ndarray, k: int) -> np.ndarray:
         """The first k exemplar rows or basis columns of representations,
@@ -145,28 +150,21 @@ class GalleryScorer:
         cut = reps[..., :k, :] if self.baseline == EXEMPLAR else reps[..., :k]
         return np.ascontiguousarray(cut)
 
-    def _match(self, stack, ks, i, j) -> Matches:
-        """stack[i] against gallery sets j, PAIR_BLOCK pairs per kernel call.
+    def _match(self, stack, ks, i, j, own) -> Matches:
+        """stack[i] against gallery sets j, PAIR_BLOCK pairs per kernel call;
+        the pairs marked `own` are a gallery set against itself.
 
         Pairs are grouped by the true shapes of their two sets, so that
         every product and SVD has the shape max_max_sim or max_corr gives
         it: BLAS may round a padded product differently, and padding a
-        basis changes its SVD. A gallery set against itself is compared
-        with one buffer on both sides, as max_max_sim(s, s) and
-        max_corr(s, s) do: BLAS computes an array times its own transpose
-        by its symmetric routine, which rounds differently.
+        basis changes its SVD.
         """
-        j = np.asarray(j, dtype=np.intp)
         i_all = np.broadcast_to(i, j.shape)
-        score = np.empty(j.size)
-        mode_a, mode_b = np.zeros((2, j.size, self.stack.shape[2]))
+        score = np.ones(j.size)  # a set against itself keeps 1
+        first = self.stack[j[own], 0] if self.baseline == EXEMPLAR else self.stack[j[own], :, 0]
+        mode_a, mode_b = np.zeros((2, j.size, self.gallery.dim))
+        mode_a[own] = mode_b[own] = first
 
-        def put(g, res: Matches) -> None:
-            score[g] = res.score
-            mode_a[g, : res.mode_a.shape[1]] = res.mode_a
-            mode_b[g, : res.mode_b.shape[1]] = res.mode_b
-
-        own = (i_all == j) if stack is self.stack else np.zeros(j.shape, dtype=bool)
         rest = np.flatnonzero(~own)
         base = max(ks.max(), self.ks.max()) + 1
         shapes = ks[i_all[rest]] * base + self.ks[j[rest]]
@@ -176,10 +174,8 @@ class GalleryScorer:
             for g in np.split(same, range(PAIR_BLOCK, same.size, PAIR_BLOCK)):
                 # one index i stays one 2-D operand, broadcast by the kernel
                 left = stack[i] if np.ndim(i) == 0 else stack[i_all[g]]
-                put(g, self.compare(self._cut(left, k_a), self._cut(self.stack[j[g]], k_b)))
-        for p in np.flatnonzero(own).tolist():
-            rep = self._cut(stack[j[p]], ks[j[p]])
-            put([p], self.compare(rep, rep[None]))
+                res = self.compare(self._cut(left, k_a), self._cut(self.stack[j[g]], k_b))
+                score[g], mode_a[g], mode_b[g] = res.score, res.mode_a, res.mode_b
         return Matches(score, mode_a, mode_b)
 
 
@@ -228,8 +224,11 @@ class Ranker:
     def __init__(self, gallery: Gallery, config: RetrievalConfig, proxies: ProxyTable | None = None):
         if config.k_p > len(gallery) - 1:
             raise UsageError(f"k_p={config.k_p} too large for a gallery of {len(gallery)} sets")
-        if config.method != METHOD_BASELINE and config.k_p > 0 and proxies is None:
-            raise UsageError(f"method {config.method!r} with k_p > 0 needs a proxy table")
+        if config.method != METHOD_BASELINE and config.k_p > 0:
+            if proxies is None:
+                raise UsageError(f"method {config.method!r} with k_p > 0 needs a proxy table")
+            if config.k_p > proxies.k_p:
+                raise UsageError(f"k_p={config.k_p} exceeds the proxy table's k_p={proxies.k_p}")
         self.gallery = gallery
         self.config = config
         self.scorer = GalleryScorer(gallery, config.baseline)

@@ -7,6 +7,10 @@ Every comparison also exposes the pair of unit "modes" (exemplars or
 canonical vectors) that realized the score; the transitivity features
 are built from those modes.
 
+Each baseline has one kernel, over a batch of set pairs
+(`max_max_sim_batch`, `max_corr_batch`); `max_max_sim` and `max_corr`
+compare a single pair as a batch of one.
+
 Absolute cosine is used throughout: principal and canonical directions
 are sign-ambiguous, so signed similarity would be non-deterministic.
 """
@@ -41,17 +45,6 @@ class SubspaceModel:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """A similarity score plus the unit mode vectors that attained it."""
-
-    score: float
-    mode_a: np.ndarray
-    mode_b: np.ndarray
-    index_a: int | None = None
-    index_b: int | None = None
-
-
 def _unit(v: np.ndarray, what: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = np.linalg.norm(v)
@@ -69,25 +62,42 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(abs(float(uu @ vv)), 1.0))
 
 
-def max_max_sim(a: FaceSet, b: FaceSet) -> MatchResult:
-    """Largest absolute cosine over all exemplar pairs (a_i, b_j).
+@dataclass(frozen=True)
+class Matches:
+    """Scores of a batch of set pairs, one row per pair, and the unit modes
+    that attain them: ambient unit vectors of the data space, a unit
+    exemplar (exemplar baseline) or a canonical vector (subspace baseline).
+    Exemplar kernels also give each mode's exemplar index."""
 
-    Ties resolve to the lexicographically smallest (i, j) pair.
+    score: np.ndarray
+    mode_a: np.ndarray
+    mode_b: np.ndarray
+    index_a: np.ndarray | None = None
+    index_b: np.ndarray | None = None
+
+
+def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
+    """Largest absolute cosine over all exemplar pairs of each set pair
+    (ua[p], ub[p]), or (ua, ub[p]) when ua is 2-D, for unit exemplars ua of
+    shape (P, m_a, d) or (m_a, d) and ub of shape (P, m_b, d).
+
+    Ties resolve to the smallest (i, j) of each pair, by a row-major argmax
+    over its block.
     """
+    cos = np.abs(np.matmul(ua, np.swapaxes(ub, 1, 2)))
+    n, m_a, m_b = cos.shape
+    flat = cos.reshape(n, m_a * m_b).argmax(axis=1)
+    ia, ib = np.divmod(flat, m_b)
+    rows = np.arange(n)
+    mode_a = ua[ia] if ua.ndim == 2 else ua[rows, ia]
+    return Matches(np.minimum(cos[rows, ia, ib], 1.0), mode_a, ub[rows, ib], ia, ib)
+
+
+def max_max_sim(a: FaceSet, b: FaceSet) -> Matches:
+    """max_max_sim_batch of one pair of sets."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"set dims differ: {a.dim} vs {b.dim}")
-    ua = a.unit_exemplars
-    ub = b.unit_exemplars
-    cos = np.abs(ua @ ub.T)
-    flat = int(np.argmax(cos))  # row-major argmax = smallest (i, j) on ties
-    ia, ib = divmod(flat, cos.shape[1])
-    return MatchResult(
-        score=float(min(cos[ia, ib], 1.0)),
-        mode_a=ua[ia],
-        mode_b=ub[ib],
-        index_a=ia,
-        index_b=ib,
-    )
+    return max_max_sim_batch(a.unit_exemplars, b.unit_exemplars[None])
 
 
 def fit_subspace(s: FaceSet, k: int = DEFAULT_SUBSPACE_DIM) -> SubspaceModel:
@@ -112,69 +122,16 @@ def fit_subspace(s: FaceSet, k: int = DEFAULT_SUBSPACE_DIM) -> SubspaceModel:
     return SubspaceModel(set_id=s.set_id, basis=basis)
 
 
-def max_corr(a: SubspaceModel, b: SubspaceModel) -> MatchResult:
-    """First canonical correlation between two subspaces, with the
-    canonical vector pair that attains it.
-
-    Signs are canonicalized (largest-magnitude entry of mode_a positive,
-    mode_b oriented so the mutual cosine is nonnegative).
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"subspace ambient dims differ: {a.dim} vs {b.dim}")
-    u, sing, vt = np.linalg.svd(a.basis.T @ b.basis)
-    score = float(min(max(sing[0], 0.0), 1.0))
-    mode_a = a.basis @ u[:, 0]
-    mode_b = b.basis @ vt[0]
-    j = int(np.argmax(np.abs(mode_a)))
-    if mode_a[j] < 0:
-        mode_a = -mode_a
-    if float(mode_a @ mode_b) < 0:
-        mode_b = -mode_b
-    return MatchResult(score=score, mode_a=mode_a, mode_b=mode_b)
-
-
-# ---------------------------------------------------------------------------
-# batched kernels: many pairs per BLAS/LAPACK call, equal to the pair-at-a-time
-# functions above pair by pair
-
-
-@dataclass(frozen=True)
-class Matches:
-    """MatchResults of a batch of pairs, one row per pair.
-
-    Each mode is in the frame of the set that owns it: a unit-exemplar row
-    (exemplar baseline) or coordinates in the set's basis (subspace
-    baseline), so two modes of one set compare by a plain dot product.
-    """
-
-    score: np.ndarray
-    mode_a: np.ndarray
-    mode_b: np.ndarray
-    index_a: np.ndarray | None = None
-    index_b: np.ndarray | None = None
-
-
-def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
-    """max_max_sim of each pair (ua[p], ub[p]), or (ua, ub[p]) when ua is
-    2-D, for unit exemplars ua of shape (P, m_a, d) or (m_a, d) and ub of
-    shape (P, m_b, d). Ties resolve to the smallest (i, j) of each pair,
-    by a row-major argmax over its block, as in max_max_sim.
-    """
-    cos = np.abs(np.matmul(ua, np.swapaxes(ub, 1, 2)))
-    n, m_a, m_b = cos.shape
-    flat = cos.reshape(n, m_a * m_b).argmax(axis=1)
-    ia, ib = np.divmod(flat, m_b)
-    rows = np.arange(n)
-    mode_a = ua[ia] if ua.ndim == 2 else ua[rows, ia]
-    return Matches(np.minimum(cos[rows, ia, ib], 1.0), mode_a, ub[rows, ib], ia, ib)
 
 
 def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
-    """max_corr of each pair of bases (a[p], b[p]), or (a, b[p]) when a is
-    2-D, for bases a of shape (P, d, k_a) or (d, k_a) and b of shape
-    (P, d, k_b). The products, SVDs, sign rules and mode projections are
-    max_corr's, one batched call each; the modes are returned as
-    coordinates in each pair's own basis.
+    """First canonical correlation of each pair of bases (a[p], b[p]), or
+    (a, b[p]) when a is 2-D, for bases a of shape (P, d, k_a) or (d, k_a)
+    and b of shape (P, d, k_b), with the canonical vector pair that attains
+    it.
+
+    Signs are canonicalized: mode_a's largest-magnitude entry is positive,
+    and mode_b is oriented so that the mutual cosine is nonnegative.
     """
     u, sing, vt = np.linalg.svd(np.matmul(np.swapaxes(a, -1, -2), b))
     score = np.minimum(np.maximum(sing[:, 0], 0.0), 1.0)
@@ -184,7 +141,11 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     top = np.argmax(np.abs(mode_a), axis=1)
     mode_a = np.where(mode_a[rows, top, None] < 0, -mode_a, mode_a)
     dot = np.matmul(mode_a[:, None, :], mode_b[:, :, None])[:, 0]
-    mode_b = np.where(dot < 0, -mode_b, mode_b)
-    coords_a = np.matmul(mode_a[:, None, :], a)[:, 0]
-    coords_b = np.matmul(mode_b[:, None, :], b)[:, 0]
-    return Matches(score, coords_a, coords_b)
+    return Matches(score, mode_a, np.where(dot < 0, -mode_b, mode_b))
+
+
+def max_corr(a: SubspaceModel, b: SubspaceModel) -> Matches:
+    """max_corr_batch of one pair of subspaces."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"subspace ambient dims differ: {a.dim} vs {b.dim}")
+    return max_corr_batch(a.basis, b.basis[None])

@@ -91,18 +91,6 @@ class SvrConfig:
                 raise ValueError(f"{name} must be positive and finite (got {value!r})")
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for rows of a against rows of b."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    d2 = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.exp(-gamma * np.maximum(d2, 0.0))
-
-
 def _rbf_exponent_weights(sv: np.ndarray, gamma: float) -> np.ndarray:
     """(d + 2, len(sv)) W with [x, |x|^2, 1] @ W = -gamma ||x - sv||^2."""
     d = sv.shape[1]
@@ -212,19 +200,6 @@ def predict(model: SvrModel, x: np.ndarray):
             np.vecdot(k[:r], model.coefficients, out=out[start:stop])
     out += model.bias
     return float(out[0]) if single else out
-
-
-def dual_objective(
-    x: np.ndarray, y: np.ndarray, alpha: np.ndarray, alpha_star: np.ndarray, config: SvrConfig
-) -> float:
-    """Dual objective value at a feasible (alpha, alpha_star) point."""
-    beta = alpha - alpha_star
-    k = rbf_kernel(x, x, config.kernel_gamma)
-    return float(
-        0.5 * beta @ k @ beta
-        + config.epsilon * float(np.sum(alpha + alpha_star))
-        - float(y @ beta)
-    )
 
 
 class _RowCache:

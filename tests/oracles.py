@@ -1,41 +1,89 @@
-"""Scalar reference code that the batched retrieval path is checked against.
+"""Scalar reference code that the batched library code is checked against.
 
+`max_max_sim` and `max_corr` compare one pair of sets at a time, with
+ambient unit modes: the pair functions that `lqts.similarity`'s batch
+kernels replaced, which the kernels must equal bit for bit. `match` adds
+the self-pair rule of `lqts.retrieval.GalleryScorer` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
-score at a time, straight from the baseline similarity functions and
-their ambient mode vectors, with no caching or batching.
+score at a time from those, with no caching or batching.
 `extract_exemplar` and `extract_subspace` give one reference/proxy pair's
-training rows, as `lqts.metafeat.build_training_corpus` pools them. `frame_coords`
-and `per_pair_select_proxies` are the pair-at-a-time mode projection and
-proxy selection that `lqts.retrieval.GalleryScorer` and `select_proxies`
-replaced, and `reference_predict` the whole-matrix RBF prediction that
-`lqts.svr.predict`'s row blocks replaced. `reference_train` and
-`reference_train_wss2` are SVR dual solvers with every mask rebuilt on
-each pair update: the maximal-violating-pair solver `lqts.svr.train`
-replaced, and `train`'s own pair rule without its shrinking.
+training rows, as `lqts.metafeat.build_training_corpus` pools them.
+`per_pair_select_proxies` is the pair-at-a-time proxy selection that
+`lqts.retrieval.select_proxies` replaced, and `reference_predict` the
+whole-matrix RBF prediction, by `rbf_kernel`, that `lqts.svr.predict`'s
+row blocks replaced. `dual_objective` evaluates the SVR dual at a point.
+`reference_train` and `reference_train_wss2` are SVR dual solvers with
+every mask rebuilt on each pair update: the maximal-violating-pair solver
+`lqts.svr.train` replaced, and `train`'s own pair rule without its
+shrinking.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from lqts.corpus import ProxyTable
+from lqts.corpus import FaceSet, ProxyTable
+from lqts.errors import DimensionMismatchError, TrainingError
 from lqts.metafeat import _exemplar_pair_arrays, _subspace_pair_arrays
-from lqts.similarity import (
-    DEFAULT_SUBSPACE_DIM,
-    SubspaceModel,
-    cosine_sim,
-    fit_subspace,
-    max_corr,
-    max_max_sim,
-)
-from lqts.errors import TrainingError
-from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict, rbf_kernel
+from lqts.similarity import DEFAULT_SUBSPACE_DIM, SubspaceModel, cosine_sim, fit_subspace
+from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict
 
 
-def frame_coords(sub: SubspaceModel, mode: np.ndarray) -> np.ndarray:
-    """A mode of `sub` as coordinates in its basis, zero-padded to
-    DEFAULT_SUBSPACE_DIM so that rank-deficient sets stack with the rest."""
-    out = np.zeros(DEFAULT_SUBSPACE_DIM)
-    out[: sub.k] = mode @ sub.basis
-    return out
+class Match(NamedTuple):
+    """A similarity score plus the unit mode vectors that attained it."""
+
+    score: float
+    mode_a: np.ndarray
+    mode_b: np.ndarray
+    index_a: int | None = None
+    index_b: int | None = None
+
+
+def max_max_sim(a: FaceSet, b: FaceSet) -> Match:
+    """Largest absolute cosine over all exemplar pairs (a_i, b_j).
+
+    Ties resolve to the lexicographically smallest (i, j) pair.
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"set dims differ: {a.dim} vs {b.dim}")
+    ua = a.unit_exemplars
+    ub = b.unit_exemplars
+    cos = np.abs(ua @ ub.T)
+    flat = int(np.argmax(cos))  # row-major argmax = smallest (i, j) on ties
+    ia, ib = divmod(flat, cos.shape[1])
+    return Match(float(min(cos[ia, ib], 1.0)), ua[ia], ub[ib], ia, ib)
+
+
+def max_corr(a: SubspaceModel, b: SubspaceModel) -> Match:
+    """First canonical correlation between two subspaces, with the
+    canonical vector pair that attains it.
+
+    Signs are canonicalized (largest-magnitude entry of mode_a positive,
+    mode_b oriented so the mutual cosine is nonnegative).
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"subspace ambient dims differ: {a.dim} vs {b.dim}")
+    u, sing, vt = np.linalg.svd(a.basis.T @ b.basis)
+    score = float(min(max(sing[0], 0.0), 1.0))
+    mode_a = a.basis @ u[:, 0]
+    mode_b = b.basis @ vt[0]
+    j = int(np.argmax(np.abs(mode_a)))
+    if mode_a[j] < 0:
+        mode_a = -mode_a
+    if float(mode_a @ mode_b) < 0:
+        mode_b = -mode_b
+    return Match(score, mode_a, mode_b)
+
+
+def match(a, b) -> Match:
+    """max_max_sim of FaceSets or max_corr of SubspaceModels. One object on
+    both sides is a set against itself: score 1, both modes on its first
+    unit exemplar (index 0) or first basis vector."""
+    if a is b:
+        if isinstance(a, SubspaceModel):
+            return Match(1.0, a.basis[:, 0], a.basis[:, 0])
+        return Match(1.0, a.unit_exemplars[0], a.unit_exemplars[0], 0, 0)
+    return max_corr(a, b) if isinstance(a, SubspaceModel) else max_max_sim(a, b)
 
 
 def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
@@ -44,13 +92,12 @@ def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
     once by max_max_sim or max_corr, in the orientation first asked for,
     and one Python sort per set."""
     reps = [s if baseline == "exemplar" else fit_subspace(s) for s in gallery.sets]
-    compare = max_max_sim if baseline == "exemplar" else max_corr
     pairs = {}
 
     def score(i, j):
         hit = pairs.get((i, j)) or pairs.get((j, i))
         if hit is None:
-            hit = pairs[(i, j)] = compare(reps[i], reps[j])
+            hit = pairs[(i, j)] = match(reps[i], reps[j])
         return hit.score
 
     n = len(gallery)
@@ -63,26 +110,20 @@ def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
     return ProxyTable(k_p=k_p, entries=entries)
 
 
-def _feature(baseline_fn, query, target, proxy) -> np.ndarray:
-    r_qp = baseline_fn(query, proxy)
-    r_qt = baseline_fn(query, target)
-    r_pt = baseline_fn(proxy, target)
+def feature(query, target, proxy) -> np.ndarray:
+    """Retrieval-time transitivity feature: the baseline scores of the three
+    pairs plus the cosines between the two proxy-side and the two
+    target-side modes. FaceSets under the exemplar baseline, SubspaceModels
+    under the subspace baseline; a proxy that is the query object meets it
+    by the self-pair rule."""
+    r_qp = match(query, proxy)
+    r_qt = match(query, target)
+    r_pt = match(proxy, target)
     f_pq, f_pt = r_qp.mode_b, r_pt.mode_a
     f_tq, f_tp = r_qt.mode_b, r_pt.mode_b
     return np.array(
         [r_qp.score, r_qt.score, r_pt.score, cosine_sim(f_pq, f_pt), cosine_sim(f_tq, f_tp)]
     )
-
-
-def feature_exemplar(query, target, proxy) -> np.ndarray:
-    """Retrieval-time transitivity feature of FaceSets, exemplar baseline."""
-    return _feature(max_max_sim, query, target, proxy)
-
-
-def feature_subspace(query, target, proxy) -> np.ndarray:
-    """Retrieval-time transitivity feature of SubspaceModels: the
-    max-correlation scores plus cosines between canonical vectors."""
-    return _feature(max_corr, query, target, proxy)
 
 
 def extract_exemplar(reference, proxy) -> tuple[np.ndarray, np.ndarray]:
@@ -99,18 +140,13 @@ def extract_subspace(reference, proxy, k: int = DEFAULT_SUBSPACE_DIM):
     return _subspace_pair_arrays(reference, proxy, fit_subspace(reference, k), fit_subspace(proxy, k))
 
 
-def _baseline_fn(query):
-    return max_corr if isinstance(query, SubspaceModel) else max_max_sim
-
-
 def score_lqts(query, target, proxies, model) -> float:
     """max(baseline(query, target), clamped regression estimate through
     each proxy). FaceSets under the exemplar baseline, SubspaceModels
     under the subspace baseline."""
-    feature_fn = feature_subspace if isinstance(query, SubspaceModel) else feature_exemplar
-    best = _baseline_fn(query)(query, target).score
+    best = match(query, target).score
     for p in proxies:
-        est = min(max(predict(model, feature_fn(query, target, p)), 0.0), 1.0)
+        est = min(max(predict(model, feature(query, target, p)), 0.0), 1.0)
         best = max(best, est)
     return float(best)
 
@@ -128,11 +164,35 @@ def combine(rule: str, rho_qp: float, rho_pt: float) -> float:
 def score_simple(query, target, proxies, rule: str) -> float:
     """max(baseline(query, target), combiner(query-proxy, proxy-target))
     over the proxies, with the arithmetic/geometric/quadratic mean rule."""
-    baseline_fn = _baseline_fn(query)
-    best = baseline_fn(query, target).score
+    best = match(query, target).score
     for p in proxies:
-        best = max(best, combine(rule, baseline_fn(query, p).score, baseline_fn(p, target).score))
+        best = max(best, combine(rule, match(query, p).score, match(p, target).score))
     return float(best)
+
+
+def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a_i - b_j||^2) for rows of a against rows of b."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    d2 = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+def dual_objective(
+    x: np.ndarray, y: np.ndarray, alpha: np.ndarray, alpha_star: np.ndarray, config: SvrConfig
+) -> float:
+    """Dual objective value at a feasible (alpha, alpha_star) point."""
+    beta = alpha - alpha_star
+    k = rbf_kernel(x, x, config.kernel_gamma)
+    return float(
+        0.5 * beta @ k @ beta
+        + config.epsilon * float(np.sum(alpha + alpha_star))
+        - float(y @ beta)
+    )
 
 
 def reference_predict(model: SvrModel, x: np.ndarray):

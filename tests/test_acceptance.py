@@ -56,7 +56,7 @@ class TestCriterion2SimilarityOracles:
             d = int(rng.integers(2, 9))
             a = random_set(rng, "a", n=int(rng.integers(1, 9)), d=d)
             b = random_set(rng, "b", n=int(rng.integers(1, 9)), d=d)
-            got = max_max_sim(a, b).score
+            got = max_max_sim(a, b).score[0]
             ua = a.exemplars / np.linalg.norm(a.exemplars, axis=1, keepdims=True)
             ub = b.exemplars / np.linalg.norm(b.exemplars, axis=1, keepdims=True)
             brute = max(
@@ -78,7 +78,7 @@ class TestCriterion2SimilarityOracles:
                 return cos_a[:, None] * sub.basis[:, 0] + sin_a[:, None] * sub.basis[:, 1]
 
             oracle = float(np.max(np.abs(grid(sa) @ grid(sb).T)))
-            assert max_corr(sa, sb).score == pytest.approx(oracle, abs=1e-3)
+            assert max_corr(sa, sb).score[0] == pytest.approx(oracle, abs=1e-3)
         elapsed = time.monotonic() - start
         assert elapsed < 30.0
         print(f"\nACCEPTANCE 2 (similarity oracles, 500+100 pairs): PASS [{elapsed:.2f}s]")
@@ -178,8 +178,8 @@ class TestCriterion5SamplingFidelity:
         for _ in range(200):
             i, j = (int(v) for v in rng.choice(len(ids), 2, replace=False))
             a, b = gallery.sets[i], gallery.sets[j]
-            full = max_max_sim(a, b).score
-            red = max_max_sim(reduced[ids[i]], reduced[ids[j]]).score
+            full = max_max_sim(a, b).score[0]
+            red = max_max_sim(reduced[ids[i]], reduced[ids[j]]).score[0]
             deltas.append(abs(full - red))
             shrinkages.append((a.size * b.size) / 100.0)
         median = float(np.median(deltas))

@@ -49,6 +49,19 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    def test_more_proxies_than_the_table_holds(self, pipeline_dirs, tmp_path, capsys):
+        root, gal = pipeline_dirs
+        proxies = tmp_path / "proxies.tsv"
+        assert run("proxies", "--gallery", str(gal), "--k", "2", "--out", str(proxies)) == 0
+        common = ("--gallery", str(gal), "--method", "arith", "--proxies", str(proxies), "--k", "6")
+        out_dir = tmp_path / "eval"
+        assert run("evaluate", *common, "--out-dir", str(out_dir)) == 1
+        assert "k_p=6 exceeds the proxy table's k_p=2" in capsys.readouterr().err
+        assert not out_dir.exists()
+        ranking = tmp_path / "r.tsv"
+        assert run("retrieve", *common, "--query", "id000_s0", "--out", str(ranking)) == 1
+        assert not ranking.exists()
+
     def test_non_finite_svr_parameter(self, tmp_path):
         feats = tmp_path / "feats.tsv"
         feats.write_text(

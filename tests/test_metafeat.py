@@ -9,7 +9,7 @@ from lqts.metafeat import build_training_corpus
 from lqts.similarity import SubspaceModel, fit_subspace
 
 from conftest import random_set
-from oracles import extract_exemplar, extract_subspace, feature_exemplar, feature_subspace
+from oracles import extract_exemplar, extract_subspace, feature
 
 
 def unit(v):
@@ -24,28 +24,28 @@ def crude_cos(u, v):
 class TestFeatureExemplar:
     def test_identical_triplet_is_all_ones(self, rng):
         s = random_set(rng, "s", n=4, d=6)
-        f = feature_exemplar(s, s, s)
+        f = feature(s, s, s)
         np.testing.assert_allclose(f, np.ones(5), atol=1e-9)
 
     def test_hand_case(self):
         query = FaceSet("q", np.array([[1.0, 0.0]]))
         target = FaceSet("t", np.array([[1.0, 0.0], [0.0, 1.0]]))
         proxy = FaceSet("p", np.array([[0.6, 0.8]]))
-        f = feature_exemplar(query, target, proxy)
+        f = feature(query, target, proxy)
         np.testing.assert_allclose(f, [0.6, 1.0, 0.8, 1.0, 0.0], atol=1e-6)
 
     def test_exemplar_order_irrelevant(self, rng):
         q = random_set(rng, "q", n=3, d=5)
         t = random_set(rng, "t", n=4, d=5)
         p = random_set(rng, "p", n=5, d=5)
-        f1 = feature_exemplar(q, t, p)
+        f1 = feature(q, t, p)
         perm = lambda s: FaceSet(s.set_id, s.exemplars[::-1])
-        f2 = feature_exemplar(perm(q), perm(t), perm(p))
+        f2 = feature(perm(q), perm(t), perm(p))
         np.testing.assert_allclose(f1, f2, atol=1e-12)
 
     def test_range(self, rng):
         for _ in range(20):
-            f = feature_exemplar(
+            f = feature(
                 random_set(rng, "q", n=3, d=4),
                 random_set(rng, "t", n=3, d=4),
                 random_set(rng, "p", n=3, d=4),
@@ -56,14 +56,14 @@ class TestFeatureExemplar:
 class TestFeatureSubspace:
     def test_identical_triplet_is_all_ones(self, rng):
         sub = fit_subspace(random_set(rng, "s", n=6, d=6), k=3)
-        f = feature_subspace(sub, sub, sub)
+        f = feature(sub, sub, sub)
         np.testing.assert_allclose(f, np.ones(5), atol=1e-8)
 
     def test_orthogonality_forces_correlations(self):
         q = SubspaceModel("q", np.array([[1.0], [0.0], [0.0]]))
         t = SubspaceModel("t", np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
         p = SubspaceModel("p", np.array([[0.0], [0.0], [1.0]]))
-        f = feature_subspace(q, t, p)
+        f = feature(q, t, p)
         assert f[0] == pytest.approx(0.0, abs=1e-9)
         assert f[1] == pytest.approx(1.0, abs=1e-9)
         assert f[2] == pytest.approx(0.0, abs=1e-9)
@@ -75,7 +75,7 @@ class TestFeatureSubspace:
             q = SubspaceModel("q", qa[:, None])
             t = SubspaceModel("t", ta[:, None])
             p = SubspaceModel("p", pa[:, None])
-            f = feature_subspace(q, t, p)
+            f = feature(q, t, p)
             assert f[0] == pytest.approx(crude_cos(qa, pa), abs=1e-3)
             assert f[1] == pytest.approx(crude_cos(qa, ta), abs=1e-3)
             assert f[2] == pytest.approx(crude_cos(pa, ta), abs=1e-3)
@@ -163,7 +163,7 @@ class TestTrainExtractExemplar:
         k = 0
         for qi in range(4):
             query = FaceSet("q", ref.exemplars[qi : qi + 1])
-            retrieval_row = feature_exemplar(query, ref, prox)
+            retrieval_row = feature(query, ref, prox)
             assert retrieval_row[1] == pytest.approx(1.0, abs=1e-9)
             for ti in range(4):
                 if ti == qi:

@@ -20,13 +20,14 @@ from lqts.retrieval import (
     rank_gallery,
     select_proxies,
 )
-from lqts.similarity import fit_subspace, max_corr, max_max_sim, max_max_sim_batch
+from lqts.similarity import fit_subspace, max_max_sim_batch
 from lqts.svr import SvrConfig, SvrModel, predict
 
 from conftest import random_set, ranker_score
 from oracles import (
-    feature_exemplar,
-    frame_coords,
+    feature,
+    match,
+    max_max_sim,
     per_pair_select_proxies,
     score_lqts,
     score_simple,
@@ -299,7 +300,7 @@ class TestRankGallery:
         for target in sets[1:]:
             best = max_max_sim(query, target).score
             for pid, _ in table.proxies_of(target.set_id)[:3]:
-                feat = feature_exemplar(query, target, g.get(pid))
+                feat = feature(query, target, g.get(pid))
                 est = min(max(predict(model, feat), 0.0), 1.0)
                 best = max(best, est)
             expected_scores[target.set_id] = best
@@ -366,6 +367,14 @@ class TestRankGallery:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert sorted(r.ids()) == sorted(sid for sid in g.set_ids if sid != "s3")
 
+    @pytest.mark.parametrize("method", ["arith", "lqts"])
+    def test_more_proxies_than_the_table_holds(self, rng, method):
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(8)))
+        table = select_proxies(g, "exemplar", 2)
+        config = RetrievalConfig(method=method, k_p=6, model=constant_model(0.5))
+        with pytest.raises(UsageError, match="k_p=6 exceeds the proxy table's k_p=2"):
+            Ranker(g, config, table)
+
     def test_deterministic(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(6)))
         table = select_proxies(g, "exemplar", 2)
@@ -375,22 +384,15 @@ class TestRankGallery:
 
 def representations(gallery, baseline):
     """One max_max_sim or max_corr argument per set, reused by every pair
-    of its set, so that a set compared with itself passes one object twice."""
+    of its set, so that a set compared with itself passes one object twice
+    and `match` applies the self-pair rule."""
     return list(gallery.sets) if baseline == "exemplar" else [fit_subspace(s) for s in gallery.sets]
 
 
-def pair_function_results(baseline, lefts, rights):
-    """(score, mode_a, mode_b) rows of max_max_sim or max_corr over aligned
-    pairs of representations, modes in their sets' frames."""
-    rows = []
-    for a, b in zip(lefts, rights):
-        if baseline == "exemplar":
-            r = max_max_sim(a, b)
-            rows.append((r.score, r.mode_a, r.mode_b))
-        else:
-            r = max_corr(a, b)
-            rows.append((r.score, frame_coords(a, r.mode_a), frame_coords(b, r.mode_b)))
-    return rows
+def pair_function_results(lefts, rights):
+    """(score, mode_a, mode_b) rows of the scalar pair functions over
+    aligned pairs of representations."""
+    return [match(a, b)[:3] for a, b in zip(lefts, rights)]
 
 
 def assert_same_matches(got, want):
@@ -401,8 +403,9 @@ def assert_same_matches(got, want):
 
 
 class TestGalleryScorer:
-    """The batched kernels against max_max_sim and max_corr, pair by pair:
-    equal scores, modes and frame coordinates, ties included."""
+    """The batched kernels against the scalar max_max_sim and max_corr, pair
+    by pair: equal scores and ambient modes, ties included, and a gallery
+    set against itself by the self-pair rule."""
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     @given(case=scorer_cases())
@@ -414,25 +417,33 @@ class TestGalleryScorer:
         scorer = GalleryScorer(gallery, baseline)
         everyone = np.arange(len(gallery))
         for q in everyone:  # query rows, the query against itself included
-            want = pair_function_results(baseline, [reps[q]] * len(reps), reps)
+            want = pair_function_results([reps[q]] * len(reps), reps)
             assert_same_matches(scorer.pair(q, everyone), want)
-        want = pair_function_results(baseline, [reps[p] for p in i], [reps[p] for p in j])
+        want = pair_function_results([reps[p] for p in i], [reps[p] for p in j])
         assert_same_matches(scorer.pair(i, j), want)
         with mock.patch.object(lqts.retrieval, "PAIR_BLOCK", 2):
             assert_same_matches(scorer.pair(i, j), want)
-        want = pair_function_results(baseline, [ext] * len(reps), reps)
+        want = pair_function_results([ext] * len(reps), reps)
         assert_same_matches(scorer.query(external, everyone), want)
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_query_rows_of_wide_sets(self, rng, baseline):
         # at this size BLAS computes a set against its own buffer by its
-        # symmetric routine, whose rounding moves the exemplar argmax
+        # symmetric routine, whose rounding would move the exemplar argmax;
+        # the self-pair rule gives score 1 and the first exemplar or basis
+        # vector on both sides whatever the BLAS
         gallery = Gallery(sets=tuple(random_set(rng, f"s{i}", n=10, d=96) for i in range(4)))
         reps = representations(gallery, baseline)
         scorer = GalleryScorer(gallery, baseline)
-        for q in range(len(gallery)):
-            want = pair_function_results(baseline, [reps[q]] * len(reps), reps)
-            assert_same_matches(scorer.pair(q, np.arange(len(gallery))), want)
+        for q, s in enumerate(gallery.sets):
+            got = scorer.pair(q, np.arange(len(gallery)))
+            first = s.unit_exemplars[0] if baseline == "exemplar" else s.subspace.basis[:, 0]
+            assert got.score[q] == 1.0
+            assert np.array_equal(got.mode_a[q], first)
+            assert np.array_equal(got.mode_b[q], first)
+            others = [p for p in range(len(gallery)) if p != q]
+            want = pair_function_results([reps[q]] * len(others), [reps[p] for p in others])
+            assert_same_matches(scorer.pair(q, np.array(others)), want)
 
     @given(case=scorer_cases())
     @settings(max_examples=100, deadline=None)
@@ -504,7 +515,7 @@ def ranking_cases(draw):
 
     The gallery always holds a single-exemplar set, a duplicate of another
     set (so that scores tie exactly) and sets with fewer exemplars than the
-    subspace dimension (so that subspace coordinates are ragged). The
+    subspace dimension (so that subspace bases are ragged). The
     query is a gallery set that is placed in some target's proxy list, or
     an external set.
     """
@@ -560,14 +571,14 @@ def oracle_ranking(gallery, table, model, query, k_p, baseline, method):
         q_idx, q_rep = gallery.index_of(query), rep(gallery.get(query))
     else:
         q_idx, q_rep = None, rep(query)
+    # the query's own object stands for it as a proxy: the self-pair rule
     reps = [q_rep if i == q_idx else rep(s) for i, s in enumerate(gallery.sets)]
-    base_fn = max_max_sim if baseline == "exemplar" else max_corr
     targets = [j for j in range(len(gallery)) if j != q_idx]
     scores = {}
     for j in targets:
         proxies = [reps[gallery.index_of(p)] for p, _ in table.proxies_of(gallery.set_ids[j], k_p)]
         if method == "baseline":
-            scores[j] = base_fn(q_rep, reps[j]).score
+            scores[j] = match(q_rep, reps[j]).score
         elif method == "lqts":
             scores[j] = score_lqts(q_rep, reps[j], proxies, model)
         else:

@@ -135,7 +135,7 @@ class TestRobustSelect:
     def test_segment_recovery(self):
         s = segment_set(n=100)
         sel = robust_select(s, 10)
-        assert max_max_sim(sel, s).score >= 0.999
+        assert max_max_sim(sel, s).score[0] >= 0.999
         coverage = np.max(np.abs(s.unit_exemplars @ sel.unit_exemplars.T), axis=1)
         assert np.min(coverage) >= 0.99
 

@@ -14,6 +14,7 @@ from lqts.similarity import (
 )
 
 from conftest import random_set
+import oracles
 
 
 def brute_force_max_max(a: FaceSet, b: FaceSet):
@@ -78,17 +79,17 @@ class TestMaxMax:
         a = FaceSet("a", np.array([[1.0, 0.0], [0.0, 1.0]]))
         b = FaceSet("b", np.array([[0.6, 0.8]]))
         r = max_max_sim(a, b)
-        assert r.score == pytest.approx(0.8)
-        assert (r.index_a, r.index_b) == (1, 0)
+        assert r.score[0] == pytest.approx(0.8)
+        assert (r.index_a[0], r.index_b[0]) == (1, 0)
 
     def test_identical_sets_score_one(self, rng):
         a = random_set(rng, "a", n=6, d=5)
-        assert max_max_sim(a, a).score == pytest.approx(1.0)
+        assert max_max_sim(a, a).score[0] == pytest.approx(1.0)
 
     def test_orthogonal_singletons(self):
         a = FaceSet("a", np.array([[1.0, 0.0]]))
         b = FaceSet("b", np.array([[0.0, 1.0]]))
-        assert max_max_sim(a, b).score == 0.0
+        assert max_max_sim(a, b).score[0] == 0.0
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
@@ -98,7 +99,7 @@ class TestMaxMax:
         a = FaceSet("a", np.array([[2.0, 0.0], [1.0, 0.0]]))
         b = FaceSet("b", np.array([[3.0, 0.0], [5.0, 0.0]]))
         r = max_max_sim(a, b)  # every pair scores 1.0
-        assert (r.index_a, r.index_b) == (0, 0)
+        assert (r.index_a[0], r.index_b[0]) == (0, 0)
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(50):
@@ -106,10 +107,10 @@ class TestMaxMax:
             b = random_set(rng, "b", n=int(rng.integers(1, 9)), d=6)
             r = max_max_sim(a, b)
             score, pair = brute_force_max_max(a, b)
-            assert r.score == pytest.approx(score, abs=1e-9)
-            assert (r.index_a, r.index_b) == pair
-            assert r.score == pytest.approx(max_max_sim(b, a).score, abs=1e-12)
-            assert abs(cosine_sim(r.mode_a, r.mode_b) - r.score) < 1e-8
+            assert r.score[0] == pytest.approx(score, abs=1e-9)
+            assert (r.index_a[0], r.index_b[0]) == pair
+            assert r.score[0] == pytest.approx(max_max_sim(b, a).score[0], abs=1e-12)
+            assert abs(cosine_sim(r.mode_a[0], r.mode_b[0]) - r.score[0]) < 1e-8
 
 
 class TestFitSubspace:
@@ -152,21 +153,21 @@ class TestMaxCorr:
     def test_identical_subspaces(self, rng):
         sub = fit_subspace(random_set(rng, "s", n=5, d=6), k=3)
         r = max_corr(sub, sub)
-        assert r.score == pytest.approx(1.0, abs=1e-9)
+        assert r.score[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_lines(self):
         a = SubspaceModel("a", np.array([[1.0], [0.0], [0.0]]))
         b = SubspaceModel("b", np.array([[0.0], [1.0], [0.0]]))
-        assert max_corr(a, b).score == pytest.approx(0.0, abs=1e-12)
+        assert max_corr(a, b).score[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_case_45_degrees(self):
         a = SubspaceModel("a", np.array([[1.0], [0.0]]))
         b = SubspaceModel("b", np.array([[1.0], [1.0]]) / np.sqrt(2))
         r = max_corr(a, b)
-        assert r.score == pytest.approx(0.707107, abs=1e-6)
-        np.testing.assert_allclose(np.abs(r.mode_a), [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(r.mode_b), [1 / np.sqrt(2)] * 2, atol=1e-12)
-        assert float(r.mode_a @ r.mode_b) >= 0
+        assert r.score[0] == pytest.approx(0.707107, abs=1e-6)
+        np.testing.assert_allclose(np.abs(r.mode_a[0]), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(r.mode_b[0]), [1 / np.sqrt(2)] * 2, atol=1e-12)
+        assert float(r.mode_a[0] @ r.mode_b[0]) >= 0
 
     def test_matches_grid_oracle(self, rng):
         for _ in range(30):
@@ -176,13 +177,40 @@ class TestMaxCorr:
             a = fit_subspace(random_set(rng, "a", n=6, d=d), k=ka)
             b = fit_subspace(random_set(rng, "b", n=6, d=d), k=kb)
             r = max_corr(a, b)
-            assert r.score == pytest.approx(grid_max_corr(a.basis, b.basis), abs=1e-3)
-            assert -1e-9 <= r.score <= 1 + 1e-9
-            assert abs(cosine_sim(r.mode_a, r.mode_b) - r.score) < 1e-8
+            assert r.score[0] == pytest.approx(grid_max_corr(a.basis, b.basis), abs=1e-3)
+            assert -1e-9 <= r.score[0] <= 1 + 1e-9
+            assert abs(cosine_sim(r.mode_a[0], r.mode_b[0]) - r.score[0]) < 1e-8
 
     def test_invariant_under_reparameterization(self, rng):
         a = fit_subspace(random_set(rng, "a", n=8, d=7), k=3)
         b = fit_subspace(random_set(rng, "b", n=8, d=7), k=3)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = SubspaceModel("a_rot", a.basis @ q)
-        assert max_corr(rotated, b).score == pytest.approx(max_corr(a, b).score, abs=1e-8)
+        assert max_corr(rotated, b).score[0] == pytest.approx(max_corr(a, b).score[0], abs=1e-8)
+
+
+class TestBatchOfOne:
+    """max_max_sim and max_corr are their batch kernels over one pair, equal
+    bit for bit to the scalar pair functions they replaced, ambient modes
+    included."""
+
+    @given(seed=st.integers(0, 2**32 - 1), m_a=st.integers(1, 9), m_b=st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_scalar_pair_functions(self, seed, m_a, m_b):
+        r = np.random.default_rng(seed)
+        d = int(r.integers(2, 12))
+        a = FaceSet("a", r.normal(size=(m_a, d)))
+        b = FaceSet("b", r.normal(size=(m_b, d)))
+        got, want = max_max_sim(a, b), oracles.max_max_sim(a, b)
+        assert (got.score[0], got.index_a[0], got.index_b[0]) == (want.score, want.index_a, want.index_b)
+        assert np.array_equal(got.mode_a[0], want.mode_a)
+        assert np.array_equal(got.mode_b[0], want.mode_b)
+        sa, sb = fit_subspace(a), fit_subspace(b)
+        got, want = max_corr(sa, sb), oracles.max_corr(sa, sb)
+        assert got.score[0] == want.score
+        assert np.array_equal(got.mode_a[0], want.mode_a)
+        assert np.array_equal(got.mode_b[0], want.mode_b)
+
+    def test_subspace_dim_mismatch(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            max_corr(fit_subspace(random_set(rng, "a", d=4)), fit_subspace(random_set(rng, "b", d=5)))

@@ -16,14 +16,12 @@ from lqts.svr import (
     SvrConfig,
     SvrModel,
     _RowCache,
-    dual_objective,
     predict,
-    rbf_kernel,
     train,
 )
 
 from conftest import training_table
-from oracles import reference_predict, reference_train, reference_train_wss2
+from oracles import dual_objective, rbf_kernel, reference_predict, reference_train, reference_train_wss2
 
 
 def assert_same_model(got: SvrModel, want: SvrModel) -> None:

@@ -21,7 +21,7 @@ def small_config(**kw):
 
 
 def mean_similarity(gallery, pairs):
-    return float(np.mean([max_max_sim(gallery.get(a), gallery.get(b)).score for a, b in pairs]))
+    return float(np.mean([max_max_sim(gallery.get(a), gallery.get(b)).score[0] for a, b in pairs]))
 
 
 def intra_inter_pairs(gallery, max_pairs=200, seed=0):
