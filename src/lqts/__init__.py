@@ -5,13 +5,7 @@ from .evaluation import AnrRecord, anr, anr_cdf, evaluate_all, independence_pred
 from .metafeat import build_training_corpus
 from .retrieval import RankedResult, RetrievalConfig, rank_gallery, select_proxies
 from .sampling import KpcaModel, energy_report, fit_kpca, pre_image, robust_select
-from .similarity import (
-    SubspaceModel,
-    cosine_sim,
-    fit_subspace,
-    max_corr,
-    max_max_sim,
-)
+from .similarity import cosine_sim, fit_subspace, max_corr, max_max_sim
 from .svr import SvrConfig, SvrModel, predict, train
 from .synth import SynthConfig, generate
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, evaluation, metafeat, retrieval, sampling, synth, svr
+from . import corpus, evaluation, metafeat, retrieval, sampling, similarity, synth, svr
 from .errors import LqtsError, UsageError
 
 log = logging.getLogger(__name__)
@@ -219,7 +219,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("proxies", help="nearest-set table under a baseline")
     p.add_argument("--gallery", required=True)
-    p.add_argument("--baseline", choices=metafeat.BASELINES, default=metafeat.EXEMPLAR)
+    p.add_argument("--baseline", choices=similarity.BASELINES, default=similarity.EXEMPLAR)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_proxies)
@@ -227,7 +227,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", help="unsupervised training features")
     p.add_argument("--gallery", required=True)
     p.add_argument("--proxies", required=True)
-    p.add_argument("--baseline", choices=metafeat.BASELINES, default=metafeat.EXEMPLAR)
+    p.add_argument("--baseline", choices=similarity.BASELINES, default=similarity.EXEMPLAR)
     p.add_argument("--train-sets", type=int, default=metafeat.DEFAULT_TRAIN_SETS)
     p.add_argument("--cap", type=int, default=metafeat.DEFAULT_CAP)
     p.add_argument("--seed", type=int, default=0)
@@ -246,7 +246,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"{name} under a configured method")
         p.add_argument("--gallery", required=True)
         p.add_argument("--method", choices=retrieval.METHODS, default=retrieval.METHOD_BASELINE)
-        p.add_argument("--baseline", choices=metafeat.BASELINES, default=metafeat.EXEMPLAR)
+        p.add_argument("--baseline", choices=similarity.BASELINES, default=similarity.EXEMPLAR)
         p.add_argument("--model", default=None)
         p.add_argument("--proxies", default=None)
         p.add_argument("--k", type=int, default=10)

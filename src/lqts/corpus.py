@@ -72,10 +72,10 @@ class FaceSet:
         return out
 
     @cached_property
-    def subspace(self):
-        """The set's `lqts.similarity.fit_subspace` model at the default
-        dimension; fitted on first use, so once per set however many
-        proxy selections, rankers and training extractions read it."""
+    def subspace(self) -> np.ndarray:
+        """The set's read-only (d, k) `lqts.similarity.fit_subspace` basis at
+        the default dimension; fitted on first use, so once per set however
+        many proxy selections, rankers and training extractions read it."""
         from .similarity import fit_subspace
 
         return fit_subspace(self)
@@ -412,32 +412,26 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
+    """Read a model file. A malformed header value or support-vector line
+    raises CorpusError naming the file and line."""
     from .svr import SvrConfig, SvrModel
 
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    with open(path) as fh:
+        lines = [(f"{path}:{n}", ln) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    n_header = next((i for i, (_, ln) in enumerate(lines[:4]) if "=" not in ln), min(len(lines), 4))
     header: dict[str, float] = {}
-    body_start = 0
-    for ln in lines[:4]:
-        if "=" not in ln:
-            break
-        key, _, val = ln.partition("=")
-        try:
-            header[key.strip()] = float(val)
-        except ValueError as exc:
-            raise CorpusError(f"{path}: malformed header line {ln!r}") from exc
-        body_start += 1
+    for where, ln in lines[:n_header]:
+        key, _, val = (t.strip() for t in ln.partition("="))
+        header[key] = _parse(float, val, f"malformed {key} value", where)
     for key in ("gamma", "epsilon", "cost", "bias"):
         if key not in header:
             raise CorpusError(f"{path}: missing header line {key}=")
     betas, vecs = [], []
-    for ln in lines[body_start:]:
+    for where, ln in lines[n_header:]:
         toks = [t.strip() for t in ln.split(",")]
         if len(toks) != 6:
-            raise CorpusError(f"{path}: support vector line needs 6 comma-separated values: {ln!r}")
-        try:
-            vals = [float(t) for t in toks]
-        except ValueError as exc:
-            raise CorpusError(f"{path}: non-numeric support vector line {ln!r}") from exc
+            raise CorpusError(f"{where}: support vector line needs 6 comma-separated values")
+        vals = [_parse(float, t, "non-numeric support vector value", where) for t in toks]
         betas.append(vals[0])
         vecs.append(vals[1:])
     coeff = np.asarray(betas, dtype=np.float64)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Gallery, ProxyTable
+from .errors import CorpusError
 from .retrieval import Ranker, RetrievalConfig
 
 log = logging.getLogger(__name__)
@@ -70,10 +71,13 @@ def evaluate_all(
     """Use every admissible gallery set as the query in turn.
 
     Queries whose identity has no other set are skipped (their retrieval
-    has no right answer); the skip count is logged.
+    has no right answer); the skip count is logged. A gallery with no
+    admissible query raises CorpusError.
     """
     labels = gallery.evaluation_labels()
     queries, skipped = admissible_query_ids(gallery)
+    if not queries:
+        raise CorpusError(f"no admissible query: no identity has two of the {len(gallery)} sets")
     if skipped:
         log.info("excluded %d single-set-identity queries", skipped)
     ranker = Ranker(gallery, config, proxies)

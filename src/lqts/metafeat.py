@@ -28,18 +28,15 @@ from .corpus import FaceSet, Gallery, ProxyTable, feature_table
 from .errors import DimensionMismatchError
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
-    SubspaceModel,
+    EXEMPLAR,
     cosine_sim,
     fit_subspace,
+    kernel,
     max_corr,
     max_max_sim,
 )
 
 log = logging.getLogger(__name__)
-
-EXEMPLAR = "exemplar"
-SUBSPACE = "subspace"
-BASELINES = (EXEMPLAR, SUBSPACE)
 
 DEFAULT_TRAIN_SETS = 200
 DEFAULT_CAP = 50_000
@@ -102,23 +99,23 @@ def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarra
 
 def _subspace_side_arrays(
     exemplars_unit: np.ndarray,
-    ref_sub: SubspaceModel,
-    prox_sub: SubspaceModel,
+    ref_sub: np.ndarray,
+    prox_sub: np.ndarray,
     f_pt: np.ndarray,
     f_tp: np.ndarray,
     s3: float,
 ) -> tuple[np.ndarray, int]:
     """Feature rows for one block of exemplars iterated as f_qt."""
-    coords_r = exemplars_unit @ ref_sub.basis
-    coords_p = exemplars_unit @ prox_sub.basis
+    coords_r = exemplars_unit @ ref_sub
+    coords_p = exemplars_unit @ prox_sub
     norm_r = np.linalg.norm(coords_r, axis=1)
     norm_p = np.linalg.norm(coords_p, axis=1)
     keep = (norm_r >= PROJECTION_FLOOR) & (norm_p >= PROJECTION_FLOOR)
     skipped = int(np.sum(~keep))
     coords_r, coords_p = coords_r[keep], coords_p[keep]
     norm_r, norm_p = norm_r[keep], norm_p[keep]
-    f_tq = (coords_r @ ref_sub.basis.T) / norm_r[:, None]
-    f_pq = (coords_p @ prox_sub.basis.T) / norm_p[:, None]
+    f_tq = (coords_r @ ref_sub.T) / norm_r[:, None]
+    f_pq = (coords_p @ prox_sub.T) / norm_p[:, None]
     rows = np.column_stack(
         [
             norm_p,  # s1 = cos(f_qt, f_pq), the projection norm of a unit vector
@@ -132,10 +129,10 @@ def _subspace_side_arrays(
 
 
 def _subspace_pair_arrays(
-    reference: FaceSet, proxy: FaceSet, ref_sub: SubspaceModel, prox_sub: SubspaceModel
+    reference: FaceSet, proxy: FaceSet, ref_sub: np.ndarray, prox_sub: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(positives, negatives, skipped positives, skipped negatives) for one
-    reference/proxy pair, given both sets' fitted subspaces."""
+    reference/proxy pair, given both sets' fitted (d, k) subspace bases."""
     if reference.dim != proxy.dim:
         raise DimensionMismatchError(f"set dims differ: {reference.dim} vs {proxy.dim}")
     corr = max_corr(ref_sub, prox_sub)
@@ -182,8 +179,7 @@ def build_training_corpus(
     with `lqts.sampling.robust_select` (`qts sample`) first. When the pool
     exceeds `cap` it is subsampled per label, preserving the label ratio.
     """
-    if baseline not in BASELINES:
-        raise ValueError(f"unknown baseline {baseline!r}")
+    kernel(baseline)  # an unknown baseline raises UsageError
     if n_train_sets < 1:
         raise ValueError(f"n_train_sets must be >= 1 (got {n_train_sets})")
     if cap < 1:

@@ -14,17 +14,17 @@ import numpy as np
 
 from .corpus import FaceSet, Gallery, ProxyTable
 from .errors import DimensionMismatchError, UsageError
-from .metafeat import BASELINES, EXEMPLAR
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     DEFAULT_SUBSPACE_DIM,
+    EXEMPLAR,
     Matches,
     cosine_sim,
     fit_subspace,
+    kernel,
     max_corr,
-    max_corr_batch,
     max_max_sim,
-    max_max_sim_batch,
+    self_pairs,
 )
 from .svr import SvrModel, predict
 
@@ -48,8 +48,7 @@ class RetrievalConfig:
     model: SvrModel | None = None
 
     def __post_init__(self):
-        if self.baseline not in BASELINES:
-            raise UsageError(f"unknown baseline {self.baseline!r}")
+        kernel(self.baseline)  # an unknown baseline raises UsageError
         if self.method not in METHODS:
             raise UsageError(f"unknown method {self.method!r}")
         if self.k_p < 0:
@@ -88,20 +87,15 @@ class GalleryScorer:
     rows padding each set past its size (exemplar baseline), or subspace
     bases as (n, d, DEFAULT_SUBSPACE_DIM), zero columns padding each set
     past its k (subspace baseline). `compare` is the kernel, one call of
-    `max_max_sim_batch` or `max_corr_batch`. `pair` compares gallery sets
+    the baseline's `lqts.similarity.kernel`. `pair` compares gallery sets
     by index and `query` an outside set with gallery sets; both return one
     row per pair, modes as ambient unit vectors. Nothing is cached between
-    calls.
-
-    A gallery set against itself scores exactly 1, and both of its modes
-    are its first unit exemplar or its first basis vector: every diagonal
-    cosine of a unit set is 1, so this is the smallest-(i, j) tie rule
-    applied exactly, with no kernel call.
+    calls. A gallery set against itself follows
+    `lqts.similarity.self_pairs`, with no kernel call.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
-        if baseline not in BASELINES:
-            raise UsageError(f"unknown baseline {baseline!r}")
+        self.kernel = kernel(baseline)
         self.gallery = gallery
         self.baseline = baseline
         reps, ks = zip(*(self._rep(s) for s in gallery.sets))
@@ -119,14 +113,12 @@ class GalleryScorer:
         (k, d), or a subspace basis of shape (d, k)."""
         if self.baseline == EXEMPLAR:
             return s.unit_exemplars, s.size
-        return s.subspace.basis, s.subspace.k
+        return s.subspace, s.subspace.shape[1]
 
     def compare(self, a, b) -> Matches:
         """One kernel call: representation a, or each of a stack aligned
         with b, against each representation of the stack b."""
-        if self.baseline == EXEMPLAR:
-            return max_max_sim_batch(a, b)
-        return max_corr_batch(a, b)
+        return self.kernel(a, b)
 
     def pair(self, i, j) -> Matches:
         """Gallery sets i against gallery sets j: one index i against an
@@ -160,10 +152,10 @@ class GalleryScorer:
         basis changes its SVD.
         """
         i_all = np.broadcast_to(i, j.shape)
-        score = np.ones(j.size)  # a set against itself keeps 1
-        first = self.stack[j[own], 0] if self.baseline == EXEMPLAR else self.stack[j[own], :, 0]
-        mode_a, mode_b = np.zeros((2, j.size, self.gallery.dim))
-        mode_a[own] = mode_b[own] = first
+        score = np.empty(j.size)
+        mode_a, mode_b = np.empty((2, j.size, self.gallery.dim))
+        selves = self_pairs(self.stack[j[own]], self.baseline)
+        score[own], mode_a[own], mode_b[own] = selves.score, selves.mode_a, selves.mode_b
 
         rest = np.flatnonzero(~own)
         base = max(ks.max(), self.ks.max()) + 1

@@ -1,15 +1,17 @@
 """Baseline set similarities and the modes through which they are attained.
 
 Two interchangeable baselines over descriptor sets: the max-maximorum
-absolute cosine between raw exemplars, and the first canonical
-correlation between low-dimensional linear subspaces fitted per set.
+absolute cosine between raw exemplars (`EXEMPLAR`), and the first
+canonical correlation between low-dimensional linear subspaces fitted per
+set (`SUBSPACE`). A subspace is its read-only (d, k) orthonormal basis.
 Every comparison also exposes the pair of unit "modes" (exemplars or
 canonical vectors) that realized the score; the transitivity features
 are built from those modes.
 
 Each baseline has one kernel, over a batch of set pairs
-(`max_max_sim_batch`, `max_corr_batch`); `max_max_sim` and `max_corr`
-compare a single pair as a batch of one.
+(`max_max_sim_batch`, `max_corr_batch`), which `kernel` looks up by
+baseline name; `max_max_sim` and `max_corr` compare a single pair as a
+batch of one. A set against itself follows `self_pairs`.
 
 Absolute cosine is used throughout: principal and canonical directions
 are sign-ambiguous, so signed similarity would be non-deterministic.
@@ -22,27 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FaceSet
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, UsageError, ZeroVectorError
+
+EXEMPLAR = "exemplar"
+SUBSPACE = "subspace"
 
 DEFAULT_SUBSPACE_DIM = 6
 # singular values below this fraction of the largest are treated as rank deficiency
 RANK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SubspaceModel:
-    """Orthonormal basis (d x k) spanning a set's dominant variation."""
-
-    set_id: str
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
 
 
 def _unit(v: np.ndarray, what: str = "vector") -> np.ndarray:
@@ -66,14 +55,21 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
 class Matches:
     """Scores of a batch of set pairs, one row per pair, and the unit modes
     that attain them: ambient unit vectors of the data space, a unit
-    exemplar (exemplar baseline) or a canonical vector (subspace baseline).
-    Exemplar kernels also give each mode's exemplar index."""
+    exemplar (exemplar baseline) or a canonical vector (subspace baseline)."""
 
     score: np.ndarray
     mode_a: np.ndarray
     mode_b: np.ndarray
-    index_a: np.ndarray | None = None
-    index_b: np.ndarray | None = None
+
+
+def self_pairs(reps: np.ndarray, baseline: str) -> Matches:
+    """Each of a stack of sets against itself, for unit exemplars of shape
+    (P, m, d) or bases of shape (P, d, k): score exactly 1, both modes on
+    the set's first unit exemplar or first basis vector. Every diagonal
+    cosine of a unit set is 1, so this is the smallest-(i, j) tie rule
+    applied exactly, whatever a kernel's rounding would give."""
+    first = reps[:, 0] if baseline == EXEMPLAR else reps[:, :, 0]
+    return Matches(np.ones(len(first)), first, first)
 
 
 def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
@@ -90,19 +86,22 @@ def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
     ia, ib = np.divmod(flat, m_b)
     rows = np.arange(n)
     mode_a = ua[ia] if ua.ndim == 2 else ua[rows, ia]
-    return Matches(np.minimum(cos[rows, ia, ib], 1.0), mode_a, ub[rows, ib], ia, ib)
+    return Matches(np.minimum(cos[rows, ia, ib], 1.0), mode_a, ub[rows, ib])
 
 
 def max_max_sim(a: FaceSet, b: FaceSet) -> Matches:
-    """max_max_sim_batch of one pair of sets."""
+    """max_max_sim_batch of one pair of sets; one set on both sides is
+    `self_pairs` of it."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"set dims differ: {a.dim} vs {b.dim}")
+    if a is b:
+        return self_pairs(a.unit_exemplars[None], EXEMPLAR)
     return max_max_sim_batch(a.unit_exemplars, b.unit_exemplars[None])
 
 
-def fit_subspace(s: FaceSet, k: int = DEFAULT_SUBSPACE_DIM) -> SubspaceModel:
-    """Orthonormal basis for the top-k principal directions of the raw
-    (uncentered) exemplar matrix, ordered by descending singular value.
+def fit_subspace(s: FaceSet, k: int = DEFAULT_SUBSPACE_DIM) -> np.ndarray:
+    """Read-only (d, k) orthonormal basis for the top-k principal directions
+    of the raw (uncentered) exemplar matrix, by descending singular value.
 
     k is silently clipped to the numerical rank so small sets never fail.
     Column signs are fixed so each column's largest-magnitude entry is
@@ -119,9 +118,7 @@ def fit_subspace(s: FaceSet, k: int = DEFAULT_SUBSPACE_DIM) -> SubspaceModel:
         if basis[j, col] < 0:
             basis[:, col] = -basis[:, col]
     basis.setflags(write=False)
-    return SubspaceModel(set_id=s.set_id, basis=basis)
-
-
+    return basis
 
 
 def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
@@ -144,8 +141,24 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     return Matches(score, mode_a, np.where(dot < 0, -mode_b, mode_b))
 
 
-def max_corr(a: SubspaceModel, b: SubspaceModel) -> Matches:
-    """max_corr_batch of one pair of subspaces."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"subspace ambient dims differ: {a.dim} vs {b.dim}")
-    return max_corr_batch(a.basis, b.basis[None])
+def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:
+    """max_corr_batch of one pair of (d, k) bases; one basis on both sides
+    is `self_pairs` of it."""
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"subspace ambient dims differ: {len(a)} vs {len(b)}")
+    if a is b:
+        return self_pairs(a[None], SUBSPACE)
+    return max_corr_batch(a, b[None])
+
+
+# the batch kernel of each baseline
+KERNELS = {EXEMPLAR: max_max_sim_batch, SUBSPACE: max_corr_batch}
+BASELINES = tuple(KERNELS)
+
+
+def kernel(baseline: str):
+    """The batch kernel of a baseline; an unknown name is a UsageError."""
+    try:
+        return KERNELS[baseline]
+    except KeyError:
+        raise UsageError(f"unknown baseline {baseline!r}") from None

@@ -203,14 +203,13 @@ def predict(model: SvrModel, x: np.ndarray):
 
 
 class _RowCache:
-    """FIFO cache of kernel matrix rows, bounded by memory."""
+    """FIFO cache of kernel matrix rows, bounded by ROW_CACHE_BYTES."""
 
-    def __init__(self, x: np.ndarray, gamma: float, budget_bytes: int = ROW_CACHE_BYTES):
+    def __init__(self, x: np.ndarray, gamma: float):
         self.x = x
         self.gamma = gamma
         self.sq = np.sum(x * x, axis=1)
-        self.budget_bytes = budget_bytes
-        self.max_rows = max(2, budget_bytes // (8 * x.shape[0]))
+        self.max_rows = max(2, ROW_CACHE_BYTES // (8 * x.shape[0]))
         self.rows: dict[int, np.ndarray] = {}
 
     def keep(self, mask: np.ndarray) -> None:
@@ -218,7 +217,7 @@ class _RowCache:
         order; cached rows keep their values and their FIFO order."""
         pos = np.cumsum(mask) - 1
         self.x, self.sq = self.x[mask], self.sq[mask]
-        self.max_rows = max(2, self.budget_bytes // (8 * self.x.shape[0]))
+        self.max_rows = max(2, ROW_CACHE_BYTES // (8 * self.x.shape[0]))
         self.rows = {int(pos[i]): r[mask] for i, r in self.rows.items() if mask[i]}
 
     def row(self, i: int) -> np.ndarray:

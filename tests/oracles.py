@@ -3,7 +3,7 @@
 `max_max_sim` and `max_corr` compare one pair of sets at a time, with
 ambient unit modes: the pair functions that `lqts.similarity`'s batch
 kernels replaced, which the kernels must equal bit for bit. `match` adds
-the self-pair rule of `lqts.retrieval.GalleryScorer` on top.
+the self-pair rule of `lqts.similarity.self_pairs` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
 score at a time from those, with no caching or batching.
 `extract_exemplar` and `extract_subspace` give one reference/proxy pair's
@@ -25,7 +25,7 @@ import numpy as np
 from lqts.corpus import FaceSet, ProxyTable
 from lqts.errors import DimensionMismatchError, TrainingError
 from lqts.metafeat import _exemplar_pair_arrays, _subspace_pair_arrays
-from lqts.similarity import DEFAULT_SUBSPACE_DIM, SubspaceModel, cosine_sim, fit_subspace
+from lqts.similarity import DEFAULT_SUBSPACE_DIM, cosine_sim, fit_subspace
 from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict
 
 
@@ -54,19 +54,19 @@ def max_max_sim(a: FaceSet, b: FaceSet) -> Match:
     return Match(float(min(cos[ia, ib], 1.0)), ua[ia], ub[ib], ia, ib)
 
 
-def max_corr(a: SubspaceModel, b: SubspaceModel) -> Match:
-    """First canonical correlation between two subspaces, with the
-    canonical vector pair that attains it.
+def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
+    """First canonical correlation between two subspaces, given as (d, k)
+    orthonormal bases, with the canonical vector pair that attains it.
 
     Signs are canonicalized (largest-magnitude entry of mode_a positive,
     mode_b oriented so the mutual cosine is nonnegative).
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"subspace ambient dims differ: {a.dim} vs {b.dim}")
-    u, sing, vt = np.linalg.svd(a.basis.T @ b.basis)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[0]} vs {b.shape[0]}")
+    u, sing, vt = np.linalg.svd(a.T @ b)
     score = float(min(max(sing[0], 0.0), 1.0))
-    mode_a = a.basis @ u[:, 0]
-    mode_b = b.basis @ vt[0]
+    mode_a = a @ u[:, 0]
+    mode_b = b @ vt[0]
     j = int(np.argmax(np.abs(mode_a)))
     if mode_a[j] < 0:
         mode_a = -mode_a
@@ -76,14 +76,14 @@ def max_corr(a: SubspaceModel, b: SubspaceModel) -> Match:
 
 
 def match(a, b) -> Match:
-    """max_max_sim of FaceSets or max_corr of SubspaceModels. One object on
+    """max_max_sim of FaceSets or max_corr of subspace bases. One object on
     both sides is a set against itself: score 1, both modes on its first
     unit exemplar (index 0) or first basis vector."""
     if a is b:
-        if isinstance(a, SubspaceModel):
-            return Match(1.0, a.basis[:, 0], a.basis[:, 0])
+        if isinstance(a, np.ndarray):
+            return Match(1.0, a[:, 0], a[:, 0])
         return Match(1.0, a.unit_exemplars[0], a.unit_exemplars[0], 0, 0)
-    return max_corr(a, b) if isinstance(a, SubspaceModel) else max_max_sim(a, b)
+    return max_corr(a, b) if isinstance(a, np.ndarray) else max_max_sim(a, b)
 
 
 def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
@@ -113,7 +113,7 @@ def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
 def feature(query, target, proxy) -> np.ndarray:
     """Retrieval-time transitivity feature: the baseline scores of the three
     pairs plus the cosines between the two proxy-side and the two
-    target-side modes. FaceSets under the exemplar baseline, SubspaceModels
+    target-side modes. FaceSets under the exemplar baseline, subspace bases
     under the subspace baseline; a proxy that is the query object meets it
     by the self-pair rule."""
     r_qp = match(query, proxy)
@@ -142,7 +142,7 @@ def extract_subspace(reference, proxy, k: int = DEFAULT_SUBSPACE_DIM):
 
 def score_lqts(query, target, proxies, model) -> float:
     """max(baseline(query, target), clamped regression estimate through
-    each proxy). FaceSets under the exemplar baseline, SubspaceModels
+    each proxy). FaceSets under the exemplar baseline, subspace bases
     under the subspace baseline."""
     best = match(query, target).score
     for p in proxies:

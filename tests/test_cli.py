@@ -102,6 +102,18 @@ class TestDataErrors:
         assert f"{features}:1: label must be 1 or 0, got ''" in capsys.readouterr().err
         assert not (tmp_path / "model.qts").exists()
 
+    def test_evaluate_without_admissible_query(self, tmp_path, capsys):
+        gal = tmp_path / "gal"
+        code = run(
+            "synth", "--out", str(gal), "--identities", "4", "--sets-min", "1",
+            "--sets-max", "1", "--dim", "8", "--exemplars-min", "3", "--exemplars-max", "4",
+        )
+        assert code == 0
+        out_dir = tmp_path / "eval"
+        assert run("evaluate", "--gallery", str(gal), "--k", "0", "--out-dir", str(out_dir)) == 2
+        assert "no admissible query" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_non_finite_model_file(self, pipeline_dirs, tmp_path, capsys):
         root, gal = pipeline_dirs
         model = tmp_path / "model.qts"

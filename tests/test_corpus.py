@@ -269,6 +269,30 @@ class TestModelFile:
         with pytest.raises(CorpusError, match=re.escape(str(path))):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("gamma=0.2\nepsilon=wide\ncost=1000.0\nbias=0.1\n", 2),
+            ("gamma=0.2\nepsilon=0.4\n\ncost=1000.0\nbias=\n", 5),
+            (
+                "gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=0.1\n"
+                "0.5, 0.1, 0.1, 0.1, 0.1, 0.1\n-0.5, 0.2, 0.2, 0.2, 0.2\n",
+                6,
+            ),
+            (
+                "gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=0.1\n\n"
+                "0.5, 0.1, 0.1, 0.1, 0.1, 0.1\n-0.5, 0.2, 0.2, x, 0.2, 0.2\n",
+                7,
+            ),
+        ],
+        ids=["header-value", "header-empty", "vector-width", "vector-value"],
+    )
+    def test_malformed_line_named(self, tmp_path, text, line):
+        path = tmp_path / "bad.qts"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:{line}:")):
+            load_model(path)
+
     def test_empty_support_set_is_constant_predictor(self, tmp_path):
         (tmp_path / "c.qts").write_text("gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=0.7\n")
         m = load_model(tmp_path / "c.qts")

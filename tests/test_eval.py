@@ -118,6 +118,11 @@ class TestEvaluateAll:
         records = evaluate_all(g, RetrievalConfig(method="baseline"))
         assert all(r.anr == 0.0 for r in records)
 
+    def test_no_admissible_query_is_a_data_error(self, rng):
+        g = labelled_gallery(rng, [("a", 1), ("b", 1), ("c", 1), ("d", 1)])
+        with pytest.raises(CorpusError, match="no admissible query"):
+            evaluate_all(g, RetrievalConfig(method="baseline"))
+
     def test_unlabelled_gallery_rejected(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=4) for i in range(3)))
         with pytest.raises(CorpusError):

@@ -437,7 +437,7 @@ class TestGalleryScorer:
         scorer = GalleryScorer(gallery, baseline)
         for q, s in enumerate(gallery.sets):
             got = scorer.pair(q, np.arange(len(gallery)))
-            first = s.unit_exemplars[0] if baseline == "exemplar" else s.subspace.basis[:, 0]
+            first = s.unit_exemplars[0] if baseline == "exemplar" else s.subspace[:, 0]
             assert got.score[q] == 1.0
             assert np.array_equal(got.mode_a[q], first)
             assert np.array_equal(got.mode_b[q], first)
@@ -456,14 +456,19 @@ class TestGalleryScorer:
                 got = max_max_sim_batch(a.unit_exemplars, stacked)
                 want = [max_max_sim(a, b) for b in group]
                 assert got.score.tolist() == [r.score for r in want]
-                assert got.index_a.tolist() == [r.index_a for r in want]
-                assert got.index_b.tolist() == [r.index_b for r in want]
+                assert np.array_equal(got.mode_a, [a.unit_exemplars[r.index_a] for r in want])
+                assert np.array_equal(
+                    got.mode_b, [b.unit_exemplars[r.index_b] for b, r in zip(group, want)]
+                )
 
     def test_exact_tie_resolves_row_major(self):
+        # both (0, 1) and (1, 0) score 1; their modes tell them apart
         a = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         b = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         got = max_max_sim_batch(a, b)
-        assert (got.index_a[0], got.index_b[0], got.score[0]) == (0, 1, 1.0)
+        assert got.score[0] == 1.0
+        assert np.array_equal(got.mode_a[0], a[0, 0])
+        assert np.array_equal(got.mode_b[0], b[0, 1])
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_external_query_of_another_dimension(self, rng, baseline):

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from lqts.corpus import FaceSet
 from lqts.errors import DimensionMismatchError, ZeroVectorError
-from lqts.similarity import (
-    SubspaceModel,
-    cosine_sim,
-    fit_subspace,
-    max_corr,
-    max_max_sim,
-)
+from lqts.similarity import cosine_sim, fit_subspace, max_corr, max_max_sim
 
 from conftest import random_set
 import oracles
@@ -80,7 +74,8 @@ class TestMaxMax:
         b = FaceSet("b", np.array([[0.6, 0.8]]))
         r = max_max_sim(a, b)
         assert r.score[0] == pytest.approx(0.8)
-        assert (r.index_a[0], r.index_b[0]) == (1, 0)
+        assert np.array_equal(r.mode_a[0], a.unit_exemplars[1])
+        assert np.array_equal(r.mode_b[0], b.unit_exemplars[0])
 
     def test_identical_sets_score_one(self, rng):
         a = random_set(rng, "a", n=6, d=5)
@@ -96,19 +91,22 @@ class TestMaxMax:
             max_max_sim(random_set(rng, "a", d=4), random_set(rng, "b", d=5))
 
     def test_tie_break_smallest_pair(self):
-        a = FaceSet("a", np.array([[2.0, 0.0], [1.0, 0.0]]))
-        b = FaceSet("b", np.array([[3.0, 0.0], [5.0, 0.0]]))
-        r = max_max_sim(a, b)  # every pair scores 1.0
-        assert (r.index_a[0], r.index_b[0]) == (0, 0)
+        # every pair scores 1.0, and each pair has its own (mode_a, mode_b)
+        a = FaceSet("a", np.array([[2.0, 0.0], [-1.0, 0.0]]))
+        b = FaceSet("b", np.array([[-3.0, 0.0], [5.0, 0.0]]))
+        r = max_max_sim(a, b)
+        assert np.array_equal(r.mode_a[0], [1.0, 0.0])
+        assert np.array_equal(r.mode_b[0], [-1.0, 0.0])
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(50):
             a = random_set(rng, "a", n=int(rng.integers(1, 9)), d=6)
             b = random_set(rng, "b", n=int(rng.integers(1, 9)), d=6)
             r = max_max_sim(a, b)
-            score, pair = brute_force_max_max(a, b)
+            score, (i, j) = brute_force_max_max(a, b)
             assert r.score[0] == pytest.approx(score, abs=1e-9)
-            assert (r.index_a[0], r.index_b[0]) == pair
+            assert np.array_equal(r.mode_a[0], a.unit_exemplars[i])
+            assert np.array_equal(r.mode_b[0], b.unit_exemplars[j])
             assert r.score[0] == pytest.approx(max_max_sim(b, a).score[0], abs=1e-12)
             assert abs(cosine_sim(r.mode_a[0], r.mode_b[0]) - r.score[0]) < 1e-8
 
@@ -117,34 +115,34 @@ class TestFitSubspace:
     def test_rank_one_data_clips_k(self):
         s = FaceSet("s", np.array([[2.0, 0.0], [5.0, 0.0]]))
         sub = fit_subspace(s, k=6)
-        assert sub.basis.shape == (2, 1)
-        np.testing.assert_allclose(sub.basis[:, 0], [1.0, 0.0], atol=1e-12)
+        assert sub.shape == (2, 1)
+        np.testing.assert_allclose(sub[:, 0], [1.0, 0.0], atol=1e-12)
 
     def test_orthonormal_columns(self, rng):
         s = random_set(rng, "s", n=7, d=4)
         sub = fit_subspace(s, k=2)
-        np.testing.assert_allclose(sub.basis.T @ sub.basis, np.eye(2), atol=1e-8)
+        np.testing.assert_allclose(sub.T @ sub, np.eye(2), atol=1e-8)
 
     def test_energy_matches_gram_eigensolver(self, rng):
         # independent oracle: eigendecomposition of the uncentered Gram matrix
         s = random_set(rng, "s", n=10, d=8)
         sub = fit_subspace(s, k=6)
-        captured = float(np.sum((s.exemplars @ sub.basis) ** 2))
+        captured = float(np.sum((s.exemplars @ sub) ** 2))
         gram_vals = np.linalg.eigvalsh(s.exemplars.T @ s.exemplars)[::-1]
         assert captured == pytest.approx(float(np.sum(gram_vals[:6])), rel=1e-9)
 
     def test_scale_equivariance(self, rng):
         s = random_set(rng, "s", n=9, d=6)
         scaled = FaceSet("s2", 7.5 * s.exemplars)
-        b1 = fit_subspace(s, k=3).basis
-        b2 = fit_subspace(scaled, k=3).basis
+        b1 = fit_subspace(s, k=3)
+        b2 = fit_subspace(scaled, k=3)
         # principal angles between the two spans must vanish
         sing = np.linalg.svd(b1.T @ b2, compute_uv=False)
         assert np.all(np.arccos(np.clip(sing, -1, 1)) < 1e-6)
 
     def test_sign_convention(self, rng):
         s = random_set(rng, "s", n=5, d=6)
-        basis = fit_subspace(s, k=3).basis
+        basis = fit_subspace(s, k=3)
         for col in basis.T:
             assert col[np.argmax(np.abs(col))] > 0
 
@@ -156,13 +154,13 @@ class TestMaxCorr:
         assert r.score[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_lines(self):
-        a = SubspaceModel("a", np.array([[1.0], [0.0], [0.0]]))
-        b = SubspaceModel("b", np.array([[0.0], [1.0], [0.0]]))
+        a = np.array([[1.0], [0.0], [0.0]])
+        b = np.array([[0.0], [1.0], [0.0]])
         assert max_corr(a, b).score[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_case_45_degrees(self):
-        a = SubspaceModel("a", np.array([[1.0], [0.0]]))
-        b = SubspaceModel("b", np.array([[1.0], [1.0]]) / np.sqrt(2))
+        a = np.array([[1.0], [0.0]])
+        b = np.array([[1.0], [1.0]]) / np.sqrt(2)
         r = max_corr(a, b)
         assert r.score[0] == pytest.approx(0.707107, abs=1e-6)
         np.testing.assert_allclose(np.abs(r.mode_a[0]), [1.0, 0.0], atol=1e-12)
@@ -177,7 +175,7 @@ class TestMaxCorr:
             a = fit_subspace(random_set(rng, "a", n=6, d=d), k=ka)
             b = fit_subspace(random_set(rng, "b", n=6, d=d), k=kb)
             r = max_corr(a, b)
-            assert r.score[0] == pytest.approx(grid_max_corr(a.basis, b.basis), abs=1e-3)
+            assert r.score[0] == pytest.approx(grid_max_corr(a, b), abs=1e-3)
             assert -1e-9 <= r.score[0] <= 1 + 1e-9
             assert abs(cosine_sim(r.mode_a[0], r.mode_b[0]) - r.score[0]) < 1e-8
 
@@ -185,14 +183,14 @@ class TestMaxCorr:
         a = fit_subspace(random_set(rng, "a", n=8, d=7), k=3)
         b = fit_subspace(random_set(rng, "b", n=8, d=7), k=3)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        rotated = SubspaceModel("a_rot", a.basis @ q)
+        rotated = a @ q
         assert max_corr(rotated, b).score[0] == pytest.approx(max_corr(a, b).score[0], abs=1e-8)
 
 
 class TestBatchOfOne:
     """max_max_sim and max_corr are their batch kernels over one pair, equal
     bit for bit to the scalar pair functions they replaced, ambient modes
-    included."""
+    included; one object on both sides follows the self-pair rule."""
 
     @given(seed=st.integers(0, 2**32 - 1), m_a=st.integers(1, 9), m_b=st.integers(1, 9))
     @settings(max_examples=60, deadline=None)
@@ -201,16 +199,34 @@ class TestBatchOfOne:
         d = int(r.integers(2, 12))
         a = FaceSet("a", r.normal(size=(m_a, d)))
         b = FaceSet("b", r.normal(size=(m_b, d)))
-        got, want = max_max_sim(a, b), oracles.max_max_sim(a, b)
-        assert (got.score[0], got.index_a[0], got.index_b[0]) == (want.score, want.index_a, want.index_b)
-        assert np.array_equal(got.mode_a[0], want.mode_a)
-        assert np.array_equal(got.mode_b[0], want.mode_b)
         sa, sb = fit_subspace(a), fit_subspace(b)
-        got, want = max_corr(sa, sb), oracles.max_corr(sa, sb)
-        assert got.score[0] == want.score
-        assert np.array_equal(got.mode_a[0], want.mode_a)
-        assert np.array_equal(got.mode_b[0], want.mode_b)
+        pairs = [(max_max_sim, a, b), (max_corr, sa, sb), (max_max_sim, a, a), (max_corr, sa, sa)]
+        for fn, x, y in pairs:
+            got, want = fn(x, y), oracles.match(x, y)
+            assert got.score[0] == want.score
+            assert np.array_equal(got.mode_a[0], want.mode_a)
+            assert np.array_equal(got.mode_b[0], want.mode_b)
 
     def test_subspace_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             max_corr(fit_subspace(random_set(rng, "a", d=4)), fit_subspace(random_set(rng, "b", d=5)))
+
+
+class TestSelfPair:
+    """A set or basis compared with itself, as one object, scores exactly 1
+    with both modes on its first unit exemplar or first basis vector,
+    whatever rounding the kernel's product would give."""
+
+    def test_wide_sets_follow_the_rule(self):
+        r = np.random.default_rng(0)
+        for n in range(100):
+            s = FaceSet(f"s{n}", r.normal(size=(10, 96)))
+            got = max_max_sim(s, s)
+            assert got.score[0] == 1.0
+            assert np.array_equal(got.mode_a[0], s.unit_exemplars[0])
+            assert np.array_equal(got.mode_b[0], s.unit_exemplars[0])
+            basis = fit_subspace(s)
+            got = max_corr(basis, basis)
+            assert got.score[0] == 1.0
+            assert np.array_equal(got.mode_a[0], basis[:, 0])
+            assert np.array_equal(got.mode_b[0], basis[:, 0])
