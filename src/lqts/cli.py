@@ -268,16 +268,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: invalid parameter combinations
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # invalid parameter combinations surface here
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LqtsError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LqtsError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

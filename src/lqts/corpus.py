@@ -41,7 +41,6 @@ class FaceSet:
 
     set_id: str
     exemplars: np.ndarray
-    source_path: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.exemplars, dtype=np.float64)
@@ -253,7 +252,7 @@ def load_gallery(path: str | Path) -> Gallery:
                 f"set {set_id!r}: dimension {exemplars.shape[1]} does not match "
                 f"gallery dimension {sets[0].dim} (from set {sets[0].set_id!r})"
             )
-        sets.append(FaceSet(set_id=set_id, exemplars=exemplars, source_path=str(root / rel)))
+        sets.append(FaceSet(set_id=set_id, exemplars=exemplars))
         if identity == UNLABELLED:
             unlabelled += 1
         else:

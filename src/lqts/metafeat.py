@@ -12,10 +12,11 @@ Training data comes from set PAIRS only, because the gallery is
 unlabelled: same-identity examples are simulated by treating every
 ordered pair of exemplars inside one reference set as the query/target
 modes, and differing-identity examples by iterating ordered pairs of a
-proxy set's exemplars as the query side. Negative labels obtained this
-way may be corrupt (the proxy can secretly share the reference's
-identity); that noise is left in deliberately and absorbed by the
-wide-margin regressor downstream.
+proxy set's exemplars as the query/proxy modes. Under the exemplar
+baseline both are one side rule, applied from the reference's side and
+from the proxy's. Negative labels obtained this way may be corrupt (the
+proxy can secretly share the reference's identity); that noise is left
+in deliberately and absorbed by the wide-margin regressor downstream.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import logging
 import numpy as np
 
 from .corpus import FaceSet, Gallery, ProxyTable, feature_table
-from .errors import DimensionMismatchError
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     EXEMPLAR,
@@ -48,10 +48,21 @@ PROJECTION_FLOOR = 1e-12
 # training extraction, exemplar baseline
 
 
+def _exemplar_side(
+    c_aa: np.ndarray, c_ab: np.ndarray, c_bb: np.ndarray, mode_a: int, mode_b: int, s3: float
+) -> np.ndarray:
+    """One row per ordered pair (q, u) of distinct exemplars of set a, with
+    n the exemplar of set b nearest q: [|q·n|, |q·u|, s3, |n·b_mode|,
+    |u·a_mode|], read from the sets' |cosine| matrices."""
+    qs, us = np.where(~np.eye(len(c_aa), dtype=bool))
+    ns = np.argmax(c_ab, axis=1)[qs]
+    return np.column_stack(
+        [c_ab[qs, ns], c_aa[qs, us], np.full(qs.size, s3), c_bb[ns, mode_b], c_aa[us, mode_a]]
+    )
+
+
 def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarray, np.ndarray]:
     """(positives, negatives) feature rows for one reference/proxy pair."""
-    if reference.dim != proxy.dim:
-        raise DimensionMismatchError(f"set dims differ: {reference.dim} vs {proxy.dim}")
     r = reference.unit_exemplars
     p = proxy.unit_exemplars
     c_rp = np.abs(r @ p.T)
@@ -59,37 +70,15 @@ def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarra
     c_pp = np.abs(p @ p.T)
 
     # reference-proxy set similarity and its mode indices, shared by all rows
-    flat = int(np.argmax(c_rp))
-    tp_idx, pt_idx = divmod(flat, c_rp.shape[1])
+    tp_idx, pt_idx = divmod(int(np.argmax(c_rp)), c_rp.shape[1])
     s3 = c_rp[tp_idx, pt_idx]
 
-    # positives: ordered pairs of distinct reference exemplars as (f_qt, f_tq)
-    nearest_proxy = np.argmax(c_rp, axis=1)
-    qs, ts = np.where(~np.eye(reference.size, dtype=bool))
-    pq = nearest_proxy[qs]
-    pos = np.column_stack(
-        [
-            c_rp[qs, pq],
-            c_rr[qs, ts],
-            np.full(qs.size, s3),
-            c_pp[pq, pt_idx],
-            c_rr[ts, tp_idx],
-        ]
-    )
-
-    # negatives: ordered pairs of distinct proxy exemplars as (f_qt, f_pq)
-    nearest_ref = np.argmax(c_rp, axis=0)
-    qs_n, pq_n = np.where(~np.eye(proxy.size, dtype=bool))
-    tq_n = nearest_ref[qs_n]
-    neg = np.column_stack(
-        [
-            c_pp[qs_n, pq_n],
-            c_rp[tq_n, qs_n],
-            np.full(qs_n.size, s3),
-            c_pp[pq_n, pt_idx],
-            c_rr[tq_n, tp_idx],
-        ]
-    )
+    # positives: reference exemplars as query and target, the proxy's
+    # nearest exemplar as the query's proxy mode
+    pos = _exemplar_side(c_rr, c_rp, c_pp, tp_idx, pt_idx, s3)
+    # negatives: the same rule from the proxy's side; (q, u) fill the query
+    # and proxy slots there, so s1/s2 and s4/s5 trade places
+    neg = _exemplar_side(c_pp, c_rp.T, c_rr, pt_idx, tp_idx, s3)[:, [1, 0, 2, 4, 3]]
     return np.clip(pos, 0.0, 1.0), np.clip(neg, 0.0, 1.0)
 
 
@@ -133,8 +122,6 @@ def _subspace_pair_arrays(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(positives, negatives, skipped positives, skipped negatives) for one
     reference/proxy pair, given both sets' fitted (d, k) subspace bases."""
-    if reference.dim != proxy.dim:
-        raise DimensionMismatchError(f"set dims differ: {reference.dim} vs {proxy.dim}")
     corr = max_corr(ref_sub, prox_sub)
     s3, f_tp, f_pt = corr.score[0], corr.mode_a[0], corr.mode_b[0]
     pos_rows, skipped_pos = _subspace_side_arrays(

@@ -63,7 +63,6 @@ class RankedResult:
 
     query_id: str
     ranking: tuple[tuple[str, float], ...]
-    method: str
 
     def ids(self) -> list[str]:
         return [sid for sid, _ in self.ranking]
@@ -274,8 +273,7 @@ class Ranker:
         order = np.argsort(-scores, kind="stable")  # ties: ascending gallery index
         ids = self.gallery.set_ids
         ranking = tuple((ids[j], score) for j, score in zip(targets[order], scores[order].tolist()))
-        label = f"{method}/{self.config.baseline}/k_p={self.config.k_p}"
-        return RankedResult(query_id=query_id, ranking=ranking, method=label)
+        return RankedResult(query_id=query_id, ranking=ranking)
 
 
 def rank_gallery(

@@ -159,4 +159,4 @@ def robust_select(
     m = fit_kpca(s, gamma)
     targets = np.linspace(float(m.projections.min()), float(m.projections.max()), n_samples)
     chosen = np.stack([pre_image(m, z) for z in targets])
-    return FaceSet(set_id=s.set_id, exemplars=chosen, source_path=s.source_path)
+    return FaceSet(set_id=s.set_id, exemplars=chosen)

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqts.similarity
 from lqts.corpus import FaceSet, Gallery, ProxyTable
@@ -150,6 +152,26 @@ class TestTrainExtractExemplar:
             opos, oneg = oracle_extract_exemplar(ref, prox)
             np.testing.assert_allclose(pos, opos, atol=1e-9)
             np.testing.assert_allclose(neg, oneg, atol=1e-9)
+
+    @given(data=st.data(), d=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_exactly_on_ties_and_singletons(self, data, d):
+        # signed, scaled one-hot rows: every |cosine| is exactly 0 or 1, so
+        # argmaxes tie exactly; a singleton set gives no rows of its label
+        def one_hot_set(set_id):
+            n = data.draw(st.integers(1, 5))
+            axes = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+            signed = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+            scales = data.draw(st.lists(signed, min_size=n, max_size=n))
+            x = np.zeros((n, d))
+            x[np.arange(n), axes] = scales
+            return FaceSet(set_id, x)
+
+        ref, prox = one_hot_set("r"), one_hot_set("p")
+        pos, neg = extract_exemplar(ref, prox)
+        opos, oneg = oracle_extract_exemplar(ref, prox)
+        assert np.array_equal(pos, opos.reshape(-1, 5))
+        assert np.array_equal(neg, oneg.reshape(-1, 5))
 
     def test_agrees_with_feature_exemplar_on_singleton_query(self, rng):
         # a positive row built from pair (f_qt, f_tq) must equal the
