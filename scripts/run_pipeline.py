@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from lqts import sampling, synth
+from lqts.cli import CDF_THRESHOLDS
 from lqts.corpus import Gallery, save_gallery, save_model, save_proxies
 from lqts.evaluation import (
     evaluate_all,
@@ -93,7 +94,6 @@ def main(argv=None) -> int:
         f"KKT gap {model.kkt_violation:.1e}  [{time.time() - t0:.0f}s]"
     )
 
-    thresholds = [round(0.05 * i, 2) for i in range(21)]
     methods = {
         "baseline": RetrievalConfig(method="baseline", baseline=args.baseline),
         "arith": RetrievalConfig(method="arith", baseline=args.baseline, k_p=args.k_p),
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         mdir = out / name
         mdir.mkdir(exist_ok=True)
         write_anr_report(records, mdir / "anr.tsv")
-        write_cdf_report(records, thresholds, mdir / "cdf.csv")
+        write_cdf_report(records, CDF_THRESHOLDS, mdir / "cdf.csv")
         write_rank_k_report(records, mdir / "rank100.csv")
         anrs = np.array([r.anr for r in records])
         summary[name] = (float(np.mean(anrs)), float(np.mean(anrs < 0.3)))

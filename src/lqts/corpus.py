@@ -72,7 +72,7 @@ class FaceSet:
 
     @cached_property
     def subspace(self) -> np.ndarray:
-        """The set's read-only (d, k) `lqts.similarity.fit_subspace` basis at
+        """The set's read-only (k, d) `lqts.similarity.fit_subspace` basis at
         the default dimension; fitted on first use, so once per set however
         many proxy selections, rankers and training extractions read it."""
         from .similarity import fit_subspace

@@ -53,13 +53,15 @@ def anr(n: int, ranks) -> float:
 
 
 def admissible_query_ids(gallery: Gallery) -> tuple[list[str], int]:
-    """set_ids usable as evaluation queries (identity has >= 2 sets) in
-    gallery order, plus the number of excluded single-set identities."""
+    """set_ids usable as evaluation queries in gallery order, plus the
+    number excluded. A query is admissible when its identity has at least
+    two sets but not all of them: otherwise its retrieval has no right
+    answer, or no wrong one."""
     labels = gallery.evaluation_labels()
     counts: dict[str, int] = defaultdict(int)
     for sid in gallery.set_ids:
         counts[labels[sid]] += 1
-    admissible = [sid for sid in gallery.set_ids if counts[labels[sid]] >= 2]
+    admissible = [sid for sid in gallery.set_ids if 2 <= counts[labels[sid]] < len(gallery)]
     return admissible, len(gallery) - len(admissible)
 
 
@@ -70,16 +72,18 @@ def evaluate_all(
 ) -> list[AnrRecord]:
     """Use every admissible gallery set as the query in turn.
 
-    Queries whose identity has no other set are skipped (their retrieval
-    has no right answer); the skip count is logged. A gallery with no
-    admissible query raises CorpusError.
+    Queries that `admissible_query_ids` excludes are skipped; the skip
+    count is logged. A gallery with no admissible query raises
+    CorpusError.
     """
     labels = gallery.evaluation_labels()
     queries, skipped = admissible_query_ids(gallery)
     if not queries:
-        raise CorpusError(f"no admissible query: no identity has two of the {len(gallery)} sets")
+        raise CorpusError(
+            f"no admissible query: each identity has one or all of the {len(gallery)} sets"
+        )
     if skipped:
-        log.info("excluded %d single-set-identity queries", skipped)
+        log.info("excluded %d queries whose identity has one set or every set", skipped)
     ranker = Ranker(gallery, config, proxies)
     records = []
     for qid in queries:

@@ -95,16 +95,16 @@ def _subspace_side_arrays(
     s3: float,
 ) -> tuple[np.ndarray, int]:
     """Feature rows for one block of exemplars iterated as f_qt."""
-    coords_r = exemplars_unit @ ref_sub
-    coords_p = exemplars_unit @ prox_sub
+    coords_r = exemplars_unit @ ref_sub.T
+    coords_p = exemplars_unit @ prox_sub.T
     norm_r = np.linalg.norm(coords_r, axis=1)
     norm_p = np.linalg.norm(coords_p, axis=1)
     keep = (norm_r >= PROJECTION_FLOOR) & (norm_p >= PROJECTION_FLOOR)
     skipped = int(np.sum(~keep))
     coords_r, coords_p = coords_r[keep], coords_p[keep]
     norm_r, norm_p = norm_r[keep], norm_p[keep]
-    f_tq = (coords_r @ ref_sub.T) / norm_r[:, None]
-    f_pq = (coords_p @ prox_sub.T) / norm_p[:, None]
+    f_tq = (coords_r @ ref_sub) / norm_r[:, None]
+    f_pq = (coords_p @ prox_sub) / norm_p[:, None]
     rows = np.column_stack(
         [
             norm_p,  # s1 = cos(f_qt, f_pq), the projection norm of a unit vector
@@ -121,7 +121,7 @@ def _subspace_pair_arrays(
     reference: FaceSet, proxy: FaceSet, ref_sub: np.ndarray, prox_sub: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(positives, negatives, skipped positives, skipped negatives) for one
-    reference/proxy pair, given both sets' fitted (d, k) subspace bases."""
+    reference/proxy pair, given both sets' fitted (k, d) subspace bases."""
     corr = max_corr(ref_sub, prox_sub)
     s3, f_tp, f_pt = corr.score[0], corr.mode_a[0], corr.mode_b[0]
     pos_rows, skipped_pos = _subspace_side_arrays(

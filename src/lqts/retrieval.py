@@ -16,7 +16,6 @@ from .corpus import FaceSet, Gallery, ProxyTable
 from .errors import DimensionMismatchError, UsageError
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
-    DEFAULT_SUBSPACE_DIM,
     EXEMPLAR,
     Matches,
     cosine_sim,
@@ -82,12 +81,12 @@ PAIR_BLOCK = 256
 class GalleryScorer:
     """Batched baseline comparisons against one gallery.
 
-    The gallery's sets are stacked once: unit exemplars as (n, m, d), zero
-    rows padding each set past its size (exemplar baseline), or subspace
-    bases as (n, d, DEFAULT_SUBSPACE_DIM), zero columns padding each set
-    past its k (subspace baseline). `compare` is the kernel, one call of
-    the baseline's `lqts.similarity.kernel`. `pair` compares gallery sets
-    by index and `query` an outside set with gallery sets; both return one
+    Each gallery set is compared as a (k, d) stack of unit rows, its unit
+    exemplars (exemplar baseline) or its subspace basis (subspace
+    baseline). They are stacked once as (n, max k, d), zero rows padding
+    each set past its k. `compare` is the kernel, one call of the
+    baseline's `lqts.similarity.kernel`. `pair` compares gallery sets by
+    index and `query` an outside set with gallery sets; both return one
     row per pair, modes as ambient unit vectors. Nothing is cached between
     calls. A gallery set against itself follows
     `lqts.similarity.self_pairs`, with no kernel call.
@@ -97,22 +96,15 @@ class GalleryScorer:
         self.kernel = kernel(baseline)
         self.gallery = gallery
         self.baseline = baseline
-        reps, ks = zip(*(self._rep(s) for s in gallery.sets))
-        self.ks = np.array(ks, dtype=np.intp)
-        if baseline == EXEMPLAR:
-            shape = (self.ks.max(), gallery.dim)
-        else:
-            shape = (gallery.dim, DEFAULT_SUBSPACE_DIM)
-        self.stack = np.zeros((len(gallery), *shape))
+        reps = [self._rep(s) for s in gallery.sets]
+        self.ks = np.array([len(r) for r in reps], dtype=np.intp)
+        self.stack = np.zeros((len(gallery), self.ks.max(), gallery.dim))
         for row, r in zip(self.stack, reps):
-            row[: r.shape[0], : r.shape[1]] = r
+            row[: len(r)] = r
 
-    def _rep(self, s: FaceSet) -> tuple[np.ndarray, int]:
-        """A set's representation and its size k: unit exemplars of shape
-        (k, d), or a subspace basis of shape (d, k)."""
-        if self.baseline == EXEMPLAR:
-            return s.unit_exemplars, s.size
-        return s.subspace, s.subspace.shape[1]
+    def _rep(self, s: FaceSet) -> np.ndarray:
+        """A set's (k, d) unit rows: its unit exemplars or subspace basis."""
+        return s.unit_exemplars if self.baseline == EXEMPLAR else s.subspace
 
     def compare(self, a, b) -> Matches:
         """One kernel call: representation a, or each of a stack aligned
@@ -130,16 +122,9 @@ class GalleryScorer:
         """A set from outside the gallery against gallery sets j."""
         if s.dim != self.gallery.dim:
             raise DimensionMismatchError(f"set dims differ: {s.dim} vs {self.gallery.dim}")
-        rep, k = self._rep(s)
+        rep = self._rep(s)
         j = np.asarray(j, dtype=np.intp)
-        return self._match(rep[None], np.array([k]), 0, j, np.zeros(j.shape, dtype=bool))
-
-    def _cut(self, reps: np.ndarray, k: int) -> np.ndarray:
-        """The first k exemplar rows or basis columns of representations,
-        each laid out as the set's own array: BLAS sums a strided vector
-        in another order than a contiguous one."""
-        cut = reps[..., :k, :] if self.baseline == EXEMPLAR else reps[..., :k]
-        return np.ascontiguousarray(cut)
+        return self._match(rep[None], np.array([len(rep)]), 0, j, np.zeros(j.shape, dtype=bool))
 
     def _match(self, stack, ks, i, j, own) -> Matches:
         """stack[i] against gallery sets j, PAIR_BLOCK pairs per kernel call;
@@ -148,12 +133,14 @@ class GalleryScorer:
         Pairs are grouped by the true shapes of their two sets, so that
         every product and SVD has the shape max_max_sim or max_corr gives
         it: BLAS may round a padded product differently, and padding a
-        basis changes its SVD.
+        basis changes its SVD. A set's first k rows are contiguous, laid
+        out as its own array: BLAS sums a strided vector in another order
+        than a contiguous one.
         """
         i_all = np.broadcast_to(i, j.shape)
         score = np.empty(j.size)
         mode_a, mode_b = np.empty((2, j.size, self.gallery.dim))
-        selves = self_pairs(self.stack[j[own]], self.baseline)
+        selves = self_pairs(self.stack[j[own]])
         score[own], mode_a[own], mode_b[own] = selves.score, selves.mode_a, selves.mode_b
 
         rest = np.flatnonzero(~own)
@@ -164,8 +151,8 @@ class GalleryScorer:
             same = rest[shapes == shape]
             for g in np.split(same, range(PAIR_BLOCK, same.size, PAIR_BLOCK)):
                 # one index i stays one 2-D operand, broadcast by the kernel
-                left = stack[i] if np.ndim(i) == 0 else stack[i_all[g]]
-                res = self.compare(self._cut(left, k_a), self._cut(self.stack[j[g]], k_b))
+                left = stack[i, :k_a] if np.ndim(i) == 0 else stack[i_all[g], :k_a]
+                res = self.compare(left, self.stack[j[g], :k_b])
                 score[g], mode_a[g], mode_b[g] = res.score, res.mode_a, res.mode_b
         return Matches(score, mode_a, mode_b)
 
@@ -213,8 +200,6 @@ class Ranker:
     """
 
     def __init__(self, gallery: Gallery, config: RetrievalConfig, proxies: ProxyTable | None = None):
-        if config.k_p > len(gallery) - 1:
-            raise UsageError(f"k_p={config.k_p} too large for a gallery of {len(gallery)} sets")
         if config.method != METHOD_BASELINE and config.k_p > 0:
             if proxies is None:
                 raise UsageError(f"method {config.method!r} with k_p > 0 needs a proxy table")

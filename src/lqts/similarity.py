@@ -3,10 +3,11 @@
 Two interchangeable baselines over descriptor sets: the max-maximorum
 absolute cosine between raw exemplars (`EXEMPLAR`), and the first
 canonical correlation between low-dimensional linear subspaces fitted per
-set (`SUBSPACE`). A subspace is its read-only (d, k) orthonormal basis.
-Every comparison also exposes the pair of unit "modes" (exemplars or
-canonical vectors) that realized the score; the transitivity features
-are built from those modes.
+set (`SUBSPACE`). Under both baselines a set is compared as a (k, d)
+stack of unit rows: its unit exemplars, or its subspace's read-only
+orthonormal basis. Every comparison also exposes the pair of unit
+"modes" (exemplars or canonical vectors) that realized the score; the
+transitivity features are built from those modes.
 
 Each baseline has one kernel, over a batch of set pairs
 (`max_max_sim_batch`, `max_corr_batch`), which `kernel` looks up by
@@ -62,14 +63,13 @@ class Matches:
     mode_b: np.ndarray
 
 
-def self_pairs(reps: np.ndarray, baseline: str) -> Matches:
-    """Each of a stack of sets against itself, for unit exemplars of shape
-    (P, m, d) or bases of shape (P, d, k): score exactly 1, both modes on
-    the set's first unit exemplar or first basis vector. Every diagonal
-    cosine of a unit set is 1, so this is the smallest-(i, j) tie rule
-    applied exactly, whatever a kernel's rounding would give."""
-    first = reps[:, 0] if baseline == EXEMPLAR else reps[:, :, 0]
-    return Matches(np.ones(len(first)), first, first)
+def self_pairs(reps: np.ndarray) -> Matches:
+    """Each of a (P, k, d) stack of sets against itself: score exactly 1,
+    both modes on the set's row 0, its first unit exemplar or first basis
+    vector. Every diagonal cosine of a unit set is 1, so this is the
+    smallest-(i, j) tie rule applied exactly, whatever a kernel's rounding
+    would give."""
+    return Matches(np.ones(len(reps)), reps[:, 0], reps[:, 0])
 
 
 def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
@@ -95,45 +95,44 @@ def max_max_sim(a: FaceSet, b: FaceSet) -> Matches:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"set dims differ: {a.dim} vs {b.dim}")
     if a is b:
-        return self_pairs(a.unit_exemplars[None], EXEMPLAR)
+        return self_pairs(a.unit_exemplars[None])
     return max_max_sim_batch(a.unit_exemplars, b.unit_exemplars[None])
 
 
 def fit_subspace(s: FaceSet, k: int = DEFAULT_SUBSPACE_DIM) -> np.ndarray:
-    """Read-only (d, k) orthonormal basis for the top-k principal directions
-    of the raw (uncentered) exemplar matrix, by descending singular value.
+    """Read-only (k, d) orthonormal rows spanning the top-k principal
+    directions of the raw (uncentered) exemplar matrix, by descending
+    singular value.
 
     k is silently clipped to the numerical rank so small sets never fail.
-    Column signs are fixed so each column's largest-magnitude entry is
-    positive.
+    Row signs are fixed so each row's largest-magnitude entry is positive.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _, sing, vt = np.linalg.svd(s.exemplars, full_matrices=False)
     rank = int(np.sum(sing > RANK_RTOL * sing[0]))
     k_eff = min(k, rank)
-    basis = vt[:k_eff].T.copy()
-    for col in range(k_eff):
-        j = int(np.argmax(np.abs(basis[:, col])))
-        if basis[j, col] < 0:
-            basis[:, col] = -basis[:, col]
+    basis = vt[:k_eff].copy()
+    for row in basis:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
     basis.setflags(write=False)
     return basis
 
 
 def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     """First canonical correlation of each pair of bases (a[p], b[p]), or
-    (a, b[p]) when a is 2-D, for bases a of shape (P, d, k_a) or (d, k_a)
-    and b of shape (P, d, k_b), with the canonical vector pair that attains
+    (a, b[p]) when a is 2-D, for bases a of shape (P, k_a, d) or (k_a, d)
+    and b of shape (P, k_b, d), with the canonical vector pair that attains
     it.
 
     Signs are canonicalized: mode_a's largest-magnitude entry is positive,
     and mode_b is oriented so that the mutual cosine is nonnegative.
     """
-    u, sing, vt = np.linalg.svd(np.matmul(np.swapaxes(a, -1, -2), b))
+    u, sing, vt = np.linalg.svd(np.matmul(a, np.swapaxes(b, -1, -2)))
     score = np.minimum(np.maximum(sing[:, 0], 0.0), 1.0)
-    mode_a = np.matmul(a, u[:, :, :1])[:, :, 0]
-    mode_b = np.matmul(b, np.swapaxes(vt[:, :1, :], 1, 2))[:, :, 0]
+    mode_a = np.matmul(np.swapaxes(u[:, :, :1], 1, 2), a)[:, 0]
+    mode_b = np.matmul(vt[:, :1, :], b)[:, 0]
     rows = np.arange(len(score))
     top = np.argmax(np.abs(mode_a), axis=1)
     mode_a = np.where(mode_a[rows, top, None] < 0, -mode_a, mode_a)
@@ -142,12 +141,12 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:
-    """max_corr_batch of one pair of (d, k) bases; one basis on both sides
+    """max_corr_batch of one pair of (k, d) bases; one basis on both sides
     is `self_pairs` of it."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"subspace ambient dims differ: {len(a)} vs {len(b)}")
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
     if a is b:
-        return self_pairs(a[None], SUBSPACE)
+        return self_pairs(a[None])
     return max_corr_batch(a, b[None])
 
 

@@ -55,18 +55,18 @@ def max_max_sim(a: FaceSet, b: FaceSet) -> Match:
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
-    """First canonical correlation between two subspaces, given as (d, k)
+    """First canonical correlation between two subspaces, given as (k, d)
     orthonormal bases, with the canonical vector pair that attains it.
 
     Signs are canonicalized (largest-magnitude entry of mode_a positive,
     mode_b oriented so the mutual cosine is nonnegative).
     """
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[0]} vs {b.shape[0]}")
-    u, sing, vt = np.linalg.svd(a.T @ b)
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
+    u, sing, vt = np.linalg.svd(a @ b.T)
     score = float(min(max(sing[0], 0.0), 1.0))
-    mode_a = a @ u[:, 0]
-    mode_b = b @ vt[0]
+    mode_a = a.T @ u[:, 0]
+    mode_b = b.T @ vt[0]
     j = int(np.argmax(np.abs(mode_a)))
     if mode_a[j] < 0:
         mode_a = -mode_a
@@ -78,10 +78,10 @@ def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
 def match(a, b) -> Match:
     """max_max_sim of FaceSets or max_corr of subspace bases. One object on
     both sides is a set against itself: score 1, both modes on its first
-    unit exemplar (index 0) or first basis vector."""
+    unit exemplar (index 0) or first basis vector (row 0)."""
     if a is b:
         if isinstance(a, np.ndarray):
-            return Match(1.0, a[:, 0], a[:, 0])
+            return Match(1.0, a[0], a[0])
         return Match(1.0, a.unit_exemplars[0], a.unit_exemplars[0], 0, 0)
     return max_corr(a, b) if isinstance(a, np.ndarray) else max_max_sim(a, b)
 

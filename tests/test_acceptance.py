@@ -73,9 +73,9 @@ class TestCriterion2SimilarityOracles:
             sb = fit_subspace(random_set(rng, "b", n=6, d=d), k=int(rng.integers(1, 3)))
 
             def grid(sub):
-                if sub.shape[1] == 1:
-                    return sub.T
-                return cos_a[:, None] * sub[:, 0] + sin_a[:, None] * sub[:, 1]
+                if sub.shape[0] == 1:
+                    return sub
+                return cos_a[:, None] * sub[0] + sin_a[:, None] * sub[1]
 
             oracle = float(np.max(np.abs(grid(sa) @ grid(sb).T)))
             assert max_corr(sa, sb).score[0] == pytest.approx(oracle, abs=1e-3)

@@ -103,16 +103,19 @@ class TestDataErrors:
         assert not (tmp_path / "model.qts").exists()
 
     def test_evaluate_without_admissible_query(self, tmp_path, capsys):
-        gal = tmp_path / "gal"
-        code = run(
-            "synth", "--out", str(gal), "--identities", "4", "--sets-min", "1",
-            "--sets-max", "1", "--dim", "8", "--exemplars-min", "3", "--exemplars-max", "4",
-        )
-        assert code == 0
-        out_dir = tmp_path / "eval"
-        assert run("evaluate", "--gallery", str(gal), "--k", "0", "--out-dir", str(out_dir)) == 2
-        assert "no admissible query" in capsys.readouterr().err
-        assert not out_dir.exists()
+        # single-set identities have no right answer; one identity's sets
+        # match every other set, so they have no wrong one
+        for identities, sets in (("4", "1"), ("1", "3")):
+            gal = tmp_path / f"gal{identities}"
+            code = run(
+                "synth", "--out", str(gal), "--identities", identities, "--sets-min", sets,
+                "--sets-max", sets, "--dim", "8", "--exemplars-min", "3", "--exemplars-max", "4",
+            )
+            assert code == 0
+            out_dir = tmp_path / f"eval{identities}"
+            assert run("evaluate", "--gallery", str(gal), "--k", "0", "--out-dir", str(out_dir)) == 2
+            assert "no admissible query" in capsys.readouterr().err
+            assert not out_dir.exists()
 
     def test_non_finite_model_file(self, pipeline_dirs, tmp_path, capsys):
         root, gal = pipeline_dirs
@@ -215,3 +218,24 @@ class TestPipeline:
         rows = [ln.split("\t") for ln in ranking.read_text().splitlines()[1:]]
         scores = [float(r[2]) for r in rows]
         assert scores == sorted(scores, reverse=True)
+
+    def test_baseline_on_a_gallery_smaller_than_k(self, tmp_path):
+        # the baseline reads no proxies, so the default --k 10 does not
+        # bound a gallery of 6 sets
+        gal = tmp_path / "gal"
+        code = run(
+            "synth", "--out", str(gal), "--identities", "3", "--sets-min", "2",
+            "--sets-max", "2", "--dim", "8", "--exemplars-min", "3", "--exemplars-max", "4",
+        )
+        assert code == 0
+        out_dir = tmp_path / "eval"
+        code = run("evaluate", "--gallery", str(gal), "--method", "baseline", "--out-dir", str(out_dir))
+        assert code == 0
+        assert (out_dir / "anr.tsv").exists()
+        ranking = tmp_path / "r.tsv"
+        code = run(
+            "retrieve", "--gallery", str(gal), "--query", "id000_s0", "--method", "baseline",
+            "--out", str(ranking),
+        )
+        assert code == 0
+        assert len(ranking.read_text().splitlines()) == 6

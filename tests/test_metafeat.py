@@ -62,9 +62,9 @@ class TestFeatureSubspace:
         np.testing.assert_allclose(f, np.ones(5), atol=1e-8)
 
     def test_orthogonality_forces_correlations(self):
-        q = np.array([[1.0], [0.0], [0.0]])
-        t = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        p = np.array([[0.0], [0.0], [1.0]])
+        q = np.array([[1.0, 0.0, 0.0]])
+        t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        p = np.array([[0.0, 0.0, 1.0]])
         f = feature(q, t, p)
         assert f[0] == pytest.approx(0.0, abs=1e-9)
         assert f[1] == pytest.approx(1.0, abs=1e-9)
@@ -74,9 +74,9 @@ class TestFeatureSubspace:
         # 1-D subspaces in R^3: the correlation is just |cos| of the spans
         for _ in range(20):
             qa, ta, pa = (unit(rng.normal(size=3)) for _ in range(3))
-            q = qa[:, None]
-            t = ta[:, None]
-            p = pa[:, None]
+            q = qa[None, :]
+            t = ta[None, :]
+            p = pa[None, :]
             f = feature(q, t, p)
             assert f[0] == pytest.approx(crude_cos(qa, pa), abs=1e-3)
             assert f[1] == pytest.approx(crude_cos(qa, ta), abs=1e-3)

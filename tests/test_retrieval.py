@@ -437,7 +437,7 @@ class TestGalleryScorer:
         scorer = GalleryScorer(gallery, baseline)
         for q, s in enumerate(gallery.sets):
             got = scorer.pair(q, np.arange(len(gallery)))
-            first = s.unit_exemplars[0] if baseline == "exemplar" else s.subspace[:, 0]
+            first = s.unit_exemplars[0] if baseline == "exemplar" else s.subspace[0]
             assert got.score[q] == 1.0
             assert np.array_equal(got.mode_a[q], first)
             assert np.array_equal(got.mode_b[q], first)

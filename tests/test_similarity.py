@@ -27,11 +27,11 @@ def grid_max_corr(basis_a, basis_b, steps=2000):
     parameterized on a fine angular grid inside each (<=2-D) subspace."""
 
     def grid(basis):
-        k = basis.shape[1]
+        k = basis.shape[0]
         if k == 1:
-            return basis.T
+            return basis
         angles = np.linspace(0.0, np.pi, steps, endpoint=False)
-        return np.cos(angles)[:, None] * basis[:, 0] + np.sin(angles)[:, None] * basis[:, 1]
+        return np.cos(angles)[:, None] * basis[0] + np.sin(angles)[:, None] * basis[1]
 
     ga, gb = grid(basis_a), grid(basis_b)
     return float(np.max(np.abs(ga @ gb.T)))
@@ -115,19 +115,19 @@ class TestFitSubspace:
     def test_rank_one_data_clips_k(self):
         s = FaceSet("s", np.array([[2.0, 0.0], [5.0, 0.0]]))
         sub = fit_subspace(s, k=6)
-        assert sub.shape == (2, 1)
-        np.testing.assert_allclose(sub[:, 0], [1.0, 0.0], atol=1e-12)
+        assert sub.shape == (1, 2)
+        np.testing.assert_allclose(sub[0], [1.0, 0.0], atol=1e-12)
 
-    def test_orthonormal_columns(self, rng):
+    def test_orthonormal_rows(self, rng):
         s = random_set(rng, "s", n=7, d=4)
         sub = fit_subspace(s, k=2)
-        np.testing.assert_allclose(sub.T @ sub, np.eye(2), atol=1e-8)
+        np.testing.assert_allclose(sub @ sub.T, np.eye(2), atol=1e-8)
 
     def test_energy_matches_gram_eigensolver(self, rng):
         # independent oracle: eigendecomposition of the uncentered Gram matrix
         s = random_set(rng, "s", n=10, d=8)
         sub = fit_subspace(s, k=6)
-        captured = float(np.sum((s.exemplars @ sub) ** 2))
+        captured = float(np.sum((s.exemplars @ sub.T) ** 2))
         gram_vals = np.linalg.eigvalsh(s.exemplars.T @ s.exemplars)[::-1]
         assert captured == pytest.approx(float(np.sum(gram_vals[:6])), rel=1e-9)
 
@@ -137,14 +137,14 @@ class TestFitSubspace:
         b1 = fit_subspace(s, k=3)
         b2 = fit_subspace(scaled, k=3)
         # principal angles between the two spans must vanish
-        sing = np.linalg.svd(b1.T @ b2, compute_uv=False)
+        sing = np.linalg.svd(b1 @ b2.T, compute_uv=False)
         assert np.all(np.arccos(np.clip(sing, -1, 1)) < 1e-6)
 
     def test_sign_convention(self, rng):
         s = random_set(rng, "s", n=5, d=6)
         basis = fit_subspace(s, k=3)
-        for col in basis.T:
-            assert col[np.argmax(np.abs(col))] > 0
+        for row in basis:
+            assert row[np.argmax(np.abs(row))] > 0
 
 
 class TestMaxCorr:
@@ -154,13 +154,13 @@ class TestMaxCorr:
         assert r.score[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_lines(self):
-        a = np.array([[1.0], [0.0], [0.0]])
-        b = np.array([[0.0], [1.0], [0.0]])
+        a = np.array([[1.0, 0.0, 0.0]])
+        b = np.array([[0.0, 1.0, 0.0]])
         assert max_corr(a, b).score[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_case_45_degrees(self):
-        a = np.array([[1.0], [0.0]])
-        b = np.array([[1.0], [1.0]]) / np.sqrt(2)
+        a = np.array([[1.0, 0.0]])
+        b = np.array([[1.0, 1.0]]) / np.sqrt(2)
         r = max_corr(a, b)
         assert r.score[0] == pytest.approx(0.707107, abs=1e-6)
         np.testing.assert_allclose(np.abs(r.mode_a[0]), [1.0, 0.0], atol=1e-12)
@@ -183,7 +183,7 @@ class TestMaxCorr:
         a = fit_subspace(random_set(rng, "a", n=8, d=7), k=3)
         b = fit_subspace(random_set(rng, "b", n=8, d=7), k=3)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        rotated = a @ q
+        rotated = q.T @ a
         assert max_corr(rotated, b).score[0] == pytest.approx(max_corr(a, b).score[0], abs=1e-8)
 
 
@@ -228,5 +228,5 @@ class TestSelfPair:
             basis = fit_subspace(s)
             got = max_corr(basis, basis)
             assert got.score[0] == 1.0
-            assert np.array_equal(got.mode_a[0], basis[:, 0])
-            assert np.array_equal(got.mode_b[0], basis[:, 0])
+            assert np.array_equal(got.mode_a[0], basis[0])
+            assert np.array_equal(got.mode_b[0], basis[0])
