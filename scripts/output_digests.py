@@ -7,9 +7,10 @@ writes and reloads it, then builds as `perfbench/pipeline.build` does:
 robust selection where the workload asks for it, a proxy table of width
 PROXY_K, the training-feature table at the workload's cap and
 CORPUS_SEED, and the SVR model. It reloads the proxy table and the model,
-ranks every admissible query with the baseline, arith and lqts methods,
-and prints one digest per output: the proxy table, feature and model
-files, and each method's rankings and ANR records.
+ranks every admissible query once with each of the baseline, arith and
+lqts methods, and prints one digest per output: the proxy table, feature
+and model files, and each method's rankings and the ANR records of the
+same rankings.
 
 Two source trees produce the same outputs when their digests agree. The
 `lqts` package comes from PYTHONPATH, so the same script checks any tree:
@@ -70,23 +71,20 @@ def digests(workload, seed: int, work: Path) -> dict[str, str]:
 
     proxies = corpus.load_proxies(work / "proxies.tsv")
     model = corpus.load_model(work / "model.qts")
+    labels = gallery.evaluation_labels()
     queries, _ = evaluation.admissible_query_ids(gallery)
     for method in METHODS:
-        config = retrieval.RetrievalConfig(
-            baseline=workload.baseline,
-            method=method,
-            k_p=0 if method == "baseline" else workload.k_p,
-            model=model if method == "lqts" else None,
-        )
+        config = retrieval.RetrievalConfig(workload.baseline, method, workload.k_p, model)
         ranker = retrieval.Ranker(gallery, config, proxies)
-        rankings = hashlib.sha256()
+        rankings, records = hashlib.sha256(), []
         for qid in queries:
-            retrieval.save_ranking(ranker.rank(qid), work / "ranking.tsv")
+            result = ranker.rank(qid)
+            retrieval.save_ranking(result, work / "ranking.tsv")
             rankings.update(qid.encode() + b"\n" + (work / "ranking.tsv").read_bytes())
+            records.append(evaluation.anr_record(result, labels))
         out[f"{method}.rankings"] = rankings.hexdigest()
-        records = evaluation.evaluate_all(gallery, config, proxies)
-        evaluation.write_anr_report(records, work / "anr.tsv")
-        out[f"{method}.anr"] = sha(work / "anr.tsv")
+        evaluation.write_anr_report(records, work / "records.tsv")
+        out[f"{method}.anr"] = sha(work / "records.tsv")
     return out
 
 

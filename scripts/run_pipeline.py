@@ -19,24 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from lqts import sampling, synth
-from lqts.cli import CDF_THRESHOLDS
+from lqts import sampling, similarity, synth
 from lqts.corpus import Gallery, save_gallery, save_model, save_proxies
-from lqts.evaluation import (
-    evaluate_all,
-    write_anr_report,
-    write_cdf_report,
-    write_rank_k_report,
-)
+from lqts.evaluation import evaluate_all, write_reports
 from lqts.metafeat import build_training_corpus
-from lqts.retrieval import RetrievalConfig, select_proxies
+from lqts.retrieval import METHODS, RetrievalConfig, select_proxies
 from lqts.svr import train
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="runs/pipeline")
-    ap.add_argument("--baseline", choices=("exemplar", "subspace"), default="exemplar")
+    ap.add_argument("--baseline", choices=similarity.BASELINES, default=similarity.EXEMPLAR)
     ap.add_argument("--identities", type=int, default=60)
     ap.add_argument("--dim", type=int, default=96)
     ap.add_argument("--tau", type=float, default=0.7)
@@ -66,7 +60,7 @@ def main(argv=None) -> int:
     )
     gallery, _ = synth.generate(cfg)
     save_gallery(gallery, out / "gallery")
-    if args.baseline == "exemplar":
+    if args.baseline == similarity.EXEMPLAR:
         gallery = Gallery(
             sets=tuple(sampling.robust_select(s, args.samples) for s in gallery),
             labels=gallery.labels,
@@ -94,25 +88,13 @@ def main(argv=None) -> int:
         f"KKT gap {model.kkt_violation:.1e}  [{time.time() - t0:.0f}s]"
     )
 
-    methods = {
-        "baseline": RetrievalConfig(method="baseline", baseline=args.baseline),
-        "arith": RetrievalConfig(method="arith", baseline=args.baseline, k_p=args.k_p),
-        "geom": RetrievalConfig(method="geom", baseline=args.baseline, k_p=args.k_p),
-        "quad": RetrievalConfig(method="quad", baseline=args.baseline, k_p=args.k_p),
-        "lqts": RetrievalConfig(
-            method="lqts", baseline=args.baseline, k_p=args.k_p, model=model
-        ),
-    }
     summary = {}
-    for name, config in methods.items():
+    for name in METHODS:
+        config = RetrievalConfig(args.baseline, name, args.k_p, model)
         t_stage = time.time()
         records = evaluate_all(gallery, config, proxies)
         t_stage = time.time() - t_stage
-        mdir = out / name
-        mdir.mkdir(exist_ok=True)
-        write_anr_report(records, mdir / "anr.tsv")
-        write_cdf_report(records, CDF_THRESHOLDS, mdir / "cdf.csv")
-        write_rank_k_report(records, mdir / "rank100.csv")
+        write_reports(records, out / name)
         anrs = np.array([r.anr for r in records])
         summary[name] = (float(np.mean(anrs)), float(np.mean(anrs < 0.3)))
         print(f"evaluated {name:8s} in {t_stage:6.2f}s  [{time.time() - t0:.0f}s]")

@@ -2,8 +2,8 @@
 
 Subcommands cover the full pipeline: synth -> sample -> proxies ->
 extract -> train -> retrieve / evaluate, plus the per-set kernel energy
-report. Every run writes a JSON sidecar with its full configuration so
-an experiment can be reproduced from its outputs alone.
+report. `main` writes every successful run's JSON sidecar, its full
+configuration, so an experiment can be reproduced from its outputs alone.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -19,11 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, evaluation, metafeat, retrieval, sampling, similarity, synth, svr
-from .errors import LqtsError, UsageError
+from .errors import DegenerateSetError, LqtsError, UsageError
 
 log = logging.getLogger(__name__)
-
-CDF_THRESHOLDS = [round(0.05 * i, 2) for i in range(21)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +56,6 @@ def _cmd_synth(args) -> int:
     with open(out / "truth.tsv", "w") as fh:
         for sid in gallery.set_ids:
             fh.write(f"{sid}\t{truth[sid]}\n")
-    _write_sidecar(out, args)
     print(f"wrote {len(gallery)} sets (dim {gallery.dim}) to {out}")
     return 0
 
@@ -76,7 +73,6 @@ def _cmd_sample(args) -> int:
     out_gallery = corpus.Gallery(sets=tuple(reduced), labels=gallery.labels)
     out = Path(args.out)
     corpus.save_gallery(out_gallery, out)
-    _write_sidecar(out, args)
     kept = sum(s.size for s in reduced)
     total = sum(s.size for s in gallery)
     print(f"reduced {total} exemplars to {kept} across {len(gallery)} sets -> {out}")
@@ -90,14 +86,14 @@ def _cmd_energy(args) -> int:
     with open(out, "w") as fh:
         fh.write("set_id,lambda2_ratio,lambda3_ratio\n")
         for s in gallery:
-            if s.size < 2:
+            try:
+                r2, r3 = sampling.energy_report(s)
+            except DegenerateSetError:
                 skipped += 1
                 continue
-            r2, r3 = sampling.energy_report(s)
             fh.write(f"{s.set_id},{repr(r2)},{repr(r3)}\n")
-    _write_sidecar(out, args)
     if skipped:
-        print(f"skipped {skipped} singleton sets", file=sys.stderr)
+        print(f"skipped {skipped} sets without variation", file=sys.stderr)
     print(f"wrote kernel energy ratios for {len(gallery) - skipped} sets to {out}")
     return 0
 
@@ -106,7 +102,6 @@ def _cmd_proxies(args) -> int:
     gallery = corpus.load_gallery(args.gallery)
     table = retrieval.select_proxies(gallery, args.baseline, args.k)
     corpus.save_proxies(table, args.out)
-    _write_sidecar(Path(args.out), args)
     print(f"wrote {args.k} proxies per set for {len(gallery)} sets to {args.out}")
     return 0
 
@@ -123,7 +118,6 @@ def _cmd_extract(args) -> int:
         seed=args.seed,
     )
     corpus.save_features(features, args.out)
-    _write_sidecar(Path(args.out), args)
     n_pos = int(np.sum(features.label == 1.0))
     print(f"wrote {len(features)} features ({n_pos} positive) to {args.out}")
     return 0
@@ -134,7 +128,6 @@ def _cmd_train(args) -> int:
     features = corpus.load_features(args.features)
     model = svr.train(features, config)
     corpus.save_model(model, args.out)
-    _write_sidecar(Path(args.out), args)
     print(
         f"trained on {len(features)} features: {model.n_support} support vectors, "
         f"bias {model.bias:.4f}, KKT gap {model.kkt_violation:.2e} -> {args.out}"
@@ -164,7 +157,6 @@ def _cmd_retrieve(args) -> int:
     config, proxies = _retrieval_config(args)
     result = retrieval.rank_gallery(args.query, gallery, config, proxies)
     retrieval.save_ranking(result, args.out)
-    _write_sidecar(Path(args.out), args)
     print(f"ranked {len(result.ranking)} sets for query {args.query!r} -> {args.out}")
     return 0
 
@@ -173,14 +165,9 @@ def _cmd_evaluate(args) -> int:
     gallery = corpus.load_gallery(args.gallery)
     config, proxies = _retrieval_config(args)
     records = evaluation.evaluate_all(gallery, config, proxies)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    evaluation.write_anr_report(records, out / "anr.tsv")
-    evaluation.write_cdf_report(records, CDF_THRESHOLDS, out / "cdf.csv")
-    evaluation.write_rank_k_report(records, out / "rank100.csv", top_k=args.top_k)
-    _write_sidecar(out, args)
+    evaluation.write_reports(records, args.out_dir, args.top_k)
     mean_anr = float(np.mean([r.anr for r in records]))
-    print(f"evaluated {len(records)} queries, mean ANR {mean_anr:.4f} -> {out}")
+    print(f"evaluated {len(records)} queries, mean ANR {mean_anr:.4f} -> {args.out_dir}")
     return 0
 
 
@@ -267,7 +254,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        _write_sidecar(Path(getattr(args, "out", None) or args.out_dir), args)
+        return status
     except (UsageError, ValueError) as exc:  # ValueError: invalid parameter combinations
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -158,7 +158,8 @@ class Gallery:
 
 @dataclass(frozen=True, eq=False)
 class ProxyTable:
-    """Per-set lists of the k_p nearest other sets under a baseline measure.
+    """Per-set lists of at most k_p distinct other sets, nearest first
+    under a baseline measure.
 
     Sets whose proxy list is empty (k_p = 0) carry no entry at all, so an
     empty table and a k_p = 0 table round-trip identically through disk.
@@ -175,6 +176,10 @@ class ProxyTable:
             plist = tuple((str(p), float(s)) for p, s in plist)
             if any(p == sid for p, _ in plist):
                 raise CorpusError(f"proxy list of {sid!r} contains itself")
+            if len(plist) > self.k_p:
+                raise CorpusError(f"proxy list of {sid!r} longer than k_p={self.k_p}")
+            if len({p for p, _ in plist}) < len(plist):
+                raise CorpusError(f"proxy list of {sid!r} repeats a proxy")
             scores = [s for _, s in plist]
             if any(a < b for a, b in zip(scores, scores[1:])):
                 raise CorpusError(f"proxy list of {sid!r} not sorted by descending score")

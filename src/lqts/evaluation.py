@@ -10,16 +10,18 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .corpus import Gallery, ProxyTable
 from .errors import CorpusError
-from .retrieval import Ranker, RetrievalConfig
+from .retrieval import RankedResult, Ranker, RetrievalConfig
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 100
+CDF_THRESHOLDS = [round(0.05 * i, 2) for i in range(21)]
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,15 @@ def anr(n: int, ranks) -> float:
     m = c * (c + 1) / 2.0
     big_m = c * (2 * n - c + 1) / 2.0
     return float((sum(ranks) - m) / (big_m - m))
+
+
+def anr_record(result: RankedResult, labels) -> AnrRecord:
+    """One ranked query's record: its matches are the ranked sets that
+    carry the query's label."""
+    want = labels[result.query_id]
+    ranks = tuple(pos for pos, (sid, _) in enumerate(result.ranking, 1) if labels[sid] == want)
+    n = len(result.ranking)
+    return AnrRecord(result.query_id, n, len(ranks), ranks, anr(n, ranks))
 
 
 def admissible_query_ids(gallery: Gallery) -> tuple[list[str], int]:
@@ -85,25 +96,7 @@ def evaluate_all(
     if skipped:
         log.info("excluded %d queries whose identity has one set or every set", skipped)
     ranker = Ranker(gallery, config, proxies)
-    records = []
-    for qid in queries:
-        result = ranker.rank(qid)
-        want = labels[qid]
-        ranks = tuple(
-            pos
-            for pos, (sid, _) in enumerate(result.ranking, start=1)
-            if labels[sid] == want
-        )
-        records.append(
-            AnrRecord(
-                query_id=qid,
-                n=len(result.ranking),
-                c=len(ranks),
-                ranks=ranks,
-                anr=anr(len(result.ranking), ranks),
-            )
-        )
-    return records
+    return [anr_record(ranker.rank(qid), labels) for qid in queries]
 
 
 def anr_cdf(records, thresholds) -> list[tuple[float, float]]:
@@ -126,7 +119,10 @@ class RankKStat:
 
 def rank_k_stats(records, top_k: int = DEFAULT_TOP_K) -> list[RankKStat]:
     """Group queries by their number of matches k and report top-K hit
-    probability and mean retrieved-match count per group."""
+    probability and mean retrieved-match count per group. A top_k below 1
+    raises ValueError."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     groups: dict[int, list[AnrRecord]] = defaultdict(list)
     for r in records:
         groups[r.c].append(r)
@@ -160,18 +156,26 @@ def independence_prediction(p1: float, n1: float, k: int) -> tuple[float, float]
 # report files
 
 
+def write_reports(records, out_dir, top_k: int = DEFAULT_TOP_K) -> None:
+    """Write one evaluation's reports into out_dir, creating it: anr.tsv,
+    cdf.csv at CDF_THRESHOLDS and rank100.csv at top_k. No records or a
+    top_k below 1 raise ValueError before anything is created."""
+    cdf = anr_cdf(records, CDF_THRESHOLDS)
+    rank_k_stats(records, top_k)  # the top_k check, before anything is written
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_anr_report(records, out / "anr.tsv")
+    with open(out / "cdf.csv", "w") as fh:
+        fh.write("threshold,fraction\n")
+        fh.writelines(f"{t:g},{repr(frac)}\n" for t, frac in cdf)
+    write_rank_k_report(records, out / "rank100.csv", top_k)
+
+
 def write_anr_report(records, path) -> None:
     with open(path, "w") as fh:
         fh.write("query_id\tn\tc\tanr\n")
         for r in records:
             fh.write(f"{r.query_id}\t{r.n}\t{r.c}\t{repr(r.anr)}\n")
-
-
-def write_cdf_report(records, thresholds, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("threshold,fraction\n")
-        for t, frac in anr_cdf(records, thresholds):
-            fh.write(f"{t:g},{repr(frac)}\n")
 
 
 def write_rank_k_report(records, path, top_k: int = DEFAULT_TOP_K) -> None:

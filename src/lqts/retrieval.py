@@ -35,8 +35,7 @@ COMBINERS = {
     "geom": lambda rho_qp, rho_pt: np.sqrt(rho_qp * rho_pt),
     "quad": lambda rho_qp, rho_pt: np.sqrt(0.5 * rho_qp**2 + 0.5 * rho_pt**2),
 }
-SIMPLE_RULES = tuple(COMBINERS)
-METHODS = (METHOD_BASELINE, METHOD_LQTS) + SIMPLE_RULES
+METHODS = (METHOD_BASELINE, *COMBINERS, METHOD_LQTS)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from lqts.cli import main
+from lqts.corpus import FaceSet, Gallery, save_gallery
 
 
 def run(*argv):
@@ -62,6 +64,18 @@ class TestUsageErrors:
         assert run("retrieve", *common, "--query", "id000_s0", "--out", str(ranking)) == 1
         assert not ranking.exists()
 
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_evaluate_top_k_below_one(self, pipeline_dirs, tmp_path, capsys, top_k):
+        root, gal = pipeline_dirs
+        out_dir = tmp_path / "eval"
+        code = run(
+            "evaluate", "--gallery", str(gal), "--k", "0", "--top-k", top_k,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert f"top_k must be >= 1, got {top_k}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_non_finite_svr_parameter(self, tmp_path):
         feats = tmp_path / "feats.tsv"
         feats.write_text(
@@ -82,6 +96,21 @@ class TestDataErrors:
         (gal / "manifest.tsv").write_text("a\t-\tsets/a.csv\n")
         (gal / "sets" / "a.csv").write_text("1.0,oops\n")
         assert run("energy", "--gallery", str(gal), "--out", str(tmp_path / "e.csv")) == 2
+
+    def test_energy_skips_sets_without_variation(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        sets = (
+            FaceSet("varied", rng.normal(size=(15, 4))),
+            FaceSet("dup", np.tile(rng.normal(size=4), (15, 1))),
+            FaceSet("single", rng.normal(size=(1, 4))),
+        )
+        gal, out = tmp_path / "gal", tmp_path / "e.csv"
+        save_gallery(Gallery(sets=sets), gal)
+        assert run("energy", "--gallery", str(gal), "--out", str(out)) == 0
+        assert "skipped 2 sets without variation" in capsys.readouterr().err
+        rows = out.read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["set_id", "varied"]
+        assert (tmp_path / "e.csv.run.json").is_file()
 
     def test_malformed_proxy_table(self, pipeline_dirs, tmp_path, capsys):
         root, gal = pipeline_dirs

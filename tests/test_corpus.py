@@ -124,6 +124,23 @@ class TestProxyTable:
         with pytest.raises(CorpusError, match="sorted"):
             ProxyTable(k_p=2, entries={"a": (("b", 0.1), ("c", 0.9))})
 
+    @pytest.mark.parametrize(
+        "k_p, plist, message",
+        [
+            (2, (("b", 0.9), ("b", 0.9)), "repeats a proxy"),
+            (1, (("b", 0.9), ("c", 0.8)), "longer than k_p=1"),
+        ],
+    )
+    def test_invalid_proxy_list_rejected(self, k_p, plist, message):
+        with pytest.raises(CorpusError, match=re.escape(f"proxy list of 'a' {message}")):
+            ProxyTable(k_p=k_p, entries={"a": plist})
+
+    def test_repeated_proxy_in_file_rejected(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("# k_p=2\na\t1\tb\t0.9\na\t2\tb\t0.9\n")
+        with pytest.raises(CorpusError, match="proxy list of 'a' repeats a proxy"):
+            load_proxies(path)
+
     def test_round_trip(self, tmp_path):
         t = ProxyTable(
             k_p=2,

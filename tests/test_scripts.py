@@ -1,0 +1,42 @@
+"""Smoke runs of the experiment scripts, loaded by path and run in-process."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from lqts.retrieval import METHODS
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_pipeline_reports_every_method(tmp_path, capsys):
+    main = load_script("run_pipeline").main
+    assert main(["--identities", "20", "--cap", "800", "--out-dir", str(tmp_path)]) == 0
+    for method in METHODS:
+        for name in ("anr.tsv", "cdf.csv", "rank100.csv"):
+            assert len((tmp_path / method / name).read_text().splitlines()) >= 2
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("method "))
+    rows = lines[header + 1 : header + 1 + len(METHODS)]
+    assert [row.split()[0] for row in rows] == ["baseline", "arith", "geom", "quad", "lqts"]
+
+
+def test_sampling_error_writes_its_tables(tmp_path):
+    main = load_script("sampling_error").main
+    argv = [
+        "--identities", "6", "--dim", "8", "--min-exemplars", "20", "--max-exemplars", "30",
+        "--samples", "5", "--pairs", "10", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    pairs = (tmp_path / "pair_errors.tsv").read_text().splitlines()
+    cdf = (tmp_path / "error_cdf.csv").read_text().splitlines()
+    assert len(pairs) == len(cdf) == 11
+    assert float(cdf[-1].split(",")[1]) == pytest.approx(1.0)
