@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """End-to-end retrieval experiment on a synthetic gallery.
 
-Generates a gallery with transitive structure, runs the unsupervised
-pipeline (robust selection, proxy table, feature extraction, regressor
-training), then evaluates the baseline, the three simple combiners and
-the learnt method, writing per-method report files plus a summary table
-to stdout. Everything is seeded, so runs are reproducible.
+Generates a gallery with transitive structure, runs the benchmark's own
+unsupervised pipeline stages on it (`perfbench/pipeline.py` `setup` and
+`build`) and prints each stage's seconds, then evaluates the baseline, the
+three simple combiners and the learnt method, writing per-method report
+files plus a summary table to stdout. Everything is seeded, so runs are
+reproducible.
 
 Usage:
     python scripts/run_pipeline.py --out-dir runs/demo
@@ -19,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from lqts import sampling, similarity, synth
-from lqts.corpus import Gallery, save_gallery, save_model, save_proxies
-from lqts.evaluation import evaluate_all, write_reports
-from lqts.metafeat import build_training_corpus
-from lqts.retrieval import METHODS, RetrievalConfig, select_proxies
-from lqts.svr import train
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import pipeline  # noqa: E402
+from workloads import Workload  # noqa: E402
+
+from lqts import corpus, similarity  # noqa: E402
+from lqts.evaluation import evaluate_all, write_reports  # noqa: E402
+from lqts.retrieval import METHODS, RetrievalConfig  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -40,7 +42,6 @@ def parse_args(argv=None):
     ap.add_argument("--k-p", type=int, default=5)
     ap.add_argument("--samples", type=int, default=10)
     ap.add_argument("--cap", type=int, default=6000)
-    ap.add_argument("--train-sets", type=int, default=200)
     return ap.parse_args(argv)
 
 
@@ -48,44 +49,37 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    workload = Workload(
+        name="run_pipeline",
+        baseline=args.baseline,
+        cap=args.cap,
+        k_p=args.k_p,
+        samples=args.samples if args.baseline == similarity.EXEMPLAR else None,
+        synth={
+            "n_identities": args.identities,
+            "dim": args.dim,
+            "transitivity": args.tau,
+            "noise": args.noise,
+            "set_spacing": args.spacing,
+        },
+    )
 
     t0 = time.time()
-    cfg = synth.SynthConfig(
-        n_identities=args.identities,
-        dim=args.dim,
-        transitivity=args.tau,
-        noise=args.noise,
-        set_spacing=args.spacing,
-        seed=args.seed,
-    )
-    gallery, _ = synth.generate(cfg)
-    save_gallery(gallery, out / "gallery")
-    if args.baseline == similarity.EXEMPLAR:
-        gallery = Gallery(
-            sets=tuple(sampling.robust_select(s, args.samples) for s in gallery),
-            labels=gallery.labels,
-        )
-        save_gallery(gallery, out / "gallery_sampled")
-
-    t_stage = time.time()
-    proxies = select_proxies(gallery, args.baseline, 10)
-    t_stage = time.time() - t_stage
-    save_proxies(proxies, out / "proxies.tsv")
+    ops = pipeline.Ops()
+    ops.timings = {}
+    _, gallery = pipeline.setup(workload, args.seed, out, ops)
+    gallery, proxies, model = pipeline.build(workload, gallery, out, ops)
+    if workload.samples is not None:
+        corpus.save_gallery(gallery, out / "gallery_sampled")
+    stage_s: dict[str, float] = {}
+    for key, (sec, _) in ops.timings.items():
+        stage = key.split("/", 1)[1]
+        stage_s[stage] = stage_s.get(stage, 0.0) + sec
+    for stage, sec in stage_s.items():
+        print(f"{stage:32s} {sec:7.2f}s")
     print(
-        f"gallery: {len(gallery)} sets, dim {gallery.dim}; proxy table in {t_stage:.2f}s  "
-        f"[{time.time() - t0:.0f}s]"
-    )
-    features = build_training_corpus(
-        gallery, proxies, args.baseline, n_train_sets=args.train_sets, cap=args.cap, seed=5
-    )
-    t_train = time.time()
-    model = train(features)
-    t_train = time.time() - t_train
-    save_model(model, out / "model.qts")
-    print(
-        f"trained on {len(features)} features: {len(model.objective_trace) - 1} pair updates "
-        f"in {t_train:.1f}s, {model.n_support} support vectors, "
-        f"KKT gap {model.kkt_violation:.1e}  [{time.time() - t0:.0f}s]"
+        f"gallery: {len(gallery)} sets, dim {gallery.dim}; model: {model.n_support} support "
+        f"vectors, KKT gap {model.kkt_violation:.1e}  [{time.time() - t0:.0f}s]"
     )
 
     summary = {}

@@ -176,25 +176,26 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth", help="generate a labelled synthetic gallery")
+    defaults = synth.SynthConfig()
     p.add_argument("--out", required=True)
-    p.add_argument("--identities", type=int, default=60)
-    p.add_argument("--sets-min", type=int, default=2)
-    p.add_argument("--sets-max", type=int, default=4)
-    p.add_argument("--dim", type=int, default=96)
-    p.add_argument("--tau", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exemplars-min", type=int, default=20)
-    p.add_argument("--exemplars-max", type=int, default=50)
-    p.add_argument("--sigma-id", type=float, default=1.0)
-    p.add_argument("--sigma-cond", type=float, default=8.0)
-    p.add_argument("--floor", type=float, default=0.02)
-    p.add_argument("--noise", type=float, default=0.15)
-    p.add_argument("--spacing", type=float, default=None)
+    p.add_argument("--identities", type=int, default=defaults.n_identities)
+    p.add_argument("--sets-min", type=int, default=defaults.sets_per_identity[0])
+    p.add_argument("--sets-max", type=int, default=defaults.sets_per_identity[1])
+    p.add_argument("--dim", type=int, default=defaults.dim)
+    p.add_argument("--tau", type=float, default=defaults.transitivity)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--exemplars-min", type=int, default=defaults.exemplars_per_set[0])
+    p.add_argument("--exemplars-max", type=int, default=defaults.exemplars_per_set[1])
+    p.add_argument("--sigma-id", type=float, default=defaults.identity_spread)
+    p.add_argument("--sigma-cond", type=float, default=defaults.condition_spread)
+    p.add_argument("--floor", type=float, default=defaults.descriptor_floor)
+    p.add_argument("--noise", type=float, default=defaults.noise)
+    p.add_argument("--spacing", type=float, default=defaults.set_spacing)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("sample", help="robust-select every set of a gallery")
     p.add_argument("--gallery", required=True)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=int, default=sampling.DEFAULT_SAMPLES)
     p.add_argument("--gamma", default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -223,9 +224,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="fit the similarity regressor")
     p.add_argument("--features", required=True)
-    p.add_argument("--epsilon", type=float, default=0.4)
-    p.add_argument("--cost", type=float, default=1000.0)
-    p.add_argument("--gamma", type=float, default=0.2)
+    defaults = svr.SvrConfig()
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    p.add_argument("--cost", type=float, default=defaults.cost)
+    p.add_argument("--gamma", type=float, default=defaults.kernel_gamma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

@@ -243,6 +243,7 @@ def load_gallery(path: str | Path) -> Gallery:
         raise CorpusError(f"missing {MANIFEST_NAME} in {root}")
     sets: list[FaceSet] = []
     labels: dict[str, str] = {}
+    seen: set[str] = set()
     unlabelled = 0
     for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
         if not line.strip():
@@ -251,6 +252,9 @@ def load_gallery(path: str | Path) -> Gallery:
         if len(parts) != 3:
             raise CorpusError(f"{manifest}:{lineno}: expected 3 tab-separated columns")
         set_id, identity, rel = parts
+        if set_id in seen:
+            raise CorpusError(f"{manifest}:{lineno}: duplicate set_id {set_id!r}")
+        seen.add(set_id)
         exemplars = _load_set_file(root / rel, set_id)
         if sets and exemplars.shape[1] != sets[0].dim:
             raise CorpusError(
@@ -313,7 +317,8 @@ def _parse(kind, text: str, what: str, where: str):
 def load_proxies(path: str | Path) -> ProxyTable:
     """Read a proxy table. A missing ``# k_p=`` header, a non-integer k_p
     or rank, a non-numeric score or a list longer than k_p raises
-    CorpusError naming the file and line."""
+    CorpusError naming the file and line; a list that ProxyTable rejects
+    (a repeated proxy, the set itself, unsorted scores) names the file."""
     entries: dict[str, list[tuple[str, float]]] = {}
     k_p = None
     with open(path) as fh:
@@ -342,7 +347,10 @@ def load_proxies(path: str | Path) -> ProxyTable:
             plist.append((pid, _parse(float, score, "non-numeric score", where)))
     if k_p is None:
         raise CorpusError(f"{path}:1: missing '# k_p=' header")
-    return ProxyTable(k_p=k_p, entries={k: tuple(v) for k, v in entries.items()})
+    try:
+        return ProxyTable(k_p=k_p, entries={k: tuple(v) for k, v in entries.items()})
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

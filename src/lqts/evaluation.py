@@ -158,8 +158,9 @@ def independence_prediction(p1: float, n1: float, k: int) -> tuple[float, float]
 
 def write_reports(records, out_dir, top_k: int = DEFAULT_TOP_K) -> None:
     """Write one evaluation's reports into out_dir, creating it: anr.tsv,
-    cdf.csv at CDF_THRESHOLDS and rank100.csv at top_k. No records or a
-    top_k below 1 raise ValueError before anything is created."""
+    cdf.csv at CDF_THRESHOLDS and rank{top_k}.csv (rank100.csv by default).
+    No records or a top_k below 1 raise ValueError before anything is
+    created."""
     cdf = anr_cdf(records, CDF_THRESHOLDS)
     rank_k_stats(records, top_k)  # the top_k check, before anything is written
     out = Path(out_dir)
@@ -168,7 +169,7 @@ def write_reports(records, out_dir, top_k: int = DEFAULT_TOP_K) -> None:
     with open(out / "cdf.csv", "w") as fh:
         fh.write("threshold,fraction\n")
         fh.writelines(f"{t:g},{repr(frac)}\n" for t, frac in cdf)
-    write_rank_k_report(records, out / "rank100.csv", top_k)
+    write_rank_k_report(records, out / f"rank{top_k}.csv", top_k)
 
 
 def write_anr_report(records, path) -> None:

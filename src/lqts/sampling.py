@@ -78,7 +78,10 @@ def fit_kpca(s: FaceSet, gamma: float | str = "auto") -> KpcaModel:
     n = x.shape[0]
     if n < 2:
         raise DegenerateSetError(f"set {s.set_id!r}: need at least 2 exemplars for KPCA")
-    g = median_heuristic_gamma(x) if gamma == "auto" else float(gamma)
+    try:
+        g = median_heuristic_gamma(x) if gamma == "auto" else float(gamma)
+    except DegenerateSetError as exc:
+        raise DegenerateSetError(f"set {s.set_id!r}: {exc}") from None
     k = np.exp(-g * _sq_dists(x, x))
     h = np.eye(n) - np.full((n, n), 1.0 / n)
     kc = h @ k @ h

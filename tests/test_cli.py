@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from lqts.cli import main
+from lqts.cli import build_parser, main
 from lqts.corpus import FaceSet, Gallery, save_gallery
+from lqts.sampling import DEFAULT_SAMPLES
+from lqts.svr import SvrConfig
+from lqts.synth import SynthConfig
 
 
 def run(*argv):
@@ -23,6 +26,27 @@ def pipeline_dirs(tmp_path_factory):
     )
     assert code == 0
     return root, gal
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    a = parse(["synth", "--out", "g"])
+    assert SynthConfig(
+        n_identities=a.identities,
+        sets_per_identity=(a.sets_min, a.sets_max),
+        exemplars_per_set=(a.exemplars_min, a.exemplars_max),
+        dim=a.dim,
+        identity_spread=a.sigma_id,
+        condition_spread=a.sigma_cond,
+        transitivity=a.tau,
+        descriptor_floor=a.floor,
+        seed=a.seed,
+        noise=a.noise,
+        set_spacing=a.spacing,
+    ) == SynthConfig()
+    a = parse(["train", "--features", "f", "--out", "m"])
+    assert SvrConfig(epsilon=a.epsilon, cost=a.cost, kernel_gamma=a.gamma) == SvrConfig()
+    assert parse(["sample", "--gallery", "g", "--out", "o"]).samples == DEFAULT_SAMPLES
 
 
 class TestUsageErrors:
@@ -240,6 +264,17 @@ class TestPipeline:
             if rel.name == "run.json":  # sidecar records the differing --out path
                 continue
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    def test_evaluate_names_the_rank_report_by_top_k(self, pipeline_dirs, tmp_path):
+        root, gal = pipeline_dirs
+        out_dir = tmp_path / "eval"
+        code = run(
+            "evaluate", "--gallery", str(gal), "--k", "0", "--top-k", "50",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert (out_dir / "rank50.csv").read_text().startswith("k,empirical_prob,")
+        assert not (out_dir / "rank100.csv").exists()
 
     def test_retrieve_ranking_is_sorted(self, pipeline_dirs):
         root, gal = pipeline_dirs

@@ -74,6 +74,13 @@ class TestGalleryLoad:
         with pytest.raises(CorpusError, match="dimension"):
             load_gallery(write_gallery_dir(tmp_path, rows, files))
 
+    def test_duplicate_set_id_names_manifest_line(self, tmp_path):
+        rows = ["a\t-\tsets/a.csv\n", "b\t-\tsets/b.csv\n", "a\t-\tsets/b.csv\n"]
+        files = {"sets/a.csv": "1.0,2.0\n", "sets/b.csv": "2.0,1.0\n"}
+        root = write_gallery_dir(tmp_path, rows, files)
+        with pytest.raises(CorpusError, match=re.escape(f"{root / 'manifest.tsv'}:3: duplicate set_id 'a'")):
+            load_gallery(root)
+
     def test_mixed_labelling_rejected(self, tmp_path):
         rows = ["a\tp1\tsets/a.csv\n", "b\t-\tsets/b.csv\n"]
         files = {"sets/a.csv": "1.0\n", "sets/b.csv": "2.0\n"}
@@ -138,7 +145,7 @@ class TestProxyTable:
     def test_repeated_proxy_in_file_rejected(self, tmp_path):
         path = tmp_path / "p.tsv"
         path.write_text("# k_p=2\na\t1\tb\t0.9\na\t2\tb\t0.9\n")
-        with pytest.raises(CorpusError, match="proxy list of 'a' repeats a proxy"):
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: proxy list of 'a' repeats a proxy")):
             load_proxies(path)
 
     def test_round_trip(self, tmp_path):

@@ -44,6 +44,10 @@ class TestFitKpca:
         with pytest.raises(DegenerateSetError):
             fit_kpca(s)
 
+    def test_identical_exemplars_name_the_set(self):
+        with pytest.raises(DegenerateSetError, match="^set 'dup': all exemplars identical"):
+            robust_select(FaceSet("dup", np.ones((15, 4))), 10)
+
     def test_singleton_rejected(self):
         with pytest.raises(DegenerateSetError):
             fit_kpca(FaceSet("one", np.ones((1, 3))))

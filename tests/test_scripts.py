@@ -20,6 +20,10 @@ def load_script(name):
 def test_run_pipeline_reports_every_method(tmp_path, capsys):
     main = load_script("run_pipeline").main
     assert main(["--identities", "20", "--cap", "800", "--out-dir", str(tmp_path)]) == 0
+    for name in ("gallery", "gallery_sampled"):
+        assert (tmp_path / name / "manifest.tsv").is_file()
+    assert (tmp_path / "proxies.tsv").read_text().startswith("# k_p=")
+    assert (tmp_path / "model.qts").read_text().startswith("gamma=")
     for method in METHODS:
         for name in ("anr.tsv", "cdf.csv", "rank100.csv"):
             assert len((tmp_path / method / name).read_text().splitlines()) >= 2
@@ -27,6 +31,29 @@ def test_run_pipeline_reports_every_method(tmp_path, capsys):
     header = next(i for i, line in enumerate(lines) if line.startswith("method "))
     rows = lines[header + 1 : header + 1 + len(METHODS)]
     assert [row.split()[0] for row in rows] == ["baseline", "arith", "geom", "quad", "lqts"]
+
+
+def test_output_digests_repeat_on_tiny_workloads(tmp_path):
+    module = load_script("output_digests")
+    from workloads import Workload  # perfbench/ is on sys.path once the script is loaded
+
+    synth = {"n_identities": 8, "exemplars_per_set": (8, 12), "dim": 24}
+    tiny = (
+        Workload("tiny-exemplar", "exemplar", cap=300, k_p=3, samples=6, synth=synth),
+        Workload(
+            "tiny-subspace", "subspace", cap=300, k_p=1, samples=None,
+            synth={**synth, "noise": 0.25},
+        ),
+    )
+    for workload in tiny:
+        ops = module.Outputs()
+        runs = []
+        for attempt in ("a", "b"):
+            (tmp_path / workload.name / attempt).mkdir(parents=True)
+            runs.append(module.digests(workload, 3, tmp_path / workload.name / attempt, ops))
+        assert len(runs[0]) == 9
+        assert runs[0] == runs[1]
+        assert ops.attempted > 0 and ops.failed == 0, ops.failures
 
 
 def test_sampling_error_writes_its_tables(tmp_path):
