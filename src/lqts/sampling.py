@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .corpus import FaceSet
 from .errors import DegenerateSetError
@@ -44,7 +45,22 @@ def median_heuristic_gamma(exemplars: np.ndarray) -> float:
         if positive.size == 0:
             raise DegenerateSetError("all exemplars identical: cannot pick a bandwidth")
         med = float(np.mean(positive))
-    return 1.0 / (2.0 * med * med)
+    g = 1.0 / (2.0 * med * med)
+    if not (np.isfinite(g) and g > 0.0):
+        raise DegenerateSetError(f"median exemplar distance {med:.3g} gives no finite positive bandwidth")
+    return g
+
+
+def _checked_gamma(gamma: float | str) -> float | str:
+    """'auto', or gamma as a float. Raises ValueError unless it is finite
+    and positive: any other bandwidth gives a kernel without variation or
+    non-finite weights."""
+    if gamma == "auto":
+        return gamma
+    g = float(gamma)
+    if not (np.isfinite(g) and g > 0.0):
+        raise ValueError(f"gamma must be finite and positive or 'auto', got {gamma!r}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -71,15 +87,17 @@ class KpcaModel:
 def fit_kpca(s: FaceSet, gamma: float | str = "auto") -> KpcaModel:
     """Fit the dominant component of exp(-gamma * ||x_i - x_j||^2).
 
-    gamma='auto' uses the median-distance heuristic. Raises
-    DegenerateSetError when the set carries no variation.
+    gamma='auto' uses the median-distance heuristic. Raises ValueError for
+    a gamma that is not finite and positive, and DegenerateSetError when
+    the set carries no variation.
     """
+    gamma = _checked_gamma(gamma)
     x = s.exemplars
     n = x.shape[0]
     if n < 2:
         raise DegenerateSetError(f"set {s.set_id!r}: need at least 2 exemplars for KPCA")
     try:
-        g = median_heuristic_gamma(x) if gamma == "auto" else float(gamma)
+        g = median_heuristic_gamma(x) if gamma == "auto" else gamma
     except DegenerateSetError as exc:
         raise DegenerateSetError(f"set {s.set_id!r}: {exc}") from None
     k = np.exp(-g * _sq_dists(x, x))
@@ -107,44 +125,60 @@ def energy_report(s: FaceSet, gamma: float | str = "auto") -> tuple[float, float
     return float(l2 / l1), float(l3 / l1)
 
 
-def expansion_coefficients(m: KpcaModel, z_target: float) -> np.ndarray:
+def expansion_coefficients(m: KpcaModel, z_target: float | np.ndarray) -> np.ndarray:
     """Coefficients c_i expressing the feature-space point at coordinate
-    z_target on component 1 as sum_i c_i * phi(x_i)."""
+    z_target on component 1 as sum_i c_i * phi(x_i). A (T, 1) column of
+    coordinates gives one row of coefficients per coordinate."""
     n = m.size
     a_sum = float(np.sum(m.alpha))
     return z_target * m.alpha + (1.0 - z_target * a_sum) / n
 
 
-def pre_image(m: KpcaModel, z_target: float) -> np.ndarray:
-    """Descriptor-space point whose image best matches the feature-space
-    point at coordinate z_target on the dominant component.
+def pre_images(m: KpcaModel, targets: ArrayLike) -> np.ndarray:
+    """(T, d) descriptor-space points whose images best match the
+    feature-space points at the T coordinates on the dominant component.
 
-    Fixed-point iteration x <- sum_i w_i x_i with RBF weights
-    w_i = c_i * exp(-gamma ||x - x_i||^2), started from the source
-    exemplar whose projection is nearest z_target. Falls back to that
-    exemplar on non-convergence or degenerate weights, so the result is
-    always finite with positive norm.
+    Each target runs the fixed-point iteration x <- sum_i w_i x_i with RBF
+    weights w_i = c_i * exp(-gamma ||x - x_i||^2), started from the source
+    exemplar whose projection is nearest the target (the first on ties).
+    It falls back to that exemplar on non-convergence or degenerate
+    weights, so every row is finite with positive norm.
+
+    The targets iterate together, and a target leaves the live set when it
+    finishes. Every reduction keeps the summation order of one target
+    alone: sums run along contiguous rows, the weighted sum is one gemv per
+    target (a stacked (1, n) @ (n, d) matmul) and norms are sqrt(dot), as
+    np.linalg.norm computes them. So each row does not depend on the other
+    targets, bit for bit.
     """
-    nearest = int(np.argmin(np.abs(m.projections - z_target)))
-    fallback = m.exemplars[nearest].copy()
-    c = expansion_coefficients(m, z_target)
-    x = fallback.copy()
+    z = np.asarray(targets, dtype=float)
+    nearest = np.argmin(np.abs(m.projections - z[:, None]), axis=1)
+    out = m.exemplars[nearest]  # fallbacks, overwritten by converged rows
+    live = np.arange(z.size)
+    x = out.copy()
+    c = expansion_coefficients(m, z[:, None])
     for _ in range(PREIMAGE_MAX_ITER):
-        d2 = np.sum((m.exemplars - x) ** 2, axis=1)
+        d2 = np.sum((m.exemplars - x[:, None, :]) ** 2, axis=2)
         w = c * np.exp(-m.gamma * d2)
-        denom = float(np.sum(w))
-        if not np.isfinite(denom) or abs(denom) < WEIGHT_FLOOR:
-            return fallback
-        x_new = (w @ m.exemplars) / denom
-        if not np.all(np.isfinite(x_new)):
-            return fallback
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if step < PREIMAGE_STEP_TOL:
-            if float(np.linalg.norm(x)) == 0.0:
-                return fallback
-            return x
-    return fallback
+        denom = np.sum(w, axis=1)
+        keep = np.isfinite(denom) & (np.abs(denom) >= WEIGHT_FLOOR)
+        live, x, c, w, denom = live[keep], x[keep], c[keep], w[keep], denom[keep]
+        x_new = np.matmul(w[:, None, :], m.exemplars)[:, 0] / denom[:, None]
+        keep = np.all(np.isfinite(x_new), axis=1)
+        live, x, c, x_new = live[keep], x[keep], c[keep], x_new[keep]
+        step = x_new - x
+        done = np.sqrt(np.vecdot(step, step)) < PREIMAGE_STEP_TOL
+        found = done & (np.sqrt(np.vecdot(x_new, x_new)) != 0.0)
+        out[live[found]] = x_new[found]
+        live, x, c = live[~done], x_new[~done], c[~done]
+        if live.size == 0:
+            break
+    return out
+
+
+def pre_image(m: KpcaModel, z_target: float) -> np.ndarray:
+    """pre_images of the single coordinate z_target."""
+    return pre_images(m, [z_target])[0]
 
 
 def robust_select(
@@ -157,9 +191,9 @@ def robust_select(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    gamma = _checked_gamma(gamma)
     if s.size <= n_samples:
         return s
     m = fit_kpca(s, gamma)
     targets = np.linspace(float(m.projections.min()), float(m.projections.max()), n_samples)
-    chosen = np.stack([pre_image(m, z) for z in targets])
-    return FaceSet(set_id=s.set_id, exemplars=chosen)
+    return FaceSet(set_id=s.set_id, exemplars=pre_images(m, targets))

@@ -15,13 +15,15 @@ row blocks replaced. `dual_objective` evaluates the SVR dual at a point.
 `reference_train` and `reference_train_wss2` are SVR dual solvers with
 every mask rebuilt on each pair update: the maximal-violating-pair solver
 `lqts.svr.train` replaced, and `train`'s own pair rule without its
-shrinking.
+shrinking. `oracle_pre_image` is the one-target fixed-point loop that
+`lqts.sampling.pre_images` runs for all of a set's targets together.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from lqts import sampling
 from lqts.corpus import FaceSet, ProxyTable
 from lqts.errors import DimensionMismatchError, TrainingError
 from lqts.metafeat import _exemplar_pair_arrays, _subspace_pair_arrays
@@ -138,6 +140,34 @@ def extract_subspace(reference, proxy, k: int = DEFAULT_SUBSPACE_DIM):
     at dimension k: a row per exemplar whose projection onto neither
     subspace is degenerate."""
     return _subspace_pair_arrays(reference, proxy, fit_subspace(reference, k), fit_subspace(proxy, k))
+
+
+def oracle_pre_image(m: sampling.KpcaModel, z_target: float) -> np.ndarray:
+    """Pre-image of one coordinate on the dominant kernel component: the
+    fixed-point iteration from the exemplar whose projection is nearest,
+    falling back to that exemplar on degenerate weights, a non-finite or
+    zero-norm iterate, or no convergence within PREIMAGE_MAX_ITER steps
+    (read at call time)."""
+    nearest = int(np.argmin(np.abs(m.projections - z_target)))
+    fallback = m.exemplars[nearest].copy()
+    c = sampling.expansion_coefficients(m, z_target)
+    x = fallback.copy()
+    for _ in range(sampling.PREIMAGE_MAX_ITER):
+        d2 = np.sum((m.exemplars - x) ** 2, axis=1)
+        w = c * np.exp(-m.gamma * d2)
+        denom = float(np.sum(w))
+        if not np.isfinite(denom) or abs(denom) < sampling.WEIGHT_FLOOR:
+            return fallback
+        x_new = (w @ m.exemplars) / denom
+        if not np.all(np.isfinite(x_new)):
+            return fallback
+        step = float(np.linalg.norm(x_new - x))
+        x = x_new
+        if step < sampling.PREIMAGE_STEP_TOL:
+            if float(np.linalg.norm(x)) == 0.0:
+                return fallback
+            return x
+    return fallback
 
 
 def score_lqts(query, target, proxies, model) -> float:

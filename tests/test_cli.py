@@ -75,6 +75,14 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+    def test_gamma_not_finite_and_positive(self, pipeline_dirs, tmp_path, capsys, gamma):
+        root, gal = pipeline_dirs
+        out = tmp_path / "reduced"
+        assert run("sample", "--gallery", str(gal), "--gamma", gamma, "--out", str(out)) == 1
+        assert "gamma must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_more_proxies_than_the_table_holds(self, pipeline_dirs, tmp_path, capsys):
         root, gal = pipeline_dirs
         proxies = tmp_path / "proxies.tsv"
