@@ -7,10 +7,13 @@ benchmark uses:
     OPENBLAS_NUM_THREADS=1 python -m pytest microbench/test_extraction.py --benchmark-autosave
 
 One call is the training extraction of a pipeline-benchmark workload:
-feature rows for every chosen reference set against each of its proxies,
-pooled and capped, on the workload's seed-11 gallery as reduced for it,
-with its cap, training-set count and corpus seed
-(`perfbench/workloads.py`). The proxy table is built once and not timed.
+the rows its cap keeps, drawn from those of every chosen reference set
+against each of its proxies, on the workload's seed-11 gallery as reduced
+for it, with its cap, training-set count and corpus seed
+(`perfbench/workloads.py`). `unsampled` is the seed-11 exemplar gallery
+without robust selection (173 sets of 20 to 50 exemplars) at the default
+cap of 50,000 rows, as `qts train` extracts when `qts sample` was
+skipped. The proxy table is built once and not timed.
 """
 
 import sys
@@ -18,27 +21,31 @@ from pathlib import Path
 
 import pytest
 
-from lqts.metafeat import build_training_corpus
+from lqts import synth
+from lqts.metafeat import DEFAULT_CAP, build_training_corpus
 from lqts.retrieval import select_proxies
 
 from test_gallery_scorer import workload_gallery
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import CORPUS_SEED, PROXY_K, TRAIN_SETS, WORKLOADS  # noqa: E402
+from workloads import ACCEPTANCE_SEED, CORPUS_SEED, PROXY_K, TRAIN_SETS, WORKLOADS  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
+@pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane", "unsampled"])
 def test_build_training_corpus(benchmark, name):
-    w = WORKLOADS[name]
-    gallery = workload_gallery(name)
-    proxies = select_proxies(gallery, w.baseline, PROXY_K)
+    if name == "unsampled":
+        gallery, _ = synth.generate(synth.SynthConfig(seed=ACCEPTANCE_SEED))
+        baseline, cap = "exemplar", DEFAULT_CAP
+    else:
+        gallery, baseline, cap = workload_gallery(name), WORKLOADS[name].baseline, WORKLOADS[name].cap
+    proxies = select_proxies(gallery, baseline, PROXY_K)
     table = benchmark(
         build_training_corpus,
         gallery,
         proxies,
-        w.baseline,
+        baseline,
         n_train_sets=TRAIN_SETS,
-        cap=w.cap,
+        cap=cap,
         seed=CORPUS_SEED,
     )
-    assert len(table) == w.cap
+    assert len(table) == cap

@@ -17,6 +17,14 @@ baseline both are one side rule, applied from the reference's side and
 from the proxy's. Negative labels obtained this way may be corrupt (the
 proxy can secretly share the reference's identity); that noise is left
 in deliberately and absorbed by the wide-margin regressor downstream.
+
+Extraction is cap-first: `build_training_corpus` counts each pair's
+rows, draws the rows the cap keeps and builds only those, one pair at a
+time, so the uncapped pool never exists. Work that depends on one set
+only, its exemplar |cosine| Gram or its exemplars' projection on its
+own subspace, is done once per set. Every product keeps the shape the
+whole pair gives it, and the kept rows are gathered from its results, so
+a kept row is bit for bit the row the pool would hold.
 """
 
 from __future__ import annotations
@@ -25,10 +33,12 @@ import logging
 
 import numpy as np
 
-from .corpus import FaceSet, Gallery, ProxyTable, feature_table
+from .corpus import Gallery, ProxyTable, feature_table
+from .retrieval import PAIR_BLOCK, GalleryScorer
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     EXEMPLAR,
+    SUBSPACE,
     cosine_sim,
     fit_subspace,
     kernel,
@@ -44,93 +54,170 @@ DEFAULT_CAP = 50_000
 PROJECTION_FLOOR = 1e-12
 
 
+def _ordered_pairs(local: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, u) at the given positions of the row-major list of ordered pairs
+    of distinct items 0..n-1."""
+    q, t = np.divmod(local, n - 1)
+    return q, t + (t >= q)
+
+
+def _kept_by_pair(counts: np.ndarray, kept: tuple[np.ndarray, np.ndarray]):
+    """Locate the kept rows of a (pairs, 2) row count, given each label's
+    kept indices into its pool (all pairs' rows in pair order).
+
+    Returns the pair of every kept row, positives then negatives, and an
+    iterator over the pairs holding kept rows: (pair, per label (the slice
+    of output rows, the indices within the pair)).
+    """
+    located, offset = [], 0
+    for n_rows, idx in zip(counts.T, kept):
+        ends = np.cumsum(n_rows)
+        pair = np.searchsorted(ends, idx, side="right")
+        bounds = np.searchsorted(pair, np.arange(len(n_rows) + 1))
+        located.append((pair, idx - (ends - n_rows)[pair], bounds, offset))
+        offset += idx.size
+
+    def groups():
+        busy = np.flatnonzero(sum(np.diff(bounds) for _, _, bounds, _ in located))
+        for p in busy.tolist():
+            yield p, [
+                (slice(at + bounds[p], at + bounds[p + 1]), local[bounds[p] : bounds[p + 1]])
+                for _, local, bounds, at in located
+            ]
+
+    return np.concatenate([pair for pair, *_ in located]), groups()
+
+
 # ---------------------------------------------------------------------------
 # training extraction, exemplar baseline
 
 
-def _exemplar_side(
-    c_aa: np.ndarray, c_ab: np.ndarray, c_bb: np.ndarray, mode_a: int, mode_b: int, s3: float
-) -> np.ndarray:
-    """One row per ordered pair (q, u) of distinct exemplars of set a, with
-    n the exemplar of set b nearest q: [|q·n|, |q·u|, s3, |n·b_mode|,
-    |u·a_mode|], read from the sets' |cosine| matrices."""
-    qs, us = np.where(~np.eye(len(c_aa), dtype=bool))
-    ns = np.argmax(c_ab, axis=1)[qs]
-    return np.column_stack(
-        [c_ab[qs, ns], c_aa[qs, us], np.full(qs.size, s3), c_bb[ns, mode_b], c_aa[us, mode_a]]
-    )
+def _exemplar_rows(sets, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
+    """The kept rows under the exemplar baseline, unclipped.
 
-
-def _exemplar_pair_arrays(reference: FaceSet, proxy: FaceSet) -> tuple[np.ndarray, np.ndarray]:
-    """(positives, negatives) feature rows for one reference/proxy pair."""
-    r = reference.unit_exemplars
-    p = proxy.unit_exemplars
-    c_rp = np.abs(r @ p.T)
-    c_rr = np.abs(r @ r.T)
-    c_pp = np.abs(p @ p.T)
-
-    # reference-proxy set similarity and its mode indices, shared by all rows
-    tp_idx, pt_idx = divmod(int(np.argmax(c_rp)), c_rp.shape[1])
-    s3 = c_rp[tp_idx, pt_idx]
-
-    # positives: reference exemplars as query and target, the proxy's
-    # nearest exemplar as the query's proxy mode
-    pos = _exemplar_side(c_rr, c_rp, c_pp, tp_idx, pt_idx, s3)
-    # negatives: the same rule from the proxy's side; (q, u) fill the query
-    # and proxy slots there, so s1/s2 and s4/s5 trade places
-    neg = _exemplar_side(c_pp, c_rp.T, c_rr, pt_idx, tp_idx, s3)[:, [1, 0, 2, 4, 3]]
-    return np.clip(pos, 0.0, 1.0), np.clip(neg, 0.0, 1.0)
+    One side rule gives both labels: a row per ordered pair (q, u) of
+    distinct exemplars of one set a of the pair, with n the exemplar of
+    the other set b nearest q, is [|q·n|, |q·u|, s3, |n·b_mode|,
+    |u·a_mode|]. Positives take a = the reference; negatives a = the
+    proxy, and there (q, u) fill the query and proxy slots, so s1/s2 and
+    s4/s5 trade places. The pair's |cosine| matrix is built per pair,
+    and each set's |cosine| Gram once, after every pair, for the entries
+    the kept rows read from it: three per row.
+    """
+    out = np.empty((n_rows, 5))
+    # per kept row and read: the set, its Gram's flat index, out's flat index
+    read_set, read_at, read_to = np.empty((3, n_rows, 3), dtype=np.intp)
+    for p, ((pos, loc_pos), (neg, loc_neg)) in groups:
+        r, x = pairs[p].tolist()
+        c_rx = np.abs(sets[r].unit_exemplars @ sets[x].unit_exemplars.T)
+        m_r, m_x = c_rx.shape
+        # reference-proxy set similarity and its mode indices, shared by all rows
+        tp, pt = divmod(int(np.argmax(c_rx)), m_x)
+        s3 = c_rx[tp, pt]
+        if loc_pos.size:
+            q, u = _ordered_pairs(loc_pos, m_r)
+            n = np.argmax(c_rx[q], axis=1)
+            out[pos, 0], out[pos, 2] = c_rx[q, n], s3
+            read_set[pos] = r, r, x
+            read_at[pos] = np.column_stack([q * m_r + u, u * m_r + tp, n * m_x + pt])
+            read_to[pos] = 5 * np.arange(pos.start, pos.stop)[:, None] + (1, 4, 3)
+        if loc_neg.size:
+            q, u = _ordered_pairs(loc_neg, m_x)
+            n = np.argmax(c_rx[:, q], axis=0)
+            out[neg, 1], out[neg, 2] = c_rx[n, q], s3
+            read_set[neg] = x, x, r
+            read_at[neg] = np.column_stack([q * m_x + u, u * m_x + pt, n * m_r + tp])
+            read_to[neg] = 5 * np.arange(neg.start, neg.stop)[:, None] + (0, 3, 4)
+    order = np.argsort(read_set, axis=None, kind="stable")
+    read_set, read_at, read_to = (a.reshape(-1)[order] for a in (read_set, read_at, read_to))
+    bounds = np.flatnonzero(np.diff(read_set, prepend=-1, append=-1))
+    flat = out.reshape(-1)
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        unit = sets[read_set[a]].unit_exemplars
+        flat[read_to[a:b]] = np.abs(unit @ unit.T).reshape(-1)[read_at[a:b]]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # training extraction, subspace baseline
 
 
-def _subspace_side_arrays(
-    exemplars_unit: np.ndarray,
-    ref_sub: np.ndarray,
-    prox_sub: np.ndarray,
-    f_pt: np.ndarray,
-    f_tp: np.ndarray,
-    s3: float,
-) -> tuple[np.ndarray, int]:
-    """Feature rows for one block of exemplars iterated as f_qt."""
-    coords_r = exemplars_unit @ ref_sub.T
-    coords_p = exemplars_unit @ prox_sub.T
-    norm_r = np.linalg.norm(coords_r, axis=1)
-    norm_p = np.linalg.norm(coords_p, axis=1)
-    keep = (norm_r >= PROJECTION_FLOOR) & (norm_p >= PROJECTION_FLOOR)
-    skipped = int(np.sum(~keep))
-    coords_r, coords_p = coords_r[keep], coords_p[keep]
-    norm_r, norm_p = norm_r[keep], norm_p[keep]
-    f_tq = (coords_r @ ref_sub) / norm_r[:, None]
-    f_pq = (coords_p @ prox_sub) / norm_p[:, None]
-    rows = np.column_stack(
-        [
-            norm_p,  # s1 = cos(f_qt, f_pq), the projection norm of a unit vector
-            norm_r,  # s2 = cos(f_qt, f_tq)
-            np.full(norm_r.size, s3),
-            np.abs(f_pq @ f_pt),
-            np.abs(f_tq @ f_tp),
-        ]
-    )
-    return np.clip(rows, 0.0, 1.0), skipped
+class _Projections:
+    """Coordinates of a set's unit exemplars on a subspace basis, with their
+    norms: on the set's own subspace once per set, on another set's on
+    each call."""
+
+    def __init__(self, sets):
+        self.sets = sets
+        self._own = {}
+
+    def _onto(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        coords = self.sets[i].unit_exemplars @ self.sets[j].subspace.T
+        return coords, np.linalg.norm(coords, axis=1)
+
+    def side(self, r: int, x: int, label: int):
+        """The coordinates and norms on the reference's subspace and on the
+        proxy's of one side's exemplars: the reference's (label 0,
+        positives) or the proxy's (label 1, negatives)."""
+        a = x if label else r
+        own = self._own.get(a)
+        if own is None:
+            own = self._own[a] = self._onto(a, a)
+        return (self._onto(x, r), own) if label else (own, self._onto(r, x))
 
 
-def _subspace_pair_arrays(
-    reference: FaceSet, proxy: FaceSet, ref_sub: np.ndarray, prox_sub: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(positives, negatives, skipped positives, skipped negatives) for one
-    reference/proxy pair, given both sets' fitted (k, d) subspace bases."""
-    corr = max_corr(ref_sub, prox_sub)
-    s3, f_tp, f_pt = corr.score[0], corr.mode_a[0], corr.mode_b[0]
-    pos_rows, skipped_pos = _subspace_side_arrays(
-        reference.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3
-    )
-    neg_rows, skipped_neg = _subspace_side_arrays(
-        proxy.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3
-    )
-    return pos_rows, neg_rows, skipped_pos, skipped_neg
+def _kept(norm_r: np.ndarray, norm_p: np.ndarray) -> np.ndarray:
+    """Exemplars whose projection on neither subspace is degenerate."""
+    return (norm_r >= PROJECTION_FLOOR) & (norm_p >= PROJECTION_FLOOR)
+
+
+def _subspace_counts(proj: _Projections, pairs: np.ndarray) -> np.ndarray:
+    """(pairs, 2) row counts under the subspace baseline."""
+    counts = np.zeros(pairs.shape, dtype=np.intp)
+    for p, (r, x) in enumerate(pairs.tolist()):
+        for label in (0, 1):
+            (_, norm_r), (_, norm_p) = proj.side(r, x, label)
+            counts[p, label] = np.count_nonzero(_kept(norm_r, norm_p))
+    return counts
+
+
+def _subspace_rows(proj: _Projections, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
+    """The kept rows under the subspace baseline, unclipped: a row per
+    exemplar f_qt of one side, from its projections f_tq on the
+    reference's subspace and f_pq on the proxy's, and the pair's first
+    canonical correlation s3 with its modes f_tp and f_pt. s1 and s2 are
+    the projection norms of the unit f_qt.
+
+    The canonical correlations come PAIR_BLOCK pairs at a time from a
+    `GalleryScorer` over the sets the pairs read.
+    """
+    out = np.empty((n_rows, 5))
+    if not n_rows:
+        return out
+    sets = proj.sets
+    read = np.unique(pairs)
+    scorer = GalleryScorer(Gallery(sets=tuple(sets[i] for i in read)), SUBSPACE)
+    groups = iter(groups)
+    while block := [g for _, g in zip(range(PAIR_BLOCK), groups)]:
+        ends = np.searchsorted(read, pairs[[p for p, _ in block]])
+        corr = scorer.pair(ends[:, 0], ends[:, 1])
+        for (p, sides), s3, f_tp, f_pt in zip(block, corr.score, corr.mode_a, corr.mode_b):
+            r, x = pairs[p].tolist()
+            ref_sub, prox_sub = sets[r].subspace, sets[x].subspace
+            for label, (at, local) in enumerate(sides):
+                if not local.size:
+                    continue
+                (coords_r, norm_r), (coords_p, norm_p) = proj.side(r, x, label)
+                keep = _kept(norm_r, norm_p)
+                if not keep.all():
+                    coords_r, coords_p = coords_r[keep], coords_p[keep]
+                    norm_r, norm_p = norm_r[keep], norm_p[keep]
+                f_tq = (coords_r @ ref_sub) / norm_r[:, None]
+                f_pq = (coords_p @ prox_sub) / norm_p[:, None]
+                out[at, 0], out[at, 1], out[at, 2] = norm_p[local], norm_r[local], s3
+                out[at, 3] = np.abs(f_pq @ f_pt)[local]
+                out[at, 4] = np.abs(f_tq @ f_tp)[local]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +245,15 @@ def build_training_corpus(
     cap: int = DEFAULT_CAP,
     seed: int = 0,
 ) -> np.recarray:
-    """The training-feature table (`lqts.corpus.FEATURE_DTYPE`) pooled over
-    a seeded random choice of reference sets, each paired with every proxy
-    in its table entry: all positives, then all negatives.
+    """The training-feature table (`lqts.corpus.FEATURE_DTYPE`) of a seeded
+    random choice of reference sets, each paired with every proxy in its
+    table entry: positives, then negatives, each in pair order.
 
     Sets are used as given; under the exemplar baseline, reduce the gallery
-    with `lqts.sampling.robust_select` (`qts sample`) first. When the pool
-    exceeds `cap` it is subsampled per label, preserving the label ratio.
+    with `lqts.sampling.robust_select` (`qts sample`) first. When the
+    pairs give more than `cap` rows, a subsample is drawn per label,
+    preserving the label ratio, before any row is built, so the memory
+    held grows with the kept rows and the largest pair, not with the pool.
     """
     kernel(baseline)  # an unknown baseline raises UsageError
     if n_train_sets < 1:
@@ -175,39 +264,36 @@ def build_training_corpus(
     n_refs = min(n_train_sets, len(gallery))
     ref_idx = np.sort(rng.choice(len(gallery), size=n_refs, replace=False))
 
-    pos_blocks, neg_blocks, pairs = [], [], []
-    skipped = 0
-    for i in ref_idx:
-        ref = gallery.sets[int(i)]
-        for pid, _ in proxies.proxies_of(ref.set_id):
-            prox = gallery.get(pid)
-            if baseline == EXEMPLAR:
-                pos, neg = _exemplar_pair_arrays(ref, prox)
-            else:
-                pos, neg, skip_p, skip_n = _subspace_pair_arrays(
-                    ref, prox, ref.subspace, prox.subspace
-                )
-                skipped += skip_p + skip_n
-            pos_blocks.append(pos)
-            neg_blocks.append(neg)
-            pairs.append((ref.set_id, pid))
-    if skipped:
-        log.info("subspace extraction skipped %d degenerate projections", skipped)
+    sets = gallery.sets
+    pairs = np.array(
+        [
+            (i, gallery.index_of(pid))
+            for i in ref_idx.tolist()
+            for pid, _ in proxies.proxies_of(sets[i].set_id)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    sizes = np.array([s.size for s in sets], dtype=np.intp)[pairs]
+    if baseline == EXEMPLAR:
+        counts = sizes * (sizes - 1)
+    else:
+        proj = _Projections(sets)
+        counts = _subspace_counts(proj, pairs)
+        skipped = int(np.sum(sizes) - np.sum(counts))
+        if skipped:
+            log.info("subspace extraction skipped %d degenerate projections", skipped)
 
-    def pooled(blocks):
-        """All rows of the blocks and, per row, the index of its pair."""
-        sizes = np.array([len(b) for b in blocks], dtype=np.intp)
-        rows = np.concatenate(blocks) if blocks else np.empty((0, 5))
-        return rows, np.repeat(np.arange(sizes.size), sizes)
-
-    pos_all, pos_pair = pooled(pos_blocks)
-    neg_all, neg_pair = pooled(neg_blocks)
-    n_pos, n_neg = len(pos_all), len(neg_all)
+    n_pos, n_neg = (int(n) for n in counts.sum(axis=0))
     if n_pos + n_neg > cap:
-        idx_pos, idx_neg = _stratified_cap(n_pos, n_neg, cap, rng)
-        pos_all, pos_pair = pos_all[idx_pos], pos_pair[idx_pos]
-        neg_all, neg_pair = neg_all[idx_neg], neg_pair[idx_neg]
+        kept = _stratified_cap(n_pos, n_neg, cap, rng)
+    else:
+        kept = np.arange(n_pos), np.arange(n_neg)
+    pair_of, groups = _kept_by_pair(counts, kept)
+    if baseline == EXEMPLAR:
+        rows = _exemplar_rows(sets, pairs, groups, pair_of.size)
+    else:
+        rows = _subspace_rows(proj, pairs, groups, pair_of.size)
 
-    ids = np.array(pairs, dtype=object).reshape(-1, 2)[np.concatenate([pos_pair, neg_pair])]
-    label = np.repeat([1.0, 0.0], [len(pos_all), len(neg_all)])
-    return feature_table(np.concatenate([pos_all, neg_all]), label, ids[:, 0], ids[:, 1])
+    ids = np.array(gallery.set_ids, dtype=object)[pairs[pair_of]]
+    label = np.repeat([1.0, 0.0], [kept[0].size, kept[1].size])
+    return feature_table(np.clip(rows, 0.0, 1.0), label, ids[:, 0], ids[:, 1])

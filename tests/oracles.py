@@ -6,8 +6,10 @@ kernels replaced, which the kernels must equal bit for bit. `match` adds
 the self-pair rule of `lqts.similarity.self_pairs` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
 score at a time from those, with no caching or batching.
-`extract_exemplar` and `extract_subspace` give one reference/proxy pair's
-training rows, as `lqts.metafeat.build_training_corpus` pools them.
+`extract_exemplar` and `extract_subspace` give all of one
+reference/proxy pair's training rows, and `reference_training_corpus`
+pools them over every pair and then applies the cap: the extraction that
+`lqts.metafeat.build_training_corpus`'s cap-first one replaced.
 `per_pair_select_proxies` is the pair-at-a-time proxy selection that
 `lqts.retrieval.select_proxies` replaced, and `reference_predict` the
 whole-matrix RBF prediction, by `rbf_kernel`, that `lqts.svr.predict`'s
@@ -19,15 +21,17 @@ shrinking. `oracle_pre_image` is the one-target fixed-point loop that
 `lqts.sampling.pre_images` runs for all of a set's targets together.
 """
 
+import logging
 from typing import NamedTuple
 
 import numpy as np
 
 from lqts import sampling
-from lqts.corpus import FaceSet, ProxyTable
+from lqts.corpus import FaceSet, ProxyTable, feature_table
 from lqts.errors import DimensionMismatchError, TrainingError
-from lqts.metafeat import _exemplar_pair_arrays, _subspace_pair_arrays
-from lqts.similarity import DEFAULT_SUBSPACE_DIM, cosine_sim, fit_subspace
+from lqts.metafeat import DEFAULT_CAP, DEFAULT_TRAIN_SETS, PROJECTION_FLOOR, _stratified_cap
+from lqts.similarity import DEFAULT_SUBSPACE_DIM, EXEMPLAR, cosine_sim, fit_subspace
+from lqts.similarity import max_corr as batch_max_corr
 from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict
 
 
@@ -128,10 +132,80 @@ def feature(query, target, proxy) -> np.ndarray:
     )
 
 
+def _exemplar_side(
+    c_aa: np.ndarray, c_ab: np.ndarray, c_bb: np.ndarray, mode_a: int, mode_b: int, s3: float
+) -> np.ndarray:
+    """One row per ordered pair (q, u) of distinct exemplars of set a, with
+    n the exemplar of set b nearest q: [|q·n|, |q·u|, s3, |n·b_mode|,
+    |u·a_mode|], read from the sets' |cosine| matrices."""
+    qs, us = np.where(~np.eye(len(c_aa), dtype=bool))
+    ns = np.argmax(c_ab, axis=1)[qs]
+    return np.column_stack(
+        [c_ab[qs, ns], c_aa[qs, us], np.full(qs.size, s3), c_bb[ns, mode_b], c_aa[us, mode_a]]
+    )
+
+
 def extract_exemplar(reference, proxy) -> tuple[np.ndarray, np.ndarray]:
     """All n_r(n_r-1) positive and n_p(n_p-1) negative training rows of one
     reference/proxy pair under the exemplar baseline."""
-    return _exemplar_pair_arrays(reference, proxy)
+    r = reference.unit_exemplars
+    p = proxy.unit_exemplars
+    c_rp = np.abs(r @ p.T)
+    c_rr = np.abs(r @ r.T)
+    c_pp = np.abs(p @ p.T)
+
+    # reference-proxy set similarity and its mode indices, shared by all rows
+    tp_idx, pt_idx = divmod(int(np.argmax(c_rp)), c_rp.shape[1])
+    s3 = c_rp[tp_idx, pt_idx]
+
+    # positives: reference exemplars as query and target, the proxy's
+    # nearest exemplar as the query's proxy mode
+    pos = _exemplar_side(c_rr, c_rp, c_pp, tp_idx, pt_idx, s3)
+    # negatives: the same rule from the proxy's side; (q, u) fill the query
+    # and proxy slots there, so s1/s2 and s4/s5 trade places
+    neg = _exemplar_side(c_pp, c_rp.T, c_rr, pt_idx, tp_idx, s3)[:, [1, 0, 2, 4, 3]]
+    return np.clip(pos, 0.0, 1.0), np.clip(neg, 0.0, 1.0)
+
+
+def _subspace_side(
+    exemplars_unit: np.ndarray,
+    ref_sub: np.ndarray,
+    prox_sub: np.ndarray,
+    f_pt: np.ndarray,
+    f_tp: np.ndarray,
+    s3: float,
+) -> tuple[np.ndarray, int]:
+    """Feature rows for one block of exemplars iterated as f_qt."""
+    coords_r = exemplars_unit @ ref_sub.T
+    coords_p = exemplars_unit @ prox_sub.T
+    norm_r = np.linalg.norm(coords_r, axis=1)
+    norm_p = np.linalg.norm(coords_p, axis=1)
+    keep = (norm_r >= PROJECTION_FLOOR) & (norm_p >= PROJECTION_FLOOR)
+    skipped = int(np.sum(~keep))
+    coords_r, coords_p = coords_r[keep], coords_p[keep]
+    norm_r, norm_p = norm_r[keep], norm_p[keep]
+    f_tq = (coords_r @ ref_sub) / norm_r[:, None]
+    f_pq = (coords_p @ prox_sub) / norm_p[:, None]
+    rows = np.column_stack(
+        [
+            norm_p,  # s1 = cos(f_qt, f_pq), the projection norm of a unit vector
+            norm_r,  # s2 = cos(f_qt, f_tq)
+            np.full(norm_r.size, s3),
+            np.abs(f_pq @ f_pt),
+            np.abs(f_tq @ f_tp),
+        ]
+    )
+    return np.clip(rows, 0.0, 1.0), skipped
+
+
+def _subspace_pair(reference, proxy, ref_sub: np.ndarray, prox_sub: np.ndarray):
+    """(positives, negatives, skipped positives, skipped negatives) for one
+    reference/proxy pair, given both sets' fitted (k, d) subspace bases."""
+    corr = batch_max_corr(ref_sub, prox_sub)
+    s3, f_tp, f_pt = corr.score[0], corr.mode_a[0], corr.mode_b[0]
+    pos_rows, skipped_pos = _subspace_side(reference.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3)
+    neg_rows, skipped_neg = _subspace_side(proxy.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3)
+    return pos_rows, neg_rows, skipped_pos, skipped_neg
 
 
 def extract_subspace(reference, proxy, k: int = DEFAULT_SUBSPACE_DIM):
@@ -139,7 +213,63 @@ def extract_subspace(reference, proxy, k: int = DEFAULT_SUBSPACE_DIM):
     reference/proxy pair under the subspace baseline, both subspaces fitted
     at dimension k: a row per exemplar whose projection onto neither
     subspace is degenerate."""
-    return _subspace_pair_arrays(reference, proxy, fit_subspace(reference, k), fit_subspace(proxy, k))
+    return _subspace_pair(reference, proxy, fit_subspace(reference, k), fit_subspace(proxy, k))
+
+
+def reference_training_corpus(
+    gallery,
+    proxies: ProxyTable,
+    baseline: str = EXEMPLAR,
+    n_train_sets: int = DEFAULT_TRAIN_SETS,
+    cap: int = DEFAULT_CAP,
+    seed: int = 0,
+) -> np.recarray:
+    """`lqts.metafeat.build_training_corpus` as it was before it went
+    cap-first: every row of every reference/proxy pair pooled, all
+    positives then all negatives, and the cap drawn from the pool by
+    `_stratified_cap` with the same rng calls. Subspace pairs use the
+    sets' cached bases and log the skipped degenerate projections as
+    `lqts.metafeat` does."""
+    rng = np.random.default_rng(seed)
+    n_refs = min(n_train_sets, len(gallery))
+    ref_idx = np.sort(rng.choice(len(gallery), size=n_refs, replace=False))
+
+    pos_blocks, neg_blocks, pairs = [], [], []
+    skipped = 0
+    for i in ref_idx:
+        ref = gallery.sets[int(i)]
+        for pid, _ in proxies.proxies_of(ref.set_id):
+            prox = gallery.get(pid)
+            if baseline == EXEMPLAR:
+                pos, neg = extract_exemplar(ref, prox)
+            else:
+                pos, neg, skip_p, skip_n = _subspace_pair(ref, prox, ref.subspace, prox.subspace)
+                skipped += skip_p + skip_n
+            pos_blocks.append(pos)
+            neg_blocks.append(neg)
+            pairs.append((ref.set_id, pid))
+    if skipped:
+        logging.getLogger("lqts.metafeat").info(
+            "subspace extraction skipped %d degenerate projections", skipped
+        )
+
+    def pooled(blocks):
+        """All rows of the blocks and, per row, the index of its pair."""
+        sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+        rows = np.concatenate(blocks) if blocks else np.empty((0, 5))
+        return rows, np.repeat(np.arange(sizes.size), sizes)
+
+    pos_all, pos_pair = pooled(pos_blocks)
+    neg_all, neg_pair = pooled(neg_blocks)
+    n_pos, n_neg = len(pos_all), len(neg_all)
+    if n_pos + n_neg > cap:
+        idx_pos, idx_neg = _stratified_cap(n_pos, n_neg, cap, rng)
+        pos_all, pos_pair = pos_all[idx_pos], pos_pair[idx_pos]
+        neg_all, neg_pair = neg_all[idx_neg], neg_pair[idx_neg]
+
+    ids = np.array(pairs, dtype=object).reshape(-1, 2)[np.concatenate([pos_pair, neg_pair])]
+    label = np.repeat([1.0, 0.0], [len(pos_all), len(neg_all)])
+    return feature_table(np.concatenate([pos_all, neg_all]), label, ids[:, 0], ids[:, 1])
 
 
 def oracle_pre_image(m: sampling.KpcaModel, z_target: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqts.similarity
+from lqts import corpus, synth
 from lqts.corpus import FaceSet, Gallery, ProxyTable
 from lqts.metafeat import build_training_corpus
+from lqts.retrieval import select_proxies
 from lqts.similarity import fit_subspace
 
 from conftest import random_set
-from oracles import extract_exemplar, extract_subspace, feature
+from oracles import extract_exemplar, extract_subspace, feature, reference_training_corpus
 
 
 def unit(v):
@@ -355,3 +358,150 @@ class TestBuildTrainingCorpus:
         assert np.array_equal(feats.s, np.concatenate([pos, neg]))
         assert feats.label.tolist() == [1.0] * len(pos) + [0.0] * len(neg)
         assert list(zip(feats.ref, feats.proxy)) == pos_ids + neg_ids
+
+
+def logged(fn, *args, **kwargs):
+    """fn's result and the messages it logs to lqts.metafeat."""
+    messages = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("lqts.metafeat")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        return fn(*args, **kwargs), messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def assert_same_table(got, want):
+    assert np.array_equal(got.s, want.s)
+    assert np.array_equal(got.label, want.label)
+    assert got.ref.tolist() == want.ref.tolist()
+    assert got.proxy.tolist() == want.proxy.tolist()
+
+
+@st.composite
+def extraction_cases(draw):
+    """A gallery, its proxy table and the train-set count and seed.
+
+    Sets are ragged, and some hold one exemplar, which gives no exemplar
+    rows of its label. Exemplars are Gaussian, signed one-hot or ternary
+    rows: the last two give exact |cosine| ties, rank-deficient subspaces
+    and exemplars orthogonal to another set's subspace, which are
+    degenerate projections. A set may have no proxies, and the table may
+    be empty.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["normal", "onehot", "ternary"]))
+
+    def exemplars(m):
+        if kind == "normal":
+            return rng.normal(size=(m, d))
+        if kind == "onehot":
+            x = np.zeros((m, d))
+            x[np.arange(m), rng.integers(0, d, size=m)] = rng.choice([-1.0, 1.0], size=m)
+            return x
+        x = rng.integers(-1, 2, size=(m, d)).astype(float)
+        x[~x.any(axis=1), 0] = 1.0
+        return x
+
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=7))
+    gallery = Gallery(sets=tuple(FaceSet(f"s{i}", exemplars(m)) for i, m in enumerate(sizes)))
+    ids = gallery.set_ids
+    entries = {}
+    for i, sid in enumerate(ids):
+        others = [ids[j] for j in range(len(ids)) if j != i]
+        plist = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+        if plist:
+            entries[sid] = tuple((pid, 1.0) for pid in plist)
+    table = ProxyTable(k_p=3, entries=entries)
+    n_train_sets = draw(st.integers(1, len(ids) + 1))
+    return gallery, table, n_train_sets, draw(st.integers(0, 2**16))
+
+
+class TestCapFirstMatchesReference:
+    """Cap-first extraction against the pool-then-cap extraction it
+    replaced, bit for bit, at every kind of cap."""
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @given(case=extraction_cases(), which=st.sampled_from(["one", "below", "equal", "above"]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference(self, baseline, case, which, data):
+        gallery, table, n_train_sets, seed = case
+        args = (gallery, table, baseline, n_train_sets)
+        pool = len(reference_training_corpus(*args, cap=10**9, seed=seed))
+        cap = {
+            "one": 1,
+            "below": data.draw(st.integers(1, max(pool - 1, 1))),
+            "equal": max(pool, 1),
+            "above": pool + data.draw(st.integers(1, 50)),
+        }[which]
+        want, want_log = logged(reference_training_corpus, *args, cap=cap, seed=seed)
+        got, got_log = logged(build_training_corpus, *args, cap=cap, seed=seed)
+        assert_same_table(got, want)
+        assert got_log == want_log
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_empty_proxy_table(self, rng, baseline):
+        g = Gallery(sets=tuple(random_set(rng, f"g{i}", n=3, d=4) for i in range(3)))
+        table = ProxyTable(k_p=0, entries={})
+        got = build_training_corpus(g, table, baseline, cap=5)
+        assert len(got) == 0 and got.dtype == reference_training_corpus(g, table, baseline).dtype
+
+    def test_subspace_sets_fitted_once_and_only_when_read(self, rng, monkeypatch):
+        # g3 is no set's proxy and has none itself, so no pair reads it
+        g = Gallery(sets=tuple(random_set(rng, f"g{i}", n=4, d=6) for i in range(4)))
+        table = ProxyTable(k_p=2, entries={"g0": (("g1", 1.0), ("g2", 0.5)), "g1": (("g0", 1.0),)})
+        fitted = []
+        real_fit = lqts.similarity.fit_subspace
+
+        def counting_fit(s, *args):
+            fitted.append(s.set_id)
+            return real_fit(s, *args)
+
+        monkeypatch.setattr(lqts.similarity, "fit_subspace", counting_fit)
+        feats = build_training_corpus(g, table, baseline="subspace", cap=7, seed=1)
+        assert len(feats) == 7
+        assert sorted(fitted) == ["g0", "g1", "g2"]
+
+
+class TestExtractionMemory:
+    """At a fixed cap, extraction holds one pair's products and the kept
+    rows, not the pool, so its peak does not grow with the number of
+    reference sets."""
+
+    CAP = 1000
+
+    @pytest.fixture(scope="class")
+    def unsampled(self):
+        gallery, _ = synth.generate(synth.SynthConfig(seed=11, n_identities=15))
+        return gallery, select_proxies(gallery, "exemplar", 5)
+
+    def peak(self, build, gallery, proxies, n_train_sets):
+        build(gallery, proxies, n_train_sets=n_train_sets, cap=self.CAP)
+        tracemalloc.start()
+        try:
+            table = build(gallery, proxies, n_train_sets=n_train_sets, cap=self.CAP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == self.CAP
+        return peak
+
+    def test_peak_bounded_by_largest_pair_and_kept_rows(self, unsampled):
+        gallery, proxies = unsampled
+        sizes = {s.set_id: s.size for s in gallery}
+        # a pair's |cosine| matrix and both sets' Grams
+        pair_bytes = 8 * max((sizes[r] + sizes[p]) ** 2 for r in sizes for p, _ in proxies.proxies_of(r))
+        kept_bytes = self.CAP * (5 * 8 + corpus.FEATURE_DTYPE.itemsize)
+        bound = 4 * (pair_bytes + kept_bytes)
+        small = self.peak(build_training_corpus, gallery, proxies, 8)
+        large = self.peak(build_training_corpus, gallery, proxies, 16)
+        assert small < bound and large < bound
+        assert large < 1.1 * small
+        # pooling every row before the cap breaks the bound
+        assert self.peak(reference_training_corpus, gallery, proxies, 16) > 10 * bound
