@@ -62,14 +62,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_sample(args) -> int:
     gallery = corpus.load_gallery(args.gallery)
-    if args.gamma == "auto":
-        gamma = "auto"
-    else:
-        try:
-            gamma = float(args.gamma)
-        except ValueError:
-            raise UsageError(f"--gamma must be a number or 'auto', got {args.gamma!r}") from None
-    reduced = [sampling.robust_select(s, args.samples, gamma) for s in gallery]
+    reduced = [sampling.robust_select(s, args.samples, args.gamma) for s in gallery]
     out_gallery = corpus.Gallery(sets=tuple(reduced), labels=gallery.labels)
     out = Path(args.out)
     corpus.save_gallery(out_gallery, out)

@@ -15,6 +15,7 @@ never sees them.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -107,9 +108,13 @@ class Gallery:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise CorpusError(f"duplicate set_id {dup!r} in gallery")
-        dims = {s.dim for s in self.sets}
-        if len(dims) != 1:
-            raise CorpusError(f"dimension mismatch across sets: found dims {sorted(dims)}")
+        first = self.sets[0]
+        odd = next((s for s in self.sets if s.dim != first.dim), None)
+        if odd is not None:
+            raise CorpusError(
+                f"set {odd.set_id!r}: dimension {odd.dim} does not match "
+                f"gallery dimension {first.dim} (from set {first.set_id!r})"
+            )
         if self.labels is not None:
             missing = [i for i in ids if i not in self.labels]
             if missing:
@@ -198,6 +203,42 @@ class ProxyTable:
 
 
 # ---------------------------------------------------------------------------
+# text files: the one reader and the one writer
+
+
+def _read_lines(path: str | Path, blob: bytes | None = None) -> Iterator[tuple[str, str]]:
+    """Yield ``(path:line, line)`` for each non-blank line of the UTF-8 text file
+    at `path` (whose bytes are `blob` if already read), split by `str.splitlines`,
+    so CRLF ends are accepted. Non-UTF-8 bytes raise CorpusError naming their line."""
+    if blob is None:
+        blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((blob[: exc.start].decode("utf-8") + "_").splitlines())
+        raise CorpusError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield f"{path}:{lineno}", line
+
+
+def _split(where: str, line: str, sep: str | None, width: int | None) -> list[str]:
+    """The fields of `line` between `sep` (whitespace when None); unless
+    `width` is None, any other count raises CorpusError at `where`."""
+    fields = line.split(sep)
+    if width is None or len(fields) == width:
+        return fields
+    name = {"\t": "tab", ",": "comma"}.get(sep, "whitespace")
+    raise CorpusError(f"{where}: expected {width} {name}-separated columns, found {len(fields)}")
+
+
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines` to `path` as UTF-8, each ending in ``\\n``, with no
+    newline translation."""
+    Path(path).write_bytes("".join([f"{line}\n" for line in lines]).encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
 # gallery I/O
 
 
@@ -218,20 +259,15 @@ def _load_set_file(path: Path, set_id: str) -> np.ndarray:
             )
         data = np.frombuffer(blob, dtype="<f4", offset=12)
         return data.reshape(n, d).astype(np.float64)
+    # a row with a comma is comma-separated, so an empty field fails float()
+    rows, width = [], None
     try:
-        text = blob.decode("utf-8")
-        rows = [
-            [float(tok) for tok in line.replace(",", " ").split()]
-            for line in text.splitlines()
-            if line.strip()
-        ]
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise CorpusError(f"set {set_id!r}: cannot parse {path} as a numeric matrix: {exc}") from exc
-    if not rows:
-        raise CorpusError(f"set {set_id!r}: {path} contains no exemplars")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise CorpusError(f"set {set_id!r}: ragged rows in {path}")
+        for where, line in _read_lines(path, blob):
+            fields = _split(where, line, "," if "," in line else None, width)
+            width = len(fields)
+            rows.append([float(tok) for tok in fields])
+    except ValueError as exc:
+        raise CorpusError(f"{where}: set {set_id!r}: {exc}") from None
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -242,57 +278,42 @@ def load_gallery(path: str | Path) -> Gallery:
     if not manifest.is_file():
         raise CorpusError(f"missing {MANIFEST_NAME} in {root}")
     sets: list[FaceSet] = []
-    labels: dict[str, str] = {}
-    seen: set[str] = set()
-    unlabelled = 0
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise CorpusError(f"{manifest}:{lineno}: expected 3 tab-separated columns")
-        set_id, identity, rel = parts
-        if set_id in seen:
-            raise CorpusError(f"{manifest}:{lineno}: duplicate set_id {set_id!r}")
-        seen.add(set_id)
+    identities: dict[str, str] = {}
+    for where, line in _read_lines(manifest):
+        set_id, identity, rel = _split(where, line, "\t", 3)
+        if set_id in identities:
+            raise CorpusError(f"{where}: duplicate set_id {set_id!r}")
+        identities[set_id] = identity
         exemplars = _load_set_file(root / rel, set_id)
-        if sets and exemplars.shape[1] != sets[0].dim:
-            raise CorpusError(
-                f"set {set_id!r}: dimension {exemplars.shape[1]} does not match "
-                f"gallery dimension {sets[0].dim} (from set {sets[0].set_id!r})"
-            )
-        sets.append(FaceSet(set_id=set_id, exemplars=exemplars))
-        if identity == UNLABELLED:
-            unlabelled += 1
-        else:
-            labels[set_id] = identity
+        try:
+            sets.append(FaceSet(set_id=set_id, exemplars=exemplars))
+        except CorpusError as exc:
+            raise CorpusError(f"{root / rel}: {exc}") from exc
     if not sets:
         raise CorpusError(f"{manifest}: no sets listed")
-    if unlabelled and labels:
+    unlabelled = sum(identity == UNLABELLED for identity in identities.values())
+    if 0 < unlabelled < len(sets):
         raise CorpusError(f"{manifest}: mixed labelled and unlabelled rows")
-    return Gallery(sets=tuple(sets), labels=labels if labels else None)
+    return Gallery(sets=tuple(sets), labels=None if unlabelled else identities)
 
 
 def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> None:
     """Write a gallery directory (manifest + one set file per set)."""
     root = Path(path)
     (root / "sets").mkdir(parents=True, exist_ok=True)
-    lines = []
+    ext = "qtsb" if binary else "csv"
+    manifest = []
     for s in gallery.sets:
-        ext = "qtsb" if binary else "csv"
         rel = f"sets/{s.set_id}.{ext}"
-        target = root / rel
         if binary:
             n, d = s.exemplars.shape
             payload = struct.pack("<II", n, d) + s.exemplars.astype("<f4").tobytes()
-            target.write_bytes(BINARY_MAGIC + payload)
+            (root / rel).write_bytes(BINARY_MAGIC + payload)
         else:
-            target.write_text(
-                "\n".join(",".join(repr(v) for v in row) for row in s.exemplars.tolist()) + "\n"
-            )
+            _write_lines(root / rel, [",".join(map(repr, row)) for row in s.exemplars.tolist()])
         identity = gallery.labels[s.set_id] if gallery.labels else UNLABELLED
-        lines.append(f"{s.set_id}\t{identity}\t{rel}")
-    (root / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+        manifest.append(f"{s.set_id}\t{identity}\t{rel}")
+    _write_lines(root / MANIFEST_NAME, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +321,12 @@ def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> No
 
 
 def save_proxies(table: ProxyTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# k_p={table.k_p}\n")
-        for sid, plist in table.entries.items():
-            for rank, (pid, score) in enumerate(plist, start=1):
-                fh.write(f"{sid}\t{rank}\t{pid}\t{repr(score)}\n")
+    rows = [
+        f"{sid}\t{rank}\t{pid}\t{score!r}"
+        for sid, plist in table.entries.items()
+        for rank, (pid, score) in enumerate(plist, start=1)
+    ]
+    _write_lines(path, [f"# k_p={table.k_p}", *rows])
 
 
 def _parse(kind, text: str, what: str, where: str):
@@ -315,36 +337,30 @@ def _parse(kind, text: str, what: str, where: str):
 
 
 def load_proxies(path: str | Path) -> ProxyTable:
-    """Read a proxy table. A missing ``# k_p=`` header, a non-integer k_p
-    or rank, a non-numeric score or a list longer than k_p raises
-    CorpusError naming the file and line; a list that ProxyTable rejects
-    (a repeated proxy, the set itself, unsorted scores) names the file."""
+    """Read a proxy table. A missing or second ``# k_p=`` header, a non-integer
+    k_p or rank, a non-numeric score or a list longer than k_p raises CorpusError
+    naming the file and line; a list that ProxyTable rejects (a repeated proxy,
+    the set itself, unsorted scores) names the file."""
     entries: dict[str, list[tuple[str, float]]] = {}
     k_p = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            if line.startswith("#"):
-                if "k_p=" in line:
-                    k_p = _parse(int, line.split("k_p=")[1], "non-integer k_p", where)
-                    if k_p < 0:
-                        raise CorpusError(f"{where}: k_p must be >= 0")
-                continue
-            if k_p is None:
-                raise CorpusError(f"{where}: proxy row before the '# k_p=' header")
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusError(f"{where}: expected 4 tab-separated columns")
-            sid, rank, pid, score = parts
-            plist = entries.setdefault(sid, [])
-            if _parse(int, rank, "non-integer rank", where) != len(plist) + 1:
-                raise CorpusError(f"{where}: rank {rank} out of order for {sid!r}")
-            if len(plist) == k_p:
-                raise CorpusError(f"{where}: proxy list of {sid!r} longer than k_p={k_p}")
-            plist.append((pid, _parse(float, score, "non-numeric score", where)))
+    for where, line in _read_lines(path):
+        if line.startswith("#"):
+            if "k_p=" in line:
+                if k_p is not None:
+                    raise CorpusError(f"{where}: second '# k_p=' header")
+                k_p = _parse(int, line.split("k_p=")[1], "non-integer k_p", where)
+                if k_p < 0:
+                    raise CorpusError(f"{where}: k_p must be >= 0")
+            continue
+        if k_p is None:
+            raise CorpusError(f"{where}: proxy row before the '# k_p=' header")
+        sid, rank, pid, score = _split(where, line, "\t", 4)
+        plist = entries.setdefault(sid, [])
+        if _parse(int, rank, "non-integer rank", where) != len(plist) + 1:
+            raise CorpusError(f"{where}: rank {rank} out of order for {sid!r}")
+        if len(plist) == k_p:
+            raise CorpusError(f"{where}: proxy list of {sid!r} longer than k_p={k_p}")
+        plist.append((pid, _parse(float, score, "non-numeric score", where)))
     if k_p is None:
         raise CorpusError(f"{path}:1: missing '# k_p=' header")
     try:
@@ -372,34 +388,25 @@ def feature_table(s, label, ref, proxy) -> np.recarray:
 
 def save_features(features: np.recarray, path: str | Path) -> None:
     """Write a feature table as TSV: label, s1..s5, ref_id, proxy_id."""
-    with open(path, "w") as fh:
-        for label, s, ref_id, proxy_id in zip(
-            features.label.tolist(), features.s.tolist(), features.ref, features.proxy
-        ):
-            svals = "\t".join(map(repr, s))
-            fh.write(f"{label!r}\t{svals}\t{ref_id}\t{proxy_id}\n")
+    values = np.column_stack([features.label, features.s]).tolist()
+    rows = zip(values, features.ref, features.proxy)
+    _write_lines(path, ["\t".join(map(repr, v)) + f"\t{ref}\t{proxy}" for v, ref, proxy in rows])
 
 
 def load_features(path: str | Path) -> np.recarray:
     """Read a feature table. A label other than 1 or 0, or a non-numeric or
     non-finite value, raises CorpusError naming the file and line."""
     vals, ids = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 8:
-                raise CorpusError(f"{where}: expected 8 tab-separated columns")
-            label = _parse(float, parts[0], "label must be 1 or 0, got", where)
-            if label not in (0.0, 1.0):
-                raise CorpusError(f"{where}: label must be 1 or 0, got {parts[0]!r}")
-            s = [_parse(float, v, "non-numeric value", where) for v in parts[1:6]]
-            if not np.all(np.isfinite(s)):
-                raise CorpusError(f"{where}: non-finite value in {parts[1:6]}")
-            vals.append([label, *s])
-            ids.append(parts[6:])
+    for where, line in _read_lines(path):
+        parts = _split(where, line, "\t", 8)
+        label = _parse(float, parts[0], "label must be 1 or 0, got", where)
+        if label not in (0.0, 1.0):
+            raise CorpusError(f"{where}: label must be 1 or 0, got {parts[0]!r}")
+        s = [_parse(float, v, "non-numeric value", where) for v in parts[1:6]]
+        if not np.all(np.isfinite(s)):
+            raise CorpusError(f"{where}: non-finite value in {parts[1:6]}")
+        vals.append([label, *s])
+        ids.append(parts[6:])
     vals = np.array(vals, dtype=np.float64).reshape(-1, 6)
     ids = np.array(ids, dtype=object).reshape(-1, 2)
     return feature_table(vals[:, 1:], vals[:, 0], ids[:, 0], ids[:, 1])
@@ -412,15 +419,10 @@ def load_features(path: str | Path) -> np.recarray:
 def save_model(model, path: str | Path) -> None:
     """Persist a trained regression model as plain text."""
     cfg = model.config
-    lines = [
-        f"gamma={repr(float(cfg.kernel_gamma))}",
-        f"epsilon={repr(float(cfg.epsilon))}",
-        f"cost={repr(float(cfg.cost))}",
-        f"bias={repr(float(model.bias))}",
-    ]
-    for beta, sv in zip(model.coefficients, model.support_vectors):
-        lines.append(", ".join([repr(float(beta))] + [repr(float(v)) for v in sv]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = dict(gamma=cfg.kernel_gamma, epsilon=cfg.epsilon, cost=cfg.cost, bias=model.bias)
+    lines = [f"{key}={float(value)!r}" for key, value in header.items()]
+    rows = np.column_stack([model.coefficients, model.support_vectors]).tolist()
+    _write_lines(path, lines + [", ".join(map(repr, row)) for row in rows])
 
 
 def load_model(path: str | Path):
@@ -428,8 +430,7 @@ def load_model(path: str | Path):
     raises CorpusError naming the file and line."""
     from .svr import SvrConfig, SvrModel
 
-    with open(path) as fh:
-        lines = [(f"{path}:{n}", ln) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = list(_read_lines(path))
     n_header = next((i for i, (_, ln) in enumerate(lines[:4]) if "=" not in ln), min(len(lines), 4))
     header: dict[str, float] = {}
     for where, ln in lines[:n_header]:
@@ -438,16 +439,13 @@ def load_model(path: str | Path):
     for key in ("gamma", "epsilon", "cost", "bias"):
         if key not in header:
             raise CorpusError(f"{path}: missing header line {key}=")
-    betas, vecs = [], []
+    # one row per support vector: its dual coefficient, then the vector
+    rows = []
     for where, ln in lines[n_header:]:
-        toks = [t.strip() for t in ln.split(",")]
-        if len(toks) != 6:
-            raise CorpusError(f"{where}: support vector line needs 6 comma-separated values")
-        vals = [_parse(float, t, "non-numeric support vector value", where) for t in toks]
-        betas.append(vals[0])
-        vecs.append(vals[1:])
-    coeff = np.asarray(betas, dtype=np.float64)
-    sv = np.asarray(vecs, dtype=np.float64).reshape(len(betas), 5)
+        fields = _split(where, ln, ",", 6)
+        rows.append([_parse(float, t, "non-numeric support vector value", where) for t in fields])
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    coeff, sv = table[:, 0].copy(), table[:, 1:].copy()
     try:
         config = SvrConfig(
             epsilon=header["epsilon"], cost=header["cost"], kernel_gamma=header["gamma"]

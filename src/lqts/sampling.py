@@ -52,12 +52,16 @@ def median_heuristic_gamma(exemplars: np.ndarray) -> float:
 
 
 def _checked_gamma(gamma: float | str) -> float | str:
-    """'auto', or gamma as a float. Raises ValueError unless it is finite
-    and positive: any other bandwidth gives a kernel without variation or
+    """'auto', or gamma as a float, parsed here when it is a string such as
+    ``qts sample --gamma``. Raises ValueError unless it is finite and
+    positive: any other bandwidth gives a kernel without variation or
     non-finite weights."""
     if gamma == "auto":
         return gamma
-    g = float(gamma)
+    try:
+        g = float(gamma)
+    except ValueError:
+        g = np.nan
     if not (np.isfinite(g) and g > 0.0):
         raise ValueError(f"gamma must be finite and positive or 'auto', got {gamma!r}")
     return g

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,13 +68,15 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
 
-    def test_malformed_gamma(self, pipeline_dirs):
+    def test_malformed_gamma(self, pipeline_dirs, capsys):
         root, gal = pipeline_dirs
         code = run(
             "sample", "--gallery", str(gal), "--gamma", "bogus",
             "--out", str(root / "bad_sample"),
         )
         assert code == 1
+        assert "gamma must be finite and positive or 'auto', got 'bogus'" in capsys.readouterr().err
+        assert not (root / "bad_sample").exists()
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
     def test_gamma_not_finite_and_positive(self, pipeline_dirs, tmp_path, capsys, gamma):
@@ -188,6 +191,34 @@ class TestDataErrors:
         )
         assert code == 2
         assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, command",
+        [
+            ("gal/manifest.tsv", ["proxies"]),
+            ("gal/sets/a.csv", ["proxies"]),
+            ("proxies.tsv", ["retrieve", "--method", "arith", "--k", "1", "--proxies", "proxies.tsv"]),
+            ("features.tsv", ["train", "--features", "features.tsv"]),
+            ("model.qts", ["retrieve", "--method", "lqts", "--k", "0", "--model", "model.qts"]),
+        ],
+        ids=["manifest", "set-csv", "proxy-table", "feature-table", "model"],
+    )
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, monkeypatch, capsys, target, command):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(0)
+        save_gallery(Gallery(sets=tuple(FaceSet(s, rng.normal(size=(3, 4))) for s in "abc")), "gal")
+        Path("proxies.tsv").write_text("# k_p=1\na\t1\tb\t0.9\nb\t1\ta\t0.9\n")
+        Path("features.tsv").write_text(
+            "1.0\t0.9\t0.8\t0.9\t1.0\t1.0\ta\tb\n0.0\t0.1\t0.2\t0.1\t0.3\t0.2\tc\td\n"
+        )
+        Path("model.qts").write_text("gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=0.5\n")
+        lines = Path(target).read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        Path(target).write_bytes(b"\n".join(lines))
+        gallery = [] if command[0] == "train" else ["--gallery", "gal"]
+        query = ["--query", "a"] if command[0] == "retrieve" else []
+        assert run(*command, *gallery, *query, "--out", "out") == 2
+        assert f"{target}:2: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestPipeline:

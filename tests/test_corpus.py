@@ -65,13 +65,50 @@ class TestGalleryLoad:
     def test_nan_names_set_and_row(self, tmp_path):
         rows = ["bad\t-\tsets/bad.csv\n"]
         files = {"sets/bad.csv": "1.0,2.0\nnan,1.0\n"}
-        with pytest.raises(CorpusError, match=r"'bad'.*row 1"):
-            load_gallery(write_gallery_dir(tmp_path, rows, files))
+        root = write_gallery_dir(tmp_path, rows, files)
+        message = f"{root / 'sets/bad.csv'}: set 'bad': non-finite value in exemplar row 1"
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            load_gallery(root)
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            (b"1.0,,2.0\n", ":1", "could not convert string to float: ''"),
+            (b"1.0,2.0,\n", ":1", "could not convert string to float: ''"),
+            (b"1.0,oops\n", ":1", "could not convert string to float: 'oops'"),
+            (b"1.0,2.0\n\n1.0,2.0,3.0\n", ":3", "expected 2 comma-separated columns, found 3"),
+            (b"1.0 2.0\n3.0\n", ":2", "expected 2 whitespace-separated columns, found 1"),
+            (b"1.0,2.0\n\xff1.0,2.0\n", ":2", "not UTF-8"),
+            (b"", "", "non-empty 2-D matrix"),
+            (b"1.0,2.0\n0.0,0.0\n", "", "set 'a': zero-norm exemplar at row 1"),
+        ],
+        ids=["empty-field", "trailing-comma", "non-numeric", "ragged", "ragged-whitespace",
+             "non-utf8", "no-rows", "zero-norm"],
+    )
+    def test_malformed_set_file_names_file_and_line(self, tmp_path, text, where, message):
+        root = write_gallery_dir(tmp_path, ["a\t-\tsets/a.csv\n"], {})
+        path = root / "sets/a.csv"
+        path.write_bytes(text)
+        pattern = re.escape(f"{path}{where}: ") + ".*" + re.escape(message)
+        with pytest.raises(CorpusError, match=pattern):
+            load_gallery(root)
+
+    def test_crlf_blank_lines_and_whitespace_rows_accepted(self, tmp_path):
+        rows = ["a\t-\tsets/a.csv\r\n", "\r\n", "b\t-\tsets/b.csv\r\n"]
+        files = {
+            "sets/a.csv": "1.0 0.5\r\n \r\n0.25\t2.0\r\n",
+            "sets/b.csv": "1.0, 0.5\r\n0.25 ,2.0",
+        }
+        g = load_gallery(write_gallery_dir(tmp_path, rows, files))
+        assert g.set_ids == ["a", "b"]
+        for s in g:
+            assert s.exemplars.tolist() == [[1.0, 0.5], [0.25, 2.0]]
 
     def test_dimension_mismatch(self, tmp_path):
         rows = ["a\t-\tsets/a.csv\n", "b\t-\tsets/b.csv\n"]
         files = {"sets/a.csv": "1.0,2.0\n", "sets/b.csv": "1.0,2.0,3.0\n"}
-        with pytest.raises(CorpusError, match="dimension"):
+        message = "set 'b': dimension 3 does not match gallery dimension 2"
+        with pytest.raises(CorpusError, match=message):
             load_gallery(write_gallery_dir(tmp_path, rows, files))
 
     def test_duplicate_set_id_names_manifest_line(self, tmp_path):
@@ -113,6 +150,28 @@ class TestGalleryRoundTrip:
         again = load_gallery(tmp_path / "out")
         assert again == g
         assert again.set_ids == g.set_ids
+
+    def test_every_written_file_is_utf8(self, rng, tmp_path):
+        ids = ["é0", "名1", "ü-2"]
+        labels = {sid: f"Zoë{i % 2}" for i, sid in enumerate(ids)}
+        g = Gallery(sets=tuple(FaceSet(sid, rng.normal(size=(3, 4))) for sid in ids), labels=labels)
+        table = ProxyTable(k_p=1, entries={"é0": (("名1", 0.9),), "名1": (("ü-2", 0.5),)})
+        feats = feature_table(rng.random((2, 5)), np.array([1.0, 0.0]), ids[:2], ids[1:])
+        save_gallery(g, tmp_path / "gal")
+        save_proxies(table, tmp_path / "p.tsv")
+        save_features(feats, tmp_path / "f.tsv")
+        save_model(TestModelFile()._model(rng), tmp_path / "m.qts")
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert len(written) == 7
+        for path in written:
+            text = path.read_bytes().decode("utf-8")
+            assert text.endswith("\n") and "\r" not in text
+        manifest = (tmp_path / "gal" / "manifest.tsv").read_bytes()
+        assert all(f"{sid}\t{labels[sid]}\t".encode() in manifest for sid in ids)
+        assert load_gallery(tmp_path / "gal") == g
+        assert load_proxies(tmp_path / "p.tsv") == table
+        again = load_features(tmp_path / "f.tsv")
+        assert again.ref.tolist() == ids[:2] and again.proxy.tolist() == ids[1:]
 
     def test_save_is_deterministic(self, rng, tmp_path):
         g = tiny_gallery(rng, n_sets=3)
@@ -171,6 +230,7 @@ class TestProxyTable:
             ("# k_p=2\na\t1\tb\t0.9\na\tsecond\tc\t0.5\n", 3, "non-integer rank 'second'"),
             ("# k_p=2\na\t1\tb\thigh\n", 2, "non-numeric score 'high'"),
             ("# k_p=1\na\t1\tb\t0.9\n\na\t2\tc\t0.5\n", 4, "longer than k_p=1"),
+            ("# k_p=2\na\t1\tb\t0.9\n# k_p=2\n", 3, "second '# k_p=' header"),
         ],
     )
     def test_malformed_file_names_file_and_line(self, tmp_path, text, line, message):

@@ -69,7 +69,7 @@ class TestFitKpca:
         m = fit_kpca(random_set(rng, n=20, d=4))
         assert m.eigenvalues[0] * float(m.alpha @ m.alpha) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, "bogus"])
     def test_gamma_must_be_finite_and_positive(self, rng, gamma):
         s = random_set(rng, n=15, d=4)
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
