@@ -10,6 +10,12 @@ One call is one query row, `GalleryScorer.pair(q, everyone)`: gallery set
 0 against every gallery set, itself included, on the seed-11 gallery of
 each pipeline-benchmark workload, reduced as that workload reduces it
 (`perfbench/workloads.py`).
+
+`test_max_corr_batch` times the subspace kernel alone, on the
+`subspace-lane` gallery's (6, 96) bases: 181 pairs, set 0 as one 2-D
+operand against every other set, the shape of a query row and of a
+proxy-selection row, and 256 aligned pairs, the first PAIR_BLOCK pairs
+(i, j), i < j, the shape of training extraction.
 """
 
 import sys
@@ -20,7 +26,8 @@ import pytest
 
 from lqts import sampling, synth
 from lqts.corpus import Gallery
-from lqts.retrieval import GalleryScorer
+from lqts.retrieval import PAIR_BLOCK, GalleryScorer
+from lqts.similarity import max_corr_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import ACCEPTANCE_SEED, WORKLOADS  # noqa: E402
@@ -41,3 +48,16 @@ def test_query_row(benchmark, name):
     everyone = np.arange(len(gallery))
     out = benchmark(scorer.pair, 0, everyone)
     assert out.score[0] == 1.0 and np.all((out.score >= 0.0) & (out.score <= 1.0))
+
+
+@pytest.mark.parametrize("pairs", [181, PAIR_BLOCK])
+def test_max_corr_batch(benchmark, pairs):
+    scorer = GalleryScorer(workload_gallery("subspace-lane"), "subspace")
+    assert np.all(scorer.ks == 6) and scorer.stack.shape[2] == 96
+    if pairs == 181:
+        a, b = scorer.stack[0], scorer.stack[1:]
+    else:
+        i, j = (ix[:pairs] for ix in np.triu_indices(len(scorer.ks), 1))
+        a, b = scorer.stack[i], scorer.stack[j]
+    out = benchmark(max_corr_batch, a, b)
+    assert out.score.shape == (pairs,) and np.all((out.score >= 0.0) & (out.score <= 1.0))

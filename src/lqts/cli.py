@@ -33,7 +33,7 @@ def _write_sidecar(primary_out: Path, args: argparse.Namespace) -> None:
     payload = {k: v for k, v in vars(args).items() if k != "func"}
     payload["command"] = args.func.__name__.removeprefix("_cmd_")
     target = primary_out / "run.json" if primary_out.is_dir() else Path(str(primary_out) + ".run.json")
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    corpus.write_lines(target, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _cmd_synth(args) -> int:
@@ -53,9 +53,7 @@ def _cmd_synth(args) -> int:
     gallery, truth = synth.generate(config)
     out = Path(args.out)
     corpus.save_gallery(gallery, out)
-    with open(out / "truth.tsv", "w") as fh:
-        for sid in gallery.set_ids:
-            fh.write(f"{sid}\t{truth[sid]}\n")
+    corpus.write_lines(out / "truth.tsv", [f"{sid}\t{truth[sid]}" for sid in gallery.set_ids])
     print(f"wrote {len(gallery)} sets (dim {gallery.dim}) to {out}")
     return 0
 
@@ -76,15 +74,15 @@ def _cmd_energy(args) -> int:
     gallery = corpus.load_gallery(args.gallery)
     out = Path(args.out)
     skipped = 0
-    with open(out, "w") as fh:
-        fh.write("set_id,lambda2_ratio,lambda3_ratio\n")
-        for s in gallery:
-            try:
-                r2, r3 = sampling.energy_report(s)
-            except DegenerateSetError:
-                skipped += 1
-                continue
-            fh.write(f"{s.set_id},{repr(r2)},{repr(r3)}\n")
+    lines = ["set_id,lambda2_ratio,lambda3_ratio"]
+    for s in gallery:
+        try:
+            r2, r3 = sampling.energy_report(s)
+        except DegenerateSetError:
+            skipped += 1
+            continue
+        lines.append(f"{s.set_id},{repr(r2)},{repr(r3)}")
+    corpus.write_lines(out, lines)
     if skipped:
         print(f"skipped {skipped} sets without variation", file=sys.stderr)
     print(f"wrote kernel energy ratios for {len(gallery) - skipped} sets to {out}")

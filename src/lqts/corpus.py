@@ -232,9 +232,10 @@ def _split(where: str, line: str, sep: str | None, width: int | None) -> list[st
     raise CorpusError(f"{where}: expected {width} {name}-separated columns, found {len(fields)}")
 
 
-def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write `lines` to `path` as UTF-8, each ending in ``\\n``, with no
-    newline translation."""
+    newline translation: the one text writer of lqts, reports, rankings and
+    CLI sidecars included, whatever the locale."""
     Path(path).write_bytes("".join([f"{line}\n" for line in lines]).encode("utf-8"))
 
 
@@ -310,10 +311,10 @@ def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> No
             payload = struct.pack("<II", n, d) + s.exemplars.astype("<f4").tobytes()
             (root / rel).write_bytes(BINARY_MAGIC + payload)
         else:
-            _write_lines(root / rel, [",".join(map(repr, row)) for row in s.exemplars.tolist()])
+            write_lines(root / rel, [",".join(map(repr, row)) for row in s.exemplars.tolist()])
         identity = gallery.labels[s.set_id] if gallery.labels else UNLABELLED
         manifest.append(f"{s.set_id}\t{identity}\t{rel}")
-    _write_lines(root / MANIFEST_NAME, manifest)
+    write_lines(root / MANIFEST_NAME, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ def save_proxies(table: ProxyTable, path: str | Path) -> None:
         for sid, plist in table.entries.items()
         for rank, (pid, score) in enumerate(plist, start=1)
     ]
-    _write_lines(path, [f"# k_p={table.k_p}", *rows])
+    write_lines(path, [f"# k_p={table.k_p}", *rows])
 
 
 def _parse(kind, text: str, what: str, where: str):
@@ -337,18 +338,22 @@ def _parse(kind, text: str, what: str, where: str):
 
 
 def load_proxies(path: str | Path) -> ProxyTable:
-    """Read a proxy table. A missing or second ``# k_p=`` header, a non-integer
-    k_p or rank, a non-numeric score or a list longer than k_p raises CorpusError
-    naming the file and line; a list that ProxyTable rejects (a repeated proxy,
-    the set itself, unsorted scores) names the file."""
+    """Read a proxy table. The header is the ``#`` line whose text after the
+    ``#`` starts with ``k_p=``, and that text must be exactly ``k_p=<int>``;
+    every other ``#`` line is a comment. A missing or second header, a
+    non-integer k_p or rank, a non-numeric score or a list longer than k_p
+    raises CorpusError naming the file and line; a list that ProxyTable
+    rejects (a repeated proxy, the set itself, unsorted scores) names the
+    file."""
     entries: dict[str, list[tuple[str, float]]] = {}
     k_p = None
     for where, line in _read_lines(path):
         if line.startswith("#"):
-            if "k_p=" in line:
+            header = line[1:].strip()
+            if header.startswith("k_p="):
                 if k_p is not None:
                     raise CorpusError(f"{where}: second '# k_p=' header")
-                k_p = _parse(int, line.split("k_p=")[1], "non-integer k_p", where)
+                k_p = _parse(int, header.removeprefix("k_p="), "non-integer k_p", where)
                 if k_p < 0:
                     raise CorpusError(f"{where}: k_p must be >= 0")
             continue
@@ -390,7 +395,7 @@ def save_features(features: np.recarray, path: str | Path) -> None:
     """Write a feature table as TSV: label, s1..s5, ref_id, proxy_id."""
     values = np.column_stack([features.label, features.s]).tolist()
     rows = zip(values, features.ref, features.proxy)
-    _write_lines(path, ["\t".join(map(repr, v)) + f"\t{ref}\t{proxy}" for v, ref, proxy in rows])
+    write_lines(path, ["\t".join(map(repr, v)) + f"\t{ref}\t{proxy}" for v, ref, proxy in rows])
 
 
 def load_features(path: str | Path) -> np.recarray:
@@ -422,7 +427,7 @@ def save_model(model, path: str | Path) -> None:
     header = dict(gamma=cfg.kernel_gamma, epsilon=cfg.epsilon, cost=cfg.cost, bias=model.bias)
     lines = [f"{key}={float(value)!r}" for key, value in header.items()]
     rows = np.column_stack([model.coefficients, model.support_vectors]).tolist()
-    _write_lines(path, lines + [", ".join(map(repr, row)) for row in rows])
+    write_lines(path, lines + [", ".join(map(repr, row)) for row in rows])
 
 
 def load_model(path: str | Path):

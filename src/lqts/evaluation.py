@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Gallery, ProxyTable
+from .corpus import Gallery, ProxyTable, write_lines
 from .errors import CorpusError
 from .retrieval import RankedResult, Ranker, RetrievalConfig
 
@@ -166,17 +166,13 @@ def write_reports(records, out_dir, top_k: int = DEFAULT_TOP_K) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_anr_report(records, out / "anr.tsv")
-    with open(out / "cdf.csv", "w") as fh:
-        fh.write("threshold,fraction\n")
-        fh.writelines(f"{t:g},{repr(frac)}\n" for t, frac in cdf)
+    write_lines(out / "cdf.csv", ["threshold,fraction", *(f"{t:g},{frac!r}" for t, frac in cdf)])
     write_rank_k_report(records, out / f"rank{top_k}.csv", top_k)
 
 
 def write_anr_report(records, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("query_id\tn\tc\tanr\n")
-        for r in records:
-            fh.write(f"{r.query_id}\t{r.n}\t{r.c}\t{repr(r.anr)}\n")
+    rows = (f"{r.query_id}\t{r.n}\t{r.c}\t{repr(r.anr)}" for r in records)
+    write_lines(path, ["query_id\tn\tc\tanr", *rows])
 
 
 def write_rank_k_report(records, path, top_k: int = DEFAULT_TOP_K) -> None:
@@ -185,13 +181,11 @@ def write_rank_k_report(records, path, top_k: int = DEFAULT_TOP_K) -> None:
     stats = rank_k_stats(records, top_k)
     by_k = {s.k: s for s in stats}
     base = by_k.get(1)
-    with open(path, "w") as fh:
-        fh.write("k,empirical_prob,predicted_prob,empirical_count,predicted_count\n")
-        for s in stats:
-            if base is not None:
-                pred_p, pred_c = independence_prediction(base.prob_hit, base.mean_count, s.k)
-            else:
-                pred_p, pred_c = float("nan"), float("nan")
-            fh.write(
-                f"{s.k},{repr(s.prob_hit)},{repr(pred_p)},{repr(s.mean_count)},{repr(pred_c)}\n"
-            )
+    lines = ["k,empirical_prob,predicted_prob,empirical_count,predicted_count"]
+    for s in stats:
+        if base is not None:
+            pred_p, pred_c = independence_prediction(base.prob_hit, base.mean_count, s.k)
+        else:
+            pred_p, pred_c = float("nan"), float("nan")
+        lines.append(f"{s.k},{repr(s.prob_hit)},{repr(pred_p)},{repr(s.mean_count)},{repr(pred_c)}")
+    write_lines(path, lines)

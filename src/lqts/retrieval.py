@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FaceSet, Gallery, ProxyTable
+from .corpus import FaceSet, Gallery, ProxyTable, write_lines
 from .errors import DimensionMismatchError, UsageError
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
@@ -130,11 +130,11 @@ class GalleryScorer:
         the pairs marked `own` are a gallery set against itself.
 
         Pairs are grouped by the true shapes of their two sets, so that
-        every product and SVD has the shape max_max_sim or max_corr gives
-        it: BLAS may round a padded product differently, and padding a
-        basis changes its SVD. A set's first k rows are contiguous, laid
-        out as its own array: BLAS sums a strided vector in another order
-        than a contiguous one.
+        every product and eigenproblem has the shape max_max_sim or max_corr
+        gives it: BLAS may round a padded product differently, and padding a
+        basis changes the size of its Gram's eigenproblem. A set's first k
+        rows are contiguous, laid out as its own array: BLAS sums a strided
+        vector in another order than a contiguous one.
         """
         i_all = np.broadcast_to(i, j.shape)
         score = np.empty(j.size)
@@ -272,7 +272,5 @@ def rank_gallery(
 
 
 def save_ranking(result: RankedResult, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("rank\tset_id\tscore\n")
-        for rank, (sid, score) in enumerate(result.ranking, start=1):
-            fh.write(f"{rank}\t{sid}\t{repr(score)}\n")
+    rows = (f"{rank}\t{sid}\t{repr(score)}" for rank, (sid, score) in enumerate(result.ranking, 1))
+    write_lines(path, ["rank\tset_id\tscore", *rows])

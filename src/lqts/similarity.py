@@ -12,7 +12,12 @@ transitivity features are built from those modes.
 Each baseline has one kernel, over a batch of set pairs
 (`max_max_sim_batch`, `max_corr_batch`), which `kernel` looks up by
 baseline name; `max_max_sim` and `max_corr` compare a single pair as a
-batch of one. A set against itself follows `self_pairs`.
+batch of one. A set against itself follows `self_pairs`. The first
+canonical correlation σ₁ of bases a and b is the top singular value of
+M = a·bᵀ (Björck & Golub 1973); `max_corr_batch` takes it, and the
+canonical vectors, from the top eigenpair of the small k_b×k_b Gram MᵀM
+rather than from an SVD of M, and puts both modes on row 0 of their bases
+when σ₁ is 0.
 
 Absolute cosine is used throughout: principal and canonical directions
 are sign-ambiguous, so signed similarity would be non-deterministic.
@@ -126,23 +131,35 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     and b of shape (P, k_b, d), with the canonical vector pair that attains
     it.
 
+    The top singular triple of M = a·bᵀ comes from the top eigenpair of
+    the k_b×k_b Gram MᵀM: v₁ is its eigenvector, σ₁ = ‖M v₁‖, the cosine
+    the modes attain, and u₁ = M v₁ / σ₁; the modes are u₁ᵀ·a and v₁ᵀ·b.
+    Where σ₁ is 0 the modes are row 0 of each basis, as an SVD of a zero M
+    gives.
+
     Signs are canonicalized: mode_a's largest-magnitude entry is positive,
-    and mode_b is oriented so that the mutual cosine is nonnegative.
+    and the mutual cosine u₁ᵀ·M·v₁ = σ₁ is nonnegative.
     """
-    u, sing, vt = np.linalg.svd(np.matmul(a, np.swapaxes(b, -1, -2)))
-    score = np.minimum(np.maximum(sing[:, 0], 0.0), 1.0)
-    mode_a = np.matmul(np.swapaxes(u[:, :, :1], 1, 2), a)[:, 0]
-    mode_b = np.matmul(vt[:, :1, :], b)[:, 0]
-    rows = np.arange(len(score))
+    m = np.matmul(a, np.swapaxes(b, -1, -2))
+    _, vecs = np.linalg.eigh(np.matmul(np.swapaxes(m, -1, -2), m))
+    v = vecs[:, :, -1]
+    mv = np.matmul(m, v[:, :, None])[:, :, 0]
+    sigma = np.sqrt(np.einsum("ij,ij->i", mv, mv))
+    zero = (sigma == 0.0)[:, None]
+    u = mv / np.where(zero, 1.0, sigma[:, None])
+    mode_a = np.where(zero, a[..., 0, :], np.matmul(u[:, None, :], a)[:, 0])
+    mode_b = np.where(zero, b[:, 0], np.matmul(v[:, None, :], b)[:, 0])
+    rows = np.arange(len(sigma))
     top = np.argmax(np.abs(mode_a), axis=1)
-    mode_a = np.where(mode_a[rows, top, None] < 0, -mode_a, mode_a)
-    dot = np.matmul(mode_a[:, None, :], mode_b[:, :, None])[:, 0]
-    return Matches(score, mode_a, np.where(dot < 0, -mode_b, mode_b))
+    flip = mode_a[rows, top, None] < 0
+    mode_a, mode_b = np.where(flip, -mode_a, mode_a), np.where(flip, -mode_b, mode_b)
+    return Matches(np.minimum(sigma, 1.0), mode_a, mode_b)
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:
-    """max_corr_batch of one pair of (k, d) bases; one basis on both sides
-    is `self_pairs` of it."""
+    """max_corr_batch of one pair of (k, d) bases: σ₁ and the canonical
+    vectors from the top eigenpair of the Gram of a·bᵀ, both modes on row 0
+    when σ₁ is 0; one basis on both sides is `self_pairs` of it."""
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
     if a is b:

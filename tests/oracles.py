@@ -1,9 +1,11 @@
 """Scalar reference code that the batched library code is checked against.
 
 `max_max_sim` and `max_corr` compare one pair of sets at a time, with
-ambient unit modes: the pair functions that `lqts.similarity`'s batch
-kernels replaced, which the kernels must equal bit for bit. `match` adds
-the self-pair rule of `lqts.similarity.self_pairs` on top.
+ambient unit modes: the pair functions of `lqts.similarity`'s batch
+kernels, which the kernels must equal bit for bit. `svd_max_corr` is the
+SVD form of `max_corr` that the Gram eigenpair replaced, kept as its
+accuracy reference. `match` adds the self-pair rule of
+`lqts.similarity.self_pairs` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
 score at a time from those, with no caching or batching.
 `extract_exemplar` and `extract_subspace` give all of one
@@ -64,21 +66,36 @@ def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
     """First canonical correlation between two subspaces, given as (k, d)
     orthonormal bases, with the canonical vector pair that attains it.
 
-    Signs are canonicalized (largest-magnitude entry of mode_a positive,
-    mode_b oriented so the mutual cosine is nonnegative).
+    From the top eigenpair of the Gram MᵀM of M = a·bᵀ: v₁ its
+    eigenvector, σ₁ = ‖M v₁‖, u₁ = M v₁ / σ₁, modes u₁ᵀ·a and v₁ᵀ·b; both
+    modes are row 0 of their bases when σ₁ is 0. Signs are canonicalized:
+    the largest-magnitude entry of mode_a is positive, and both modes flip
+    together, so the mutual cosine stays σ₁.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
+    m = a @ b.T
+    _, vecs = np.linalg.eigh(m.T @ m)
+    v = vecs[:, -1]
+    mv = m @ v
+    sigma = float(np.sqrt(np.einsum("i,i->", mv, mv)))  # the kernel's summation order
+    if sigma == 0.0:
+        mode_a, mode_b = a[0], b[0]
+    else:
+        mode_a, mode_b = (mv / sigma) @ a, v @ b
+    if mode_a[np.argmax(np.abs(mode_a))] < 0:
+        mode_a, mode_b = -mode_a, -mode_b
+    return Match(min(sigma, 1.0), mode_a, mode_b)
+
+
+def svd_max_corr(a: np.ndarray, b: np.ndarray) -> Match:
+    """max_corr by the full SVD of a·bᵀ (Björck & Golub): the accuracy
+    reference for the Gram eigenpair. Its sign rule is max_corr's."""
     u, sing, vt = np.linalg.svd(a @ b.T)
-    score = float(min(max(sing[0], 0.0), 1.0))
-    mode_a = a.T @ u[:, 0]
-    mode_b = b.T @ vt[0]
-    j = int(np.argmax(np.abs(mode_a)))
-    if mode_a[j] < 0:
-        mode_a = -mode_a
-    if float(mode_a @ mode_b) < 0:
-        mode_b = -mode_b
-    return Match(score, mode_a, mode_b)
+    mode_a, mode_b = u[:, 0] @ a, vt[0] @ b
+    if mode_a[np.argmax(np.abs(mode_a))] < 0:
+        mode_a, mode_b = -mode_a, -mode_b
+    return Match(float(min(sing[0], 1.0)), mode_a, mode_b)
 
 
 def match(a, b) -> Match:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +222,35 @@ class TestDataErrors:
         query = ["--query", "a"] if command[0] == "retrieve" else []
         assert run(*command, *gallery, *query, "--out", "out") == 2
         assert f"{target}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, written",
+    [
+        (["retrieve", "--query", "b", "--out", "out.tsv"], ["out.tsv", "out.tsv.run.json"]),
+        (["evaluate", "--out-dir", "eval"], ["eval/anr.tsv", "eval/cdf.csv", "eval/run.json"]),
+    ],
+    ids=["retrieve", "evaluate"],
+)
+def test_non_ascii_set_ids_under_an_ascii_locale(tmp_path, command, written):
+    # every file is written as UTF-8 whatever the locale's encoding; the set
+    # files have ASCII names, which any file-system encoding can open
+    rng = np.random.default_rng(0)
+    (tmp_path / "gal").mkdir()
+    manifest = []
+    for n, (set_id, identity) in enumerate([("é0", "x"), ("é1", "x"), ("b", "y"), ("c", "y")]):
+        rows = [",".join(map(repr, row)) for row in rng.normal(size=(3, 4)).tolist()]
+        (tmp_path / "gal" / f"s{n}.csv").write_text("\n".join(rows) + "\n")
+        manifest.append(f"{set_id}\t{identity}\ts{n}.csv\n")
+    (tmp_path / "gal" / "manifest.tsv").write_bytes("".join(manifest).encode("utf-8"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONPATH": src}
+    argv = [sys.executable, "-X", "utf8=0", "-m", "lqts.cli", *command, "--gallery", "gal"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    for name in written:
+        (tmp_path / name).read_bytes().decode("utf-8")
+    assert "é0" in (tmp_path / written[0]).read_bytes().decode("utf-8")
 
 
 class TestPipeline:

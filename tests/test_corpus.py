@@ -215,6 +215,11 @@ class TestProxyTable:
         save_proxies(t, tmp_path / "p.tsv")
         assert load_proxies(tmp_path / "p.tsv") == t
 
+    def test_other_comment_lines_are_not_headers(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("# built with k_p=5 earlier\n# k_p=1\n# k_p is the width\na\t1\tb\t0.9\n")
+        assert load_proxies(path) == ProxyTable(k_p=1, entries={"a": (("b", 0.9),)})
+
     def test_round_trip_k0(self, tmp_path):
         t = ProxyTable(k_p=0, entries={})
         save_proxies(t, tmp_path / "p.tsv")
@@ -231,6 +236,7 @@ class TestProxyTable:
             ("# k_p=2\na\t1\tb\thigh\n", 2, "non-numeric score 'high'"),
             ("# k_p=1\na\t1\tb\t0.9\n\na\t2\tc\t0.5\n", 4, "longer than k_p=1"),
             ("# k_p=2\na\t1\tb\t0.9\n# k_p=2\n", 3, "second '# k_p=' header"),
+            ("# note\n# k_p=2 k_p=3\na\t1\tb\t0.9\n", 2, "non-integer k_p '2 k_p=3'"),
         ],
     )
     def test_malformed_file_names_file_and_line(self, tmp_path, text, line, message):

@@ -56,6 +56,25 @@ def test_output_digests_repeat_on_tiny_workloads(tmp_path):
         assert ops.attempted > 0 and ops.failed == 0, ops.failures
 
 
+def test_quality_seeds_reports_each_lane_and_seed(tmp_path):
+    module = load_script("quality_seeds")
+    from workloads import Workload  # perfbench/ is on sys.path once the script is loaded
+
+    synth = {"n_identities": 8, "exemplars_per_set": (8, 12), "dim": 24}
+    tiny = Workload("tiny-subspace", "subspace", cap=300, k_p=1, samples=None, synth=synth)
+    rows = []
+    for seed in (3, 4):
+        (tmp_path / str(seed)).mkdir()
+        q = module.quality(tiny, seed, tmp_path / str(seed))
+        assert q["workload"] == "tiny-subspace" and q["seed"] == seed and q["queries"] > 0
+        assert q["gain_pp"] == pytest.approx(100.0 * (q["anr03_lqts"] - q["anr03_base"]))
+        assert 0.0 <= q["mean_anr_lqts"] <= 1.0 and 0.0 <= q["mean_anr_base"] <= 1.0
+        assert 0 <= q["free_svs"] <= q["svs"]
+        rows.append(module.row(q).split("\t"))
+    assert [len(r) for r in rows] == [len(module.COLUMNS)] * 2
+    assert [r[1] for r in rows] == ["3", "4"]
+
+
 def test_sampling_error_writes_its_tables(tmp_path):
     main = load_script("sampling_error").main
     argv = [

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lqts.corpus import FaceSet
 from lqts.errors import DimensionMismatchError, ZeroVectorError
-from lqts.similarity import cosine_sim, fit_subspace, max_corr, max_max_sim
+from lqts.similarity import DEFAULT_SUBSPACE_DIM, cosine_sim, fit_subspace, max_corr, max_max_sim
 
 from conftest import random_set
 import oracles
@@ -230,3 +230,74 @@ class TestSelfPair:
             assert got.score[0] == 1.0
             assert np.array_equal(got.mode_a[0], basis[0])
             assert np.array_equal(got.mode_b[0], basis[0])
+
+
+def orthonormal_rows(x: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of x, row i in the span of rows
+    0..i."""
+    return np.linalg.qr(x.T)[0].T
+
+
+BASIS_PAIR_KINDS = ["orthogonal", "near-orthogonal", "shared", "repeated", "rank-clipped"]
+
+
+def basis_pair(r, kind: str):
+    """Two (k, d) orthonormal bases whose first canonical correlation is of
+    the given kind."""
+    d = int(r.integers(DEFAULT_SUBSPACE_DIM, 40))  # so rank clipping sets k below d
+    k_a, k_b = (int(k) for k in r.integers(1, min(6, d // 2) + 1, size=2))
+    q = np.linalg.qr(r.normal(size=(d, d)))[0].T  # d orthonormal rows
+    if kind == "orthogonal":  # M is exactly zero
+        rows = np.eye(d)[r.permutation(d)] * r.choice([-1.0, 1.0], size=(d, 1))
+        return rows[:k_a], rows[k_a : k_a + k_b]
+    a, w = q[:k_a], q[k_a : k_a + k_b]
+    if kind == "near-orthogonal":
+        return a, orthonormal_rows(w + 10.0 ** -r.uniform(3, 12) * r.normal(size=w.shape))
+    if kind == "shared":  # b's first row lies in a's span
+        first = r.normal(size=k_a) @ a
+        return a, orthonormal_rows(np.vstack([first, w[1:]]))
+    if kind == "repeated":  # the top two canonical angles are equal
+        k = min(k_a, k_b, 2)
+        theta = np.sort(r.uniform(0.0, 1.5, size=k_b))
+        theta[:k] = theta[0]
+        b = np.sin(theta)[:, None] * w
+        b[:k_a] += np.cos(theta[:k_a])[:, None] * a[: min(k_a, k_b)]
+        spin = np.linalg.qr(r.normal(size=(k_b, k_b)))[0]  # same span, other rows
+        return a, spin @ b
+    # rank-clipped: fits of sets with fewer exemplars than the subspace dim
+    m_a, m_b = r.choice(np.arange(1, DEFAULT_SUBSPACE_DIM), size=2, replace=False)
+    return (fit_subspace(FaceSet(s, r.normal(size=(m, d)))) for s, m in (("a", m_a), ("b", m_b)))
+
+
+class TestAgainstSvd:
+    """The Gram-eigenpair kernel against the full SVD of a·bᵀ, which it
+    replaced: the score within a few ulps of σ₁, unit modes in their spans
+    whose mutual |cosine| is the score, and, where σ₁ is well separated
+    from σ₂, the SVD's modes up to sign."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(BASIS_PAIR_KINDS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_svd(self, seed, kind):
+        a, b = basis_pair(np.random.default_rng(seed), kind)
+        got = max_corr(a, b)
+        score, mode_a, mode_b = got.score[0], got.mode_a[0], got.mode_b[0]
+        sing = np.linalg.svd(a @ b.T, compute_uv=False)
+        want = oracles.svd_max_corr(a, b)
+        assert abs(score - want.score) <= 4e-15
+        for mode, basis in ((mode_a, a), (mode_b, b)):
+            assert abs(np.linalg.norm(mode) - 1.0) <= 1e-12
+            assert np.linalg.norm(mode - (mode @ basis.T) @ basis) <= 1e-12
+        assert abs(abs(float(mode_a @ mode_b)) - score) <= 1e-12
+        second = sing[1] if len(sing) > 1 else 0.0
+        if sing[0] - second > 1e-6:
+            for mode, ref in ((mode_a, want.mode_a), (mode_b, want.mode_b)):
+                assert min(np.linalg.norm(mode - ref), np.linalg.norm(mode + ref)) <= 1e-8
+
+    def test_zero_correlation_modes_are_row_zero(self):
+        a = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+        b = np.array([[0.0, 1.0, 0.0]])
+        got = max_corr(a, b)
+        assert got.score[0] == 0.0
+        # row 0 of each basis, both flipped so that mode_a's largest entry is positive
+        assert np.array_equal(got.mode_a[0], -a[0])
+        assert np.array_equal(got.mode_b[0], -b[0])
