@@ -6,12 +6,19 @@ benchmark uses:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest microbench/test_gallery_scorer.py --benchmark-autosave
 
-One call is one query row, `GalleryScorer.pair(q, everyone)`: gallery set
-0 against every gallery set, itself included, on the seed-11 gallery of
-each pipeline-benchmark workload, reduced as that workload reduces it
-(`perfbench/workloads.py`).
+One call of `test_query_row` is one query row, `GalleryScorer.pair(q,
+everyone)`, with its scores and modes read: gallery set 0 against every
+gallery set, itself included, on the seed-11 gallery of each
+pipeline-benchmark workload, reduced as that workload reduces it
+(`perfbench/workloads.py`). `test_query_row_scores` reads the scores
+alone, as proxy selection and the baseline and combiner rankings do; the
+subspace modes are then never built.
 
-`test_max_corr_batch` times the subspace kernel alone, on the
+`test_select_proxies` builds the proxy table of the `subspace-lane`
+settings at 240 identities (727 sets), three rounds.
+
+`test_max_corr_batch` times the subspace kernel alone, which computes
+the scores and leaves the modes to their first read, on the
 `subspace-lane` gallery's (6, 96) bases: 181 pairs, set 0 as one 2-D
 operand against every other set, the shape of a query row and of a
 proxy-selection row, and 256 aligned pairs, the first PAIR_BLOCK pairs
@@ -26,28 +33,54 @@ import pytest
 
 from lqts import sampling, synth
 from lqts.corpus import Gallery
-from lqts.retrieval import PAIR_BLOCK, GalleryScorer
+from lqts.retrieval import PAIR_BLOCK, GalleryScorer, select_proxies
 from lqts.similarity import max_corr_batch
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import ACCEPTANCE_SEED, WORKLOADS  # noqa: E402
+from workloads import ACCEPTANCE_SEED, PROXY_K, WORKLOADS  # noqa: E402
 
 
-def workload_gallery(name: str) -> Gallery:
+def workload_gallery(name: str, **synth_settings) -> Gallery:
     w = WORKLOADS[name]
-    gallery, _ = synth.generate(synth.SynthConfig(seed=ACCEPTANCE_SEED, **w.synth))
+    config = synth.SynthConfig(seed=ACCEPTANCE_SEED, **{**w.synth, **synth_settings})
+    gallery, _ = synth.generate(config)
     if w.samples is not None:
         gallery = Gallery(sets=tuple(sampling.robust_select(s, w.samples) for s in gallery))
     return gallery
 
 
+def query_row(name: str):
+    """A scorer on the workload's gallery, and every gallery index."""
+    gallery = workload_gallery(name)
+    return GalleryScorer(gallery, WORKLOADS[name].baseline), np.arange(len(gallery))
+
+
 @pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
 def test_query_row(benchmark, name):
-    gallery = workload_gallery(name)
-    scorer = GalleryScorer(gallery, WORKLOADS[name].baseline)
-    everyone = np.arange(len(gallery))
-    out = benchmark(scorer.pair, 0, everyone)
-    assert out.score[0] == 1.0 and np.all((out.score >= 0.0) & (out.score <= 1.0))
+    scorer, everyone = query_row(name)
+
+    def row():
+        out = scorer.pair(0, everyone)
+        return out.score, out.mode_a, out.mode_b
+
+    score, mode_a, mode_b = benchmark(row)
+    assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
+    assert mode_a.shape == mode_b.shape == (len(everyone), scorer.stack.shape[2])
+
+
+@pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
+def test_query_row_scores(benchmark, name):
+    scorer, everyone = query_row(name)
+    score = benchmark(lambda: scorer.pair(0, everyone).score)
+    assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
+
+
+def test_select_proxies(benchmark):
+    gallery = workload_gallery("subspace-lane", n_identities=240)
+    assert len(gallery) == 727
+    args = (gallery, "subspace", PROXY_K)
+    table = benchmark.pedantic(select_proxies, args=args, rounds=3, iterations=1)
+    assert len(table.entries) == len(gallery)
 
 
 @pytest.mark.parametrize("pairs", [181, PAIR_BLOCK])

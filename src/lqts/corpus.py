@@ -243,11 +243,11 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 # gallery I/O
 
 
-def _load_set_file(path: Path, set_id: str) -> np.ndarray:
+def _load_set_file(path: Path, set_id: str, where: str) -> np.ndarray:
     try:
         blob = path.read_bytes()
-    except OSError as exc:
-        raise CorpusError(f"set {set_id!r}: cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeEncodeError) as exc:  # the latter: a name the file system cannot encode
+        raise CorpusError(f"{where}: set {set_id!r}: cannot read {path}: {exc}") from exc
     if blob[:4] == BINARY_MAGIC:
         if len(blob) < 12:
             raise CorpusError(f"set {set_id!r}: truncated binary header in {path}")
@@ -285,7 +285,7 @@ def load_gallery(path: str | Path) -> Gallery:
         if set_id in identities:
             raise CorpusError(f"{where}: duplicate set_id {set_id!r}")
         identities[set_id] = identity
-        exemplars = _load_set_file(root / rel, set_id)
+        exemplars = _load_set_file(root / rel, set_id, where)
         try:
             sets.append(FaceSet(set_id=set_id, exemplars=exemplars))
         except CorpusError as exc:
@@ -306,12 +306,15 @@ def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> No
     manifest = []
     for s in gallery.sets:
         rel = f"sets/{s.set_id}.{ext}"
-        if binary:
-            n, d = s.exemplars.shape
-            payload = struct.pack("<II", n, d) + s.exemplars.astype("<f4").tobytes()
-            (root / rel).write_bytes(BINARY_MAGIC + payload)
-        else:
-            write_lines(root / rel, [",".join(map(repr, row)) for row in s.exemplars.tolist()])
+        try:
+            if binary:
+                n, d = s.exemplars.shape
+                payload = struct.pack("<II", n, d) + s.exemplars.astype("<f4").tobytes()
+                (root / rel).write_bytes(BINARY_MAGIC + payload)
+            else:
+                write_lines(root / rel, [",".join(map(repr, row)) for row in s.exemplars.tolist()])
+        except UnicodeEncodeError as exc:  # a set id the file system cannot encode
+            raise CorpusError(f"{root / rel}: set {s.set_id!r}: cannot write: {exc}") from None
         identity = gallery.labels[s.set_id] if gallery.labels else UNLABELLED
         manifest.append(f"{s.set_id}\t{identity}\t{rel}")
     write_lines(root / MANIFEST_NAME, manifest)

@@ -73,7 +73,7 @@ class RankedResult:
         raise KeyError(set_id)
 
 
-# aligned pairs per kernel call, which bounds the stacks a pair list gathers
+# pairs per kernel call, which bounds the kernel's temporaries
 PAIR_BLOCK = 256
 
 
@@ -85,10 +85,10 @@ class GalleryScorer:
     baseline). They are stacked once as (n, max k, d), zero rows padding
     each set past its k. `compare` is the kernel, one call of the
     baseline's `lqts.similarity.kernel`. `pair` compares gallery sets by
-    index and `query` an outside set with gallery sets; both return one
-    row per pair, modes as ambient unit vectors. Nothing is cached between
-    calls. A gallery set against itself follows
-    `lqts.similarity.self_pairs`, with no kernel call.
+    index and `query` an outside set with gallery sets; both return a
+    `Matches` of one row per pair, its modes ambient unit vectors assembled
+    on first read. Nothing is cached between calls. A gallery set against
+    itself follows `lqts.similarity.self_pairs`, with no kernel call.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -126,8 +126,8 @@ class GalleryScorer:
         return self._match(rep[None], np.array([len(rep)]), 0, j, np.zeros(j.shape, dtype=bool))
 
     def _match(self, stack, ks, i, j, own) -> Matches:
-        """stack[i] against gallery sets j, PAIR_BLOCK pairs per kernel call;
-        the pairs marked `own` are a gallery set against itself.
+        """stack[i] against gallery sets j, where `own` marks a gallery set
+        against itself; PAIR_BLOCK pairs per kernel call, modes on first read.
 
         Pairs are grouped by the true shapes of their two sets, so that
         every product and eigenproblem has the shape max_max_sim or max_corr
@@ -138,9 +138,8 @@ class GalleryScorer:
         """
         i_all = np.broadcast_to(i, j.shape)
         score = np.empty(j.size)
-        mode_a, mode_b = np.empty((2, j.size, self.gallery.dim))
-        selves = self_pairs(self.stack[j[own]])
-        score[own], mode_a[own], mode_b[own] = selves.score, selves.mode_a, selves.mode_b
+        blocks = [(own, self_pairs(self.stack[j[own]]))]
+        score[own] = blocks[0][1].score
 
         rest = np.flatnonzero(~own)
         base = max(ks.max(), self.ks.max()) + 1
@@ -148,12 +147,22 @@ class GalleryScorer:
         for shape in np.unique(shapes).tolist():
             k_a, k_b = divmod(shape, base)
             same = rest[shapes == shape]
-            for g in np.split(same, range(PAIR_BLOCK, same.size, PAIR_BLOCK)):
-                # one index i stays one 2-D operand, broadcast by the kernel
-                left = stack[i, :k_a] if np.ndim(i) == 0 else stack[i_all[g], :k_a]
-                res = self.compare(left, self.stack[j[g], :k_b])
-                score[g], mode_a[g], mode_b[g] = res.score, res.mode_a, res.mode_b
-        return Matches(score, mode_a, mode_b)
+            # one index i stays one 2-D operand; each side is gathered once per group
+            left = stack[i, :k_a] if np.ndim(i) == 0 else stack[i_all[same], :k_a]
+            right = self.stack[j[same], :k_b]
+            for at in range(0, same.size, PAIR_BLOCK):
+                g, block = same[at : at + PAIR_BLOCK], slice(at, at + PAIR_BLOCK)
+                res = self.compare(left if left.ndim == 2 else left[block], right[block])
+                score[g] = res.score
+                blocks.append((g, res))
+
+        def modes():
+            mode_a, mode_b = np.empty((2, j.size, self.gallery.dim))
+            for g, res in blocks:
+                mode_a[g], mode_b[g] = res.mode_a, res.mode_b
+            return mode_a, mode_b
+
+        return Matches(score, modes)
 
 
 def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
@@ -214,7 +223,9 @@ class Ranker:
                 rows += [(j, gallery.index_of(pid)) for pid, _ in proxies.proxies_of(sid, config.k_p)]
         self._target, self._proxy = np.array(rows, dtype=np.intp).reshape(-1, 2).T
         pt = self.scorer.pair(self._proxy, self._target)
-        self._s3, self._proxy_mode, self._target_mode = pt.score, pt.mode_a, pt.mode_b
+        self._s3 = pt.score
+        if config.method == METHOD_LQTS:
+            self._proxy_mode, self._target_mode = pt.mode_a, pt.mode_b
 
     def _compare_query(self, query) -> tuple[int | None, Matches]:
         """(gallery index or None, the query against every gallery set)."""
@@ -234,7 +245,7 @@ class Ranker:
         rows = np.flatnonzero(self._target != q_idx)
         t, p = self._target[rows], self._proxy[rows]
 
-        q_score, q_mode = res.score, res.mode_b
+        q_score = res.score
         scores = q_score.copy()
         method = self.config.method
         if rows.size:
@@ -244,8 +255,8 @@ class Ranker:
                         q_score[p],
                         q_score[t],
                         self._s3[rows],
-                        _row_cos(q_mode[p], self._proxy_mode[rows]),
-                        _row_cos(q_mode[t], self._target_mode[rows]),
+                        _row_cos(res.mode_b[p], self._proxy_mode[rows]),
+                        _row_cos(res.mode_b[t], self._target_mode[rows]),
                     ]
                 )
                 est = _clamp01(predict(self.config.model, features))

@@ -6,8 +6,9 @@ canonical correlation between low-dimensional linear subspaces fitted per
 set (`SUBSPACE`). Under both baselines a set is compared as a (k, d)
 stack of unit rows: its unit exemplars, or its subspace's read-only
 orthonormal basis. Every comparison also exposes the pair of unit
-"modes" (exemplars or canonical vectors) that realized the score; the
-transitivity features are built from those modes.
+"modes" (exemplars or canonical vectors) that realized the score, which
+the transitivity features read; a subspace `Matches` builds its modes on
+first read only, so callers that read only scores never pay for them.
 
 Each baseline has one kernel, over a batch of set pairs
 (`max_max_sim_batch`, `max_corr_batch`), which `kernel` looks up by
@@ -24,8 +25,6 @@ are sign-ambiguous, so signed similarity would be non-deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,15 +56,23 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(abs(float(uu @ vv)), 1.0))
 
 
-@dataclass(frozen=True)
 class Matches:
     """Scores of a batch of set pairs, one row per pair, and the unit modes
     that attain them: ambient unit vectors of the data space, a unit
-    exemplar (exemplar baseline) or a canonical vector (subspace baseline)."""
+    exemplar (exemplar baseline) or a canonical vector (subspace baseline).
+    `modes` is the pair (mode_a, mode_b), or a function of no arguments that
+    builds it on first read and is then dropped, with all it holds."""
 
-    score: np.ndarray
-    mode_a: np.ndarray
-    mode_b: np.ndarray
+    def __init__(self, score: np.ndarray, modes):
+        self.score, self._modes = score, modes
+
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        if callable(self._modes):
+            self._modes = self._modes()
+        return self._modes
+
+    mode_a = property(lambda self: self._built()[0])
+    mode_b = property(lambda self: self._built()[1])
 
 
 def self_pairs(reps: np.ndarray) -> Matches:
@@ -74,7 +81,7 @@ def self_pairs(reps: np.ndarray) -> Matches:
     vector. Every diagonal cosine of a unit set is 1, so this is the
     smallest-(i, j) tie rule applied exactly, whatever a kernel's rounding
     would give."""
-    return Matches(np.ones(len(reps)), reps[:, 0], reps[:, 0])
+    return Matches(np.ones(len(reps)), (reps[:, 0], reps[:, 0]))
 
 
 def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
@@ -91,7 +98,7 @@ def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
     ia, ib = np.divmod(flat, m_b)
     rows = np.arange(n)
     mode_a = ua[ia] if ua.ndim == 2 else ua[rows, ia]
-    return Matches(np.minimum(cos[rows, ia, ib], 1.0), mode_a, ub[rows, ib])
+    return Matches(np.minimum(cos[rows, ia, ib], 1.0), (mode_a, ub[rows, ib]))
 
 
 def max_max_sim(a: FaceSet, b: FaceSet) -> Matches:
@@ -133,9 +140,9 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
 
     The top singular triple of M = a·bᵀ comes from the top eigenpair of
     the k_b×k_b Gram MᵀM: v₁ is its eigenvector, σ₁ = ‖M v₁‖, the cosine
-    the modes attain, and u₁ = M v₁ / σ₁; the modes are u₁ᵀ·a and v₁ᵀ·b.
-    Where σ₁ is 0 the modes are row 0 of each basis, as an SVD of a zero M
-    gives.
+    the modes attain, and u₁ = M v₁ / σ₁; the modes are u₁ᵀ·a and v₁ᵀ·b,
+    built on their first read. Where σ₁ is 0 the modes are row 0 of each
+    basis, as an SVD of a zero M gives.
 
     Signs are canonicalized: mode_a's largest-magnitude entry is positive,
     and the mutual cosine u₁ᵀ·M·v₁ = σ₁ is nonnegative.
@@ -145,6 +152,11 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     v = vecs[:, :, -1]
     mv = np.matmul(m, v[:, :, None])[:, :, 0]
     sigma = np.sqrt(np.einsum("ij,ij->i", mv, mv))
+    return Matches(np.minimum(sigma, 1.0), lambda: _canonical_modes(a, b, v, mv, sigma))
+
+
+def _canonical_modes(a, b, v, mv, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """max_corr_batch's modes from its bases, v₁, M v₁ and σ₁."""
     zero = (sigma == 0.0)[:, None]
     u = mv / np.where(zero, 1.0, sigma[:, None])
     mode_a = np.where(zero, a[..., 0, :], np.matmul(u[:, None, :], a)[:, 0])
@@ -152,8 +164,7 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     rows = np.arange(len(sigma))
     top = np.argmax(np.abs(mode_a), axis=1)
     flip = mode_a[rows, top, None] < 0
-    mode_a, mode_b = np.where(flip, -mode_a, mode_a), np.where(flip, -mode_b, mode_b)
-    return Matches(np.minimum(sigma, 1.0), mode_a, mode_b)
+    return np.where(flip, -mode_a, mode_a), np.where(flip, -mode_b, mode_b)
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:

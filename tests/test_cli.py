@@ -224,6 +224,30 @@ class TestDataErrors:
         assert f"{target}:2: not UTF-8 text" in capsys.readouterr().err
 
 
+ASCII_SET_FILES = ["s0.csv", "s1.csv", "s2.csv", "s3.csv"]
+
+
+def run_under_an_ascii_locale(tmp_path, command, file_names):
+    """Run `qts` in `tmp_path` on the gallery `gal` of sets é0, é1, b and c,
+    whose set files get `file_names`, under an ASCII locale with UTF-8 mode
+    off, where the file-system encoding is ASCII."""
+    rng = np.random.default_rng(0)
+    gal = os.fsencode(tmp_path / "gal")
+    os.mkdir(gal)
+    manifest = []
+    ids = [("é0", "x"), ("é1", "x"), ("b", "y"), ("c", "y")]
+    for name, (set_id, identity) in zip(file_names, ids):
+        rows = [",".join(map(repr, row)) for row in rng.normal(size=(3, 4)).tolist()]
+        with open(os.path.join(gal, name.encode("utf-8")), "wb") as f:
+            f.write(("\n".join(rows) + "\n").encode("ascii"))
+        manifest.append(f"{set_id}\t{identity}\t{name}\n")
+    (tmp_path / "gal" / "manifest.tsv").write_bytes("".join(manifest).encode("utf-8"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONPATH": src}
+    argv = [sys.executable, "-X", "utf8=0", "-m", "lqts.cli", *command, "--gallery", "gal"]
+    return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+
+
 @pytest.mark.parametrize(
     "command, written",
     [
@@ -235,22 +259,36 @@ class TestDataErrors:
 def test_non_ascii_set_ids_under_an_ascii_locale(tmp_path, command, written):
     # every file is written as UTF-8 whatever the locale's encoding; the set
     # files have ASCII names, which any file-system encoding can open
-    rng = np.random.default_rng(0)
-    (tmp_path / "gal").mkdir()
-    manifest = []
-    for n, (set_id, identity) in enumerate([("é0", "x"), ("é1", "x"), ("b", "y"), ("c", "y")]):
-        rows = [",".join(map(repr, row)) for row in rng.normal(size=(3, 4)).tolist()]
-        (tmp_path / "gal" / f"s{n}.csv").write_text("\n".join(rows) + "\n")
-        manifest.append(f"{set_id}\t{identity}\ts{n}.csv\n")
-    (tmp_path / "gal" / "manifest.tsv").write_bytes("".join(manifest).encode("utf-8"))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONPATH": src}
-    argv = [sys.executable, "-X", "utf8=0", "-m", "lqts.cli", *command, "--gallery", "gal"]
-    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+    done = run_under_an_ascii_locale(tmp_path, command, ASCII_SET_FILES)
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     for name in written:
         (tmp_path / name).read_bytes().decode("utf-8")
     assert "é0" in (tmp_path / written[0]).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, file_names, named",
+    [
+        (
+            ["retrieve", "--query", "b", "--out", "out.tsv"],
+            ["é0.csv", *ASCII_SET_FILES[1:]],
+            b"gal/manifest.tsv:1: set '\\xe90': cannot read gal/\\xe90.csv",
+        ),
+        (
+            ["sample", "--samples", "3", "--out", "out"],
+            ASCII_SET_FILES,
+            b"out/sets/\\xe90.csv: set '\\xe90': cannot write",
+        ),
+    ],
+    ids=["load", "save"],
+)
+def test_set_file_names_an_ascii_file_system_cannot_encode(tmp_path, command, file_names, named):
+    # a set file named after a non-ASCII set id cannot be opened or written
+    # under an ASCII file-system encoding: a data error naming the manifest
+    # line that lists it, or the set file being written
+    done = run_under_an_ascii_locale(tmp_path, command, file_names)
+    assert done.returncode == 2, done.stderr.decode(errors="replace")
+    assert named in done.stderr, done.stderr.decode(errors="replace")
 
 
 class TestPipeline:

@@ -14,6 +14,7 @@ from lqts.errors import DimensionMismatchError, UsageError
 from lqts.metafeat import build_training_corpus
 from lqts.retrieval import (
     METHODS,
+    PAIR_BLOCK,
     GalleryScorer,
     Ranker,
     RetrievalConfig,
@@ -408,23 +409,29 @@ class TestGalleryScorer:
     set against itself by the self-pair rule."""
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
-    @given(case=scorer_cases())
+    @given(case=scorer_cases(), block=st.sampled_from([2, PAIR_BLOCK]))
     @settings(max_examples=100, deadline=None)
-    def test_every_call_form_equals_pair_functions(self, baseline, case):
+    def test_every_call_form_equals_pair_functions(self, baseline, case, block):
+        # every call is made, and its scores read, before any mode is read;
+        # the modes then equal the pair functions' too, and a second read
+        # returns the same arrays. With 2 pairs per kernel call, query rows
+        # and pair lists span several blocks of each shape group.
         gallery, external, i, j = case
         reps = representations(gallery, baseline)
         ext = external if baseline == "exemplar" else fit_subspace(external)
         scorer = GalleryScorer(gallery, baseline)
         everyone = np.arange(len(gallery))
-        for q in everyone:  # query rows, the query against itself included
-            want = pair_function_results([reps[q]] * len(reps), reps)
-            assert_same_matches(scorer.pair(q, everyone), want)
-        want = pair_function_results([reps[p] for p in i], [reps[p] for p in j])
-        assert_same_matches(scorer.pair(i, j), want)
-        with mock.patch.object(lqts.retrieval, "PAIR_BLOCK", 2):
-            assert_same_matches(scorer.pair(i, j), want)
-        want = pair_function_results([ext] * len(reps), reps)
-        assert_same_matches(scorer.query(external, everyone), want)
+        with mock.patch.object(lqts.retrieval, "PAIR_BLOCK", block):
+            # query rows, the query against itself included
+            calls = [(scorer.pair(q, everyone), [reps[q]] * len(reps), reps) for q in everyone]
+            calls.append((scorer.pair(i, j), [reps[p] for p in i], [reps[p] for p in j]))
+            calls.append((scorer.query(external, everyone), [ext] * len(reps), reps))
+        wants = [pair_function_results(lefts, rights) for _, lefts, rights in calls]
+        for (got, _, _), want in zip(calls, wants):
+            assert got.score.tolist() == [score for score, _, _ in want]
+        for (got, _, _), want in zip(calls, wants):
+            assert_same_matches(got, want)
+            assert got.mode_a is got.mode_a and got.mode_b is got.mode_b
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_query_rows_of_wide_sets(self, rng, baseline):
@@ -498,6 +505,26 @@ class TestGalleryScorer:
             for q in g.set_ids:
                 ranker.rank(q)
         assert sorted(fitted) == sorted(g.set_ids)
+
+    def test_score_only_callers_skip_the_mode_step(self, rng):
+        # proxy selection and the baseline and combiner rankings read only
+        # scores, so the subspace kernel never builds a mode for them; lqts
+        # reads the modes of the proxy-target pairs and of the query row
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=8, d=10) for i in range(8)))
+        model = constant_model(0.5)
+        configs = {
+            method: RetrievalConfig(baseline="subspace", method=method, k_p=2, model=model)
+            for method in ("baseline", "arith", "lqts")
+        }
+        table = select_proxies(g, "subspace", 2)
+        want = {m: Ranker(g, configs[m], table).rank("s0") for m in ("baseline", "arith")}
+        failing = AssertionError("mode step ran")
+        with mock.patch.object(lqts.similarity, "_canonical_modes", side_effect=failing):
+            assert select_proxies(g, "subspace", 2) == table
+            for method, result in want.items():
+                assert Ranker(g, configs[method], table).rank("s0") == result
+            with pytest.raises(AssertionError, match="mode step ran"):
+                Ranker(g, configs["lqts"], table).rank("s0")
 
 
 class TestRetrievalConfig:
