@@ -14,6 +14,7 @@ never sees them.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -130,10 +131,6 @@ class Gallery:
     def set_ids(self) -> list[str]:
         return [s.set_id for s in self.sets]
 
-    @property
-    def labelled(self) -> bool:
-        return self.labels is not None
-
     def index_of(self, set_id: str) -> int:
         try:
             return self._index[set_id]
@@ -195,6 +192,17 @@ class ProxyTable:
     def proxies_of(self, set_id: str, k: int | None = None) -> tuple[tuple[str, float], ...]:
         plist = self.entries.get(set_id, ())
         return plist if k is None else plist[:k]
+
+    def index_pairs(self, gallery: Gallery, of: Iterable[int], k: int | None = None) -> np.ndarray:
+        """(set, proxy) gallery-index rows of the sets at the gallery
+        positions `of`, each set's first `k` proxies in table order. A set
+        id of the table that is not in the gallery raises CorpusError, as an
+        unknown proxy does."""
+        for set_id in self.entries:
+            gallery.index_of(set_id)
+        ids = gallery.set_ids
+        rows = [(i, gallery.index_of(pid)) for i in of for pid, _ in self.proxies_of(ids[i], k)]
+        return np.array(rows, dtype=np.intp).reshape(-1, 2)
 
     def __eq__(self, other):
         if not isinstance(other, ProxyTable):
@@ -300,6 +308,11 @@ def load_gallery(path: str | Path) -> Gallery:
 
 def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> None:
     """Write a gallery directory (manifest + one set file per set)."""
+    # a path separator or NUL in a set id would name a file outside sets/,
+    # and a tab or line break would split its manifest row
+    for s in gallery.sets:
+        if set(s.set_id) & {"/", os.sep, "\0", "\t"} or len(f"_{s.set_id}_".splitlines()) > 1:
+            raise CorpusError(f"set {s.set_id!r}: holds a path separator, NUL, tab or line break")
     root = Path(path)
     (root / "sets").mkdir(parents=True, exist_ok=True)
     ext = "qtsb" if binary else "csv"

@@ -20,11 +20,14 @@ in deliberately and absorbed by the wide-margin regressor downstream.
 
 Extraction is cap-first: `build_training_corpus` counts each pair's
 rows, draws the rows the cap keeps and builds only those, one pair at a
-time, so the uncapped pool never exists. Work that depends on one set
-only, its exemplar |cosine| Gram or its exemplars' projection on its
-own subspace, is done once per set. Every product keeps the shape the
-whole pair gives it, and the kept rows are gathered from its results, so
-a kept row is bit for bit the row the pool would hold.
+time, so the uncapped pool never exists. Each pair with kept rows makes
+the products its rows read: under the exemplar baseline the pair's
+|cosine| matrix and both sets' |cosine| Grams, under the subspace
+baseline its exemplars' projections on the other set's subspace. Only
+each set's projection on its own subspace is made once, into one table
+that the count and the build both read. Every product keeps the shape
+the whole pair or set gives it, and the kept rows are gathered from its
+results, so a kept row is bit for bit the row the pool would hold.
 """
 
 from __future__ import annotations
@@ -100,16 +103,16 @@ def _exemplar_rows(sets, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
     the other set b nearest q, is [|q·n|, |q·u|, s3, |n·b_mode|,
     |u·a_mode|]. Positives take a = the reference; negatives a = the
     proxy, and there (q, u) fill the query and proxy slots, so s1/s2 and
-    s4/s5 trade places. The pair's |cosine| matrix is built per pair,
-    and each set's |cosine| Gram once, after every pair, for the entries
-    the kept rows read from it: three per row.
+    s4/s5 trade places. Each pair with kept rows builds its |cosine|
+    matrix c_rx and both sets' |cosine| Grams c_rr and c_xx, and writes
+    each kept row whole from them.
     """
     out = np.empty((n_rows, 5))
-    # per kept row and read: the set, its Gram's flat index, out's flat index
-    read_set, read_at, read_to = np.empty((3, n_rows, 3), dtype=np.intp)
     for p, ((pos, loc_pos), (neg, loc_neg)) in groups:
         r, x = pairs[p].tolist()
-        c_rx = np.abs(sets[r].unit_exemplars @ sets[x].unit_exemplars.T)
+        unit_r, unit_x = sets[r].unit_exemplars, sets[x].unit_exemplars
+        c_rx = np.abs(unit_r @ unit_x.T)
+        c_rr, c_xx = np.abs(unit_r @ unit_r.T), np.abs(unit_x @ unit_x.T)
         m_r, m_x = c_rx.shape
         # reference-proxy set similarity and its mode indices, shared by all rows
         tp, pt = divmod(int(np.argmax(c_rx)), m_x)
@@ -117,24 +120,13 @@ def _exemplar_rows(sets, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
         if loc_pos.size:
             q, u = _ordered_pairs(loc_pos, m_r)
             n = np.argmax(c_rx[q], axis=1)
-            out[pos, 0], out[pos, 2] = c_rx[q, n], s3
-            read_set[pos] = r, r, x
-            read_at[pos] = np.column_stack([q * m_r + u, u * m_r + tp, n * m_x + pt])
-            read_to[pos] = 5 * np.arange(pos.start, pos.stop)[:, None] + (1, 4, 3)
+            s = c_rx[q, n], c_rr[q, u], np.full(q.size, s3), c_xx[n, pt], c_rr[u, tp]
+            out[pos] = np.column_stack(s)
         if loc_neg.size:
             q, u = _ordered_pairs(loc_neg, m_x)
             n = np.argmax(c_rx[:, q], axis=0)
-            out[neg, 1], out[neg, 2] = c_rx[n, q], s3
-            read_set[neg] = x, x, r
-            read_at[neg] = np.column_stack([q * m_x + u, u * m_x + pt, n * m_r + tp])
-            read_to[neg] = 5 * np.arange(neg.start, neg.stop)[:, None] + (0, 3, 4)
-    order = np.argsort(read_set, axis=None, kind="stable")
-    read_set, read_at, read_to = (a.reshape(-1)[order] for a in (read_set, read_at, read_to))
-    bounds = np.flatnonzero(np.diff(read_set, prepend=-1, append=-1))
-    flat = out.reshape(-1)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        unit = sets[read_set[a]].unit_exemplars
-        flat[read_to[a:b]] = np.abs(unit @ unit.T).reshape(-1)[read_at[a:b]]
+            s = c_xx[q, u], c_rx[n, q], np.full(q.size, s3), c_xx[u, pt], c_rr[n, tp]
+            out[neg] = np.column_stack(s)
     return out
 
 
@@ -142,28 +134,18 @@ def _exemplar_rows(sets, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
 # training extraction, subspace baseline
 
 
-class _Projections:
-    """Coordinates of a set's unit exemplars on a subspace basis, with their
-    norms: on the set's own subspace once per set, on another set's on
-    each call."""
+def _onto(sets, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of set i's unit exemplars on set j's subspace basis, and
+    their norms."""
+    coords = sets[i].unit_exemplars @ sets[j].subspace.T
+    return coords, np.linalg.norm(coords, axis=1)
 
-    def __init__(self, sets):
-        self.sets = sets
-        self._own = {}
 
-    def _onto(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        coords = self.sets[i].unit_exemplars @ self.sets[j].subspace.T
-        return coords, np.linalg.norm(coords, axis=1)
-
-    def side(self, r: int, x: int, label: int):
-        """The coordinates and norms on the reference's subspace and on the
-        proxy's of one side's exemplars: the reference's (label 0,
-        positives) or the proxy's (label 1, negatives)."""
-        a = x if label else r
-        own = self._own.get(a)
-        if own is None:
-            own = self._own[a] = self._onto(a, a)
-        return (self._onto(x, r), own) if label else (own, self._onto(r, x))
+def _side(sets, own: dict, r: int, x: int, label: int):
+    """The projections of one side's exemplars on the reference's subspace
+    and on the proxy's: the reference's (label 0, positives) or the
+    proxy's (label 1, negatives). `own` holds each set's on its own."""
+    return (_onto(sets, x, r), own[x]) if label else (own[r], _onto(sets, r, x))
 
 
 def _kept(norm_r: np.ndarray, norm_p: np.ndarray) -> np.ndarray:
@@ -171,17 +153,17 @@ def _kept(norm_r: np.ndarray, norm_p: np.ndarray) -> np.ndarray:
     return (norm_r >= PROJECTION_FLOOR) & (norm_p >= PROJECTION_FLOOR)
 
 
-def _subspace_counts(proj: _Projections, pairs: np.ndarray) -> np.ndarray:
+def _subspace_counts(sets, own: dict, pairs: np.ndarray) -> np.ndarray:
     """(pairs, 2) row counts under the subspace baseline."""
     counts = np.zeros(pairs.shape, dtype=np.intp)
     for p, (r, x) in enumerate(pairs.tolist()):
         for label in (0, 1):
-            (_, norm_r), (_, norm_p) = proj.side(r, x, label)
+            (_, norm_r), (_, norm_p) = _side(sets, own, r, x, label)
             counts[p, label] = np.count_nonzero(_kept(norm_r, norm_p))
     return counts
 
 
-def _subspace_rows(proj: _Projections, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
+def _subspace_rows(sets, own: dict, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
     """The kept rows under the subspace baseline, unclipped: a row per
     exemplar f_qt of one side, from its projections f_tq on the
     reference's subspace and f_pq on the proxy's, and the pair's first
@@ -194,7 +176,6 @@ def _subspace_rows(proj: _Projections, pairs: np.ndarray, groups, n_rows: int) -
     out = np.empty((n_rows, 5))
     if not n_rows:
         return out
-    sets = proj.sets
     read = np.unique(pairs)
     scorer = GalleryScorer(Gallery(sets=tuple(sets[i] for i in read)), SUBSPACE)
     groups = iter(groups)
@@ -207,7 +188,7 @@ def _subspace_rows(proj: _Projections, pairs: np.ndarray, groups, n_rows: int) -
             for label, (at, local) in enumerate(sides):
                 if not local.size:
                     continue
-                (coords_r, norm_r), (coords_p, norm_p) = proj.side(r, x, label)
+                (coords_r, norm_r), (coords_p, norm_p) = _side(sets, own, r, x, label)
                 keep = _kept(norm_r, norm_p)
                 if not keep.all():
                     coords_r, coords_p = coords_r[keep], coords_p[keep]
@@ -265,20 +246,13 @@ def build_training_corpus(
     ref_idx = np.sort(rng.choice(len(gallery), size=n_refs, replace=False))
 
     sets = gallery.sets
-    pairs = np.array(
-        [
-            (i, gallery.index_of(pid))
-            for i in ref_idx.tolist()
-            for pid, _ in proxies.proxies_of(sets[i].set_id)
-        ],
-        dtype=np.intp,
-    ).reshape(-1, 2)
+    pairs = proxies.index_pairs(gallery, ref_idx.tolist())
     sizes = np.array([s.size for s in sets], dtype=np.intp)[pairs]
     if baseline == EXEMPLAR:
         counts = sizes * (sizes - 1)
     else:
-        proj = _Projections(sets)
-        counts = _subspace_counts(proj, pairs)
+        own = {i: _onto(sets, i, i) for i in np.unique(pairs).tolist()}
+        counts = _subspace_counts(sets, own, pairs)
         skipped = int(np.sum(sizes) - np.sum(counts))
         if skipped:
             log.info("subspace extraction skipped %d degenerate projections", skipped)
@@ -292,7 +266,7 @@ def build_training_corpus(
     if baseline == EXEMPLAR:
         rows = _exemplar_rows(sets, pairs, groups, pair_of.size)
     else:
-        rows = _subspace_rows(proj, pairs, groups, pair_of.size)
+        rows = _subspace_rows(sets, own, pairs, groups, pair_of.size)
 
     ids = np.array(gallery.set_ids, dtype=object)[pairs[pair_of]]
     label = np.repeat([1.0, 0.0], [kept[0].size, kept[1].size])

@@ -217,11 +217,10 @@ class Ranker:
         self.config = config
         self.scorer = GalleryScorer(gallery, config.baseline)
         # rows by ascending target, each target's proxies in table order
-        rows = []
+        rows = np.empty((0, 2), dtype=np.intp)
         if config.method != METHOD_BASELINE and proxies is not None:
-            for j, sid in enumerate(gallery.set_ids):
-                rows += [(j, gallery.index_of(pid)) for pid, _ in proxies.proxies_of(sid, config.k_p)]
-        self._target, self._proxy = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+            rows = proxies.index_pairs(gallery, range(len(gallery)), config.k_p)
+        self._target, self._proxy = rows.T
         pt = self.scorer.pair(self._proxy, self._target)
         self._s3 = pt.score
         if config.method == METHOD_LQTS:

@@ -161,6 +161,29 @@ class TestDataErrors:
         assert code == 2
         assert f"{proxies}:2: non-integer rank 'first'" in capsys.readouterr().err
 
+    def test_proxy_table_of_another_gallery(self, pipeline_dirs, tmp_path, capsys):
+        root, gal = pipeline_dirs
+        proxies = tmp_path / "foreign.tsv"
+        proxies.write_text("# k_p=1\nelsewhere\t1\tid000_s1\t0.9\n")
+        code = run(
+            "evaluate", "--gallery", str(gal), "--method", "arith", "--k", "1",
+            "--proxies", str(proxies), "--out-dir", str(tmp_path / "eval"),
+        )
+        assert code == 2
+        assert "unknown set_id 'elsewhere'" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_sample_rejects_a_set_id_that_leaves_the_output(self, tmp_path, capsys):
+        gal = tmp_path / "gal"
+        (gal / "sets").mkdir(parents=True)
+        (gal / "manifest.tsv").write_text("../../escaped\tp1\tsets/a.csv\n")
+        rows = np.random.default_rng(0).normal(size=(12, 2))
+        (gal / "sets" / "a.csv").write_text("".join(f"{r[0]!r},{r[1]!r}\n" for r in rows.tolist()))
+        before = sorted(tmp_path.rglob("*"))
+        assert run("sample", "--gallery", str(gal), "--out", str(tmp_path / "out" / "red")) == 2
+        assert "set '../../escaped': holds a path separator" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_feature_file_without_labels(self, tmp_path, capsys):
         features = tmp_path / "feats.tsv"
         features.write_text("".join(f"\t0.{i}\t0.2\t0.3\t0.4\t0.5\ta\tb\n" for i in range(20)))

@@ -56,7 +56,7 @@ class TestGalleryLoad:
         g = load_gallery(write_gallery_dir(tmp_path, rows, files))
         assert len(g) == 3 and g.dim == 2
         assert g.set_ids == ["s0", "s1", "s2"]
-        assert not g.labelled
+        assert g.labels is None
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="manifest"):
@@ -180,6 +180,19 @@ class TestGalleryRoundTrip:
         for rel in ["manifest.tsv"] + [f"sets/set{i}.csv" for i in range(3)]:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+
+    @pytest.mark.parametrize(
+        "set_id",
+        ["../../escaped", "a/b", "a\0b", "a\tb", "a\rb", "a\nb", "a\x85b"],
+        ids=["parent-dirs", "slash", "nul", "tab", "cr", "lf", "nel"],
+    )
+    def test_unsafe_set_id_rejected_before_any_write(self, rng, tmp_path, set_id):
+        # dotted ids name files inside sets/, so the error names set_id
+        ids = ["..", "a..b", set_id]
+        g = Gallery(sets=tuple(FaceSet(sid, rng.normal(size=(2, 3))) for sid in ids))
+        with pytest.raises(CorpusError, match=re.escape(f"set {set_id!r}: holds a path separator")):
+            save_gallery(g, tmp_path / "out" / "gal")
+        assert not any(tmp_path.iterdir())
 
 class TestProxyTable:
     def test_no_self_proxy(self):

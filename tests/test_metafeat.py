@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import lqts.similarity
 from lqts import corpus, synth
 from lqts.corpus import FaceSet, Gallery, ProxyTable
+from lqts.errors import CorpusError
 from lqts.metafeat import build_training_corpus
 from lqts.retrieval import select_proxies
 from lqts.similarity import fit_subspace
@@ -253,6 +254,13 @@ class TestBuildTrainingCorpus:
         feats = build_training_corpus(g, table, n_train_sets=100, cap=10**6, seed=1)
         # 6 refs x 2 proxies x (12 pos + 12 neg) features
         assert len(feats) == 6 * 2 * 24
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_proxy_table_of_another_gallery(self, rng, baseline):
+        g, table = self._gallery_and_proxies(rng)
+        foreign = ProxyTable(k_p=2, entries={**table.entries, "elsewhere": (("g1", 0.9),)})
+        with pytest.raises(CorpusError, match="unknown set_id 'elsewhere'"):
+            build_training_corpus(g, foreign, baseline, cap=10**6)
 
     def test_deterministic_given_seed(self, rng):
         g, table = self._gallery_and_proxies(rng)

@@ -10,7 +10,7 @@ import lqts.retrieval
 import lqts.similarity
 from lqts import sampling, synth
 from lqts.corpus import FaceSet, Gallery, ProxyTable
-from lqts.errors import DimensionMismatchError, UsageError
+from lqts.errors import CorpusError, DimensionMismatchError, UsageError
 from lqts.metafeat import build_training_corpus
 from lqts.retrieval import (
     METHODS,
@@ -274,8 +274,6 @@ class TestRankGallery:
 
     def test_unknown_query_id(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
-        from lqts.errors import CorpusError
-
         with pytest.raises(CorpusError):
             rank_gallery("missing", g, RetrievalConfig())
 
@@ -374,6 +372,14 @@ class TestRankGallery:
         table = select_proxies(g, "exemplar", 2)
         config = RetrievalConfig(method=method, k_p=6, model=constant_model(0.5))
         with pytest.raises(UsageError, match="k_p=6 exceeds the proxy table's k_p=2"):
+            Ranker(g, config, table)
+
+    @pytest.mark.parametrize("method", ["arith", "lqts"])
+    def test_proxy_table_of_another_gallery(self, rng, method):
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(4)))
+        table = ProxyTable(k_p=1, entries={"s0": (("s1", 0.9),), "elsewhere": (("s2", 0.8),)})
+        config = RetrievalConfig(method=method, k_p=1, model=constant_model(0.5))
+        with pytest.raises(CorpusError, match="unknown set_id 'elsewhere'"):
             Ranker(g, config, table)
 
     def test_deterministic(self, rng):
