@@ -146,7 +146,7 @@ def _retrieval_config(args) -> tuple[retrieval.RetrievalConfig, corpus.ProxyTabl
 def _cmd_retrieve(args) -> int:
     gallery = corpus.load_gallery(args.gallery)
     config, proxies = _retrieval_config(args)
-    result = retrieval.rank_gallery(args.query, gallery, config, proxies)
+    result = retrieval.Ranker(gallery, config, proxies).rank(args.query)
     retrieval.save_ranking(result, args.out)
     print(f"ranked {len(result.ranking)} sets for query {args.query!r} -> {args.out}")
     return 0

@@ -308,11 +308,15 @@ def load_gallery(path: str | Path) -> Gallery:
 
 def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> None:
     """Write a gallery directory (manifest + one set file per set)."""
-    # a path separator or NUL in a set id would name a file outside sets/,
-    # and a tab or line break would split its manifest row
+    # a path separator or NUL in a set id would name a file outside sets/, a
+    # tab or line break in an id or label would split its manifest row, and a
+    # "-" label would reload as unlabelled
     for s in gallery.sets:
+        label = gallery.labels[s.set_id] if gallery.labels else ""
         if set(s.set_id) & {"/", os.sep, "\0", "\t"} or len(f"_{s.set_id}_".splitlines()) > 1:
             raise CorpusError(f"set {s.set_id!r}: holds a path separator, NUL, tab or line break")
+        if label == UNLABELLED or "\t" in label or len(f"_{label}_".splitlines()) > 1:
+            raise CorpusError(f"set {s.set_id!r}: label {label!r} is '-' or has a tab or line break")
     root = Path(path)
     (root / "sets").mkdir(parents=True, exist_ok=True)
     ext = "qtsb" if binary else "csv"

@@ -270,17 +270,6 @@ class Ranker:
         return RankedResult(query_id=query_id, ranking=ranking)
 
 
-def rank_gallery(
-    query,
-    gallery: Gallery,
-    config: RetrievalConfig,
-    proxies: ProxyTable | None = None,
-) -> RankedResult:
-    """Order all non-query gallery sets by decreasing score under the
-    configured method. `query` is a gallery set_id or an external FaceSet."""
-    return Ranker(gallery, config, proxies).rank(query)
-
-
 def save_ranking(result: RankedResult, path) -> None:
     rows = (f"{rank}\t{sid}\t{repr(score)}" for rank, (sid, score) in enumerate(result.ranking, 1))
     write_lines(path, ["rank\tset_id\tscore", *rows])

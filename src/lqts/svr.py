@@ -89,6 +89,10 @@ class SvrConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite (got {value!r})")
+        if not (np.isfinite(self.kkt_tolerance) and self.kkt_tolerance >= 0):
+            raise ValueError(f"kkt_tolerance must be finite and >= 0 (got {self.kkt_tolerance!r})")
+        if not isinstance(self.max_passes, (int, np.integer)) or self.max_passes < 0:
+            raise ValueError(f"max_passes must be an integer >= 0 (got {self.max_passes!r})")
 
 
 def _rbf_exponent_weights(sv: np.ndarray, gamma: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lqts.corpus import FaceSet, Gallery, ProxyTable, feature_table
-from lqts.retrieval import rank_gallery
+from lqts.retrieval import Ranker
 
 
 @pytest.fixture
@@ -30,10 +30,10 @@ def tiny_gallery(rng, n_sets=6, n=4, d=8, labels=None):
 
 
 def ranker_score(query, target, proxies, config) -> float:
-    """The target's score when `query` is ranked by `rank_gallery` against a
+    """The target's score when `query` is ranked by a `Ranker` over a
     gallery of query, target and proxies whose table gives the target
     exactly `proxies`, in order."""
     gallery = Gallery(sets=(query, target, *proxies))
     table = ProxyTable(k_p=len(proxies), entries={target.set_id: tuple((p.set_id, 1.0) for p in proxies)})
     config = replace(config, k_p=len(proxies))
-    return dict(rank_gallery(query.set_id, gallery, config, table).ranking)[target.set_id]
+    return dict(Ranker(gallery, config, table).rank(query.set_id).ranking)[target.set_id]

@@ -15,7 +15,7 @@ from lqts import sampling, svr, synth
 from lqts.corpus import FaceSet, Gallery
 from lqts.evaluation import AnrRecord, anr, independence_prediction, rank_k_stats
 from lqts.metafeat import build_training_corpus
-from lqts.retrieval import RetrievalConfig, rank_gallery, select_proxies
+from lqts.retrieval import Ranker, RetrievalConfig, select_proxies
 from lqts.evaluation import evaluate_all
 from lqts.similarity import fit_subspace, max_corr, max_max_sim
 from lqts.svr import SvrConfig, SvrModel, predict, train
@@ -255,12 +255,10 @@ class TestCriterion7SimpleCombiners:
             bias=0.9,
             config=SvrConfig(),
         )
-        reference = rank_gallery("s0", gallery, RetrievalConfig(method="baseline"))
+        reference = Ranker(gallery, RetrievalConfig(method="baseline")).rank("s0")
         for method in ("baseline", "lqts", "arith", "geom", "quad"):
             model = dummy if method == "lqts" else None
-            got = rank_gallery(
-                "s0", gallery, RetrievalConfig(method=method, k_p=0, model=model)
-            )
+            got = Ranker(gallery, RetrievalConfig(method=method, k_p=0, model=model)).rank("s0")
             assert got.ids() == reference.ids()
             for (_, a), (_, b) in zip(got.ranking, reference.ranking):
                 assert a == pytest.approx(b, abs=1e-12)

@@ -194,6 +194,34 @@ class TestGalleryRoundTrip:
             save_gallery(g, tmp_path / "out" / "gal")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"a": "p\t1", "b": "q"},
+            {"a": "p\r1", "b": "q"},
+            {"a": "p\n1", "b": "q"},
+            {"a": "p\x851", "b": "q"},
+            {"a": "-", "b": "q"},
+            {"a": "-", "b": "-"},
+        ],
+        ids=["tab", "cr", "lf", "nel", "one-dash", "all-dash"],
+    )
+    def test_unsafe_label_rejected_before_any_write(self, rng, tmp_path, labels):
+        # each would reload as another gallery: a split row, mixed rows, or unlabelled
+        sets = tuple(FaceSet(sid, rng.normal(size=(2, 3))) for sid in labels)
+        g = Gallery(sets=sets, labels=labels)
+        with pytest.raises(CorpusError, match=re.escape(f"set 'a': label {labels['a']!r}")):
+            save_gallery(g, tmp_path / "out" / "gal")
+        assert not any(tmp_path.iterdir())
+
+    def test_labels_that_only_contain_a_dash_round_trip(self, rng, tmp_path):
+        labels = {"a": "-p", "b": "p-", "c": "--", "d": ""}
+        sets = tuple(FaceSet(sid, rng.normal(size=(2, 3))) for sid in labels)
+        g = Gallery(sets=sets, labels=labels)
+        save_gallery(g, tmp_path / "gal")
+        assert load_gallery(tmp_path / "gal") == g
+
+
 class TestProxyTable:
     def test_no_self_proxy(self):
         with pytest.raises(CorpusError, match="itself"):

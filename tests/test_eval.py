@@ -17,7 +17,7 @@ from lqts.evaluation import (
     rank_k_stats,
     write_rank_k_report,
 )
-from lqts.retrieval import RetrievalConfig, rank_gallery
+from lqts.retrieval import Ranker, RetrievalConfig
 
 from conftest import random_set
 
@@ -129,7 +129,7 @@ class TestEvaluateAll:
             evaluate_all(g, RetrievalConfig(method="baseline"))
 
     def test_matches_hand_driven_oracle(self, rng):
-        # independent per-query recomputation through rank_gallery + anr
+        # independent per-query recomputation through Ranker.rank + anr
         g = labelled_gallery(rng, [("a", 3), ("b", 3), ("c", 3), ("d", 3)])
         config = RetrievalConfig(method="baseline")
         records = evaluate_all(g, config)
@@ -137,7 +137,7 @@ class TestEvaluateAll:
         assert len(records) == 12
         by_id = {r.query_id: r for r in records}
         for qid in g.set_ids:
-            rr = rank_gallery(qid, g, config)
+            rr = Ranker(g, config).rank(qid)
             ranks = tuple(
                 pos
                 for pos, (sid, _) in enumerate(rr.ranking, start=1)

@@ -18,7 +18,6 @@ from lqts.retrieval import (
     GalleryScorer,
     Ranker,
     RetrievalConfig,
-    rank_gallery,
     select_proxies,
 )
 from lqts.similarity import fit_subspace, max_max_sim_batch
@@ -256,17 +255,16 @@ class TestRankGallery:
                 FaceSet("orth", np.array([[0.0, 1.0]])),
             )
         )
-        r = rank_gallery("query", g, RetrievalConfig(method="baseline"))
+        r = Ranker(g, RetrievalConfig(method="baseline")).rank("query")
         assert r.ids() == ["same", "orth"]
         assert r.ranking[0][1] == pytest.approx(1.0)
         assert r.ranking[1][1] == pytest.approx(0.0)
 
     def test_lqts_with_k0_equals_baseline(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(6)))
-        base = rank_gallery("s0", g, RetrievalConfig(method="baseline"))
-        lqts = rank_gallery(
-            "s0", g, RetrievalConfig(method="lqts", k_p=0, model=constant_model(0.9))
-        )
+        base = Ranker(g, RetrievalConfig(method="baseline")).rank("s0")
+        config = RetrievalConfig(method="lqts", k_p=0, model=constant_model(0.9))
+        lqts = Ranker(g, config).rank("s0")
         assert base.ids() == lqts.ids()
         np.testing.assert_allclose(
             [s for _, s in base.ranking], [s for _, s in lqts.ranking], atol=1e-12
@@ -275,7 +273,7 @@ class TestRankGallery:
     def test_unknown_query_id(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
         with pytest.raises(CorpusError):
-            rank_gallery("missing", g, RetrievalConfig())
+            Ranker(g, RetrievalConfig()).rank("missing")
 
     def test_lqts_matches_straight_line_oracle(self, rng):
         # independent re-implementation: per-target feature construction
@@ -292,7 +290,7 @@ class TestRankGallery:
             config=SvrConfig(),
         )
         config = RetrievalConfig(method="lqts", k_p=3, model=model)
-        got = rank_gallery("s0", g, config, table)
+        got = Ranker(g, config, table).rank("s0")
 
         query = g.get("s0")
         expected_scores = {}
@@ -316,7 +314,7 @@ class TestRankGallery:
         table = select_proxies(g, "exemplar", 2)
         for rule in ("arith", "geom", "quad"):
             config = RetrievalConfig(method=rule, k_p=2)
-            got = rank_gallery("s0", g, config, table)
+            got = Ranker(g, config, table).rank("s0")
             query = g.get("s0")
             for sid, score in got.ranking:
                 proxies = [g.get(pid) for pid, _ in table.proxies_of(sid)[:2]]
@@ -340,7 +338,7 @@ class TestRankGallery:
             )
             config = RetrievalConfig(method="lqts", k_p=2, model=model)
             for query in ("s0", "s2", "s3", "s4"):
-                got = rank_gallery(query, g, config, table)
+                got = Ranker(g, config, table).rank(query)
                 scores = dict(got.ranking)
                 assert scores["s1"] == scores["dup"]
                 assert got.rank_of("s1") < got.rank_of("dup")
@@ -348,7 +346,7 @@ class TestRankGallery:
     def test_external_query_ranks_whole_gallery(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(4)))
         external = random_set(rng, "ext", n=3, d=5)
-        r = rank_gallery(external, g, RetrievalConfig(method="baseline"))
+        r = Ranker(g, RetrievalConfig(method="baseline")).rank(external)
         assert sorted(r.ids()) == sorted(g.set_ids)
         assert r.query_id == "ext"
 
@@ -356,12 +354,12 @@ class TestRankGallery:
         # past 10 exemplars a query is scored whole: Ranker reduces nothing
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(4)))
         external = random_set(rng, "ext", n=15, d=5)
-        r = rank_gallery(external, g, RetrievalConfig(method="baseline"))
+        r = Ranker(g, RetrievalConfig(method="baseline")).rank(external)
         assert dict(r.ranking) == {s.set_id: max_max_sim(external, s).score for s in g}
 
     def test_scores_non_increasing_and_permutation(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(8)))
-        r = rank_gallery("s3", g, RetrievalConfig(method="baseline"))
+        r = Ranker(g, RetrievalConfig(method="baseline")).rank("s3")
         scores = [s for _, s in r.ranking]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert sorted(r.ids()) == sorted(sid for sid in g.set_ids if sid != "s3")
@@ -386,7 +384,7 @@ class TestRankGallery:
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(6)))
         table = select_proxies(g, "exemplar", 2)
         config = RetrievalConfig(method="lqts", k_p=2, model=constant_model(0.5))
-        assert rank_gallery("s1", g, config, table) == rank_gallery("s1", g, config, table)
+        assert Ranker(g, config, table).rank("s1") == Ranker(g, config, table).rank("s1")
 
 
 def representations(gallery, baseline):
@@ -488,7 +486,7 @@ class TestGalleryScorer:
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
         config = RetrievalConfig(baseline=baseline)
         with pytest.raises(DimensionMismatchError):
-            rank_gallery(random_set(rng, "ext", n=3, d=4), g, config)
+            Ranker(g, config).rank(random_set(rng, "ext", n=3, d=4))
 
     def test_each_set_fitted_once_across_callers(self, rng, monkeypatch):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=4, d=6) for i in range(6)))

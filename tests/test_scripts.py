@@ -1,11 +1,14 @@
 """Smoke runs of the experiment scripts, loaded by path and run in-process."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
-from lqts.retrieval import METHODS
+from lqts.evaluation import evaluate_all
+from lqts.retrieval import METHODS, RetrievalConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -33,7 +36,11 @@ def test_run_pipeline_reports_every_method(tmp_path, capsys):
     assert [row.split()[0] for row in rows] == ["baseline", "arith", "geom", "quad", "lqts"]
 
 
-def test_output_digests_repeat_on_tiny_workloads(tmp_path):
+@pytest.fixture(scope="module")
+def tiny_digest_runs():
+    """Two runs of output_digests' main(["--seed", "3", "4"]) on two tiny
+    workloads patched in for the bench lanes, with the builds of both runs
+    captured by wrapping pipeline.build."""
     module = load_script("output_digests")
     from workloads import Workload  # perfbench/ is on sys.path once the script is loaded
 
@@ -45,34 +52,64 @@ def test_output_digests_repeat_on_tiny_workloads(tmp_path):
             synth={**synth, "noise": 0.25},
         ),
     )
-    for workload in tiny:
-        ops = module.Outputs()
-        runs = []
-        for attempt in ("a", "b"):
-            (tmp_path / workload.name / attempt).mkdir(parents=True)
-            runs.append(module.digests(workload, 3, tmp_path / workload.name / attempt, ops))
-        assert len(runs[0]) == 9
-        assert runs[0] == runs[1]
-        assert ops.attempted > 0 and ops.failed == 0, ops.failures
+    builds, build = [], module.pipeline.build
+    codes, runs = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "WORKLOADS", {w.name: w for w in tiny})
+        mp.setattr(module, "WORKLOAD_NAMES", tuple(w.name for w in tiny))
+        mp.setattr(module.pipeline, "build", lambda *a: builds.append(build(*a)) or builds[-1])
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes.append(module.main(["--seed", "3", "4"]))
+            runs.append(out.getvalue())
+    outputs = {}
+    for name, seed, output, value in (line.split("\t") for line in runs[0].splitlines()):
+        outputs.setdefault((name, seed), {})[output] = value
+    return tiny, codes, runs, outputs, builds
 
 
-def test_quality_seeds_reports_each_lane_and_seed(tmp_path):
-    module = load_script("quality_seeds")
-    from workloads import Workload  # perfbench/ is on sys.path once the script is loaded
+def test_output_digests_repeat_on_tiny_workloads(tiny_digest_runs):
+    tiny, codes, runs, outputs, builds = tiny_digest_runs
+    assert codes == [0, 0]  # 1 on any failed check
+    assert runs[0] == runs[1]
+    assert {len(line.split("\t")) for line in runs[0].splitlines()} == {4}
+    assert list(outputs) == [(w.name, f"seed={seed}") for w in tiny for seed in (3, 4)]
+    assert len(builds) == 2 * len(outputs)  # one build per lane and seed in each run
+    expected = ["proxies.tsv", "features.tsv", "model.qts", "queries"]
+    for method in METHODS:
+        expected += [f"{method}.{n}" for n in ("rankings", "anr", "anr03", "mean_anr")]
+        expected += [f"{method}.gain_pp"] if method != "baseline" else []
+    expected += ["model.svs", "model.free_svs", "model.bias"]
+    assert all(list(out) == expected for out in outputs.values())
 
-    synth = {"n_identities": 8, "exemplars_per_set": (8, 12), "dim": 24}
-    tiny = Workload("tiny-subspace", "subspace", cap=300, k_p=1, samples=None, synth=synth)
-    rows = []
-    for seed in (3, 4):
-        (tmp_path / str(seed)).mkdir()
-        q = module.quality(tiny, seed, tmp_path / str(seed))
-        assert q["workload"] == "tiny-subspace" and q["seed"] == seed and q["queries"] > 0
-        assert q["gain_pp"] == pytest.approx(100.0 * (q["anr03_lqts"] - q["anr03_base"]))
-        assert 0.0 <= q["mean_anr_lqts"] <= 1.0 and 0.0 <= q["mean_anr_base"] <= 1.0
-        assert 0 <= q["free_svs"] <= q["svs"]
-        rows.append(module.row(q).split("\t"))
-    assert [len(r) for r in rows] == [len(module.COLUMNS)] * 2
-    assert [r[1] for r in rows] == ["3", "4"]
+
+def test_quality_seeds_reports_each_lane_and_seed(tiny_digest_runs):
+    tiny, codes, _, outputs, builds = tiny_digest_runs
+    assert codes == [0, 0]
+    assert [seed for _, seed in outputs] == ["seed=3", "seed=4"] * len(tiny)
+    # the first run's builds, in print order; each value is the library's
+    for ((name, _), out), (gallery, proxies, model) in zip(outputs.items(), builds):
+        assert int(out["queries"]) > 0
+        workload = next(w for w in tiny if w.name == name)
+        for method in METHODS:
+            config = RetrievalConfig(
+                baseline=workload.baseline,
+                method=method,
+                k_p=0 if method == "baseline" else workload.k_p,
+                model=model if method == "lqts" else None,
+            )
+            anrs = [r.anr for r in evaluate_all(gallery, config, proxies)]
+            assert len(anrs) == int(out["queries"])
+            assert float(out[f"{method}.anr03"]) == sum(a < 0.3 for a in anrs) / len(anrs)
+            assert float(out[f"{method}.mean_anr"]) == sum(anrs) / len(anrs)
+            assert 0.0 <= float(out[f"{method}.mean_anr"]) <= 1.0
+            if method != "baseline":
+                gain = 100.0 * (float(out[f"{method}.anr03"]) - float(out["baseline.anr03"]))
+                assert float(out[f"{method}.gain_pp"]) == pytest.approx(gain)
+        assert int(out["model.svs"]) == model.n_support
+        assert 0 <= int(out["model.free_svs"]) <= model.n_support
+        assert float(out["model.bias"]) == model.bias
 
 
 def test_sampling_error_writes_its_tables(tmp_path):

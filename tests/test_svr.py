@@ -131,6 +131,32 @@ class TestTrainBasics:
             train(training_table(np.array([[np.nan] * 5]), np.array([1.0])))
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("epsilon", 0.0),
+            ("cost", np.nan),
+            ("kernel_gamma", -1.0),
+            ("kkt_tolerance", np.nan),
+            ("kkt_tolerance", np.inf),
+            ("kkt_tolerance", -1e-3),
+            ("max_passes", -1),
+            ("max_passes", 2.5),
+            ("max_passes", 10.0),
+        ],
+    )
+    def test_invalid_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SvrConfig(**{name: value})
+
+    def test_zero_tolerance_and_budget_allowed(self, rng):
+        x, y = rng.normal(size=(6, 5)), rng.normal(size=6)
+        model = train(training_table(x, y), SvrConfig(kkt_tolerance=0.0, max_passes=0))
+        assert len(model.objective_trace) == 1
+        assert SvrConfig(max_passes=np.int64(3)).max_passes == 3
+
+
 class TestDualContract:
     def _corpus(self, rng, l=60):
         x = rng.random((l, 5))
