@@ -17,12 +17,14 @@ subspace modes are then never built.
 `test_select_proxies` builds the proxy table of the `subspace-lane`
 settings at 240 identities (727 sets), three rounds.
 
-`test_max_corr_batch` times the subspace kernel alone, which computes
-the scores and leaves the modes to their first read, on the
+`test_max_corr_batch` times the subspace kernel alone on the
 `subspace-lane` gallery's (6, 96) bases: 181 pairs, set 0 as one 2-D
 operand against every other set, the shape of a query row and of a
 proxy-selection row, and 256 aligned pairs, the first PAIR_BLOCK pairs
-(i, j), i < j, the shape of training extraction.
+(i, j), i < j, the shape of training extraction. Its `scores` variant
+reads the scores alone, as proxy selection and the baseline and combiner
+rankings do, and leaves the modes unbuilt; its `modes` variant reads the
+modes too, as an lqts query row and training extraction do.
 """
 
 import sys
@@ -83,8 +85,9 @@ def test_select_proxies(benchmark):
     assert len(table.entries) == len(gallery)
 
 
+@pytest.mark.parametrize("read", ["scores", "modes"])
 @pytest.mark.parametrize("pairs", [181, PAIR_BLOCK])
-def test_max_corr_batch(benchmark, pairs):
+def test_max_corr_batch(benchmark, pairs, read):
     scorer = GalleryScorer(workload_gallery("subspace-lane"), "subspace")
     assert np.all(scorer.ks == 6) and scorer.stack.shape[2] == 96
     if pairs == 181:
@@ -92,5 +95,12 @@ def test_max_corr_batch(benchmark, pairs):
     else:
         i, j = (ix[:pairs] for ix in np.triu_indices(len(scorer.ks), 1))
         a, b = scorer.stack[i], scorer.stack[j]
-    out = benchmark(max_corr_batch, a, b)
-    assert out.score.shape == (pairs,) and np.all((out.score >= 0.0) & (out.score <= 1.0))
+
+    def call():
+        out = max_corr_batch(a, b)
+        return out.score, (out.mode_a, out.mode_b) if read == "modes" else None
+
+    score, modes = benchmark(call)
+    assert score.shape == (pairs,) and np.all((score >= 0.0) & (score <= 1.0))
+    if read == "modes":
+        assert modes[0].shape == modes[1].shape == (pairs, 96)

@@ -216,6 +216,7 @@ class Ranker:
         self.gallery = gallery
         self.config = config
         self.scorer = GalleryScorer(gallery, config.baseline)
+        self._ids = np.array(gallery.set_ids, dtype=object)
         # rows by ascending target, each target's proxies in table order
         rows = np.empty((0, 2), dtype=np.intp)
         if config.method != METHOD_BASELINE and proxies is not None:
@@ -239,34 +240,34 @@ class Ranker:
     def rank(self, query) -> RankedResult:
         q_idx, res = self._compare_query(query)
         query_id = query if isinstance(query, str) else query.set_id
-        n = len(self.gallery)
-        targets = np.array([j for j in range(n) if j != q_idx], dtype=np.intp)
-        rows = np.flatnonzero(self._target != q_idx)
-        t, p = self._target[rows], self._proxy[rows]
-
+        # every proxy row is scored: a row whose target is the query only
+        # raises the query's own score, which is dropped with its column
+        t, p = self._target, self._proxy
         q_score = res.score
         scores = q_score.copy()
         method = self.config.method
-        if rows.size:
+        if t.size:
             if method == METHOD_LQTS:
                 features = np.column_stack(
                     [
                         q_score[p],
                         q_score[t],
-                        self._s3[rows],
-                        _row_cos(res.mode_b[p], self._proxy_mode[rows]),
-                        _row_cos(res.mode_b[t], self._target_mode[rows]),
+                        self._s3,
+                        _row_cos(res.mode_b[p], self._proxy_mode),
+                        _row_cos(res.mode_b[t], self._target_mode),
                     ]
                 )
                 est = _clamp01(predict(self.config.model, features))
             else:
-                est = COMBINERS[method](q_score[p], self._s3[rows])
+                est = COMBINERS[method](q_score[p], self._s3)
             np.maximum.at(scores, t, est)
 
+        targets = np.arange(len(self.gallery))
+        if q_idx is not None:
+            targets = np.delete(targets, q_idx)
         scores = scores[targets]
         order = np.argsort(-scores, kind="stable")  # ties: ascending gallery index
-        ids = self.gallery.set_ids
-        ranking = tuple((ids[j], score) for j, score in zip(targets[order], scores[order].tolist()))
+        ranking = tuple(zip(self._ids[targets[order]].tolist(), scores[order].tolist()))
         return RankedResult(query_id=query_id, ranking=ranking)
 
 

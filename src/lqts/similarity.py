@@ -15,10 +15,11 @@ Each baseline has one kernel, over a batch of set pairs
 baseline name; `max_max_sim` and `max_corr` compare a single pair as a
 batch of one. A set against itself follows `self_pairs`. The first
 canonical correlation σ₁ of bases a and b is the top singular value of
-M = a·bᵀ (Björck & Golub 1973); `max_corr_batch` takes it, and the
-canonical vectors, from the top eigenpair of the small k_b×k_b Gram MᵀM
-rather than from an SVD of M, and puts both modes on row 0 of their bases
-when σ₁ is 0.
+M = a·bᵀ (Björck & Golub 1973). `max_corr_batch` takes it as the square
+root of the top eigenvalue of the small k_b×k_b Gram MᵀM, with no
+eigenvector; its modes recover the canonical vectors by inverse iteration
+on first read, as LAPACK finds selected eigenpairs (eigenvalues first,
+then `dstein`), and sit on row 0 of their bases when σ₁ is 0.
 
 Absolute cosine is used throughout: principal and canonical directions
 are sign-ambiguous, so signed similarity would be non-deterministic.
@@ -138,39 +139,65 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     and b of shape (P, k_b, d), with the canonical vector pair that attains
     it.
 
-    The top singular triple of M = a·bᵀ comes from the top eigenpair of
-    the k_b×k_b Gram MᵀM: v₁ is its eigenvector, σ₁ = ‖M v₁‖, the cosine
-    the modes attain, and u₁ = M v₁ / σ₁; the modes are u₁ᵀ·a and v₁ᵀ·b,
-    built on their first read. Where σ₁ is 0 the modes are row 0 of each
-    basis, as an SVD of a zero M gives.
+    σ₁ is the top singular value of M = a·bᵀ, the square root of the top
+    eigenvalue λ₁ of the k_b×k_b Gram MᵀM, which one batched `eigvalsh`
+    gives. The modes are built on their first read (`_canonical_modes`):
+    v₁ by inverse iteration on MᵀM − μI with μ just above λ₁,
+    u₁ = M v₁ / ‖M v₁‖, and the modes u₁ᵀ·a and v₁ᵀ·b. Where σ₁ is 0 the
+    modes are row 0 of each basis, as an SVD of a zero M gives.
 
     Signs are canonicalized: mode_a's largest-magnitude entry is positive,
-    and the mutual cosine u₁ᵀ·M·v₁ = σ₁ is nonnegative.
+    and the mutual cosine u₁ᵀ·M·v₁ is nonnegative.
     """
     m = np.matmul(a, np.swapaxes(b, -1, -2))
-    _, vecs = np.linalg.eigh(np.matmul(np.swapaxes(m, -1, -2), m))
-    v = vecs[:, :, -1]
+    gram = np.matmul(np.swapaxes(m, -1, -2), m)
+    lam = np.linalg.eigvalsh(gram)[:, -1]
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    return Matches(np.minimum(sigma, 1.0), lambda: _canonical_modes(a, b, m, gram, lam))
+
+
+# The inverse-iteration shift, relative: μ = λ₁(1 + MODE_SHIFT). eigvalsh
+# gives λ₁, the Gram's norm, to a few ulps of itself, so μ is above it:
+# MᵀM − μI is never singular, and λ₁ is its nearest eigenvalue however close
+# λ₂ is. Each step scales an eigenvector whose eigenvalue sits g below λ₁ by
+# MODE_SHIFT·λ₁ / (g + MODE_SHIFT·λ₁) against v₁, so after two steps v₁
+# errs by about (MODE_SHIFT·σ₁ / 2(σ₁ − σ₂))², under 10⁻¹² once
+# σ₁ − σ₂ > 10⁻⁶. Closer singular values mix their vectors into v₁, but the
+# cosine the modes attain stays within about MODE_SHIFT of σ₁.
+MODE_SHIFT = 1e-12
+
+
+def _canonical_modes(a, b, m, gram, lam) -> tuple[np.ndarray, np.ndarray]:
+    """max_corr_batch's modes from its bases, M, the Gram MᵀM and λ₁.
+
+    Two steps of inverse iteration on MᵀM/μ − I, which scales the
+    eigenvalues into [−1, 0) whatever σ₁'s magnitude. The first step starts
+    from the unit vector e_j the inverse amplifies most, the largest
+    |diagonal| entry: about v₁[j]²/MODE_SHIFT, so e_j holds about a
+    1/√k_b share of v₁ or more.
+    """
+    zero = lam <= 0.0  # σ₁ = 0
+    mu = np.where(zero, 1.0, lam * (1.0 + MODE_SHIFT))
+    inv = np.linalg.inv(gram / mu[:, None, None] - np.eye(gram.shape[-1]))
+    rows = np.arange(len(lam))
+    start = np.argmax(np.abs(np.diagonal(inv, axis1=1, axis2=2)), axis=1)
+    x = np.matmul(inv, inv[rows, :, start, None])[:, :, 0]
+    v = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
     mv = np.matmul(m, v[:, :, None])[:, :, 0]
-    sigma = np.sqrt(np.einsum("ij,ij->i", mv, mv))
-    return Matches(np.minimum(sigma, 1.0), lambda: _canonical_modes(a, b, v, mv, sigma))
-
-
-def _canonical_modes(a, b, v, mv, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """max_corr_batch's modes from its bases, v₁, M v₁ and σ₁."""
-    zero = (sigma == 0.0)[:, None]
-    u = mv / np.where(zero, 1.0, sigma[:, None])
+    u = mv / np.where(zero, 1.0, np.sqrt(np.einsum("ij,ij->i", mv, mv)))[:, None]
+    zero = zero[:, None]
     mode_a = np.where(zero, a[..., 0, :], np.matmul(u[:, None, :], a)[:, 0])
     mode_b = np.where(zero, b[:, 0], np.matmul(v[:, None, :], b)[:, 0])
-    rows = np.arange(len(sigma))
     top = np.argmax(np.abs(mode_a), axis=1)
     flip = mode_a[rows, top, None] < 0
     return np.where(flip, -mode_a, mode_a), np.where(flip, -mode_b, mode_b)
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:
-    """max_corr_batch of one pair of (k, d) bases: σ₁ and the canonical
-    vectors from the top eigenpair of the Gram of a·bᵀ, both modes on row 0
-    when σ₁ is 0; one basis on both sides is `self_pairs` of it."""
+    """max_corr_batch of one pair of (k, d) bases: σ₁ from the top
+    eigenvalue of the Gram of a·bᵀ, the canonical vectors by inverse
+    iteration, both modes on row 0 when σ₁ is 0; one basis on both sides is
+    `self_pairs` of it."""
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
     if a is b:

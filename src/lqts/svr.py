@@ -197,7 +197,10 @@ def predict(model: SvrModel, x: np.ndarray):
             aug[:r, :d] = part
             np.einsum("ij,ij->i", part, part, out=aug[:r, d])
             np.matmul(a, model._exponent_weights, out=k)
-            np.minimum(k, 0.0, out=k)
+            # −γ‖x − s‖² ≤ 0 rounds above 0 only near a support vector; a
+            # block with no such entry skips the clamp, which changes no bit
+            if k.max() > 0.0:
+                np.minimum(k, 0.0, out=k)
             np.exp(k, out=k)
             # one dot per row: gemv's summation order depends on the row's
             # position in the block

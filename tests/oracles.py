@@ -3,9 +3,9 @@
 `max_max_sim` and `max_corr` compare one pair of sets at a time, with
 ambient unit modes: the pair functions of `lqts.similarity`'s batch
 kernels, which the kernels must equal bit for bit. `svd_max_corr` is the
-SVD form of `max_corr` that the Gram eigenpair replaced, kept as its
-accuracy reference. `match` adds the self-pair rule of
-`lqts.similarity.self_pairs` on top.
+SVD form of `max_corr` that the Gram's top eigenvalue and inverse
+iteration replaced, kept as its accuracy reference. `match` adds the
+self-pair rule of `lqts.similarity.self_pairs` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
 score at a time from those, with no caching or batching.
 `extract_exemplar` and `extract_subspace` give all of one
@@ -32,7 +32,7 @@ from lqts import sampling
 from lqts.corpus import FaceSet, ProxyTable, feature_table
 from lqts.errors import DimensionMismatchError, TrainingError
 from lqts.metafeat import DEFAULT_CAP, DEFAULT_TRAIN_SETS, PROJECTION_FLOOR, _stratified_cap
-from lqts.similarity import DEFAULT_SUBSPACE_DIM, EXEMPLAR, cosine_sim, fit_subspace
+from lqts.similarity import DEFAULT_SUBSPACE_DIM, EXEMPLAR, MODE_SHIFT, cosine_sim, fit_subspace
 from lqts.similarity import max_corr as batch_max_corr
 from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict
 
@@ -66,23 +66,28 @@ def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
     """First canonical correlation between two subspaces, given as (k, d)
     orthonormal bases, with the canonical vector pair that attains it.
 
-    From the top eigenpair of the Gram MᵀM of M = a·bᵀ: v₁ its
-    eigenvector, σ₁ = ‖M v₁‖, u₁ = M v₁ / σ₁, modes u₁ᵀ·a and v₁ᵀ·b; both
-    modes are row 0 of their bases when σ₁ is 0. Signs are canonicalized:
-    the largest-magnitude entry of mode_a is positive, and both modes flip
-    together, so the mutual cosine stays σ₁.
+    σ₁ = √λ₁ for λ₁ the top eigenvalue of the Gram MᵀM of M = a·bᵀ. v₁
+    takes two inverse-iteration steps on MᵀM/μ − I, μ = λ₁(1 + MODE_SHIFT),
+    from the e_j of the inverse's largest |diagonal| entry;
+    u₁ = M v₁ / ‖M v₁‖, and the modes are u₁ᵀ·a and v₁ᵀ·b. Both modes are
+    row 0 of their bases when σ₁ is 0. Signs are canonicalized: the
+    largest-magnitude entry of mode_a is positive, and both modes flip
+    together, so the mutual cosine stays nonnegative.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
     m = a @ b.T
-    _, vecs = np.linalg.eigh(m.T @ m)
-    v = vecs[:, -1]
-    mv = m @ v
-    sigma = float(np.sqrt(np.einsum("i,i->", mv, mv)))  # the kernel's summation order
-    if sigma == 0.0:
+    gram = m.T @ m
+    lam = np.linalg.eigvalsh(gram)[-1]
+    sigma = float(np.sqrt(max(lam, 0.0)))
+    if lam <= 0.0:
         mode_a, mode_b = a[0], b[0]
     else:
-        mode_a, mode_b = (mv / sigma) @ a, v @ b
+        inv = np.linalg.inv(gram / (lam * (1.0 + MODE_SHIFT)) - np.eye(len(gram)))
+        x = inv @ inv[:, np.argmax(np.abs(np.diagonal(inv)))]
+        v = x / np.sqrt(np.einsum("i,i->", x, x))  # the kernel's summation order
+        mv = m @ v
+        mode_a, mode_b = (mv / np.sqrt(np.einsum("i,i->", mv, mv))) @ a, v @ b
     if mode_a[np.argmax(np.abs(mode_a))] < 0:
         mode_a, mode_b = -mode_a, -mode_b
     return Match(min(sigma, 1.0), mode_a, mode_b)
@@ -90,7 +95,8 @@ def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
 
 def svd_max_corr(a: np.ndarray, b: np.ndarray) -> Match:
     """max_corr by the full SVD of a·bᵀ (Björck & Golub): the accuracy
-    reference for the Gram eigenpair. Its sign rule is max_corr's."""
+    reference for the Gram's top eigenvalue and its inverse-iteration modes.
+    Its sign rule is max_corr's."""
     u, sing, vt = np.linalg.svd(a @ b.T)
     mode_a, mode_b = u[:, 0] @ a, vt[0] @ b
     if mode_a[np.argmax(np.abs(mode_a))] < 0:

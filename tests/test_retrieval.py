@@ -270,6 +270,19 @@ class TestRankGallery:
             [s for _, s in base.ranking], [s for _, s in lqts.ranking], atol=1e-12
         )
 
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_query_never_ranks_itself(self, rng, baseline):
+        # every proxy row is scored, those whose target is the query too;
+        # a model that scores every row 1.0 must still leave the query out
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=4, d=6) for i in range(7)))
+        table = select_proxies(g, baseline, 3)
+        config = RetrievalConfig(baseline=baseline, method="lqts", k_p=3, model=constant_model(1.0))
+        ranker = Ranker(g, config, table)
+        for sid in g.set_ids:
+            got = ranker.rank(sid)
+            assert sorted(got.ids()) == sorted(set(g.set_ids) - {sid})
+            assert all(score == 1.0 for _, score in got.ranking)
+
     def test_unknown_query_id(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
         with pytest.raises(CorpusError):
@@ -512,7 +525,8 @@ class TestGalleryScorer:
 
     def test_score_only_callers_skip_the_mode_step(self, rng):
         # proxy selection and the baseline and combiner rankings read only
-        # scores, so the subspace kernel never builds a mode for them; lqts
+        # scores, so the subspace kernel never builds a mode for them and
+        # runs eigvalsh alone, no eigh and no inverse-iteration solve; lqts
         # reads the modes of the proxy-target pairs and of the query row
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=8, d=10) for i in range(8)))
         model = constant_model(0.5)
@@ -522,13 +536,15 @@ class TestGalleryScorer:
         }
         table = select_proxies(g, "subspace", 2)
         want = {m: Ranker(g, configs[m], table).rank("s0") for m in ("baseline", "arith")}
-        failing = AssertionError("mode step ran")
-        with mock.patch.object(lqts.similarity, "_canonical_modes", side_effect=failing):
-            assert select_proxies(g, "subspace", 2) == table
-            for method, result in want.items():
-                assert Ranker(g, configs[method], table).rank("s0") == result
-            with pytest.raises(AssertionError, match="mode step ran"):
-                Ranker(g, configs["lqts"], table).rank("s0")
+        steps = ((lqts.similarity, "_canonical_modes"), (np.linalg, "eigh"), (np.linalg, "inv"))
+        for owner, name in steps:
+            with mock.patch.object(owner, name, side_effect=AssertionError(f"{name} ran")):
+                assert select_proxies(g, "subspace", 2) == table
+                for method, result in want.items():
+                    assert Ranker(g, configs[method], table).rank("s0") == result
+                if name != "eigh":  # the mode step inverts, and no step runs eigh
+                    with pytest.raises(AssertionError, match=f"{name} ran"):
+                        Ranker(g, configs["lqts"], table).rank("s0")
 
 
 class TestRetrievalConfig:

@@ -238,7 +238,16 @@ def orthonormal_rows(x: np.ndarray) -> np.ndarray:
     return np.linalg.qr(x.T)[0].T
 
 
-BASIS_PAIR_KINDS = ["orthogonal", "near-orthogonal", "shared", "repeated", "rank-clipped"]
+BASIS_PAIR_KINDS = [
+    "orthogonal",
+    "near-orthogonal",
+    "shared",
+    "repeated",
+    "rank-clipped",
+    "close",
+    "same-span",
+    "single",
+]
 
 
 def basis_pair(r, kind: str):
@@ -253,9 +262,24 @@ def basis_pair(r, kind: str):
     a, w = q[:k_a], q[k_a : k_a + k_b]
     if kind == "near-orthogonal":
         return a, orthonormal_rows(w + 10.0 ** -r.uniform(3, 12) * r.normal(size=w.shape))
-    if kind == "shared":  # b's first row lies in a's span
-        first = r.normal(size=k_a) @ a
-        return a, orthonormal_rows(np.vstack([first, w[1:]]))
+    if kind == "shared":  # one row of b, at any position, lies in a's span
+        rows = list(w[1:])
+        rows.insert(int(r.integers(k_b)), r.normal(size=k_a) @ a)
+        return a, orthonormal_rows(np.array(rows))
+    if kind == "close":  # σ₁ − σ₂ from 1e-9 to 1e-4, both sides of test_matches_svd's 1e-6
+        k = max(min(k_a, k_b), 2)
+        sigma = np.sort(r.uniform(0.0, 0.9, size=k))[::-1]
+        sigma[0] = r.uniform(0.1, 1.0)
+        sigma[1] = sigma[0] - 10.0 ** -r.uniform(4, 9)
+        sigma[2:] = np.minimum(sigma[2:], 0.9 * sigma[1])
+        a, w = q[:k], q[k : 2 * k]
+        b = sigma[:, None] * a + np.sqrt(1.0 - sigma**2)[:, None] * w
+        spin_a, spin_b = (np.linalg.qr(r.normal(size=(k, k)))[0] for _ in range(2))
+        return spin_a @ a, spin_b @ b
+    if kind == "same-span":  # every canonical correlation is 1
+        return a, np.linalg.qr(r.normal(size=(k_a, k_a)))[0] @ a
+    if kind == "single":  # k_b = 1
+        return a, orthonormal_rows(r.normal(size=k_a) @ a + r.uniform(0.0, 2.0) * w[:1])
     if kind == "repeated":  # the top two canonical angles are equal
         k = min(k_a, k_b, 2)
         theta = np.sort(r.uniform(0.0, 1.5, size=k_b))
@@ -270,10 +294,11 @@ def basis_pair(r, kind: str):
 
 
 class TestAgainstSvd:
-    """The Gram-eigenpair kernel against the full SVD of a·bᵀ, which it
-    replaced: the score within a few ulps of σ₁, unit modes in their spans
-    whose mutual |cosine| is the score, and, where σ₁ is well separated
-    from σ₂, the SVD's modes up to sign."""
+    """The kernel, σ₁ from the Gram's top eigenvalue and modes by inverse
+    iteration, against the full SVD of a·bᵀ, which it replaced: the score
+    within a few ulps of σ₁, unit modes in their spans whose mutual
+    |cosine| is the score, and, where σ₁ is well separated from σ₂, the
+    SVD's modes up to sign. Row-0 modes where σ₁ is exactly 0."""
 
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(BASIS_PAIR_KINDS))
     @settings(max_examples=300, deadline=None)
@@ -289,9 +314,15 @@ class TestAgainstSvd:
             assert np.linalg.norm(mode - (mode @ basis.T) @ basis) <= 1e-12
         assert abs(abs(float(mode_a @ mode_b)) - score) <= 1e-12
         second = sing[1] if len(sing) > 1 else 0.0
+        if kind == "close":
+            assert 1e-9 <= sing[0] - second <= 1e-4
         if sing[0] - second > 1e-6:
             for mode, ref in ((mode_a, want.mode_a), (mode_b, want.mode_b)):
                 assert min(np.linalg.norm(mode - ref), np.linalg.norm(mode + ref)) <= 1e-8
+        if kind == "orthogonal":  # σ₁ = 0: row 0 of each basis, flipped together
+            assert score == 0.0
+            sign = 1.0 if np.array_equal(mode_a, a[0]) else -1.0
+            assert np.array_equal(mode_a, sign * a[0]) and np.array_equal(mode_b, sign * b[0])
 
     def test_zero_correlation_modes_are_row_zero(self):
         a = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])

@@ -235,6 +235,23 @@ class TestPredict:
         k_cross = float(rbf_kernel(sv[0], sv[1], 0.2)[0, 0])
         assert predict(m, sv[0]) == pytest.approx(1.0 - k_cross, abs=1e-12)
 
+    def test_clamp_only_where_the_exponent_rounds_above_zero(self):
+        # at its own support vectors a model's exponent GEMM rounds some
+        # −γ‖x − s‖² = 0 above 0; predict clamps only the blocks where that
+        # happens, which must equal clamping every block
+        rng = np.random.default_rng(0)
+        sv = rng.random((40, 5))
+        coeff = rng.permutation(np.repeat([1e3, -1e3], 20))
+        model = SvrModel(support_vectors=sv, coefficients=coeff, bias=0.1, config=SvrConfig())
+        aug = np.column_stack([sv, np.einsum("ij,ij->i", sv, sv), np.ones(len(sv))])
+        k = np.matmul(aug, model._exponent_weights)
+        above = k.reshape(20, 2, 40).max(axis=(1, 2)) > 0.0  # by two-row block
+        assert above.any() and not above.all()
+        want = np.vecdot(np.exp(np.minimum(k, 0.0)), model.coefficients) + model.bias
+        for budget in (8 * 2 * len(sv), PREDICT_BLOCK_BYTES):  # two-row blocks, one block
+            with mock.patch.object(lqts.svr, "PREDICT_BLOCK_BYTES", budget):
+                assert np.array_equal(predict(model, sv), want)
+
     def test_lone_effective_support_vector(self):
         # a lone beta=1 vector paired with a negligibly-coupled partner
         # (the coefficient-sum invariant requires them to cancel)
