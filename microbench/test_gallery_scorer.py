@@ -12,10 +12,14 @@ gallery set, itself included, on the seed-11 gallery of each
 pipeline-benchmark workload, reduced as that workload reduces it
 (`perfbench/workloads.py`). `test_query_row_scores` reads the scores
 alone, as proxy selection and the baseline and combiner rankings do; the
-subspace modes are then never built.
+subspace modes are then never built. `test_ragged_query_row` is the
+same row, modes read, on the seed-11 exemplar gallery as generated,
+with no robust selection: 173 sets of 20 to 50 exemplars, 31 sizes
+interleaved in gallery order.
 
-`test_select_proxies` builds the proxy table of the `subspace-lane`
-settings at 240 identities (727 sets), three rounds.
+`test_select_proxies` builds the proxy table of each workload's
+settings at 240 identities (727 `subspace-lane` sets, 720
+`exemplar-cap2000` sets of 10 exemplars), three rounds.
 
 `test_max_corr_batch` times the subspace kernel alone on the
 `subspace-lane` gallery's (6, 96) bases: 181 pairs, set 0 as one 2-D
@@ -67,7 +71,21 @@ def test_query_row(benchmark, name):
 
     score, mode_a, mode_b = benchmark(row)
     assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
-    assert mode_a.shape == mode_b.shape == (len(everyone), scorer.stack.shape[2])
+    assert mode_a.shape == mode_b.shape == (len(everyone), scorer.gallery.dim)
+
+
+def test_ragged_query_row(benchmark):
+    gallery, _ = synth.generate(synth.SynthConfig(seed=ACCEPTANCE_SEED))
+    assert len({s.size for s in gallery.sets}) == 31
+    scorer, everyone = GalleryScorer(gallery, "exemplar"), np.arange(len(gallery))
+
+    def row():
+        out = scorer.pair(0, everyone)
+        return out.score, out.mode_a, out.mode_b
+
+    score, mode_a, mode_b = benchmark(row)
+    assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
+    assert mode_a.shape == mode_b.shape == (len(everyone), gallery.dim)
 
 
 @pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
@@ -77,10 +95,11 @@ def test_query_row_scores(benchmark, name):
     assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
 
 
-def test_select_proxies(benchmark):
-    gallery = workload_gallery("subspace-lane", n_identities=240)
-    assert len(gallery) == 727
-    args = (gallery, "subspace", PROXY_K)
+@pytest.mark.parametrize("name, sets", [("exemplar-cap2000", 720), ("subspace-lane", 727)])
+def test_select_proxies(benchmark, name, sets):
+    gallery = workload_gallery(name, n_identities=240)
+    assert len(gallery) == sets
+    args = (gallery, WORKLOADS[name].baseline, PROXY_K)
     table = benchmark.pedantic(select_proxies, args=args, rounds=3, iterations=1)
     assert len(table.entries) == len(gallery)
 
@@ -88,13 +107,13 @@ def test_select_proxies(benchmark):
 @pytest.mark.parametrize("read", ["scores", "modes"])
 @pytest.mark.parametrize("pairs", [181, PAIR_BLOCK])
 def test_max_corr_batch(benchmark, pairs, read):
-    scorer = GalleryScorer(workload_gallery("subspace-lane"), "subspace")
-    assert np.all(scorer.ks == 6) and scorer.stack.shape[2] == 96
+    bases = np.stack([s.subspace for s in workload_gallery("subspace-lane").sets])
+    assert bases.shape == (182, 6, 96)
     if pairs == 181:
-        a, b = scorer.stack[0], scorer.stack[1:]
+        a, b = bases[0], bases[1:]
     else:
-        i, j = (ix[:pairs] for ix in np.triu_indices(len(scorer.ks), 1))
-        a, b = scorer.stack[i], scorer.stack[j]
+        i, j = (ix[:pairs] for ix in np.triu_indices(len(bases), 1))
+        a, b = bases[i], bases[j]
 
     def call():
         out = max_corr_batch(a, b)

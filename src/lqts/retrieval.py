@@ -82,13 +82,15 @@ class GalleryScorer:
 
     Each gallery set is compared as a (k, d) stack of unit rows, its unit
     exemplars (exemplar baseline) or its subspace basis (subspace
-    baseline). They are stacked once as (n, max k, d), zero rows padding
-    each set past its k. `compare` is the kernel, one call of the
-    baseline's `lqts.similarity.kernel`. `pair` compares gallery sets by
-    index and `query` an outside set with gallery sets; both return a
-    `Matches` of one row per pair, its modes ambient unit vectors assembled
-    on first read. Nothing is cached between calls. A gallery set against
-    itself follows `lqts.similarity.self_pairs`, with no kernel call.
+    baseline). The sets of each size k are stored once, in gallery order,
+    as one contiguous (n_k, k, d) array `stacks[k]`; `members[k]` holds
+    their gallery positions and `offset` each set's position in its
+    size's array. `compare` is the kernel, one call of the baseline's
+    `lqts.similarity.kernel`. `pair` compares gallery sets by index and
+    `query` an outside set with gallery sets; both return a `Matches` of
+    one row per pair, its modes ambient unit vectors assembled on first
+    read. Nothing is cached between calls. A gallery set against itself
+    follows `lqts.similarity.self_pairs`, with no kernel call.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -97,9 +99,11 @@ class GalleryScorer:
         self.baseline = baseline
         reps = [self._rep(s) for s in gallery.sets]
         self.ks = np.array([len(r) for r in reps], dtype=np.intp)
-        self.stack = np.zeros((len(gallery), self.ks.max(), gallery.dim))
-        for row, r in zip(self.stack, reps):
-            row[: len(r)] = r
+        self.members = {k: np.flatnonzero(self.ks == k) for k in np.unique(self.ks).tolist()}
+        self.stacks = {k: np.stack([reps[i] for i in m]) for k, m in self.members.items()}
+        self.offset = np.empty(len(reps), dtype=np.intp)
+        for m in self.members.values():
+            self.offset[m] = np.arange(m.size)
 
     def _rep(self, s: FaceSet) -> np.ndarray:
         """A set's (k, d) unit rows: its unit exemplars or subspace basis."""
@@ -112,52 +116,86 @@ class GalleryScorer:
 
     def pair(self, i, j) -> Matches:
         """Gallery sets i against gallery sets j: one index i against an
-        index array j (a query row), or two aligned index arrays (a pair
-        list)."""
+        index array j (a row), or two aligned index arrays (a pair list)."""
         j = np.asarray(j, dtype=np.intp)
-        return self._match(self.stack, self.ks, i, j, np.broadcast_to(i, j.shape) == j)
+        if np.ndim(i) == 0:
+            return self._row(self.stacks[int(self.ks[i])][self.offset[i]], j, int(i))
+        return self._pairs(np.asarray(i, dtype=np.intp), j)
 
     def query(self, s: FaceSet, j) -> Matches:
-        """A set from outside the gallery against gallery sets j."""
+        """A set from outside the gallery against gallery sets j, a row."""
         if s.dim != self.gallery.dim:
             raise DimensionMismatchError(f"set dims differ: {s.dim} vs {self.gallery.dim}")
-        rep = self._rep(s)
-        j = np.asarray(j, dtype=np.intp)
-        return self._match(rep[None], np.array([len(rep)]), 0, j, np.zeros(j.shape, dtype=bool))
+        return self._row(self._rep(s), np.asarray(j, dtype=np.intp), None)
 
-    def _match(self, stack, ks, i, j, own) -> Matches:
-        """stack[i] against gallery sets j, where `own` marks a gallery set
-        against itself; PAIR_BLOCK pairs per kernel call, modes on first read.
+    def _row(self, a, j, own) -> Matches:
+        """Representation a against gallery sets j, where `own` is a's
+        gallery position, None for an outside set.
 
-        Pairs are grouped by the true shapes of their two sets, so that
-        every product and eigenproblem has the shape max_max_sim or max_corr
-        gives it: BLAS may round a padded product differently, and padding a
-        basis changes the size of its Gram's eigenproblem. A set's first k
-        rows are contiguous, laid out as its own array: BLAS sums a strided
-        vector in another order than a contiguous one.
+        j is read as runs of consecutive positions; a whole query row and a
+        proxy-selection row are one run each. In a run, the sets of each
+        size are one slice of that size's array, and the kernel reads them
+        in place, as views of PAIR_BLOCK sets or fewer. The slice is split
+        around set `own`, whose pair follows `self_pairs`. No set is padded
+        and each keeps its k rows contiguous, so every product has its true
+        shape and each pair's score and modes are those of max_max_sim or
+        max_corr: BLAS may round a padded product differently, and it sums
+        a strided vector in another order than a contiguous one.
         """
-        i_all = np.broadcast_to(i, j.shape)
-        score = np.empty(j.size)
-        blocks = [(own, self_pairs(self.stack[j[own]]))]
-        score[own] = blocks[0][1].score
+        n = len(self.ks)
+        blocks = []
+        edges = [0, *(np.flatnonzero(np.diff(j) != 1) + 1).tolist(), j.size] if j.size else [0]
+        for at, end in zip(edges, edges[1:]):
+            lo, hi = int(j[at]), int(j[end - 1]) + 1
+            if lo < 0 or hi > n:
+                raise IndexError(f"gallery positions {lo}..{hi - 1} outside 0..{n - 1}")
+            for k, members in self.members.items():
+                stack = self.stacks[k]
+                start, stop = np.searchsorted(members, (lo, hi)).tolist()
+                spans = [(start, stop)]
+                if own is not None and lo <= own < hi and self.ks[own] == k:
+                    p = int(self.offset[own])
+                    blocks.append(([own - lo + at], self_pairs(stack[p : p + 1])))
+                    spans = [(start, p), (p + 1, stop)]
+                for first, last in spans:
+                    for s in range(first, last, PAIR_BLOCK):
+                        e = min(s + PAIR_BLOCK, last)
+                        blocks.append((members[s:e] - lo + at, self.compare(a, stack[s:e])))
+        return self._assemble(j.size, blocks)
 
-        rest = np.flatnonzero(~own)
-        base = max(ks.max(), self.ks.max()) + 1
-        shapes = ks[i_all[rest]] * base + self.ks[j[rest]]
+    def _pairs(self, i, j) -> Matches:
+        """Gallery sets i[p] against j[p], two aligned index arrays.
+
+        Pairs are grouped by the sizes of their two sets, and each group's
+        sets are gathered from their sizes' arrays, PAIR_BLOCK pairs per
+        kernel call; a pair of a set with itself follows `self_pairs`.
+        """
+        blocks = []
+        base = max(self.members) + 1
+        shapes = self.ks[i] * base + self.ks[j]
         for shape in np.unique(shapes).tolist():
             k_a, k_b = divmod(shape, base)
-            same = rest[shapes == shape]
-            # one index i stays one 2-D operand; each side is gathered once per group
-            left = stack[i, :k_a] if np.ndim(i) == 0 else stack[i_all[same], :k_a]
-            right = self.stack[j[same], :k_b]
+            same = np.flatnonzero(shapes == shape)
+            own = i[same] == j[same]
+            if own.any():
+                blocks.append((same[own], self_pairs(self.stacks[k_b][self.offset[j[same[own]]]])))
+                same = same[~own]
+            left = self.stacks[k_a][self.offset[i[same]]]
+            right = self.stacks[k_b][self.offset[j[same]]]
             for at in range(0, same.size, PAIR_BLOCK):
-                g, block = same[at : at + PAIR_BLOCK], slice(at, at + PAIR_BLOCK)
-                res = self.compare(left if left.ndim == 2 else left[block], right[block])
-                score[g] = res.score
-                blocks.append((g, res))
+                block = slice(at, at + PAIR_BLOCK)
+                blocks.append((same[block], self.compare(left[block], right[block])))
+        return self._assemble(j.size, blocks)
+
+    def _assemble(self, size: int, blocks) -> Matches:
+        """The Matches of `size` pairs from (positions, kernel result)
+        blocks: scores now, modes on first read."""
+        score = np.empty(size)
+        for g, res in blocks:
+            score[g] = res.score
 
         def modes():
-            mode_a, mode_b = np.empty((2, j.size, self.gallery.dim))
+            mode_a, mode_b = np.empty((2, size, self.gallery.dim))
             for g, res in blocks:
                 mode_a[g], mode_b[g] = res.mode_a, res.mode_b
             return mode_a, mode_b

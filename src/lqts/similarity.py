@@ -186,11 +186,15 @@ def _canonical_modes(a, b, m, gram, lam) -> tuple[np.ndarray, np.ndarray]:
     mv = np.matmul(m, v[:, :, None])[:, :, 0]
     u = mv / np.where(zero, 1.0, np.sqrt(np.einsum("ij,ij->i", mv, mv)))[:, None]
     zero = zero[:, None]
-    mode_a = np.where(zero, a[..., 0, :], np.matmul(u[:, None, :], a)[:, 0])
-    mode_b = np.where(zero, b[:, 0], np.matmul(v[:, None, :], b)[:, 0])
+    mode_a = np.matmul(u[:, None, :], a)[:, 0]
+    mode_b = np.matmul(v[:, None, :], b)[:, 0]
+    np.copyto(mode_a, a[..., 0, :], where=zero)
+    np.copyto(mode_b, b[:, 0], where=zero)
     top = np.argmax(np.abs(mode_a), axis=1)
     flip = mode_a[rows, top, None] < 0
-    return np.where(flip, -mode_a, mode_a), np.where(flip, -mode_b, mode_b)
+    np.negative(mode_a, out=mode_a, where=flip)
+    np.negative(mode_b, out=mode_b, where=flip)
+    return mode_a, mode_b
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:

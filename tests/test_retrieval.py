@@ -61,7 +61,7 @@ def brute_force_proxy_table(gallery, k_p):
 
 
 @st.composite
-def scorer_cases(draw):
+def scorer_cases(draw, interleaved=False):
     """A gallery, an external set and an aligned pair list.
 
     Sets are ragged, one has a single exemplar and some are copies of
@@ -69,10 +69,16 @@ def scorer_cases(draw):
     last two give exact cosine ties, repeated exemplars, rank-deficient
     subspaces (k < DEFAULT_SUBSPACE_DIM) and orthogonal ones (first
     canonical correlation 0). The pair list holds self pairs too.
+
+    With `interleaved`, exemplars are Gaussian and the gallery's set sizes
+    cycle through two or three sizes k ≤ min(d, DEFAULT_SUBSPACE_DIM), so
+    k is also each subspace's dimension: under both baselines no size
+    group is contiguous in gallery order. The external set has a size no
+    gallery set has.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(2, 8))
-    kind = draw(st.sampled_from(["normal", "onehot", "ternary"]))
+    d = draw(st.integers(4 if interleaved else 2, 8))
+    kind = "normal" if interleaved else draw(st.sampled_from(["normal", "onehot", "ternary"]))
 
     def exemplars(m):
         if kind == "normal":
@@ -85,14 +91,22 @@ def scorer_cases(draw):
         x[~x.any(axis=1), 0] = 1.0
         return x
 
-    sizes = [1] + draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
-    contents = [exemplars(m) for m in sizes]
-    contents += [contents[i] for i in draw(st.lists(st.integers(0, len(sizes) - 1), max_size=2))]
-    order = draw(st.permutations(range(len(contents))))
-    gallery = Gallery(sets=tuple(FaceSet(f"s{i}", contents[j]) for i, j in enumerate(order)))
+    if interleaved:
+        ks = range(1, min(d, 6) + 1)
+        cycle = draw(st.lists(st.sampled_from(ks), min_size=2, max_size=3, unique=True))
+        sizes = [cycle[p % len(cycle)] for p in range(draw(st.integers(2 * len(cycle), 9)))]
+        gallery = Gallery(sets=tuple(FaceSet(f"s{p}", exemplars(m)) for p, m in enumerate(sizes)))
+        x = exemplars(draw(st.sampled_from([k for k in ks if k not in cycle])))
+    else:
+        sizes = [1] + draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+        contents = [exemplars(m) for m in sizes]
+        copies = draw(st.lists(st.integers(0, len(sizes) - 1), max_size=2))
+        contents += [contents[i] for i in copies]
+        order = draw(st.permutations(range(len(contents))))
+        gallery = Gallery(sets=tuple(FaceSet(f"s{i}", contents[j]) for i, j in enumerate(order)))
+        like = draw(st.sampled_from([None, *range(len(gallery))]))
+        x = exemplars(draw(st.integers(1, 9))) if like is None else gallery.sets[like].exemplars
     n = len(gallery)
-    like = draw(st.sampled_from([None, *range(n)]))
-    x = exemplars(draw(st.integers(1, 9))) if like is None else gallery.sets[like].exemplars
     index = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(index, index), max_size=30))
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
@@ -426,23 +440,38 @@ class TestGalleryScorer:
     set against itself by the self-pair rule."""
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
-    @given(case=scorer_cases(), block=st.sampled_from([2, PAIR_BLOCK]))
-    @settings(max_examples=100, deadline=None)
-    def test_every_call_form_equals_pair_functions(self, baseline, case, block):
+    @given(
+        data=st.data(), interleaved=st.booleans(), block=st.sampled_from([2, PAIR_BLOCK])
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_call_form_equals_pair_functions(self, baseline, data, interleaved, block):
         # every call is made, and its scores read, before any mode is read;
         # the modes then equal the pair functions' too, and a second read
-        # returns the same arrays. With 2 pairs per kernel call, query rows
-        # and pair lists span several blocks of each shape group.
-        gallery, external, i, j = case
+        # returns the same arrays. With 2 pairs per kernel call, rows and
+        # pair lists span several blocks of each size group.
+        gallery, external, i, j = data.draw(scorer_cases(interleaved=interleaved))
         reps = representations(gallery, baseline)
         ext = external if baseline == "exemplar" else fit_subspace(external)
         scorer = GalleryScorer(gallery, baseline)
-        everyone = np.arange(len(gallery))
+        n = len(gallery)
+        if interleaved:
+            for k in set(scorer.ks.tolist()):
+                at = np.flatnonzero(scorer.ks == k)
+                assert at[-1] - at[0] + 1 > at.size
+            assert len(external.unit_exemplars if baseline == "exemplar" else ext) not in scorer.ks
+        everyone = np.arange(n)
         with mock.patch.object(lqts.retrieval, "PAIR_BLOCK", block):
             # query rows, the query against itself included
-            calls = [(scorer.pair(q, everyone), [reps[q]] * len(reps), reps) for q in everyone]
+            calls = [(scorer.pair(q, everyone), [reps[q]] * n, reps) for q in everyone]
+            # upper-triangle rows, as select_proxies makes them
+            for q in everyone:
+                upper = everyone[q + 1 :]
+                calls.append((scorer.pair(q, upper), [reps[q]] * upper.size, reps[q + 1 :]))
             calls.append((scorer.pair(i, j), [reps[p] for p in i], [reps[p] for p in j]))
-            calls.append((scorer.query(external, everyone), [ext] * len(reps), reps))
+            calls.append((scorer.query(external, everyone), [ext] * n, reps))
+            # one set against the pair list's right side: runs of any length, in any order
+            calls.append((scorer.pair(n - 1, j), [reps[-1]] * j.size, [reps[p] for p in j]))
+            calls.append((scorer.query(external, j), [ext] * j.size, [reps[p] for p in j]))
         wants = [pair_function_results(lefts, rights) for _, lefts, rights in calls]
         for (got, _, _), want in zip(calls, wants):
             assert got.score.tolist() == [score for score, _, _ in want]
@@ -468,6 +497,49 @@ class TestGalleryScorer:
             others = [p for p in range(len(gallery)) if p != q]
             want = pair_function_results([reps[q]] * len(others), [reps[p] for p in others])
             assert_same_matches(scorer.pair(q, np.array(others)), want)
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_rows_read_the_storage_in_place(self, rng, baseline, monkeypatch):
+        # sizes 2, 3, 2, 3, ...: every kernel call of a row reads the
+        # scorer's own arrays, the set itself never among its right sets
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=2 + p % 2, d=5) for p in range(7)))
+        scorer = GalleryScorer(gallery, baseline)
+        stored = list(scorer.stacks.values())
+        assert sorted(scorer.stacks) == [2, 3]
+        compared = []
+        real_compare = GalleryScorer.compare
+
+        def spy(self, a, b):
+            compared.append((a, b))
+            return real_compare(self, a, b)
+
+        monkeypatch.setattr(GalleryScorer, "compare", spy)
+        monkeypatch.setattr(lqts.retrieval, "PAIR_BLOCK", 2)
+        n = len(gallery)
+        everyone = np.arange(n)
+        rows = [(q, row) for q in range(n) for row in (everyone, everyone[q + 1 :])]
+        rows.append((None, everyone))
+        for q, row in rows:
+            compared.clear()
+            if q is None:
+                scorer.query(random_set(rng, "ext", n=4, d=5), row)
+            else:
+                scorer.pair(q, row)
+            for a, b in compared:
+                assert any(np.shares_memory(b, s) for s in stored)
+                if q is not None:
+                    assert np.shares_memory(a, scorer.stacks[scorer.ks[q]])
+                    assert not np.shares_memory(a, b)
+            assert sum(len(b) for _, b in compared) == row.size - (q is not None and q in row)
+
+    def test_row_positions_outside_the_gallery_raise(self, rng):
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=3, d=4) for p in range(3)))
+        scorer = GalleryScorer(gallery, "exemplar")
+        for j in ([0, 1, 3], [-1, 0], [2, 5]):
+            with pytest.raises(IndexError):
+                scorer.pair(0, j)
+            with pytest.raises(IndexError):
+                scorer.query(gallery.sets[0], j)
 
     @given(case=scorer_cases())
     @settings(max_examples=100, deadline=None)
