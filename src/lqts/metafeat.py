@@ -19,15 +19,20 @@ proxy can secretly share the reference's identity); that noise is left
 in deliberately and absorbed by the wide-margin regressor downstream.
 
 Extraction is cap-first: `build_training_corpus` counts each pair's
-rows, draws the rows the cap keeps and builds only those, one pair at a
-time, so the uncapped pool never exists. Each pair with kept rows makes
-the products its rows read: under the exemplar baseline the pair's
-|cosine| matrix and both sets' |cosine| Grams, under the subspace
-baseline its exemplars' projections on the other set's subspace. Only
-each set's projection on its own subspace is made once, into one table
-that the count and the build both read. Every product keeps the shape
-the whole pair or set gives it, and the kept rows are gathered from its
-results, so a kept row is bit for bit the row the pool would hold.
+rows, draws the rows the cap keeps and builds only those, so the
+uncapped pool never exists. Under the exemplar baseline each pair with
+kept rows makes the products its rows read: the pair's |cosine| matrix
+and both sets' |cosine| Grams. Under the subspace baseline the work is
+stacked per side set. An entry, one (pair, label), reads its side set's
+exemplars (the reference's for positives, the proxy's for negatives)
+against its partner, the pair's other set. Each side set makes its
+projection and reconstruction on its own subspace once, and its
+projections on its partners' subspaces, their norms, their
+reconstructions and the mode dots in one stacked product per block of
+PAIR_BLOCK partners or fewer; the count reads only the norms. A stacked
+product is one BLAS call per stacked matrix, so every product keeps the
+shape the whole pair or set gives it, and the kept rows are gathered
+from its results: a kept row is bit for bit the row the pool would hold.
 """
 
 from __future__ import annotations
@@ -68,9 +73,10 @@ def _kept_by_pair(counts: np.ndarray, kept: tuple[np.ndarray, np.ndarray]):
     """Locate the kept rows of a (pairs, 2) row count, given each label's
     kept indices into its pool (all pairs' rows in pair order).
 
-    Returns the pair of every kept row, positives then negatives, and an
-    iterator over the pairs holding kept rows: (pair, per label (the slice
-    of output rows, the indices within the pair)).
+    Returns the pair of every kept row, positives then negatives, its
+    index among that pair's rows of its label, and an iterator over the
+    pairs holding kept rows: (pair, per label (the slice of output rows,
+    the indices within the pair)).
     """
     located, offset = [], 0
     for n_rows, idx in zip(counts.T, kept):
@@ -88,7 +94,8 @@ def _kept_by_pair(counts: np.ndarray, kept: tuple[np.ndarray, np.ndarray]):
                 for _, local, bounds, at in located
             ]
 
-    return np.concatenate([pair for pair, *_ in located]), groups()
+    pair_of = np.concatenate([pair for pair, *_ in located])
+    return pair_of, np.concatenate([local for _, local, *_ in located]), groups()
 
 
 # ---------------------------------------------------------------------------
@@ -134,70 +141,132 @@ def _exemplar_rows(sets, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
 # training extraction, subspace baseline
 
 
-def _onto(sets, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of set i's unit exemplars on set j's subspace basis, and
-    their norms."""
-    coords = sets[i].unit_exemplars @ sets[j].subspace.T
-    return coords, np.linalg.norm(coords, axis=1)
+def _norms(coords: np.ndarray) -> np.ndarray:
+    """Row norms over the last axis, in `np.linalg.norm(..., axis=1)`'s
+    arithmetic at any number of leading axes."""
+    return np.sqrt(np.add.reduce(coords * coords, axis=-1))
 
 
-def _side(sets, own: dict, r: int, x: int, label: int):
-    """The projections of one side's exemplars on the reference's subspace
-    and on the proxy's: the reference's (label 0, positives) or the
-    proxy's (label 1, negatives). `own` holds each set's on its own."""
-    return (_onto(sets, x, r), own[x]) if label else (own[r], _onto(sets, r, x))
+def _recon(coords: np.ndarray, bases: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Unit reconstructions of projections from their coordinates on their
+    bases and their norms, at any number of leading axes."""
+    recon = np.matmul(coords, bases)
+    recon /= norms[..., None]
+    return recon
 
 
-def _kept(norm_r: np.ndarray, norm_p: np.ndarray) -> np.ndarray:
-    """Exemplars whose projection on neither subspace is degenerate."""
-    return (norm_r >= PROJECTION_FLOOR) & (norm_p >= PROJECTION_FLOOR)
+def _own(s) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of set s's unit exemplars on its own subspace basis,
+    and their norms."""
+    coords = s.unit_exemplars @ s.subspace.T
+    return coords, _norms(coords)
 
 
-def _subspace_counts(sets, own: dict, pairs: np.ndarray) -> np.ndarray:
-    """(pairs, 2) row counts under the subspace baseline."""
-    counts = np.zeros(pairs.shape, dtype=np.intp)
-    for p, (r, x) in enumerate(pairs.tolist()):
-        for label in (0, 1):
-            (_, norm_r), (_, norm_p) = _side(sets, own, r, x, label)
-            counts[p, label] = np.count_nonzero(_kept(norm_r, norm_p))
-    return counts
+def _cross(sets, pairs: np.ndarray, block: np.ndarray):
+    """Coordinates of a block's side set's unit exemplars on each of its
+    partners' subspace bases, (B, n, k), their norms, (B, n), and the
+    stacked bases, (B, k, d): one stacked product."""
+    flat = pairs.reshape(-1)
+    bases = np.stack([sets[t].subspace for t in flat[block ^ 1].tolist()])
+    coords = np.matmul(sets[int(flat[block[0]])].unit_exemplars, bases.swapaxes(1, 2))
+    return coords, _norms(coords), bases
 
 
-def _subspace_rows(sets, own: dict, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
+def _by_side(sets, pairs: np.ndarray, entries: np.ndarray):
+    """Entries, 2 * pair + label, grouped for stacked products: (side,
+    blocks) per side set, in ascending order, each block PAIR_BLOCK or
+    fewer of its entries whose partners' subspaces share a rank k (a
+    rank-clipped subspace has k below the default dimension)."""
+    flat = pairs.reshape(-1)
+    side, partner = flat[entries], flat[entries ^ 1]
+    rank = np.zeros(len(sets), dtype=np.intp)
+    read = np.unique(partner)
+    rank[read] = [sets[t].subspace.shape[0] for t in read.tolist()]
+    order = np.lexsort((rank[partner], side))
+    entries, side, k = entries[order], side[order], rank[partner[order]]
+    edges = (np.flatnonzero((np.diff(side) != 0) | (np.diff(k) != 0)) + 1).tolist()
+    blocks: dict[int, list] = {}
+    for lo, hi in zip([0, *edges], [*edges, entries.size]) if entries.size else ():
+        blocks.setdefault(int(side[lo]), []).extend(
+            entries[at : min(at + PAIR_BLOCK, hi)] for at in range(lo, hi, PAIR_BLOCK)
+        )
+    return blocks.items()
+
+
+def _canonical(sets, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's first canonical correlation and its modes, (P, 2, d):
+    modes[p, c] lies in the subspace of set pairs[p, c]. They come
+    PAIR_BLOCK pairs at a time, each block from a `GalleryScorer` over
+    the sets it reads."""
+    s3, modes = np.empty(len(pairs)), np.empty((len(pairs), 2, sets[0].dim))
+    for at in range(0, len(pairs), PAIR_BLOCK):
+        read, ends = np.unique(pairs[at : at + PAIR_BLOCK], return_inverse=True)
+        scorer = GalleryScorer(Gallery(sets=tuple(sets[i] for i in read.tolist())), SUBSPACE)
+        corr = scorer.pair(ends[:, 0], ends[:, 1])
+        s3[at : at + PAIR_BLOCK] = corr.score
+        modes[at : at + PAIR_BLOCK, 0], modes[at : at + PAIR_BLOCK, 1] = corr.mode_a, corr.mode_b
+    return s3, modes
+
+
+def _subspace_rows(sets, pairs: np.ndarray, whole: np.ndarray, entry: np.ndarray, local: np.ndarray):
     """The kept rows under the subspace baseline, unclipped: a row per
     exemplar f_qt of one side, from its projections f_tq on the
     reference's subspace and f_pq on the proxy's, and the pair's first
     canonical correlation s3 with its modes f_tp and f_pt. s1 and s2 are
     the projection norms of the unit f_qt.
 
-    The canonical correlations come PAIR_BLOCK pairs at a time from a
-    `GalleryScorer` over the sets the pairs read.
+    `entry` holds each kept row's entry (2 * pair + label) and `local`
+    its index among that entry's rows; `whole` flags the entries with no
+    degenerate projection. Each side set makes its own projection and
+    reconstruction once, and one stacked product per block of partners
+    for the cross projections, their reconstructions and the mode dots.
+    An entry with a degenerate projection reconstructs from its kept rows
+    only, as the pool did: a product of some rows rounds unlike the same
+    rows of the whole product.
     """
-    out = np.empty((n_rows, 5))
-    if not n_rows:
+    out = np.empty((entry.size, 5))
+    if not entry.size:
         return out
-    read = np.unique(pairs)
-    scorer = GalleryScorer(Gallery(sets=tuple(sets[i] for i in read)), SUBSPACE)
-    groups = iter(groups)
-    while block := [g for _, g in zip(range(PAIR_BLOCK), groups)]:
-        ends = np.searchsorted(read, pairs[[p for p, _ in block]])
-        corr = scorer.pair(ends[:, 0], ends[:, 1])
-        for (p, sides), s3, f_tp, f_pt in zip(block, corr.score, corr.mode_a, corr.mode_b):
-            r, x = pairs[p].tolist()
-            ref_sub, prox_sub = sets[r].subspace, sets[x].subspace
-            for label, (at, local) in enumerate(sides):
-                if not local.size:
-                    continue
-                (coords_r, norm_r), (coords_p, norm_p) = _side(sets, own, r, x, label)
-                keep = _kept(norm_r, norm_p)
-                if not keep.all():
-                    coords_r, coords_p = coords_r[keep], coords_p[keep]
-                    norm_r, norm_p = norm_r[keep], norm_p[keep]
-                f_tq = (coords_r @ ref_sub) / norm_r[:, None]
-                f_pq = (coords_p @ prox_sub) / norm_p[:, None]
-                out[at, 0], out[at, 1], out[at, 2] = norm_p[local], norm_r[local], s3
-                out[at, 3] = np.abs(f_pq @ f_pt)[local]
-                out[at, 4] = np.abs(f_tq @ f_tp)[local]
+    # every entry's kept rows are one run of the output
+    first = np.flatnonzero(np.diff(entry, prepend=-1))
+    busy = entry[first]
+    start, count = np.zeros((2, pairs.size), dtype=np.intp)
+    start[busy], count[busy] = first, np.diff(first, append=entry.size)
+    held = np.unique(busy >> 1)
+    s3, modes = _canonical(sets, pairs[held])
+
+    def write(block, cross_norm, own_norm, cross_recon, own_recon):
+        """A block's kept rows from its cross norms and reconstructions,
+        (B, m) and (B, m, d), and its side set's, (m,) and (m, d)."""
+        q, label = np.searchsorted(held, block >> 1), block & 1
+        # one matrix-vector product per entry, as the pool's pair took
+        cross_dot = np.abs(np.matmul(cross_recon, modes[q, 1 - label][:, :, None]))[..., 0]
+        own_dot = np.abs(np.matmul(own_recon, modes[q, label][:, :, None]))[..., 0]
+        n = count[block]
+        b = np.repeat(np.arange(block.size), n)
+        rows = np.arange(b.size) + np.repeat(start[block] - np.cumsum(n) + n, n)
+        label, at = label[b], local[rows]
+        # positives (label 0) read the cross projection as s1 and s4,
+        # negatives as s2 and s5
+        out[rows, label], out[rows, 1 - label] = cross_norm[b, at], own_norm[at]
+        out[rows, 3 + label], out[rows, 4 - label] = cross_dot[b, at], own_dot[b, at]
+        out[rows, 2] = s3[q[b]]
+
+    for s, blocks in _by_side(sets, pairs, busy[whole[busy]]):
+        own, own_norm = _own(sets[s])
+        own_recon = _recon(own, sets[s].subspace, own_norm)
+        for block in blocks:
+            cross, cross_norm, bases = _cross(sets, pairs, block)
+            write(block, cross_norm, own_norm, _recon(cross, bases, cross_norm), own_recon)
+    for e in busy[~whole[busy]].tolist():
+        block = np.array([e])
+        side = sets[int(pairs.flat[e])]
+        own, own_norm = _own(side)
+        cross, cross_norm, bases = _cross(sets, pairs, block)
+        keep = (own_norm >= PROJECTION_FLOOR) & (cross_norm[0] >= PROJECTION_FLOOR)
+        own, own_norm, cross, cross_norm = own[keep], own_norm[keep], cross[:, keep], cross_norm[:, keep]
+        own_recon = _recon(own, side.subspace, own_norm)
+        write(block, cross_norm, own_norm, _recon(cross, bases, cross_norm), own_recon)
     return out
 
 
@@ -251,8 +320,12 @@ def build_training_corpus(
     if baseline == EXEMPLAR:
         counts = sizes * (sizes - 1)
     else:
-        own = {i: _onto(sets, i, i) for i in np.unique(pairs).tolist()}
-        counts = _subspace_counts(sets, own, pairs)
+        counts = np.zeros(pairs.shape, dtype=np.intp)
+        for s, blocks in _by_side(sets, pairs, np.arange(pairs.size)):
+            own = _own(sets[s])[1] >= PROJECTION_FLOOR
+            for block in blocks:
+                cross = _cross(sets, pairs, block)[1] >= PROJECTION_FLOOR
+                counts.flat[block] = np.count_nonzero(own & cross, axis=1)
         skipped = int(np.sum(sizes) - np.sum(counts))
         if skipped:
             log.info("subspace extraction skipped %d degenerate projections", skipped)
@@ -262,11 +335,12 @@ def build_training_corpus(
         kept = _stratified_cap(n_pos, n_neg, cap, rng)
     else:
         kept = np.arange(n_pos), np.arange(n_neg)
-    pair_of, groups = _kept_by_pair(counts, kept)
+    pair_of, local, groups = _kept_by_pair(counts, kept)
     if baseline == EXEMPLAR:
         rows = _exemplar_rows(sets, pairs, groups, pair_of.size)
     else:
-        rows = _subspace_rows(sets, own, pairs, groups, pair_of.size)
+        entry = 2 * pair_of + np.repeat([0, 1], [kept[0].size, kept[1].size])
+        rows = _subspace_rows(sets, pairs, (counts == sizes).reshape(-1), entry, local)
 
     ids = np.array(gallery.set_ids, dtype=object)[pairs[pair_of]]
     label = np.repeat([1.0, 0.0], [kept[0].size, kept[1].size])

@@ -1,18 +1,21 @@
+import functools
 import logging
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqts.metafeat
 import lqts.similarity
 from lqts import corpus, synth
 from lqts.corpus import FaceSet, Gallery, ProxyTable
 from lqts.errors import CorpusError
 from lqts.metafeat import build_training_corpus
-from lqts.retrieval import select_proxies
-from lqts.similarity import fit_subspace
+from lqts.retrieval import PAIR_BLOCK, select_proxies
+from lqts.similarity import DEFAULT_SUBSPACE_DIM, fit_subspace
 
 from conftest import random_set
 from oracles import extract_exemplar, extract_subspace, feature, reference_training_corpus
@@ -400,7 +403,8 @@ def extraction_cases(draw):
     rows: the last two give exact |cosine| ties, rank-deficient subspaces
     and exemplars orthogonal to another set's subspace, which are
     degenerate projections. A set may have no proxies, and the table may
-    be empty.
+    be empty. Or one hub set is the first proxy of every other set, so
+    its side has many partners of mixed subspace rank.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 5))
@@ -417,13 +421,16 @@ def extraction_cases(draw):
         x[~x.any(axis=1), 0] = 1.0
         return x
 
-    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=7))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=8))
     gallery = Gallery(sets=tuple(FaceSet(f"s{i}", exemplars(m)) for i, m in enumerate(sizes)))
     ids = gallery.set_ids
+    hub = draw(st.none() | st.sampled_from(ids))
     entries = {}
     for i, sid in enumerate(ids):
         others = [ids[j] for j in range(len(ids)) if j != i]
         plist = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+        if hub is not None and sid != hub:
+            plist = [hub, *(p for p in plist if p != hub)][:3]
         if plist:
             entries[sid] = tuple((pid, 1.0) for pid in plist)
     table = ProxyTable(k_p=3, entries=entries)
@@ -436,9 +443,14 @@ class TestCapFirstMatchesReference:
     replaced, bit for bit, at every kind of cap."""
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
-    @given(case=extraction_cases(), which=st.sampled_from(["one", "below", "equal", "above"]), data=st.data())
+    @given(
+        case=extraction_cases(),
+        which=st.sampled_from(["one", "below", "equal", "above"]),
+        block=st.sampled_from([2, PAIR_BLOCK]),
+        data=st.data(),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_equals_reference(self, baseline, case, which, data):
+    def test_equals_reference(self, baseline, case, which, block, data):
         gallery, table, n_train_sets, seed = case
         args = (gallery, table, baseline, n_train_sets)
         pool = len(reference_training_corpus(*args, cap=10**9, seed=seed))
@@ -449,9 +461,73 @@ class TestCapFirstMatchesReference:
             "above": pool + data.draw(st.integers(1, 50)),
         }[which]
         want, want_log = logged(reference_training_corpus, *args, cap=cap, seed=seed)
-        got, got_log = logged(build_training_corpus, *args, cap=cap, seed=seed)
+        # a small block splits a side set's partners over several products
+        with mock.patch.object(lqts.metafeat, "PAIR_BLOCK", block):
+            got, got_log = logged(build_training_corpus, *args, cap=cap, seed=seed)
         assert_same_table(got, want)
         assert got_log == want_log
+
+    @pytest.mark.parametrize("block", [2, PAIR_BLOCK])
+    @pytest.mark.parametrize("which", ["one", "below", "equal", "above"])
+    def test_hub_with_mixed_ranks_and_degenerate_rows(self, rng, block, which):
+        # in R^4 the hub spans the first three axes; `line` spans the first
+        # and `plane` the second and fourth, so the hub's exemplars on the
+        # other axes are degenerate against them. The hub is the first proxy
+        # of every other set, and its partners have subspace ranks 1 to 4.
+        hub = FaceSet("hub", np.diag([1.0, 2.0, 3.0, 0.0])[:3])
+        line = FaceSet("line", np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]))
+        plane = FaceSet("plane", np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+        others = tuple(random_set(rng, f"g{m}", n=m, d=4) for m in (2, 3, 4, 5, 6))
+        g = Gallery(sets=(hub, line, plane, *others))
+        ids = g.set_ids
+        entries = {sid: (("hub", 1.0), (ids[i % (len(ids) - 1) + 1], 0.5)) for i, sid in enumerate(ids[1:], 1)}
+        entries["hub"] = (("line", 1.0), ("plane", 0.9), ("g2", 0.8))
+        table = ProxyTable(k_p=3, entries=entries)
+        partners = [pid for sid, plist in entries.items() for pid, _ in plist if sid == "hub"]
+        partners += [sid for sid, plist in entries.items() if sid != "hub"]
+        assert {len(g.get(sid).subspace) for sid in partners} == {1, 2, 3, 4}
+
+        args = (g, table, "subspace", len(g))
+        pool = len(reference_training_corpus(*args, cap=10**9))
+        cap = {"one": 1, "below": pool // 2, "equal": pool, "above": pool + 5}[which]
+        want, want_log = logged(reference_training_corpus, *args, cap=cap)
+        assert want_log and want_log[0].startswith("subspace extraction skipped")
+        with mock.patch.object(lqts.metafeat, "PAIR_BLOCK", block):
+            got, got_log = logged(build_training_corpus, *args, cap=cap)
+        assert_same_table(got, want)
+        assert got_log == want_log
+
+    @given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from(["below", "equal"]))
+    @settings(max_examples=40, deadline=None)
+    def test_degenerate_rows_among_generic_ones(self, seed, which):
+        # in R^8, sets a0..a3 hold generic exemplars in the first six axes
+        # and one or two along axis 6 or 7; b0..b2 hold six or more generic
+        # ones in the first six, so their subspaces are those six axes. An
+        # a-set's rows against a b-set are degenerate on axes 6 and 7 and
+        # generic elsewhere, where the product of the kept rows alone can
+        # round unlike the same rows of the whole product: with one kept
+        # row it is a matrix-vector product, not a matrix product.
+        rng = np.random.default_rng(seed)
+
+        def exemplars(n_generic, extra):
+            x = np.zeros((n_generic + len(extra), 8))
+            x[:n_generic, :6] = rng.normal(size=(n_generic, 6))
+            x[np.arange(n_generic, x.shape[0]), extra] = 1.0
+            return rng.permutation(x)
+
+        extra = [rng.choice([6, 7], size=int(rng.integers(1, 3))) for _ in range(4)]
+        a_sets = [FaceSet(f"a{i}", exemplars(int(rng.integers(1, 9)), e)) for i, e in enumerate(extra)]
+        b_sets = [FaceSet(f"b{i}", exemplars(int(rng.integers(6, 12)), [])) for i in range(3)]
+        g = Gallery(sets=(*a_sets, *b_sets))
+        entries = {s.set_id: tuple((t.set_id, 1.0) for t in b_sets) for s in a_sets}
+        entries |= {s.set_id: tuple((t.set_id, 1.0) for t in a_sets[:3]) for s in b_sets}
+        args = (g, ProxyTable(k_p=3, entries=entries), "subspace", len(g))
+        pool = len(reference_training_corpus(*args, cap=10**9))
+        cap = {"below": pool // 2, "equal": pool}[which]
+        want, want_log = logged(reference_training_corpus, *args, cap=cap)
+        got, got_log = logged(build_training_corpus, *args, cap=cap)
+        assert want_log and want_log == got_log
+        assert_same_table(got, want)
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_empty_proxy_table(self, rng, baseline):
@@ -478,9 +554,11 @@ class TestCapFirstMatchesReference:
 
 
 class TestExtractionMemory:
-    """At a fixed cap, extraction holds one pair's products and the kept
-    rows, not the pool, so its peak does not grow with the number of
-    reference sets."""
+    """At a fixed cap, extraction holds one block of products and the kept
+    rows, not the pool: under the exemplar baseline one pair's products,
+    so its peak does not grow with the number of reference sets, and
+    under the subspace baseline one side set's products for PAIR_BLOCK
+    partners or fewer, plus the modes of the pairs with kept rows."""
 
     CAP = 1000
 
@@ -513,3 +591,26 @@ class TestExtractionMemory:
         assert large < 1.1 * small
         # pooling every row before the cap breaks the bound
         assert self.peak(reference_training_corpus, gallery, proxies, 16) > 10 * bound
+
+    def test_subspace_peak_bounded_by_a_block_and_kept_rows(self, unsampled, monkeypatch):
+        # two partners per product, so that one block is small beside the
+        # kept rows and any product that grows with the reference sets
+        # shows. What does grow is the pair modes held for the row build,
+        # 2 d floats per pair with kept rows.
+        gallery, proxies = unsampled
+        monkeypatch.setattr(lqts.metafeat, "PAIR_BLOCK", 2)
+        build = functools.partial(build_training_corpus, baseline="subspace")
+        d, n_max, k = gallery.dim, max(s.size for s in gallery), DEFAULT_SUBSPACE_DIM
+        # a block's projections, norms, reconstructions, dots and bases, and
+        # its side set's own projection and reconstruction
+        block_bytes = 8 * (2 * (n_max * (k + d + 3) + k * d) + n_max * (k + d + 1))
+        kept_bytes = self.CAP * (5 * 8 + corpus.FEATURE_DTYPE.itemsize)
+
+        def modes_bytes(n_train_sets):
+            return 8 * 2 * d * n_train_sets * proxies.k_p
+
+        small = self.peak(build, gallery, proxies, 8)
+        large = self.peak(build, gallery, proxies, 16)
+        assert small < 2 * (block_bytes + kept_bytes + modes_bytes(8))
+        assert large < 2 * (block_bytes + kept_bytes + modes_bytes(16))
+        assert large < 1.1 * small + modes_bytes(16) - modes_bytes(8)

@@ -5,23 +5,32 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import lqts.svr
 from lqts.errors import TrainingError
 from lqts.svr import (
+    ETA_FLOOR,
     PREDICT_BLOCK_BYTES,
     SvrConfig,
     SvrModel,
     _RowCache,
+    _second_order_j,
     predict,
     train,
 )
 
 from conftest import training_table
-from oracles import dual_objective, rbf_kernel, reference_predict, reference_train, reference_train_wss2
+from oracles import (
+    _wss2_j,
+    dual_objective,
+    rbf_kernel,
+    reference_predict,
+    reference_train,
+    reference_train_wss2,
+)
 
 
 def assert_same_model(got: SvrModel, want: SvrModel) -> None:
@@ -500,6 +509,40 @@ class TestMatchesReferenceSolver:
         assert got.n_support > 0
         assert np.all(np.abs(got.coefficients) == config.cost)
         assert_same_model(got, reference_train_wss2(table, config))
+
+
+# criterion values: exact ties, +inf (cannot move down), and values within
+# 1e-169 of m_up, whose b^2 underflows to 0
+CRITERIA = [-1.0, -0.5, -3e-170, -1e-170, 0.0, 1e-170, 2e-170, 0.25, 0.5, 1.0, np.inf]
+# kernel values: 1 gives the curvature floor, 1 - 2^-52 the smallest curvature above it
+KERNEL_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-52, 1.0]
+
+
+class TestSecondOrderJ:
+    """`_second_order_j` scores only the candidates, and picks what the
+    full-width rule of `reference_train_wss2` picks."""
+
+    @given(data=st.data(), n=st.integers(1, 6), m_up=st.sampled_from([0.0, 1e-170, 0.5]))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_full_width_rule(self, data, n, m_up):
+        lowv = np.array(data.draw(st.lists(st.sampled_from(CRITERIA), min_size=2 * n, max_size=2 * n)))
+        lowv = lowv.reshape(2, n)
+        ki = np.array(data.draw(st.lists(st.sampled_from(KERNEL_VALUES), min_size=n, max_size=n)))
+        assume(np.any(lowv < m_up))  # train selects only while the gap is open
+        j, eta = _second_order_j(lowv, m_up, ki)
+        assert j == _wss2_j(lowv.ravel(), m_up, np.concatenate([ki, ki]))
+        assert eta == max(2.0 * (1.0 - ki[j % n]), ETA_FLOOR)
+
+    def test_every_score_underflows_to_the_first_candidate(self):
+        # candidates at flat 2, 3 and 5, b = 1e-170, 2e-170 and 1e-170:
+        # every b^2 / a is 0, and flat 0, the first zero of a full-width
+        # pass that zeroes non-candidates, cannot move down
+        lowv = np.array([[np.inf, 1.0, 0.0], [-1e-170, np.inf, 0.0]])
+        m_up = 1e-170
+        assert np.all((m_up - lowv[lowv < m_up]) ** 2 == 0.0)
+        j, eta = _second_order_j(lowv, m_up, np.array([0.5, 0.25, 1.0]))
+        assert j == 2 == _wss2_j(lowv.ravel(), m_up, np.array([0.5, 0.25, 1.0] * 2))
+        assert eta == ETA_FLOOR
 
 
 class TestMaxPassesWarning:
