@@ -26,19 +26,21 @@ WEIGHT_FLOOR = 1e-300
 EIGEN_RTOL = 1e-12
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, rows of x against rows of y."""
-    xx = np.sum(x * x, axis=1)[:, None]
-    yy = np.sum(y * y, axis=1)[None, :]
-    d = xx + yy - 2.0 * (x @ y.T)
+def _sq_dists(x: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances between the rows of x."""
+    xx = np.sum(x * x, axis=1)
+    d = xx[:, None] + xx[None, :] - 2.0 * (x @ x.T)
     return np.maximum(d, 0.0)
 
 
 def median_heuristic_gamma(exemplars: np.ndarray) -> float:
     """RBF bandwidth 1 / (2 * median^2) of pairwise distances."""
-    n = exemplars.shape[0]
-    iu = np.triu_indices(n, k=1)
-    dists = np.sqrt(_sq_dists(exemplars, exemplars)[iu])
+    return _median_gamma(_sq_dists(exemplars))
+
+
+def _median_gamma(d2: np.ndarray) -> float:
+    """median_heuristic_gamma from the set's pairwise squared distances."""
+    dists = np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)])
     med = float(np.median(dists))
     if med == 0.0:
         positive = dists[dists > 0]
@@ -100,11 +102,12 @@ def fit_kpca(s: FaceSet, gamma: float | str = "auto") -> KpcaModel:
     n = x.shape[0]
     if n < 2:
         raise DegenerateSetError(f"set {s.set_id!r}: need at least 2 exemplars for KPCA")
+    d2 = _sq_dists(x)
     try:
-        g = median_heuristic_gamma(x) if gamma == "auto" else gamma
+        g = _median_gamma(d2) if gamma == "auto" else gamma
     except DegenerateSetError as exc:
         raise DegenerateSetError(f"set {s.set_id!r}: {exc}") from None
-    k = np.exp(-g * _sq_dists(x, x))
+    k = np.exp(-g * d2)
     h = np.eye(n) - np.full((n, n), 1.0 / n)
     kc = h @ k @ h
     vals, vecs = np.linalg.eigh(kc)
@@ -148,12 +151,12 @@ def pre_images(m: KpcaModel, targets: ArrayLike) -> np.ndarray:
     It falls back to that exemplar on non-convergence or degenerate
     weights, so every row is finite with positive norm.
 
-    The targets iterate together, and a target leaves the live set when it
-    finishes. Every reduction keeps the summation order of one target
-    alone: sums run along contiguous rows, the weighted sum is one gemv per
-    target (a stacked (1, n) @ (n, d) matmul) and norms are sqrt(dot), as
-    np.linalg.norm computes them. So each row does not depend on the other
-    targets, bit for bit.
+    The targets iterate together through one (T, n, d) buffer and leave the
+    live arrays as they finish or fall back. Every reduction keeps the
+    summation order of one target alone: sums run along contiguous rows,
+    the weighted sum is one gemv per target (a stacked (1, n) @ (n, d)
+    matmul) and norms are sqrt(dot), as np.linalg.norm computes them. So
+    each row does not depend on the other targets, bit for bit.
     """
     z = np.asarray(targets, dtype=float)
     nearest = np.argmin(np.abs(m.projections - z[:, None]), axis=1)
@@ -161,20 +164,27 @@ def pre_images(m: KpcaModel, targets: ArrayLike) -> np.ndarray:
     live = np.arange(z.size)
     x = out.copy()
     c = expansion_coefficients(m, z[:, None])
+    diff = np.empty((z.size, *m.exemplars.shape))
     for _ in range(PREIMAGE_MAX_ITER):
-        d2 = np.sum((m.exemplars - x[:, None, :]) ** 2, axis=2)
-        w = c * np.exp(-m.gamma * d2)
+        sq = np.subtract(m.exemplars, x[:, None, :], out=diff[: live.size])
+        w = np.square(sq, out=sq).sum(axis=2)
+        w *= -m.gamma
+        np.multiply(c, np.exp(w, out=w), out=w)
         denom = np.sum(w, axis=1)
         keep = np.isfinite(denom) & (np.abs(denom) >= WEIGHT_FLOOR)
-        live, x, c, w, denom = live[keep], x[keep], c[keep], w[keep], denom[keep]
-        x_new = np.matmul(w[:, None, :], m.exemplars)[:, 0] / denom[:, None]
+        if not keep.all():
+            live, x, c, w, denom = live[keep], x[keep], c[keep], w[keep], denom[keep]
+        x_new = np.matmul(w[:, None, :], m.exemplars)[:, 0]
+        x_new /= denom[:, None]
         keep = np.all(np.isfinite(x_new), axis=1)
-        live, x, c, x_new = live[keep], x[keep], c[keep], x_new[keep]
+        if not keep.all():
+            live, x, c, x_new = live[keep], x[keep], c[keep], x_new[keep]
         step = x_new - x
-        done = np.sqrt(np.vecdot(step, step)) < PREIMAGE_STEP_TOL
-        found = done & (np.sqrt(np.vecdot(x_new, x_new)) != 0.0)
-        out[live[found]] = x_new[found]
-        live, x, c = live[~done], x_new[~done], c[~done]
+        x = x_new
+        if (done := np.sqrt(np.vecdot(step, step)) < PREIMAGE_STEP_TOL).any():
+            found = done & (np.sqrt(np.vecdot(x, x)) != 0.0)
+            out[live[found]] = x[found]
+            live, x, c = live[~done], x[~done], c[~done]
         if live.size == 0:
             break
     return out
@@ -193,8 +203,8 @@ def robust_select(
     dominant kernel component. Sets already at or below n_samples pass
     through unchanged.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer >= 2 (got {n_samples!r})")
     gamma = _checked_gamma(gamma)
     if s.size <= n_samples:
         return s

@@ -13,33 +13,34 @@ The dual box-constrained QP
 
 is solved by pairwise coordinate descent with exact two-variable line
 search and kernel rows computed on demand behind a small cache. The
-solver state is theta, shape (2, l) (row 0 a, row 1 a*), and two arrays
-holding the KKT criterion crit = -sign * gradient: `upv` where a
-variable may still move up (-inf elsewhere) and `lowv` where it may
-move down (+inf elsewhere). Each pair update takes the maximal violator
-i (the argmax of upv) and, by second-order working-set selection (Fan,
-Chen & Lin, JMLR 2005, as in LIBSVM), the j that may move down and
-maximises b^2 / a, with b = max(upv) - crit_j > 0 and a = 2 (1 - K_ij)
-floored at ETA_FLOOR, from the kernel row of i it fetches anyway. Only
-the candidates, the entries of lowv below max(upv), can win, and they
-are few (medians of 39 of about 4,500 entries of lowv on the seed-11
-`subspace-lane` bench corpus, 147 of about 2,900 on `exemplar-cap2000`),
-so one pass over lowv finds them and b and a are computed at those
-alone. An update then costs that pass, the argmax
-and minimum that give i and the gap, and two broadcast subtracts over
-the active entries, plus a refresh of the two entries whose bound
-status may have changed.
+solver state is theta, shape (2, l) (row 0 a, row 1 a*), and the KKT
+criterion crit = -sign * gradient in one (4, l) array: rows 0-1, `upv`,
+where a variable may still move up (-inf elsewhere) and rows 2-3, `lowv`,
+where it may move down (+inf elsewhere). Each pair update takes the
+maximal violator i (the argmax of upv) and, by second-order working-set
+selection (Fan, Chen & Lin, JMLR 2005, as in LIBSVM), the j that may
+move down and maximises b^2 / a, with b = max(upv) - crit_j > 0 and
+a = 2 (1 - K_ij) floored at ETA_FLOOR, from the kernel row of i it
+fetches anyway. Only the candidates, the entries of lowv below max(upv),
+can win, and they are few (medians of 39 of about 4,500 entries of lowv
+on the seed-11 `subspace-lane` bench corpus, 147 of about 2,900 on
+`exemplar-cap2000`), so one pass over lowv finds them and b and a are
+computed at those alone. An update then costs that pass, the argmax and
+minimum that give i and the gap, and one broadcast subtract over the
+active entries of all four rows, plus a refresh of the two entries whose
+bound status may have changed; its scalars are Python floats.
 
 Shrinking (Joachims 1999; LIBSVM section 5): every SHRINK_EVERY updates,
 a row leaves the arrays when both of its variables sit where the gap
 keeps them, each either only able to move up with crit below min(lowv)
 or only able to move down with crit above max(upv). The loop, the row
-cache and the subtracts then run over the remaining rows. The criteria
-of the rows that left are rebuilt from scratch, base - K[rows] @ beta,
-when the active gap first falls to 10 * kkt_tolerance and again when it
-falls to kkt_tolerance or the update budget runs out, and every row is
-active again. So the stopping rule, the reported gap and the budget
-warning always cover all 2l variables. The predictor is
+cache (which narrows a cached row when it next reads it) and the
+subtracts then run over the remaining rows. The criteria of the rows
+that left are rebuilt from scratch, base - K[rows] @ beta, when the
+active gap first falls to 10 * kkt_tolerance and again when it falls to
+kkt_tolerance or the update budget runs out, and every row is active
+again. So the stopping rule, the reported gap and the budget warning
+always cover all 2l variables. The predictor is
 h(x) = sum_i b_i * exp(-gamma ||x_i - x||^2) + bias.
 
 `predict` evaluates it in row blocks whose kernel buffer stays under
@@ -56,6 +57,7 @@ from `_kernel_matvec`, which shares only the exponent weights with
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -215,41 +217,48 @@ def predict(model: SvrModel, x: np.ndarray):
 
 
 class _RowCache:
-    """FIFO cache of kernel matrix rows, bounded by ROW_CACHE_BYTES."""
+    """FIFO cache of at most ROW_CACHE_BYTES // (8 * active points) kernel
+    rows, and two at least. `keep` copies no row: when next read, a row is
+    narrowed through the masks kept since it was computed. So reads and
+    FIFO order are those of narrowing every row at every `keep`, and no row
+    holds more values than when it was computed or is held twice."""
 
     def __init__(self, x: np.ndarray, gamma: float):
         self.x = x
         self.gamma = gamma
         self.sq = np.sum(x * x, axis=1)
-        self.max_rows = max(2, ROW_CACHE_BYTES // (8 * x.shape[0]))
-        self.rows: dict[int, np.ndarray] = {}
+        self.masks: list[np.ndarray] = []
+        self.rows: dict[int, tuple[int, np.ndarray]] = {}
 
     def keep(self, mask: np.ndarray) -> None:
         """Restrict to the points where mask is true, renumbering them in
         order; cached rows keep their values and their FIFO order."""
-        pos = np.cumsum(mask) - 1
+        pos = np.where(mask, np.cumsum(mask) - 1, -1).tolist()
         self.x, self.sq = self.x[mask], self.sq[mask]
-        self.max_rows = max(2, ROW_CACHE_BYTES // (8 * self.x.shape[0]))
-        self.rows = {int(pos[i]): r[mask] for i, r in self.rows.items() if mask[i]}
+        self.rows = {pos[i]: r for i, r in self.rows.items() if pos[i] >= 0}
+        self.masks.append(mask)
 
     def row(self, i: int) -> np.ndarray:
-        cached = self.rows.get(i)
-        if cached is not None:
-            return cached
-        d2 = np.maximum(self.sq + self.sq[i] - 2.0 * (self.x @ self.x[i]), 0.0)
-        r = np.exp(-self.gamma * d2)
-        if len(self.rows) >= self.max_rows:
-            self.rows.pop(next(iter(self.rows)))
-        self.rows[i] = r
+        seen, r = self.rows.get(i, (len(self.masks), None))
+        if r is None:
+            d2 = np.maximum(self.sq + self.sq[i] - 2.0 * (self.x @ self.x[i]), 0.0)
+            r = np.exp(-self.gamma * d2)
+            if len(self.rows) >= max(2, ROW_CACHE_BYTES // (8 * self.sq.size)):
+                self.rows.pop(next(iter(self.rows)))
+        elif seen == len(self.masks):
+            return r
+        for mask in self.masks[seen:]:
+            r = r[mask]
+        self.rows[i] = (len(self.masks), r)
         return r
 
 
-def _filed(crit: np.ndarray, theta: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """(upv, lowv): crit where a variable may move up (down), -inf (+inf)
-    elsewhere. Row 0 of theta holds alpha (sign +1), row 1 alpha* (sign -1)."""
+def _filed(crit: np.ndarray, theta: np.ndarray, c: float) -> np.ndarray:
+    """(4, l): crit where a variable may move up (down), -inf (+inf) elsewhere,
+    in rows 0-1 (2-3). Row 0 of theta holds alpha (sign +1), row 1 alpha*."""
     up = np.vstack([theta[0] < c, theta[1] > 0.0])
     low = np.vstack([theta[0] > 0.0, theta[1] < c])
-    return np.where(up, crit, -np.inf), np.where(low, crit, np.inf)
+    return np.vstack([np.where(up, crit, -np.inf), np.where(low, crit, np.inf)])
 
 
 def _kernel_matvec(x: np.ndarray, sv: np.ndarray, coeff: np.ndarray, gamma: float) -> np.ndarray:
@@ -294,7 +303,7 @@ def _second_order_j(lowv: np.ndarray, m_up: float, ki: np.ndarray) -> tuple[int,
     score *= score
     score /= a
     best = score.argmax()
-    return int(cand[best]), float(a[best])
+    return cand.item(best), a.item(best)
 
 
 def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
@@ -328,28 +337,28 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
     sign = np.array([[1.0], [-1.0]])
     base = -sign * np.vstack([eps - y, eps + y])  # -sign * gradient at theta = 0
     # every variable is in at least one of upv and lowv, so no gradient
-    # array is kept
-    upv, lowv = _filed(base, theta, c)
-    active = np.arange(l)  # the rows, in order, that upv, lowv and the cache hold
+    # array is kept; upv and lowv are rows 0-1 and 2-3 of one state
+    state = _filed(base, theta, c)
+    active = np.arange(l)  # the rows, in order, that the state and the cache hold
     cache = _RowCache(x, gamma)
 
     def refresh(r: int, a: int, row: int) -> None:
         """Re-file variable (r, a) after its bound status may have changed."""
-        v = upv[r, a] if upv[r, a] != -np.inf else lowv[r, a]
-        th = theta[r, row]
-        upv[r, a] = v if (th < c if r == 0 else th > 0.0) else -np.inf
-        lowv[r, a] = v if (th > 0.0 if r == 0 else th < c) else np.inf
+        v = state[r, a] if state[r, a] != -np.inf else state[2 + r, a]
+        th = theta.item(r, row)
+        state[r, a] = v if (th < c if r == 0 else th > 0.0) else -np.inf
+        state[2 + r, a] = v if (th > 0.0 if r == 0 else th < c) else np.inf
 
     def shrink(m_up: float, m_low: float) -> bool:
         """Drop the rows both of whose variables sit at a bound they would
         only leave after the gap closed past them; True if any were."""
-        nonlocal upv, lowv, active
+        nonlocal state, active
         gone = ((lowv == np.inf) & (upv < m_low)) | ((upv == -np.inf) & (lowv > m_up))
         keep = ~(gone[0] & gone[1])
         if keep.all():
             return False
-        # compress keeps them C-ordered; upv[:, keep] would be Fortran-ordered
-        upv, lowv = np.compress(keep, upv, axis=1), np.compress(keep, lowv, axis=1)
+        # compress keeps it C-ordered; state[:, keep] would be Fortran-ordered
+        state = np.compress(keep, state, axis=1)
         active = active[keep]
         cache.keep(keep)
         return True
@@ -357,7 +366,7 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
     def unshrink() -> None:
         """Rebuild the dropped rows' criteria from scratch and make every
         row active again."""
-        nonlocal upv, lowv, active, cache
+        nonlocal state, active, cache
         crit = np.empty((2, l))
         crit[:, active] = np.where(upv != -np.inf, upv, lowv)
         stale = np.ones(l, dtype=bool)
@@ -365,7 +374,7 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
         beta = theta[0] - theta[1]
         sv = np.flatnonzero(beta)
         crit[:, stale] = base[:, stale] - _kernel_matvec(x[stale], x[sv], beta[sv], gamma)
-        upv, lowv = _filed(crit, theta, c)
+        state = _filed(crit, theta, c)
         active = np.arange(l)
         cache = _RowCache(x, gamma)
 
@@ -377,11 +386,12 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
     t = np.empty(0)  # work buffer, sized to the active rows
     while True:
         n = active.size
-        i = int(np.argmax(upv))
+        upv, lowv = state[:2], state[2:]
+        i = upv.argmax().item()
         ri, ia = divmod(i, n)
-        m_up, m_low = upv[ri, ia], lowv.min()
-        gap = float(m_up - m_low)
-        stop = not np.isfinite(gap) or gap <= tol or updates == config.max_passes
+        m_up, m_low = upv.item(i), lowv.min().item()
+        gap = m_up - m_low
+        stop = not math.isfinite(gap) or gap <= tol or updates == config.max_passes
         first_near = not near and gap <= 10 * tol
         near = near or first_near
         if n < l and (stop or first_near):
@@ -400,10 +410,11 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
         j, eta = _second_order_j(lowv, m_up, ki)
         rj, ja = divmod(j, n)
         kj = cache.row(ja)
-        dg = float(lowv[rj, ja] - m_up)  # negative by selection
-        row_i, row_j = active[ia], active[ja]
-        lim_i = (c - theta[ri, row_i]) if ri == 0 else theta[ri, row_i]
-        lim_j = theta[rj, row_j] if rj == 0 else (c - theta[rj, row_j])
+        dg = lowv.item(j) - m_up  # negative by selection
+        row_i, row_j = active.item(ia), active.item(ja)
+        th_i, th_j = theta.item(ri, row_i), theta.item(rj, row_j)
+        lim_i = (c - th_i) if ri == 0 else th_i
+        lim_j = th_j if rj == 0 else (c - th_j)
         delta = min(-dg / eta, lim_i, lim_j)
 
         obj += delta * dg + 0.5 * delta * delta * eta
@@ -414,16 +425,15 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
         if delta == lim_i:
             theta[ri, row_i] = c if ri == 0 else 0.0
         else:
-            theta[ri, row_i] += delta if ri == 0 else -delta
+            theta[ri, row_i] = th_i + delta if ri == 0 else th_i - delta
         if delta == lim_j:
             theta[rj, row_j] = 0.0 if rj == 0 else c
         else:
-            theta[rj, row_j] -= delta if rj == 0 else -delta
+            theta[rj, row_j] = th_j - delta if rj == 0 else th_j + delta
 
         np.subtract(ki, kj, out=t)
         t *= delta
-        upv -= t
-        lowv -= t
+        state -= t
         refresh(ri, ia, row_i)
         refresh(rj, ja, row_j)
 

@@ -19,8 +19,12 @@ row blocks replaced. `dual_objective` evaluates the SVR dual at a point.
 `reference_train` and `reference_train_wss2` are SVR dual solvers with
 every mask rebuilt on each pair update: the maximal-violating-pair solver
 `lqts.svr.train` replaced, and `train`'s own pair rule without its
-shrinking. `oracle_pre_image` is the one-target fixed-point loop that
-`lqts.sampling.pre_images` runs for all of a set's targets together.
+shrinking. `eager_train` is the shrinking solver that `train` replaced,
+whose `EagerRowCache` narrows every cached row at each shrinking pass.
+`oracle_pre_image` is the one-target fixed-point loop that
+`lqts.sampling.pre_images` runs for all of a set's targets together;
+`oracle_pre_image_run` also tells after how many steps it ended and
+whether it fell back.
 """
 
 import logging
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lqts import sampling
+from lqts import sampling, svr
 from lqts.corpus import FaceSet, ProxyTable, feature_table
 from lqts.errors import DimensionMismatchError, TrainingError
 from lqts.metafeat import DEFAULT_CAP, DEFAULT_TRAIN_SETS, PROJECTION_FLOOR, _stratified_cap
@@ -301,26 +305,32 @@ def oracle_pre_image(m: sampling.KpcaModel, z_target: float) -> np.ndarray:
     falling back to that exemplar on degenerate weights, a non-finite or
     zero-norm iterate, or no convergence within PREIMAGE_MAX_ITER steps
     (read at call time)."""
+    return oracle_pre_image_run(m, z_target)[0]
+
+
+def oracle_pre_image_run(m: sampling.KpcaModel, z_target: float) -> tuple[np.ndarray, int, bool]:
+    """(oracle_pre_image(m, z_target), the steps it took, True if it fell
+    back)."""
     nearest = int(np.argmin(np.abs(m.projections - z_target)))
     fallback = m.exemplars[nearest].copy()
     c = sampling.expansion_coefficients(m, z_target)
     x = fallback.copy()
-    for _ in range(sampling.PREIMAGE_MAX_ITER):
+    for steps in range(1, sampling.PREIMAGE_MAX_ITER + 1):
         d2 = np.sum((m.exemplars - x) ** 2, axis=1)
         w = c * np.exp(-m.gamma * d2)
         denom = float(np.sum(w))
         if not np.isfinite(denom) or abs(denom) < sampling.WEIGHT_FLOOR:
-            return fallback
+            return fallback, steps, True
         x_new = (w @ m.exemplars) / denom
         if not np.all(np.isfinite(x_new)):
-            return fallback
+            return fallback, steps, True
         step = float(np.linalg.norm(x_new - x))
         x = x_new
         if step < sampling.PREIMAGE_STEP_TOL:
             if float(np.linalg.norm(x)) == 0.0:
-                return fallback
-            return x
-    return fallback
+                return fallback, steps, True
+            return x, steps, False
+    return fallback, sampling.PREIMAGE_MAX_ITER, True
 
 
 def score_lqts(query, target, proxies, model) -> float:
@@ -510,3 +520,168 @@ def reference_train_wss2(features, config: SvrConfig = SvrConfig()) -> SvrModel:
     """`lqts.svr.train` without shrinking: j by the second-order rule.
     `train` must match it bit for bit while it has shrunk nothing."""
     return _reference_solve(features, config, _wss2_j)
+
+
+class EagerRowCache:
+    """The row cache that `lqts.svr._RowCache` replaced: `keep` narrows
+    every cached row at once. Its bound reads `lqts.svr.ROW_CACHE_BYTES`
+    at construction and at every `keep`."""
+
+    def __init__(self, x: np.ndarray, gamma: float):
+        self.x = x
+        self.gamma = gamma
+        self.sq = np.sum(x * x, axis=1)
+        self.max_rows = max(2, svr.ROW_CACHE_BYTES // (8 * x.shape[0]))
+        self.rows: dict[int, np.ndarray] = {}
+
+    def keep(self, mask: np.ndarray) -> None:
+        pos = np.cumsum(mask) - 1
+        self.x, self.sq = self.x[mask], self.sq[mask]
+        self.max_rows = max(2, svr.ROW_CACHE_BYTES // (8 * self.x.shape[0]))
+        self.rows = {int(pos[i]): r[mask] for i, r in self.rows.items() if mask[i]}
+
+    def row(self, i: int) -> np.ndarray:
+        cached = self.rows.get(i)
+        if cached is not None:
+            return cached
+        d2 = np.maximum(self.sq + self.sq[i] - 2.0 * (self.x @ self.x[i]), 0.0)
+        r = np.exp(-self.gamma * d2)
+        if len(self.rows) >= self.max_rows:
+            self.rows.pop(next(iter(self.rows)))
+        self.rows[i] = r
+        return r
+
+
+def _eager_filed(crit: np.ndarray, theta: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    up = np.vstack([theta[0] < c, theta[1] > 0.0])
+    low = np.vstack([theta[0] > 0.0, theta[1] < c])
+    return np.where(up, crit, -np.inf), np.where(low, crit, np.inf)
+
+
+def eager_train(features, config: SvrConfig = SvrConfig()) -> SvrModel:
+    """The shrinking solver that `lqts.svr.train` replaced: upv and lowv
+    are two arrays, the scalars of a pair update numpy scalars, and every
+    shrinking pass narrows every cached row (`EagerRowCache`).
+    `lqts.svr.SHRINK_EVERY` is read at call time. `train` must match it bit
+    for bit, shrinking and cache evictions included."""
+    x, y = np.ascontiguousarray(features.s), np.ascontiguousarray(features.label)
+    if len(y) == 0:
+        raise TrainingError("empty training corpus")
+    l = x.shape[0]
+    c = config.cost
+    eps = config.epsilon
+    tol = config.kkt_tolerance
+    gamma = config.kernel_gamma
+
+    theta = np.zeros((2, l))
+    sign = np.array([[1.0], [-1.0]])
+    base = -sign * np.vstack([eps - y, eps + y])
+    upv, lowv = _eager_filed(base, theta, c)
+    active = np.arange(l)
+    cache = EagerRowCache(x, gamma)
+
+    def refresh(r: int, a: int, row: int) -> None:
+        v = upv[r, a] if upv[r, a] != -np.inf else lowv[r, a]
+        th = theta[r, row]
+        upv[r, a] = v if (th < c if r == 0 else th > 0.0) else -np.inf
+        lowv[r, a] = v if (th > 0.0 if r == 0 else th < c) else np.inf
+
+    def shrink(m_up: float, m_low: float) -> bool:
+        nonlocal upv, lowv, active
+        gone = ((lowv == np.inf) & (upv < m_low)) | ((upv == -np.inf) & (lowv > m_up))
+        keep = ~(gone[0] & gone[1])
+        if keep.all():
+            return False
+        upv, lowv = np.compress(keep, upv, axis=1), np.compress(keep, lowv, axis=1)
+        active = active[keep]
+        cache.keep(keep)
+        return True
+
+    def unshrink() -> None:
+        nonlocal upv, lowv, active, cache
+        crit = np.empty((2, l))
+        crit[:, active] = np.where(upv != -np.inf, upv, lowv)
+        stale = np.ones(l, dtype=bool)
+        stale[active] = False
+        beta = theta[0] - theta[1]
+        sv = np.flatnonzero(beta)
+        crit[:, stale] = base[:, stale] - _kernel_matvec(x[stale], x[sv], beta[sv], gamma)
+        upv, lowv = _eager_filed(crit, theta, c)
+        active = np.arange(l)
+        cache = EagerRowCache(x, gamma)
+
+    obj = 0.0
+    trace = [0.0]
+    updates = 0
+    next_shrink = svr.SHRINK_EVERY
+    near = False
+    t = np.empty(0)
+    while True:
+        n = active.size
+        i = int(np.argmax(upv))
+        ri, ia = divmod(i, n)
+        m_up, m_low = upv[ri, ia], lowv.min()
+        gap = float(m_up - m_low)
+        stop = not np.isfinite(gap) or gap <= tol or updates == config.max_passes
+        first_near = not near and gap <= 10 * tol
+        near = near or first_near
+        if n < l and (stop or first_near):
+            unshrink()
+            continue
+        if stop:
+            break
+        if updates == next_shrink:
+            next_shrink += svr.SHRINK_EVERY
+            if shrink(m_up, m_low):
+                continue
+
+        if t.shape[0] != n:
+            t = np.empty(n)
+        ki = cache.row(ia)
+        j, eta = svr._second_order_j(lowv, m_up, ki)
+        rj, ja = divmod(j, n)
+        kj = cache.row(ja)
+        dg = float(lowv[rj, ja] - m_up)
+        row_i, row_j = active[ia], active[ja]
+        lim_i = (c - theta[ri, row_i]) if ri == 0 else theta[ri, row_i]
+        lim_j = theta[rj, row_j] if rj == 0 else (c - theta[rj, row_j])
+        delta = min(-dg / eta, lim_i, lim_j)
+
+        obj += delta * dg + 0.5 * delta * delta * eta
+        trace.append(obj)
+        updates += 1
+
+        if delta == lim_i:
+            theta[ri, row_i] = c if ri == 0 else 0.0
+        else:
+            theta[ri, row_i] += delta if ri == 0 else -delta
+        if delta == lim_j:
+            theta[rj, row_j] = 0.0 if rj == 0 else c
+        else:
+            theta[rj, row_j] -= delta if rj == 0 else -delta
+
+        np.subtract(ki, kj, out=t)
+        t *= delta
+        upv -= t
+        lowv -= t
+        refresh(ri, ia, row_i)
+        refresh(rj, ja, row_j)
+
+    gap = max(gap, 0.0) if np.isfinite(gap) else 0.0
+    beta = theta[0] - theta[1]
+    nonbound = (theta > 0.0) & (theta < c)
+    bias = float(np.mean(upv[nonbound])) if np.any(nonbound) else float(np.mean(y))
+    keep = beta != 0.0
+    sv, coeff = x[keep], beta[keep]
+    exact = eps * float(np.sum(theta)) - float(y @ beta)
+    if coeff.size:
+        exact += 0.5 * float(coeff @ _kernel_matvec(sv, sv, coeff, gamma))
+    return SvrModel(
+        support_vectors=sv,
+        coefficients=coeff,
+        bias=bias,
+        config=config,
+        kkt_violation=gap,
+        objective=exact,
+        objective_trace=np.asarray(trace),
+    )

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lqts import sampling
@@ -21,7 +21,7 @@ from lqts.sampling import (
 from lqts.similarity import max_max_sim
 
 from conftest import random_set
-from oracles import oracle_pre_image
+from oracles import oracle_pre_image, oracle_pre_image_run
 
 
 def segment_set(n=100, seed=3, set_id="seg"):
@@ -221,6 +221,31 @@ def pre_image_cases(draw):
     return m, targets
 
 
+@st.composite
+def mid_run_fallback_cases(draw):
+    """Exemplars 0 and +-e_1 plus a few in [-1, 1]^d, alpha (0, k, 1 - k,
+    0, ...) and the target 1, whose coefficients are then alpha exactly.
+    That target starts at exemplar 0 and steps to (2k - 1) e_1, where with
+    k >= 25 and gamma >= 0.5 both of its nonzero weights underflow, so it
+    falls back at its second step. The other targets, near 0, have
+    moderate coefficients and finish at different steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 8))
+    d = draw(st.integers(1, 3))
+    x = np.zeros((n, d))
+    x[1, 0], x[2, 0] = 1.0, -1.0
+    x[3:] = rng.uniform(-1.0, 1.0, size=(n - 3, d))
+    k = draw(st.integers(25, 60))
+    alpha = np.zeros(n)
+    alpha[1], alpha[2] = k, 1 - k
+    projections = np.concatenate([[1.0], rng.integers(-3, 0, size=n - 1)])
+    m = crafted_model(x, alpha, projections, draw(st.sampled_from([0.5, 1.0, 2.0])))
+    near_zero = st.sampled_from([0.0, 0.01, 0.02, -0.01, 0.03, -0.5, -1.0, -2.0])
+    targets = draw(st.lists(near_zero, min_size=2, max_size=8))
+    targets.insert(draw(st.integers(0, len(targets))), 1.0)
+    return m, targets
+
+
 class TestPreImagesMatchOracle:
     """pre_images equals the one-target loop bit for bit, for every target."""
 
@@ -238,6 +263,18 @@ class TestPreImagesMatchOracle:
         targets = np.linspace(float(m.projections.min()), float(m.projections.max()), samples)
         want = np.stack([oracle_pre_image(m, z) for z in targets])
         assert np.array_equal(robust_select(s, samples).exemplars, want)
+
+    @given(case=mid_run_fallback_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_mid_run_fallbacks_among_targets_finishing_apart(self, case):
+        # both sides of the compaction branch run: iterations where no
+        # target leaves, and iterations where one falls back mid-run or
+        # finishes before the others
+        m, targets = case
+        runs = {z: oracle_pre_image_run(m, z)[1:] for z in targets}
+        assert runs[1.0] == (2, True)
+        assume(len({steps for steps, fell in runs.values() if not fell}) >= 2)
+        assert_matches_oracle(m, targets)
 
     def test_tied_projections_start_from_the_first(self):
         # z = 0 is equally near projections 1 and -1; every cross weight
@@ -331,6 +368,13 @@ class TestRobustSelect:
     def test_needs_two_samples(self, rng):
         with pytest.raises(ValueError):
             robust_select(random_set(rng, n=30, d=3), 1)
+
+    @pytest.mark.parametrize("n_samples", [10.0, 25.5])
+    def test_sample_count_must_be_an_integer(self, rng, n_samples):
+        # 10.0 would reach np.linspace, 25.5 would pass the 20-exemplar set
+        # through unchanged
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
+            robust_select(random_set(rng, n=20, d=3), n_samples)
 
 
 class TestMedianHeuristic:

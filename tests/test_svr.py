@@ -24,8 +24,10 @@ from lqts.svr import (
 
 from conftest import training_table
 from oracles import (
+    EagerRowCache,
     _wss2_j,
     dual_objective,
+    eager_train,
     rbf_kernel,
     reference_predict,
     reference_train,
@@ -651,6 +653,94 @@ class TestShrinking:
         gap, slack = kkt_certificate(x, y, got)
         assert got.kkt_violation == pytest.approx(gap, abs=slack)
         assert gap <= config.kkt_tolerance
+
+
+class TestShrinkingMatchesEagerSolver:
+    """train with rows leaving every few updates and a row cache of a few
+    rows, so that evictions mix with shrinks, returns exactly what the
+    solver it replaced returns: that one narrowed every cached row at
+    every shrinking pass, with numpy scalars and two criterion arrays."""
+
+    @given(shrink_problems(), st.integers(0, 8 * 40 * 6))
+    @settings(max_examples=200, deadline=None)
+    def test_property_exact(self, problem, cache_bytes):
+        x, y, config, every = problem
+        table = training_table(x, y)
+        with (
+            mock.patch.object(lqts.svr, "SHRINK_EVERY", every),
+            mock.patch.object(lqts.svr, "ROW_CACHE_BYTES", cache_bytes),
+        ):
+            got = train(table, config)
+            want = eager_train(table, config)
+        assert_same_model(got, want)
+
+    def test_stale_reads_and_evictions_mix(self, rng):
+        x = rng.random((60, 5))
+        y = (x[:, 1] > 0.5).astype(float)
+        y[:6] = 1.0 - y[:6]
+        config = SvrConfig(epsilon=0.05, cost=10.0)
+        table = training_table(x, y)
+        seen = {"stale": 0, "evicted": 0}
+        row = _RowCache.row
+
+        def spy(cache, i):
+            cached, held = cache.rows.get(i), len(cache.rows)
+            r = row(cache, i)
+            if cached is None:
+                seen["evicted"] += len(cache.rows) == held
+            else:
+                seen["stale"] += cached[0] < len(cache.masks)
+            return r
+
+        with (
+            mock.patch.object(lqts.svr, "SHRINK_EVERY", 2),
+            mock.patch.object(lqts.svr, "ROW_CACHE_BYTES", 8 * 60 * 4),
+            mock.patch.object(_RowCache, "row", spy),
+        ):
+            got = train(table, config)
+            want = eager_train(table, config)
+        assert seen["stale"] > 0 and seen["evicted"] > 0
+        assert_same_model(got, want)
+
+
+@st.composite
+def cache_runs(draw):
+    """Points, a row-cache budget of a few rows, and a sequence of row reads
+    and keep masks (each keeping at least one point)."""
+    n = draw(st.integers(1, 30))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 3))
+    ops = []
+    for _ in range(draw(st.integers(0, 40))):
+        if n > 1 and draw(st.integers(0, 3)) == 0:
+            mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            mask[draw(st.integers(0, n - 1))] = True
+            ops.append(mask)
+            n = int(mask.sum())
+        else:
+            ops.append(draw(st.integers(0, n - 1)))
+    return x, draw(st.integers(0, 8 * 30 * 5)), ops
+
+
+class TestRowCacheNarrowsOnRead:
+    """After any sequence of keep masks, every row the cache reads back is
+    the row narrowed at every keep, and it holds the same keys in the same
+    FIFO order as the cache that narrowed every row at every keep."""
+
+    @given(cache_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_eager_narrowing(self, run):
+        x, cache_bytes, ops = run
+        with mock.patch.object(lqts.svr, "ROW_CACHE_BYTES", cache_bytes):
+            got, want = _RowCache(x, 0.7), EagerRowCache(x, 0.7)
+            for op in ops:
+                if isinstance(op, np.ndarray):
+                    got.keep(op)
+                    want.keep(op)
+                else:
+                    assert np.array_equal(got.row(op), want.row(op))
+                assert list(got.rows) == list(want.rows)
+        for i, r in want.rows.items():
+            assert np.array_equal(got.row(i), r)
 
 
 class TestNoisyCorpusConverges:
