@@ -21,6 +21,16 @@ interleaved in gallery order.
 settings at 240 identities (727 `subspace-lane` sets, 720
 `exemplar-cap2000` sets of 10 exemplars), three rounds.
 
+`test_pair_list` times the proxy-target pair list of a `Ranker` at the
+paper's scale, `GalleryScorer.pair(proxy, target)` with its modes read,
+as an lqts ranking reads them: every set against 10 (`PROXY_K`) random
+other sets, in random galleries of (10, 96) sets shaped like the
+paper-scale lanes, 2,837 sets (28,370 pairs) under the exemplar baseline
+and 2,869 (28,690 pairs) under the subspace baseline. It records, from
+one traced call outside the timed rounds, the peak and the held memory
+of the score-only call and the peak of reading the modes, in MiB, in
+`extra_info`.
+
 `test_max_corr_batch` times the subspace kernel alone on the
 `subspace-lane` gallery's (6, 96) bases: 181 pairs, set 0 as one 2-D
 operand against every other set, the shape of a query row and of a
@@ -32,13 +42,14 @@ modes too, as an lqts query row and training extraction do.
 """
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lqts import sampling, synth
-from lqts.corpus import Gallery
+from lqts.corpus import FaceSet, Gallery
 from lqts.retrieval import PAIR_BLOCK, GalleryScorer, select_proxies
 from lqts.similarity import max_corr_batch
 
@@ -102,6 +113,36 @@ def test_select_proxies(benchmark, name, sets):
     args = (gallery, WORKLOADS[name].baseline, PROXY_K)
     table = benchmark.pedantic(select_proxies, args=args, rounds=3, iterations=1)
     assert len(table.entries) == len(gallery)
+
+
+@pytest.mark.parametrize("baseline, sets", [("exemplar", 2837), ("subspace", 2869)])
+def test_pair_list(benchmark, baseline, sets):
+    rng = np.random.default_rng(ACCEPTANCE_SEED)
+    gallery = Gallery(sets=tuple(FaceSet(f"s{p}", rng.normal(size=(10, 96))) for p in range(sets)))
+    scorer = GalleryScorer(gallery, baseline)
+    target = np.repeat(np.arange(sets), PROXY_K)
+    proxy = (target + rng.integers(1, sets, size=target.size)) % sets
+
+    tracemalloc.start()
+    try:
+        out = scorer.pair(proxy, target)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out.mode_a
+        modes_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    for name, value in (("scores_peak", peak), ("scores_held", held), ("modes_peak", modes_peak)):
+        benchmark.extra_info[f"{name}_mib"] = value / 2**20
+
+    def call():
+        out = scorer.pair(proxy, target)
+        return out.score, out.mode_a, out.mode_b
+
+    score, mode_a, mode_b = benchmark.pedantic(call, rounds=5, iterations=1)
+    assert score.shape == (sets * PROXY_K,) and np.all((score >= 0.0) & (score <= 1.0))
+    assert mode_a.shape == mode_b.shape == (sets * PROXY_K, 96)
 
 
 @pytest.mark.parametrize("read", ["scores", "modes"])

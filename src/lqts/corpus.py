@@ -30,6 +30,11 @@ BINARY_MAGIC = b"QTS1"
 UNLABELLED = "-"
 
 
+def is_count(v) -> bool:
+    """Whether v is an int or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     # always copy so freezing never locks a caller-owned array
     out = np.array(a, dtype=np.float64, order="C")
@@ -171,8 +176,8 @@ class ProxyTable:
     entries: dict[str, tuple[tuple[str, float], ...]]
 
     def __post_init__(self):
-        if self.k_p < 0:
-            raise CorpusError("k_p must be >= 0")
+        if not is_count(self.k_p) or self.k_p < 0:
+            raise CorpusError(f"k_p must be an integer >= 0 (got {self.k_p!r})")
         clean: dict[str, tuple[tuple[str, float], ...]] = {}
         for sid, plist in self.entries.items():
             plist = tuple((str(p), float(s)) for p, s in plist)

@@ -20,13 +20,16 @@ in deliberately and absorbed by the wide-margin regressor downstream.
 
 Extraction is cap-first: `build_training_corpus` counts each pair's
 rows, draws the rows the cap keeps and builds only those, so the
-uncapped pool never exists. Under the exemplar baseline each pair with
-kept rows makes the products its rows read: the pair's |cosine| matrix
-and both sets' |cosine| Grams. Under the subspace baseline the work is
-stacked per side set. An entry, one (pair, label), reads its side set's
-exemplars (the reference's for positives, the proxy's for negatives)
-against its partner, the pair's other set. Each side set makes its
-projection and reconstruction on its own subspace once, and its
+uncapped pool never exists. An entry, one (pair, label), reads its side
+set's exemplars (the reference's for positives, the proxy's for
+negatives) against its partner, the pair's other set. Both baselines
+locate a kept row by its entry and its index among the entry's rows, and
+write each entry's kept rows as one run of the output. Under the
+exemplar baseline each pair with kept rows makes the products its rows
+read: the pair's |cosine| matrix and both sets' |cosine| Grams. Under
+the subspace baseline the work is stacked per side set, and one product
+projects a side set's unit exemplars onto a stack of bases, its own too.
+Each side set makes its own projection and reconstruction once, and its
 projections on its partners' subspaces, their norms, their
 reconstructions and the mode dots in one stacked product per block of
 PAIR_BLOCK partners or fewer; the count reads only the norms. A stacked
@@ -41,7 +44,7 @@ import logging
 
 import numpy as np
 
-from .corpus import Gallery, ProxyTable, feature_table
+from .corpus import Gallery, ProxyTable, feature_table, is_count
 from .retrieval import PAIR_BLOCK, GalleryScorer
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
@@ -69,41 +72,36 @@ def _ordered_pairs(local: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, t + (t >= q)
 
 
-def _kept_by_pair(counts: np.ndarray, kept: tuple[np.ndarray, np.ndarray]):
+def _kept_rows(counts: np.ndarray, kept: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Locate the kept rows of a (pairs, 2) row count, given each label's
-    kept indices into its pool (all pairs' rows in pair order).
-
-    Returns the pair of every kept row, positives then negatives, its
-    index among that pair's rows of its label, and an iterator over the
-    pairs holding kept rows: (pair, per label (the slice of output rows,
-    the indices within the pair)).
-    """
-    located, offset = [], 0
-    for n_rows, idx in zip(counts.T, kept):
+    kept indices into its pool (all pairs' rows in pair order): each kept
+    row's entry, 2 * pair + label, positives then negatives, and its index
+    among that entry's rows."""
+    entry, local = [], []
+    for label, (n_rows, idx) in enumerate(zip(counts.T, kept)):
         ends = np.cumsum(n_rows)
         pair = np.searchsorted(ends, idx, side="right")
-        bounds = np.searchsorted(pair, np.arange(len(n_rows) + 1))
-        located.append((pair, idx - (ends - n_rows)[pair], bounds, offset))
-        offset += idx.size
+        entry.append(2 * pair + label)
+        local.append(idx - (ends - n_rows)[pair])
+    return np.concatenate(entry), np.concatenate(local)
 
-    def groups():
-        busy = np.flatnonzero(sum(np.diff(bounds) for _, _, bounds, _ in located))
-        for p in busy.tolist():
-            yield p, [
-                (slice(at + bounds[p], at + bounds[p + 1]), local[bounds[p] : bounds[p + 1]])
-                for _, local, bounds, at in located
-            ]
 
-    pair_of = np.concatenate([pair for pair, *_ in located])
-    return pair_of, np.concatenate([local for _, local, *_ in located]), groups()
+def _runs(entry: np.ndarray, n_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's run of output rows, its start and length: an entry's
+    kept rows are consecutive, and an entry with none has length 0."""
+    first = np.flatnonzero(np.diff(entry, prepend=-1))
+    start, count = np.zeros((2, n_entries), dtype=np.intp)
+    start[entry[first]], count[entry[first]] = first, np.diff(first, append=entry.size)
+    return start, count
 
 
 # ---------------------------------------------------------------------------
 # training extraction, exemplar baseline
 
 
-def _exemplar_rows(sets, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
-    """The kept rows under the exemplar baseline, unclipped.
+def _exemplar_rows(sets, pairs, start, count, local) -> np.ndarray:
+    """The kept rows under the exemplar baseline, unclipped, from the
+    entries' runs (`_runs`) and the rows' indices within them.
 
     One side rule gives both labels: a row per ordered pair (q, u) of
     distinct exemplars of one set a of the pair, with n the exemplar of
@@ -114,26 +112,24 @@ def _exemplar_rows(sets, pairs: np.ndarray, groups, n_rows: int) -> np.ndarray:
     matrix c_rx and both sets' |cosine| Grams c_rr and c_xx, and writes
     each kept row whole from them.
     """
-    out = np.empty((n_rows, 5))
-    for p, ((pos, loc_pos), (neg, loc_neg)) in groups:
+    out, bounds = np.empty((local.size, 5)), np.stack([start, start + count], axis=1).tolist()
+    for p in np.flatnonzero(count.reshape(-1, 2).any(axis=1)).tolist():
         r, x = pairs[p].tolist()
         unit_r, unit_x = sets[r].unit_exemplars, sets[x].unit_exemplars
         c_rx = np.abs(unit_r @ unit_x.T)
         c_rr, c_xx = np.abs(unit_r @ unit_r.T), np.abs(unit_x @ unit_x.T)
-        m_r, m_x = c_rx.shape
         # reference-proxy set similarity and its mode indices, shared by all rows
-        tp, pt = divmod(int(np.argmax(c_rx)), m_x)
+        tp, pt = divmod(int(np.argmax(c_rx)), c_rx.shape[1])
         s3 = c_rx[tp, pt]
-        if loc_pos.size:
-            q, u = _ordered_pairs(loc_pos, m_r)
-            n = np.argmax(c_rx[q], axis=1)
-            s = c_rx[q, n], c_rr[q, u], np.full(q.size, s3), c_xx[n, pt], c_rr[u, tp]
-            out[pos] = np.column_stack(s)
-        if loc_neg.size:
-            q, u = _ordered_pairs(loc_neg, m_x)
-            n = np.argmax(c_rx[:, q], axis=0)
-            s = c_xx[q, u], c_rx[n, q], np.full(q.size, s3), c_xx[u, pt], c_rr[n, tp]
-            out[neg] = np.column_stack(s)
+        # per label, the side a's cosines with b and its Gram, b's Gram, and both modes
+        sides = (c_rx, c_rr, c_xx, tp, pt), (c_rx.T, c_xx, c_rr, pt, tp)
+        for label, (c_ab, c_aa, c_bb, mode_a, mode_b) in enumerate(sides):
+            rows = slice(*bounds[2 * p + label])
+            if rows.stop > rows.start:
+                q, u = _ordered_pairs(local[rows], len(c_aa))
+                n = np.argmax(c_ab[q], axis=1)
+                s = c_ab[q, n], c_aa[q, u], np.full(q.size, s3), c_bb[n, mode_b], c_aa[u, mode_a]
+                out[rows] = np.column_stack([s[1], s[0], s[2], s[4], s[3]] if label else s)
     return out
 
 
@@ -147,29 +143,21 @@ def _norms(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(coords * coords, axis=-1))
 
 
-def _recon(coords: np.ndarray, bases: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Unit reconstructions of projections from their coordinates on their
-    bases and their norms, at any number of leading axes."""
+def _project(sets, side: int, onto) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Set `side`'s unit exemplars, (m, d), on the subspaces of the sets
+    `onto`, one stacked product: the coordinates, (B, m, k), their norms,
+    (B, m), and the stacked bases, (B, k, d). A set's own projection is
+    its projection onto itself, `onto` = [side]."""
+    bases = np.stack([sets[t].subspace for t in onto])
+    coords = np.matmul(sets[side].unit_exemplars, bases.swapaxes(1, 2))
+    return coords, _norms(coords), bases
+
+
+def _recon(coords: np.ndarray, norms: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Unit reconstructions, (B, m, d), of a `_project` output."""
     recon = np.matmul(coords, bases)
     recon /= norms[..., None]
     return recon
-
-
-def _own(s) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of set s's unit exemplars on its own subspace basis,
-    and their norms."""
-    coords = s.unit_exemplars @ s.subspace.T
-    return coords, _norms(coords)
-
-
-def _cross(sets, pairs: np.ndarray, block: np.ndarray):
-    """Coordinates of a block's side set's unit exemplars on each of its
-    partners' subspace bases, (B, n, k), their norms, (B, n), and the
-    stacked bases, (B, k, d): one stacked product."""
-    flat = pairs.reshape(-1)
-    bases = np.stack([sets[t].subspace for t in flat[block ^ 1].tolist()])
-    coords = np.matmul(sets[int(flat[block[0]])].unit_exemplars, bases.swapaxes(1, 2))
-    return coords, _norms(coords), bases
 
 
 def _by_side(sets, pairs: np.ndarray, entries: np.ndarray):
@@ -208,36 +196,31 @@ def _canonical(sets, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s3, modes
 
 
-def _subspace_rows(sets, pairs: np.ndarray, whole: np.ndarray, entry: np.ndarray, local: np.ndarray):
+def _subspace_rows(sets, pairs, whole, start, count, local) -> np.ndarray:
     """The kept rows under the subspace baseline, unclipped: a row per
     exemplar f_qt of one side, from its projections f_tq on the
     reference's subspace and f_pq on the proxy's, and the pair's first
     canonical correlation s3 with its modes f_tp and f_pt. s1 and s2 are
     the projection norms of the unit f_qt.
 
-    `entry` holds each kept row's entry (2 * pair + label) and `local`
-    its index among that entry's rows; `whole` flags the entries with no
-    degenerate projection. Each side set makes its own projection and
-    reconstruction once, and one stacked product per block of partners
+    Rows come from each entry's run of output rows (`_runs`) and each
+    row's index within its entry (`_kept_rows`); `whole` flags the entries
+    with no degenerate projection. Each side set makes its own projection
+    and reconstruction once, and one stacked product per block of partners
     for the cross projections, their reconstructions and the mode dots.
     An entry with a degenerate projection reconstructs from its kept rows
     only, as the pool did: a product of some rows rounds unlike the same
     rows of the whole product.
     """
-    out = np.empty((entry.size, 5))
-    if not entry.size:
-        return out
-    # every entry's kept rows are one run of the output
-    first = np.flatnonzero(np.diff(entry, prepend=-1))
-    busy = entry[first]
-    start, count = np.zeros((2, pairs.size), dtype=np.intp)
-    start[busy], count[busy] = first, np.diff(first, append=entry.size)
+    out = np.empty((local.size, 5))
+    busy = np.flatnonzero(count)
     held = np.unique(busy >> 1)
     s3, modes = _canonical(sets, pairs[held])
 
-    def write(block, cross_norm, own_norm, cross_recon, own_recon):
-        """A block's kept rows from its cross norms and reconstructions,
-        (B, m) and (B, m, d), and its side set's, (m,) and (m, d)."""
+    def write(block, cross_norm, cross_recon, own_norm, own_recon):
+        """A block's kept rows from its `_project` norms and `_recon`
+        reconstructions on its partners', (B, m) and (B, m, d), and on its
+        side set's own subspace, (1, m) and (1, m, d)."""
         q, label = np.searchsorted(held, block >> 1), block & 1
         # one matrix-vector product per entry, as the pool's pair took
         cross_dot = np.abs(np.matmul(cross_recon, modes[q, 1 - label][:, :, None]))[..., 0]
@@ -248,25 +231,23 @@ def _subspace_rows(sets, pairs: np.ndarray, whole: np.ndarray, entry: np.ndarray
         label, at = label[b], local[rows]
         # positives (label 0) read the cross projection as s1 and s4,
         # negatives as s2 and s5
-        out[rows, label], out[rows, 1 - label] = cross_norm[b, at], own_norm[at]
+        out[rows, label], out[rows, 1 - label] = cross_norm[b, at], own_norm[0, at]
         out[rows, 3 + label], out[rows, 4 - label] = cross_dot[b, at], own_dot[b, at]
         out[rows, 2] = s3[q[b]]
 
+    flat = pairs.reshape(-1)
     for s, blocks in _by_side(sets, pairs, busy[whole[busy]]):
-        own, own_norm = _own(sets[s])
-        own_recon = _recon(own, sets[s].subspace, own_norm)
+        own = _project(sets, s, [s])
+        own_recon = _recon(*own)
         for block in blocks:
-            cross, cross_norm, bases = _cross(sets, pairs, block)
-            write(block, cross_norm, own_norm, _recon(cross, bases, cross_norm), own_recon)
+            cross = _project(sets, s, flat[block ^ 1].tolist())
+            write(block, cross[1], _recon(*cross), own[1], own_recon)
     for e in busy[~whole[busy]].tolist():
-        block = np.array([e])
-        side = sets[int(pairs.flat[e])]
-        own, own_norm = _own(side)
-        cross, cross_norm, bases = _cross(sets, pairs, block)
-        keep = (own_norm >= PROJECTION_FLOOR) & (cross_norm[0] >= PROJECTION_FLOOR)
-        own, own_norm, cross, cross_norm = own[keep], own_norm[keep], cross[:, keep], cross_norm[:, keep]
-        own_recon = _recon(own, side.subspace, own_norm)
-        write(block, cross_norm, own_norm, _recon(cross, bases, cross_norm), own_recon)
+        s = int(flat[e])
+        own, cross = _project(sets, s, [s]), _project(sets, s, [flat[e ^ 1]])
+        keep = (own[1][0] >= PROJECTION_FLOOR) & (cross[1][0] >= PROJECTION_FLOOR)
+        own, cross = ((coords[:, keep], norms[:, keep], bases) for coords, norms, bases in (own, cross))
+        write(np.array([e]), cross[1], _recon(*cross), own[1], _recon(*own))
     return out
 
 
@@ -306,10 +287,10 @@ def build_training_corpus(
     held grows with the kept rows and the largest pair, not with the pool.
     """
     kernel(baseline)  # an unknown baseline raises UsageError
-    if n_train_sets < 1:
-        raise ValueError(f"n_train_sets must be >= 1 (got {n_train_sets})")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1 (got {cap})")
+    if not is_count(n_train_sets) or n_train_sets < 1:
+        raise ValueError(f"n_train_sets must be an integer >= 1 (got {n_train_sets!r})")
+    if not is_count(cap) or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1 (got {cap!r})")
     rng = np.random.default_rng(seed)
     n_refs = min(n_train_sets, len(gallery))
     ref_idx = np.sort(rng.choice(len(gallery), size=n_refs, replace=False))
@@ -322,9 +303,9 @@ def build_training_corpus(
     else:
         counts = np.zeros(pairs.shape, dtype=np.intp)
         for s, blocks in _by_side(sets, pairs, np.arange(pairs.size)):
-            own = _own(sets[s])[1] >= PROJECTION_FLOOR
+            own = _project(sets, s, [s])[1] >= PROJECTION_FLOOR
             for block in blocks:
-                cross = _cross(sets, pairs, block)[1] >= PROJECTION_FLOOR
+                cross = _project(sets, s, pairs.flat[block ^ 1].tolist())[1] >= PROJECTION_FLOOR
                 counts.flat[block] = np.count_nonzero(own & cross, axis=1)
         skipped = int(np.sum(sizes) - np.sum(counts))
         if skipped:
@@ -335,13 +316,13 @@ def build_training_corpus(
         kept = _stratified_cap(n_pos, n_neg, cap, rng)
     else:
         kept = np.arange(n_pos), np.arange(n_neg)
-    pair_of, local, groups = _kept_by_pair(counts, kept)
+    entry, local = _kept_rows(counts, kept)
+    runs = _runs(entry, counts.size)
     if baseline == EXEMPLAR:
-        rows = _exemplar_rows(sets, pairs, groups, pair_of.size)
+        rows = _exemplar_rows(sets, pairs, *runs, local)
     else:
-        entry = 2 * pair_of + np.repeat([0, 1], [kept[0].size, kept[1].size])
-        rows = _subspace_rows(sets, pairs, (counts == sizes).reshape(-1), entry, local)
+        rows = _subspace_rows(sets, pairs, (counts == sizes).reshape(-1), *runs, local)
 
-    ids = np.array(gallery.set_ids, dtype=object)[pairs[pair_of]]
+    ids = np.array(gallery.set_ids, dtype=object)[pairs[entry >> 1]]
     label = np.repeat([1.0, 0.0], [kept[0].size, kept[1].size])
     return feature_table(np.clip(rows, 0.0, 1.0), label, ids[:, 0], ids[:, 1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FaceSet, Gallery, ProxyTable, write_lines
+from .corpus import FaceSet, Gallery, ProxyTable, is_count, write_lines
 from .errors import DimensionMismatchError, UsageError
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
@@ -49,8 +49,8 @@ class RetrievalConfig:
         kernel(self.baseline)  # an unknown baseline raises UsageError
         if self.method not in METHODS:
             raise UsageError(f"unknown method {self.method!r}")
-        if self.k_p < 0:
-            raise UsageError("k_p must be >= 0")
+        if not is_count(self.k_p) or self.k_p < 0:
+            raise UsageError(f"k_p must be an integer >= 0 (got {self.k_p!r})")
         if self.method == METHOD_LQTS and self.model is None:
             raise UsageError("method 'lqts' requires a trained model")
 
@@ -89,7 +89,8 @@ class GalleryScorer:
     `lqts.similarity.kernel`. `pair` compares gallery sets by index and
     `query` an outside set with gallery sets; both return a `Matches` of
     one row per pair, its modes ambient unit vectors assembled on first
-    read. Nothing is cached between calls. A gallery set against itself
+    read; a pair list holds one kernel block of gathered sets at a time.
+    Nothing is cached between calls. A gallery set against itself
     follows `lqts.similarity.self_pairs`, with no kernel call.
     """
 
@@ -166,9 +167,12 @@ class GalleryScorer:
     def _pairs(self, i, j) -> Matches:
         """Gallery sets i[p] against j[p], two aligned index arrays.
 
-        Pairs are grouped by the sizes of their two sets, and each group's
-        sets are gathered from their sizes' arrays, PAIR_BLOCK pairs per
-        kernel call; a pair of a set with itself follows `self_pairs`.
+        Pairs are grouped by the sizes of their two sets, and each group is
+        compared PAIR_BLOCK pairs per kernel call, on sets gathered from
+        their sizes' arrays for that call alone. So that a list holds one
+        block of gathered sets at most, the deferred modes of a list longer
+        than PAIR_BLOCK repeat their call when read. A pair of a set with
+        itself follows `self_pairs`.
         """
         blocks = []
         base = max(self.members) + 1
@@ -180,11 +184,13 @@ class GalleryScorer:
             if own.any():
                 blocks.append((same[own], self_pairs(self.stacks[k_b][self.offset[j[same[own]]]])))
                 same = same[~own]
-            left = self.stacks[k_a][self.offset[i[same]]]
-            right = self.stacks[k_b][self.offset[j[same]]]
             for at in range(0, same.size, PAIR_BLOCK):
-                block = slice(at, at + PAIR_BLOCK)
-                blocks.append((same[block], self.compare(left[block], right[block])))
+                g = same[at : at + PAIR_BLOCK]
+                a, b = self.offset[i[g]], self.offset[j[g]]
+                def compare(a=a, b=b, k_a=k_a, k_b=k_b):
+                    return self.compare(self.stacks[k_a][a], self.stacks[k_b][b])
+                res = compare()
+                blocks.append((g, res.deferring_to(compare) if j.size > PAIR_BLOCK else res))
         return self._assemble(j.size, blocks)
 
     def _assemble(self, size: int, blocks) -> Matches:
@@ -207,8 +213,8 @@ def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
     """The k_p most-similar other sets for every gallery set, descending,
     ties broken by ascending gallery position."""
     n = len(gallery)
-    if k_p < 0:
-        raise UsageError("k_p must be >= 0")
+    if not is_count(k_p) or k_p < 0:
+        raise UsageError(f"k_p must be an integer >= 0 (got {k_p!r})")
     if k_p > n - 1:
         raise UsageError(f"k_p={k_p} too large for a gallery of {n} sets")
     scorer = GalleryScorer(gallery, baseline)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .corpus import FaceSet
+from .corpus import FaceSet, is_count
 from .errors import DegenerateSetError
 
 DEFAULT_SAMPLES = 10
@@ -203,7 +203,7 @@ def robust_select(
     dominant kernel component. Sets already at or below n_samples pass
     through unchanged.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+    if not is_count(n_samples) or n_samples < 2:
         raise ValueError(f"n_samples must be an integer >= 2 (got {n_samples!r})")
     gamma = _checked_gamma(gamma)
     if s.size <= n_samples:

@@ -75,6 +75,11 @@ class Matches:
     mode_a = property(lambda self: self._built()[0])
     mode_b = property(lambda self: self._built()[1])
 
+    def deferring_to(self, compare) -> Matches:
+        """These scores, with deferred modes, if any, taken from `compare()`,
+        which repeats this comparison: nothing is held for them until read."""
+        return Matches(self.score, lambda: compare()._built()) if callable(self._modes) else self
+
 
 def self_pairs(reps: np.ndarray) -> Matches:
     """Each of a (P, k, d) stack of sets against itself: score exactly 1,

@@ -242,6 +242,18 @@ class TestProxyTable:
         with pytest.raises(CorpusError, match=re.escape(f"proxy list of 'a' {message}")):
             ProxyTable(k_p=k_p, entries={"a": plist})
 
+    @pytest.mark.parametrize("k_p", [True, 1.0, -1])
+    def test_k_p_must_be_an_integer_at_least_zero(self, k_p):
+        # a table with k_p=True would be saved as '# k_p=True', which
+        # load_proxies rejects
+        with pytest.raises(CorpusError, match=re.escape(f"k_p must be an integer >= 0 (got {k_p!r})")):
+            ProxyTable(k_p=k_p, entries={"a": (("b", 0.9),)})
+
+    def test_numpy_integer_k_p_round_trips(self, tmp_path):
+        t = ProxyTable(k_p=np.int64(1), entries={"a": (("b", 0.9),)})
+        save_proxies(t, tmp_path / "p.tsv")
+        assert load_proxies(tmp_path / "p.tsv") == t
+
     def test_repeated_proxy_in_file_rejected(self, tmp_path):
         path = tmp_path / "p.tsv"
         path.write_text("# k_p=2\na\t1\tb\t0.9\na\t2\tb\t0.9\n")

@@ -310,6 +310,16 @@ class TestBuildTrainingCorpus:
         with pytest.raises(ValueError, match="n_train_sets"):
             build_training_corpus(g, table, n_train_sets=value)
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [("cap", 100.0), ("cap", True), ("n_train_sets", 5.0), ("n_train_sets", True)],
+    )
+    def test_counts_must_be_integers(self, rng, setting, value):
+        # 100.0 would fail inside rng.choice, and only when the cap applies
+        g, table = self._gallery_and_proxies(rng)
+        with pytest.raises(ValueError, match=f"{setting} must be an integer >= 1"):
+            build_training_corpus(g, table, **{setting: value})
+
     def test_subspace_baseline_counts(self, rng):
         g, table = self._gallery_and_proxies(rng, n_sets=5, n=4, k_p=1)
         feats = build_training_corpus(
@@ -528,6 +538,22 @@ class TestCapFirstMatchesReference:
         got, got_log = logged(build_training_corpus, *args, cap=cap)
         assert want_log and want_log == got_log
         assert_same_table(got, want)
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_pairs_keeping_rows_of_one_label(self, rng, baseline):
+        # at this cap some pairs keep only positives, some only negatives
+        # and some nothing: their entries' runs of kept rows are empty
+        g = Gallery(sets=tuple(random_set(rng, f"g{i}", n=3 + i % 3, d=5) for i in range(10)))
+        ids = g.set_ids
+        entries = {sid: ((ids[(i + 1) % 10], 1.0), (ids[(i + 3) % 10], 0.5)) for i, sid in enumerate(ids)}
+        args = (g, ProxyTable(k_p=2, entries=entries), baseline, len(g))
+        want = reference_training_corpus(*args, cap=12, seed=3)
+        labels = {(sid, pid): set() for sid, plist in entries.items() for pid, _ in plist}
+        for ref, pid, label in zip(want.ref, want.proxy, want.label):
+            labels[ref, pid].add(label)
+        kinds = {frozenset(kept) for kept in labels.values()}
+        assert {frozenset(), frozenset({1.0}), frozenset({0.0})} <= kinds
+        assert_same_table(build_training_corpus(*args, cap=12, seed=3), want)
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_empty_proxy_table(self, rng, baseline):

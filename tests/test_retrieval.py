@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -146,6 +147,14 @@ class TestSelectProxies:
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=2, d=3) for i in range(3)))
         with pytest.raises(UsageError):
             select_proxies(g, "exemplar", 3)
+
+    @pytest.mark.parametrize("k_p", [True, 2.0, "2"])
+    def test_k_must_be_an_integer(self, rng, k_p):
+        # True would reach the table as k_p=True, which load_proxies rejects
+        # once saved; 2.0 would fail slicing the argsort
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=2, d=3) for i in range(4)))
+        with pytest.raises(UsageError, match="k_p must be an integer >= 0"):
+            select_proxies(g, "exemplar", k_p)
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_acceptance_gallery_matches_per_pair_oracle(self, baseline):
@@ -532,6 +541,37 @@ class TestGalleryScorer:
                     assert not np.shares_memory(a, b)
             assert sum(len(b) for _, b in compared) == row.size - (q is not None and q in row)
 
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_pair_list_holds_one_block(self, rng, baseline, monkeypatch):
+        # with four pairs per kernel call, a call that gathers every pair's
+        # sets before its kernel calls (2 k d floats a pair) peaks far above
+        # one that gathers per call, and a score-only Matches that keeps the
+        # gathered sets for its modes holds them. When the pairs double,
+        # peak and held memory may grow by the pairs' outputs only: a score,
+        # two modes (eager under the exemplar baseline) and three indices a
+        # pair, and about 1 KB of Python objects a block.
+        d, block = 64, 4
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=6, d=d) for p in range(12)))
+        scorer = GalleryScorer(gallery, baseline)
+        monkeypatch.setattr(lqts.retrieval, "PAIR_BLOCK", block)
+
+        def traced(n):
+            i = rng.integers(0, 12, size=n)
+            j = (i + rng.integers(1, 12, size=n)) % 12
+            scorer.pair(i, j)
+            tracemalloc.start()
+            try:
+                res = scorer.pair(i, j)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.score.size == n
+            return np.array([held, peak])
+
+        small, large = traced(256), traced(512)
+        outputs = 256 * 8 * (2 * d + 4) + 256 // block * 1024
+        assert np.all(large - small < outputs)
+
     def test_row_positions_outside_the_gallery_raise(self, rng):
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=3, d=4) for p in range(3)))
         scorer = GalleryScorer(gallery, "exemplar")
@@ -620,6 +660,12 @@ class TestGalleryScorer:
 
 
 class TestRetrievalConfig:
+    @pytest.mark.parametrize("k_p", [True, 2.0, -1])
+    def test_k_p_must_be_an_integer_at_least_zero(self, k_p):
+        # 2.0 would fail slicing the proxy lists, and True would rank with one proxy
+        with pytest.raises(UsageError, match="k_p must be an integer >= 0"):
+            RetrievalConfig(method="arith", k_p=k_p)
+
     def test_lqts_requires_model(self):
         with pytest.raises(UsageError):
             RetrievalConfig(method="lqts", k_p=1, model=None)
