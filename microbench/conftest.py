@@ -1,4 +1,5 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# after PYTHONPATH, so that PYTHONPATH=<another tree>/src measures that tree
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))

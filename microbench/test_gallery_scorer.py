@@ -6,11 +6,16 @@ benchmark uses:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest microbench/test_gallery_scorer.py --benchmark-autosave
 
+The checkout's own `src` is searched after PYTHONPATH, so a run with
+`PYTHONPATH=<another tree>/src` measures that tree's `lqts`.
+
 One call of `test_query_row` is one query row, `GalleryScorer.pair(q,
 everyone)`, with its scores and modes read: gallery set 0 against every
 gallery set, itself included, on the seed-11 gallery of each
 pipeline-benchmark workload, reduced as that workload reduces it
-(`perfbench/workloads.py`). `test_query_row_scores` reads the scores
+(`perfbench/workloads.py`). `test_mid_gallery_query_row` is that row
+for gallery set n // 2, which lies inside the slice of its size, where
+set 0 starts its slice. `test_query_row_scores` reads the scores
 alone, as proxy selection and the baseline and combiner rankings do; the
 subspace modes are then never built. `test_ragged_query_row` is the
 same row, modes read, on the seed-11 exemplar gallery as generated,
@@ -72,31 +77,35 @@ def query_row(name: str):
     return GalleryScorer(gallery, WORKLOADS[name].baseline), np.arange(len(gallery))
 
 
-@pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
-def test_query_row(benchmark, name):
-    scorer, everyone = query_row(name)
+def bench_row(benchmark, scorer, q, everyone):
+    """Time gallery set q's row against every gallery set, its scores and
+    modes read, and check them."""
 
     def row():
-        out = scorer.pair(0, everyone)
+        out = scorer.pair(q, everyone)
         return out.score, out.mode_a, out.mode_b
 
     score, mode_a, mode_b = benchmark(row)
-    assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
+    assert score[q] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
     assert mode_a.shape == mode_b.shape == (len(everyone), scorer.gallery.dim)
+
+
+@pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
+def test_query_row(benchmark, name):
+    scorer, everyone = query_row(name)
+    bench_row(benchmark, scorer, 0, everyone)
+
+
+@pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
+def test_mid_gallery_query_row(benchmark, name):
+    scorer, everyone = query_row(name)
+    bench_row(benchmark, scorer, len(everyone) // 2, everyone)
 
 
 def test_ragged_query_row(benchmark):
     gallery, _ = synth.generate(synth.SynthConfig(seed=ACCEPTANCE_SEED))
     assert len({s.size for s in gallery.sets}) == 31
-    scorer, everyone = GalleryScorer(gallery, "exemplar"), np.arange(len(gallery))
-
-    def row():
-        out = scorer.pair(0, everyone)
-        return out.score, out.mode_a, out.mode_b
-
-    score, mode_a, mode_b = benchmark(row)
-    assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
-    assert mode_a.shape == mode_b.shape == (len(everyone), gallery.dim)
+    bench_row(benchmark, GalleryScorer(gallery, "exemplar"), 0, np.arange(len(gallery)))
 
 
 @pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])

@@ -127,16 +127,9 @@ def _cmd_train(args) -> int:
 
 
 def _retrieval_config(args) -> tuple[retrieval.RetrievalConfig, corpus.ProxyTable | None]:
-    model = None
-    if args.method == retrieval.METHOD_LQTS:
-        if args.model is None:
-            raise UsageError("method 'lqts' requires --model")
-        model = corpus.load_model(args.model)
-    proxies = None
-    if args.method != retrieval.METHOD_BASELINE and args.k > 0:
-        if args.proxies is None:
-            raise UsageError(f"method {args.method!r} with --k > 0 requires --proxies")
-        proxies = corpus.load_proxies(args.proxies)
+    # every artifact given is loaded; the library rules on what a method needs
+    model = None if args.model is None else corpus.load_model(args.model)
+    proxies = None if args.proxies is None else corpus.load_proxies(args.proxies)
     config = retrieval.RetrievalConfig(
         baseline=args.baseline, method=args.method, k_p=args.k, model=model
     )

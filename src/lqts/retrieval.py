@@ -90,8 +90,9 @@ class GalleryScorer:
     `query` an outside set with gallery sets; both return a `Matches` of
     one row per pair, its modes ambient unit vectors assembled on first
     read; a pair list holds one kernel block of gathered sets at a time.
-    Nothing is cached between calls. A gallery set against itself
-    follows `lqts.similarity.self_pairs`, with no kernel call.
+    Nothing is cached between calls. A gallery set against itself is
+    compared with the rest and its result then replaced by
+    `lqts.similarity.self_pairs`.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -136,8 +137,9 @@ class GalleryScorer:
         j is read as runs of consecutive positions; a whole query row and a
         proxy-selection row are one run each. In a run, the sets of each
         size are one slice of that size's array, and the kernel reads them
-        in place, as views of PAIR_BLOCK sets or fewer. The slice is split
-        around set `own`, whose pair follows `self_pairs`. No set is padded
+        in place, as views of PAIR_BLOCK sets or fewer. Set `own`, if in
+        the run, is compared with the rest, and a `self_pairs` block after
+        the run's kernel blocks replaces its result. No set is padded
         and each keeps its k rows contiguous, so every product has its true
         shape and each pair's score and modes are those of max_max_sim or
         max_corr: BLAS may round a padded product differently, and it sums
@@ -151,17 +153,12 @@ class GalleryScorer:
             if lo < 0 or hi > n:
                 raise IndexError(f"gallery positions {lo}..{hi - 1} outside 0..{n - 1}")
             for k, members in self.members.items():
-                stack = self.stacks[k]
                 start, stop = np.searchsorted(members, (lo, hi)).tolist()
-                spans = [(start, stop)]
-                if own is not None and lo <= own < hi and self.ks[own] == k:
-                    p = int(self.offset[own])
-                    blocks.append(([own - lo + at], self_pairs(stack[p : p + 1])))
-                    spans = [(start, p), (p + 1, stop)]
-                for first, last in spans:
-                    for s in range(first, last, PAIR_BLOCK):
-                        e = min(s + PAIR_BLOCK, last)
-                        blocks.append((members[s:e] - lo + at, self.compare(a, stack[s:e])))
+                for s in range(start, stop, PAIR_BLOCK):
+                    e = min(s + PAIR_BLOCK, stop)
+                    blocks.append((members[s:e] - lo + at, self.compare(a, self.stacks[k][s:e])))
+            if own is not None and lo <= own < hi:
+                blocks.append(([own - lo + at], self_pairs(a[None])))
         return self._assemble(j.size, blocks)
 
     def _pairs(self, i, j) -> Matches:
@@ -172,7 +169,8 @@ class GalleryScorer:
         their sizes' arrays for that call alone. So that a list holds one
         block of gathered sets at most, the deferred modes of a list longer
         than PAIR_BLOCK repeat their call when read. A pair of a set with
-        itself follows `self_pairs`.
+        itself is compared with its group, and a `self_pairs` block after
+        the group's kernel blocks replaces its result.
         """
         blocks = []
         base = max(self.members) + 1
@@ -180,10 +178,6 @@ class GalleryScorer:
         for shape in np.unique(shapes).tolist():
             k_a, k_b = divmod(shape, base)
             same = np.flatnonzero(shapes == shape)
-            own = i[same] == j[same]
-            if own.any():
-                blocks.append((same[own], self_pairs(self.stacks[k_b][self.offset[j[same[own]]]])))
-                same = same[~own]
             for at in range(0, same.size, PAIR_BLOCK):
                 g = same[at : at + PAIR_BLOCK]
                 a, b = self.offset[i[g]], self.offset[j[g]]
@@ -191,11 +185,14 @@ class GalleryScorer:
                     return self.compare(self.stacks[k_a][a], self.stacks[k_b][b])
                 res = compare()
                 blocks.append((g, res.deferring_to(compare) if j.size > PAIR_BLOCK else res))
+            own = same[i[same] == j[same]]
+            blocks.append((own, self_pairs(self.stacks[k_b][self.offset[j[own]]])))
         return self._assemble(j.size, blocks)
 
     def _assemble(self, size: int, blocks) -> Matches:
         """The Matches of `size` pairs from (positions, kernel result)
-        blocks: scores now, modes on first read."""
+        blocks: scores now, modes on first read. Blocks are applied in
+        order, so a later block's positions overwrite an earlier one's."""
         score = np.empty(size)
         for g, res in blocks:
             score[g] = res.score

@@ -63,6 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .corpus import is_count
 from .errors import TrainingError
 
 log = logging.getLogger(__name__)
@@ -98,7 +99,7 @@ class SvrConfig:
                 raise ValueError(f"{name} must be positive and finite (got {value!r})")
         if not (np.isfinite(self.kkt_tolerance) and self.kkt_tolerance >= 0):
             raise ValueError(f"kkt_tolerance must be finite and >= 0 (got {self.kkt_tolerance!r})")
-        if not isinstance(self.max_passes, (int, np.integer)) or self.max_passes < 0:
+        if not is_count(self.max_passes) or self.max_passes < 0:
             raise ValueError(f"max_passes must be an integer >= 0 (got {self.max_passes!r})")
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FaceSet, Gallery
+from .corpus import FaceSet, Gallery, is_count
 
 # width of one dimension's visibility window: the condition axis unit
 VISIBILITY_WIDTH = 1.0
@@ -50,10 +50,12 @@ class SynthConfig:
     set_spacing: float | None = None
 
     def __post_init__(self):
-        if self.n_identities < 1 or self.dim < 1:
-            raise ValueError("n_identities and dim must be positive")
         lo, hi = self.sets_per_identity
         elo, ehi = self.exemplars_per_set
+        if not all(map(is_count, (self.n_identities, lo, hi, elo, ehi, self.dim, self.seed))):
+            raise ValueError("n_identities, dim, seed and the range bounds must be integers")
+        if self.n_identities < 1 or self.dim < 1 or self.seed < 0:
+            raise ValueError("n_identities and dim must be positive and seed nonnegative")
         if not (1 <= lo <= hi and 1 <= elo <= ehi):
             raise ValueError("ranges must be non-empty with lo <= hi")
         if not 0.0 <= self.transitivity <= 1.0:

@@ -102,6 +102,25 @@ class TestUsageErrors:
         assert run("retrieve", *common, "--query", "id000_s0", "--out", str(ranking)) == 1
         assert not ranking.exists()
 
+    @pytest.mark.parametrize("command", ["retrieve", "evaluate"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "lqts", "--k", "0"], "method 'lqts' requires a trained model"),
+            (["--method", "arith", "--k", "2"], "method 'arith' with k_p > 0 needs a proxy table"),
+        ],
+        ids=["lqts-without-model", "arith-without-proxies"],
+    )
+    def test_missing_artifact(self, pipeline_dirs, tmp_path, capsys, command, flags, message):
+        root, gal = pipeline_dirs
+        out = tmp_path / "out"
+        outputs = ["--out-dir", str(out)]
+        if command == "retrieve":
+            outputs = ["--query", "id000_s0", "--out", str(out)]
+        assert run(command, "--gallery", str(gal), *flags, *outputs) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("top_k", ["0", "-3"])
     def test_evaluate_top_k_below_one(self, pipeline_dirs, tmp_path, capsys, top_k):
         root, gal = pipeline_dirs
@@ -217,6 +236,20 @@ class TestDataErrors:
         )
         assert code == 2
         assert str(model) in capsys.readouterr().err
+
+    def test_malformed_model_given_to_the_baseline(self, pipeline_dirs, tmp_path, capsys):
+        # an artifact given is read, whether or not the method needs it
+        root, gal = pipeline_dirs
+        model = tmp_path / "model.qts"
+        model.write_text("gamma=0.2\nepsilon=0.4\ncost=1000.0\nbias=nan\n")
+        out = tmp_path / "r.tsv"
+        code = run(
+            "retrieve", "--gallery", str(gal), "--query", "id000_s0", "--method", "baseline",
+            "--model", str(model), "--out", str(out),
+        )
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "target, command",

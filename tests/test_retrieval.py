@@ -21,7 +21,7 @@ from lqts.retrieval import (
     RetrievalConfig,
     select_proxies,
 )
-from lqts.similarity import fit_subspace, max_max_sim_batch
+from lqts.similarity import Matches, fit_subspace, max_max_sim_batch
 from lqts.svr import SvrConfig, SvrModel, predict
 
 from conftest import random_set, ranker_score
@@ -510,7 +510,10 @@ class TestGalleryScorer:
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_rows_read_the_storage_in_place(self, rng, baseline, monkeypatch):
         # sizes 2, 3, 2, 3, ...: every kernel call of a row reads the
-        # scorer's own arrays, the set itself never among its right sets
+        # scorer's own arrays, and a row makes one pass over each size's
+        # slice, the set itself included, in blocks of 3. A row that split
+        # the slice around the set would make two calls for the 3 sets of
+        # size 3 when the set is the middle one
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=2 + p % 2, d=5) for p in range(7)))
         scorer = GalleryScorer(gallery, baseline)
         stored = list(scorer.stacks.values())
@@ -523,7 +526,7 @@ class TestGalleryScorer:
             return real_compare(self, a, b)
 
         monkeypatch.setattr(GalleryScorer, "compare", spy)
-        monkeypatch.setattr(lqts.retrieval, "PAIR_BLOCK", 2)
+        monkeypatch.setattr(lqts.retrieval, "PAIR_BLOCK", 3)
         n = len(gallery)
         everyone = np.arange(n)
         rows = [(q, row) for q in range(n) for row in (everyone, everyone[q + 1 :])]
@@ -538,8 +541,42 @@ class TestGalleryScorer:
                 assert any(np.shares_memory(b, s) for s in stored)
                 if q is not None:
                     assert np.shares_memory(a, scorer.stacks[scorer.ks[q]])
-                    assert not np.shares_memory(a, b)
-            assert sum(len(b) for _, b in compared) == row.size - (q is not None and q in row)
+            assert sum(len(b) for _, b in compared) == row.size
+            per_size = np.unique(scorer.ks[row], return_counts=True)[1]
+            assert len(compared) == sum(-(-n_k // 3) for n_k in per_size.tolist())
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @pytest.mark.parametrize("pairs", [PAIR_BLOCK, PAIR_BLOCK + 1])
+    def test_self_pairs_replace_the_kernel_result(self, rng, baseline, pairs, monkeypatch):
+        # a kernel that gets every pair wrong, its modes deferred under the
+        # subspace baseline as max_corr_batch defers them: a set's entry
+        # against itself still reads score 1 and its row 0 on both sides,
+        # in every query row and in a pair list of one kernel block and
+        # of a longer list, whose deferred modes repeat the kernel call
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=2 + p % 2, d=5) for p in range(7)))
+        scorer = GalleryScorer(gallery, baseline)
+        first = np.array([
+            s.unit_exemplars[0] if baseline == "exemplar" else s.subspace[0] for s in gallery.sets
+        ])
+
+        def wrong(self, a, b):
+            modes = np.full((2, len(b), b.shape[-1]), np.nan)
+            deferred = baseline == "subspace"
+            return Matches(np.full(len(b), -1.0), (lambda: modes) if deferred else modes)
+
+        monkeypatch.setattr(GalleryScorer, "compare", wrong)
+        n = len(gallery)
+        i = rng.integers(0, n, size=pairs)
+        j = (i + rng.integers(1, n, size=pairs)) % n
+        j[::3] = i[::3]
+        calls = [(scorer.pair(q, np.arange(n)), np.full(n, q), np.arange(n)) for q in range(n)]
+        calls.append((scorer.pair(i, j), i, j))
+        for got, left, right in calls:
+            own = left == right
+            assert np.all(got.score[own] == 1.0) and np.all(got.score[~own] == -1.0)
+            assert np.array_equal(got.mode_a[own], first[left[own]])
+            assert np.array_equal(got.mode_b[own], first[left[own]])
+            assert np.isnan(got.mode_a[~own]).all() and np.isnan(got.mode_b[~own]).all()
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_pair_list_holds_one_block(self, rng, baseline, monkeypatch):

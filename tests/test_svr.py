@@ -155,6 +155,8 @@ class TestConfig:
             ("max_passes", -1),
             ("max_passes", 2.5),
             ("max_passes", 10.0),
+            ("max_passes", True),
+            ("max_passes", False),
         ],
     )
     def test_invalid_value_rejected(self, name, value):

@@ -93,6 +93,23 @@ class TestGenerate:
         g, _ = generate(small_config(exemplars_per_set=(4, 7)))
         assert all(4 <= s.size <= 7 for s in g)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_identities", 2.0),
+            ("n_identities", True),
+            ("dim", 8.0),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", -1),
+            ("sets_per_identity", (True, 2)),
+            ("exemplars_per_set", (3.0, 4)),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match="must be integers|seed nonnegative"):
+            small_config(**{name: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(transitivity=1.5)
