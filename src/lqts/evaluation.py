@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Gallery, ProxyTable, write_lines
+from .corpus import Gallery, ProxyTable, is_count, write_lines
 from .errors import CorpusError
 from .retrieval import RankedResult, Ranker, RetrievalConfig
 
@@ -119,8 +119,10 @@ class RankKStat:
 
 def rank_k_stats(records, top_k: int = DEFAULT_TOP_K) -> list[RankKStat]:
     """Group queries by their number of matches k and report top-K hit
-    probability and mean retrieved-match count per group. A top_k below 1
-    raises ValueError."""
+    probability and mean retrieved-match count per group. A top_k that is
+    not an integer >= 1 raises ValueError."""
+    if not is_count(top_k):
+        raise ValueError(f"top_k must be an integer, got {top_k!r}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     groups: dict[int, list[AnrRecord]] = defaultdict(list)
@@ -147,8 +149,8 @@ def independence_prediction(p1: float, n1: float, k: int) -> tuple[float, float]
     from the single-match statistics (p1, n1)."""
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("p1 must lie in [0, 1]")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not is_count(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return float(1.0 - (1.0 - p1) ** k), float(k * n1)
 
 
@@ -159,8 +161,8 @@ def independence_prediction(p1: float, n1: float, k: int) -> tuple[float, float]
 def write_reports(records, out_dir, top_k: int = DEFAULT_TOP_K) -> None:
     """Write one evaluation's reports into out_dir, creating it: anr.tsv,
     cdf.csv at CDF_THRESHOLDS and rank{top_k}.csv (rank100.csv by default).
-    No records or a top_k below 1 raise ValueError before anything is
-    created."""
+    No records or a top_k that is not an integer >= 1 raise ValueError
+    before anything is created."""
     cdf = anr_cdf(records, CDF_THRESHOLDS)
     rank_k_stats(records, top_k)  # the top_k check, before anything is written
     out = Path(out_dir)

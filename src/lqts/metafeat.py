@@ -29,10 +29,11 @@ exemplar baseline each pair with kept rows makes the products its rows
 read: the pair's |cosine| matrix and both sets' |cosine| Grams. Under
 the subspace baseline the work is stacked per side set, and one product
 projects a side set's unit exemplars onto a stack of bases, its own too.
-Each side set makes its own projection and reconstruction once, and its
-projections on its partners' subspaces, their norms, their
-reconstructions and the mode dots in one stacked product per block of
-PAIR_BLOCK partners or fewer; the count reads only the norms. A stacked
+One walk over the side sets (`_by_side`) feeds both the count and the
+rows: each side set's own projection once, and its projections on its
+partners' subspaces, with their norms, in one stacked product per block
+of PAIR_BLOCK partners or fewer. The count reads the norms; the rows
+reconstruct both projections and take the mode dots per block. A stacked
 product is one BLAS call per stacked matrix, so every product keeps the
 shape the whole pair or set gives it, and the kept rows are gathered
 from its results: a kept row is bit for bit the row the pool would hold.
@@ -161,10 +162,12 @@ def _recon(coords: np.ndarray, norms: np.ndarray, bases: np.ndarray) -> np.ndarr
 
 
 def _by_side(sets, pairs: np.ndarray, entries: np.ndarray):
-    """Entries, 2 * pair + label, grouped for stacked products: (side,
-    blocks) per side set, in ascending order, each block PAIR_BLOCK or
-    fewer of its entries whose partners' subspaces share a rank k (a
-    rank-clipped subspace has k below the default dimension)."""
+    """Entries, 2 * pair + label, grouped for stacked products: one (block,
+    own, cross) per block of PAIR_BLOCK or fewer entries of one side set
+    whose partners' subspaces share a rank k (a rank-clipped subspace has
+    k below the default dimension), side sets in ascending order. `own` is
+    the side set's `_project` on its own subspace, made once per side set,
+    and `cross` its `_project` on the block's partners' subspaces."""
     flat = pairs.reshape(-1)
     side, partner = flat[entries], flat[entries ^ 1]
     rank = np.zeros(len(sets), dtype=np.intp)
@@ -173,12 +176,13 @@ def _by_side(sets, pairs: np.ndarray, entries: np.ndarray):
     order = np.lexsort((rank[partner], side))
     entries, side, k = entries[order], side[order], rank[partner[order]]
     edges = (np.flatnonzero((np.diff(side) != 0) | (np.diff(k) != 0)) + 1).tolist()
-    blocks: dict[int, list] = {}
     for lo, hi in zip([0, *edges], [*edges, entries.size]) if entries.size else ():
-        blocks.setdefault(int(side[lo]), []).extend(
-            entries[at : min(at + PAIR_BLOCK, hi)] for at in range(lo, hi, PAIR_BLOCK)
-        )
-    return blocks.items()
+        s = int(side[lo])
+        if lo == 0 or side[lo - 1] != s:
+            own = _project(sets, s, [s])
+        for at in range(lo, hi, PAIR_BLOCK):
+            block = entries[at : min(at + PAIR_BLOCK, hi)]
+            yield block, own, _project(sets, s, flat[block ^ 1].tolist())
 
 
 def _canonical(sets, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,51 +207,46 @@ def _subspace_rows(sets, pairs, whole, start, count, local) -> np.ndarray:
     canonical correlation s3 with its modes f_tp and f_pt. s1 and s2 are
     the projection norms of the unit f_qt.
 
-    Rows come from each entry's run of output rows (`_runs`) and each
-    row's index within its entry (`_kept_rows`); `whole` flags the entries
-    with no degenerate projection. Each side set makes its own projection
-    and reconstruction once, and one stacked product per block of partners
-    for the cross projections, their reconstructions and the mode dots.
-    An entry with a degenerate projection reconstructs from its kept rows
-    only, as the pool did: a product of some rows rounds unlike the same
-    rows of the whole product.
+    Rows come from each entry's run of output rows (`_runs`) and each row's
+    index within its entry (`_kept_rows`); `whole` flags the entries with no
+    degenerate projection. One walk over the side blocks (`_by_side`) gives
+    each side set's own projection once and each block's cross projections;
+    each block reconstructs both and takes the mode dots in one stacked
+    product each. An entry with a degenerate projection reconstructs from
+    its kept rows only, as the pool did: a product of some rows rounds
+    unlike the same rows of the whole product.
     """
     out = np.empty((local.size, 5))
     busy = np.flatnonzero(count)
     held = np.unique(busy >> 1)
     s3, modes = _canonical(sets, pairs[held])
 
-    def write(block, cross_norm, cross_recon, own_norm, own_recon):
-        """A block's kept rows from its `_project` norms and `_recon`
-        reconstructions on its partners', (B, m) and (B, m, d), and on its
-        side set's own subspace, (1, m) and (1, m, d)."""
+    def write(block, own, cross):
+        """A block's kept rows from its side set's `_project` outputs on its
+        own subspace, B = 1, and on its partners'."""
         q, label = np.searchsorted(held, block >> 1), block & 1
         # one matrix-vector product per entry, as the pool's pair took
-        cross_dot = np.abs(np.matmul(cross_recon, modes[q, 1 - label][:, :, None]))[..., 0]
-        own_dot = np.abs(np.matmul(own_recon, modes[q, label][:, :, None]))[..., 0]
+        cross_dot = np.abs(np.matmul(_recon(*cross), modes[q, 1 - label][:, :, None]))[..., 0]
+        own_dot = np.abs(np.matmul(_recon(*own), modes[q, label][:, :, None]))[..., 0]
         n = count[block]
         b = np.repeat(np.arange(block.size), n)
         rows = np.arange(b.size) + np.repeat(start[block] - np.cumsum(n) + n, n)
         label, at = label[b], local[rows]
         # positives (label 0) read the cross projection as s1 and s4,
         # negatives as s2 and s5
-        out[rows, label], out[rows, 1 - label] = cross_norm[b, at], own_norm[0, at]
+        out[rows, label], out[rows, 1 - label] = cross[1][b, at], own[1][0, at]
         out[rows, 3 + label], out[rows, 4 - label] = cross_dot[b, at], own_dot[b, at]
         out[rows, 2] = s3[q[b]]
 
+    for block, own, cross in _by_side(sets, pairs, busy[whole[busy]]):
+        write(block, own, cross)
     flat = pairs.reshape(-1)
-    for s, blocks in _by_side(sets, pairs, busy[whole[busy]]):
-        own = _project(sets, s, [s])
-        own_recon = _recon(*own)
-        for block in blocks:
-            cross = _project(sets, s, flat[block ^ 1].tolist())
-            write(block, cross[1], _recon(*cross), own[1], own_recon)
     for e in busy[~whole[busy]].tolist():
         s = int(flat[e])
         own, cross = _project(sets, s, [s]), _project(sets, s, [flat[e ^ 1]])
         keep = (own[1][0] >= PROJECTION_FLOOR) & (cross[1][0] >= PROJECTION_FLOOR)
         own, cross = ((coords[:, keep], norms[:, keep], bases) for coords, norms, bases in (own, cross))
-        write(np.array([e]), cross[1], _recon(*cross), own[1], _recon(*own))
+        write(np.array([e]), own, cross)
     return out
 
 
@@ -287,10 +286,9 @@ def build_training_corpus(
     held grows with the kept rows and the largest pair, not with the pool.
     """
     kernel(baseline)  # an unknown baseline raises UsageError
-    if not is_count(n_train_sets) or n_train_sets < 1:
-        raise ValueError(f"n_train_sets must be an integer >= 1 (got {n_train_sets!r})")
-    if not is_count(cap) or cap < 1:
-        raise ValueError(f"cap must be an integer >= 1 (got {cap!r})")
+    for name, value, low in (("n_train_sets", n_train_sets, 1), ("cap", cap, 1), ("seed", seed, 0)):
+        if not is_count(value) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
     rng = np.random.default_rng(seed)
     n_refs = min(n_train_sets, len(gallery))
     ref_idx = np.sort(rng.choice(len(gallery), size=n_refs, replace=False))
@@ -302,11 +300,9 @@ def build_training_corpus(
         counts = sizes * (sizes - 1)
     else:
         counts = np.zeros(pairs.shape, dtype=np.intp)
-        for s, blocks in _by_side(sets, pairs, np.arange(pairs.size)):
-            own = _project(sets, s, [s])[1] >= PROJECTION_FLOOR
-            for block in blocks:
-                cross = _project(sets, s, pairs.flat[block ^ 1].tolist())[1] >= PROJECTION_FLOOR
-                counts.flat[block] = np.count_nonzero(own & cross, axis=1)
+        for block, own, cross in _by_side(sets, pairs, np.arange(pairs.size)):
+            kept = (own[1] >= PROJECTION_FLOOR) & (cross[1] >= PROJECTION_FLOOR)
+            counts.flat[block] = np.count_nonzero(kept, axis=1)
         skipped = int(np.sum(sizes) - np.sum(counts))
         if skipped:
             log.info("subspace extraction skipped %d degenerate projections", skipped)

@@ -229,10 +229,6 @@ def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
     return ProxyTable(k_p=k_p, entries=entries)
 
 
-def _clamp01(v):
-    return np.minimum(np.maximum(v, 0.0), 1.0)
-
-
 def _row_cos(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Absolute cosine between matching rows of two stacks of unit modes."""
     return np.minimum(np.abs(np.einsum("ij,ij->i", u, v)), 1.0)
@@ -268,47 +264,41 @@ class Ranker:
         if config.method == METHOD_LQTS:
             self._proxy_mode, self._target_mode = pt.mode_a, pt.mode_b
 
-    def _compare_query(self, query) -> tuple[int | None, Matches]:
-        """(gallery index or None, the query against every gallery set)."""
+    def rank(self, query) -> RankedResult:
         everyone = np.arange(len(self.gallery))
         if isinstance(query, str):
-            idx = self.gallery.index_of(query)
-            return idx, self.scorer.pair(idx, everyone)
-        if not isinstance(query, FaceSet):
+            q_idx, query_id = self.gallery.index_of(query), query
+            res = self.scorer.pair(q_idx, everyone)
+        elif isinstance(query, FaceSet):
+            q_idx, query_id = None, query.set_id
+            res = self.scorer.query(query, everyone)
+        else:
             raise UsageError("query must be a set_id or a FaceSet")
-        return None, self.scorer.query(query, everyone)
-
-    def rank(self, query) -> RankedResult:
-        q_idx, res = self._compare_query(query)
-        query_id = query if isinstance(query, str) else query.set_id
         # every proxy row is scored: a row whose target is the query only
-        # raises the query's own score, which is dropped with its column
+        # raises the query's own score, which is dropped from the order;
+        # the row is a fresh array, raised in place
         t, p = self._target, self._proxy
-        q_score = res.score
-        scores = q_score.copy()
+        scores = res.score
         method = self.config.method
         if t.size:
             if method == METHOD_LQTS:
                 features = np.column_stack(
                     [
-                        q_score[p],
-                        q_score[t],
+                        scores[p],
+                        scores[t],
                         self._s3,
                         _row_cos(res.mode_b[p], self._proxy_mode),
                         _row_cos(res.mode_b[t], self._target_mode),
                     ]
                 )
-                est = _clamp01(predict(self.config.model, features))
+                est = np.clip(predict(self.config.model, features), 0.0, 1.0)
             else:
-                est = COMBINERS[method](q_score[p], self._s3)
+                est = COMBINERS[method](scores[p], self._s3)
             np.maximum.at(scores, t, est)
 
-        targets = np.arange(len(self.gallery))
-        if q_idx is not None:
-            targets = np.delete(targets, q_idx)
-        scores = scores[targets]
         order = np.argsort(-scores, kind="stable")  # ties: ascending gallery index
-        ranking = tuple(zip(self._ids[targets[order]].tolist(), scores[order].tolist()))
+        order = order[order != q_idx]
+        ranking = tuple(zip(self._ids[order].tolist(), scores[order].tolist()))
         return RankedResult(query_id=query_id, ranking=ranking)
 
 

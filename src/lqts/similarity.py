@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import FaceSet
+from .corpus import FaceSet, is_count
 from .errors import DimensionMismatchError, UsageError, ZeroVectorError
 
 EXEMPLAR = "exemplar"
@@ -125,8 +125,8 @@ def fit_subspace(s: FaceSet, k: int = DEFAULT_SUBSPACE_DIM) -> np.ndarray:
     k is silently clipped to the numerical rank so small sets never fail.
     Row signs are fixed so each row's largest-magnitude entry is positive.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not is_count(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     _, sing, vt = np.linalg.svd(s.exemplars, full_matrices=False)
     rank = int(np.sum(sing > RANK_RTOL * sing[0]))
     k_eff = min(k, rank)

@@ -56,6 +56,10 @@ class SynthConfig:
             raise ValueError("n_identities, dim, seed and the range bounds must be integers")
         if self.n_identities < 1 or self.dim < 1 or self.seed < 0:
             raise ValueError("n_identities and dim must be positive and seed nonnegative")
+        reals = [self.identity_spread, self.condition_spread, self.transitivity, self.descriptor_floor]
+        reals += [self.noise] + ([] if self.set_spacing is None else [self.set_spacing])
+        if not np.isfinite(reals).all():
+            raise ValueError("spreads, transitivity, floor, noise and set_spacing must be finite")
         if not (1 <= lo <= hi and 1 <= elo <= ehi):
             raise ValueError("ranges must be non-empty with lo <= hi")
         if not 0.0 <= self.transitivity <= 1.0:

@@ -142,6 +142,13 @@ class TestUsageErrors:
         assert run("train", "--features", str(feats), "--gamma", "nan", "--out", str(out)) == 1
         assert not out.exists()
 
+    def test_non_finite_synth_parameter(self, tmp_path, capsys):
+        out = tmp_path / "gal"
+        assert run("synth", "--out", str(out), "--identities", "4", "--sigma-id", "nan") == 1
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDataErrors:
     def test_missing_gallery_dir(self, tmp_path):

@@ -16,6 +16,7 @@ from lqts.evaluation import (
     independence_prediction,
     rank_k_stats,
     write_rank_k_report,
+    write_reports,
 )
 from lqts.retrieval import Ranker, RetrievalConfig
 
@@ -226,6 +227,9 @@ class TestIndependencePrediction:
             independence_prediction(1.2, 0.5, 2)
         with pytest.raises(ValueError):
             independence_prediction(0.5, 0.5, 0)
+        for k in (2.5, True):
+            with pytest.raises(ValueError, match="k must be an integer >= 1"):
+                independence_prediction(0.5, 1.0, k)
 
 
 class TestReports:
@@ -245,3 +249,11 @@ class TestReports:
         # prediction extrapolates the k=1 group: 1 - (1-0.5)^2 and 2 * 0.5
         assert float(k2[2]) == pytest.approx(0.75)
         assert float(k2[4]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("top_k", [2.5, True])
+    def test_top_k_must_be_an_integer(self, tmp_path, top_k):
+        # 2.5 would write rank2.5.csv, and True would count as 1
+        recs = [AnrRecord("a", 300, 1, (5,), 0.0)]
+        with pytest.raises(ValueError, match="top_k must be an integer"):
+            write_reports(recs, tmp_path / "eval", top_k=top_k)
+        assert not (tmp_path / "eval").exists()

@@ -312,12 +312,22 @@ class TestBuildTrainingCorpus:
 
     @pytest.mark.parametrize(
         "setting, value",
-        [("cap", 100.0), ("cap", True), ("n_train_sets", 5.0), ("n_train_sets", True)],
+        [
+            ("cap", 100.0),
+            ("cap", True),
+            ("n_train_sets", 5.0),
+            ("n_train_sets", True),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", -1),
+        ],
     )
     def test_counts_must_be_integers(self, rng, setting, value):
-        # 100.0 would fail inside rng.choice, and only when the cap applies
+        # 100.0 would fail inside rng.choice, and only when the cap applies;
+        # seed 1.5 inside SeedSequence, and True would be taken as seed 1
         g, table = self._gallery_and_proxies(rng)
-        with pytest.raises(ValueError, match=f"{setting} must be an integer >= 1"):
+        low = 0 if setting == "seed" else 1
+        with pytest.raises(ValueError, match=f"{setting} must be an integer >= {low}"):
             build_training_corpus(g, table, **{setting: value})
 
     def test_subspace_baseline_counts(self, rng):

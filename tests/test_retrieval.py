@@ -296,20 +296,27 @@ class TestRankGallery:
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_query_never_ranks_itself(self, rng, baseline):
         # every proxy row is scored, those whose target is the query too;
-        # a model that scores every row 1.0 must still leave the query out
+        # a model that scores every row 1.0 must still leave the query out.
+        # Every score ties at 1.0, so the other sets keep gallery order
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=4, d=6) for i in range(7)))
         table = select_proxies(g, baseline, 3)
         config = RetrievalConfig(baseline=baseline, method="lqts", k_p=3, model=constant_model(1.0))
         ranker = Ranker(g, config, table)
         for sid in g.set_ids:
             got = ranker.rank(sid)
-            assert sorted(got.ids()) == sorted(set(g.set_ids) - {sid})
+            assert got.ids() == [other for other in g.set_ids if other != sid]
             assert all(score == 1.0 for _, score in got.ranking)
 
     def test_unknown_query_id(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
         with pytest.raises(CorpusError):
             Ranker(g, RetrievalConfig()).rank("missing")
+
+    @pytest.mark.parametrize("query", [3, None, np.zeros((2, 5))])
+    def test_query_of_another_type(self, rng, query):
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(3)))
+        with pytest.raises(UsageError, match="query must be a set_id or a FaceSet"):
+            Ranker(g, RetrievalConfig()).rank(query)
 
     def test_lqts_matches_straight_line_oracle(self, rng):
         # independent re-implementation: per-target feature construction

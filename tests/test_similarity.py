@@ -140,6 +140,12 @@ class TestFitSubspace:
         sing = np.linalg.svd(b1 @ b2.T, compute_uv=False)
         assert np.all(np.arccos(np.clip(sing, -1, 1)) < 1e-6)
 
+    @pytest.mark.parametrize("k", [2.5, True, 0])
+    def test_k_must_be_an_integer_of_at_least_one(self, rng, k):
+        # 2.5 would fail in slicing, and True would give a one-row basis
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            fit_subspace(random_set(rng, "s", n=5, d=6), k=k)
+
     def test_sign_convention(self, rng):
         s = random_set(rng, "s", n=5, d=6)
         basis = fit_subspace(s, k=3)

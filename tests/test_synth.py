@@ -110,6 +110,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="must be integers|seed nonnegative"):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        ["identity_spread", "condition_spread", "transitivity", "descriptor_floor", "noise", "set_spacing"],
+    )
+    def test_reals_must_be_finite(self, name, value):
+        # nan passes every comparison check, and inf passes the lower bounds
+        with pytest.raises(ValueError, match="must be finite"):
+            small_config(**{name: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(transitivity=1.5)
