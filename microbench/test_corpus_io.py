@@ -7,10 +7,12 @@ benchmark uses:
     OPENBLAS_NUM_THREADS=1 python -m pytest microbench/test_corpus_io.py --benchmark-autosave
 
 One call writes, or reads back, the seed-11 `exemplar-cap2000` gallery as
-the pipeline benchmark's set-up does before any robust selection: 173 CSV
-set files holding 6,116 exemplars, and the manifest. Most of set-up's time
-goes to these two calls. The gallery is generated once and not timed; the
-load reads a copy written once before timing.
+the pipeline benchmark's set-up does before any robust selection: 173 set
+files holding 6,116 exemplars, and the manifest. `test_save_gallery` and
+`test_load_gallery` use the default lossless `QTS2` binary set files, and
+the `_csv` cases the text set files of `save_gallery(..., binary=False)`.
+The gallery is generated once and not timed; a load reads a copy written
+once before timing.
 """
 
 import sys
@@ -41,4 +43,14 @@ def test_save_gallery(benchmark, gallery, tmp_path):
 
 def test_load_gallery(benchmark, gallery, tmp_path):
     save_gallery(gallery, tmp_path / "gallery")
+    assert benchmark(load_gallery, tmp_path / "gallery") == gallery
+
+
+def test_save_gallery_csv(benchmark, gallery, tmp_path):
+    benchmark(save_gallery, gallery, tmp_path / "gallery", binary=False)
+    assert load_gallery(tmp_path / "gallery") == gallery
+
+
+def test_load_gallery_csv(benchmark, gallery, tmp_path):
+    save_gallery(gallery, tmp_path / "gallery", binary=False)
     assert benchmark(load_gallery, tmp_path / "gallery") == gallery

@@ -12,9 +12,12 @@ every admissible query once with each method of `lqts.retrieval.METHODS`
 through the bench's `rank_pass`. It prints one line
 `workload <TAB> seed=N <TAB> name <TAB> value` per output:
 
-* digests: `proxies.tsv`, `features.tsv` and `model.qts`, and for each
-  method `<method>.rankings` and `<method>.anr`, the digests of its
-  rankings and of the ANR records of the same rankings;
+* digests: `gallery`, of each reloaded set's id, shape and exemplar
+  bytes in manifest order, so it shows that the written set files load
+  the generated floats whatever their format; `proxies.tsv`,
+  `features.tsv` and `model.qts`; and for each method `<method>.rankings`
+  and `<method>.anr`, the digests of its rankings and of the ANR records
+  of the same rankings;
 * quality, each value printed with `repr`: `queries`, the admissible query
   count; for each method `<method>.anr03`, its fraction of queries with
   ANR < 0.3, and `<method>.mean_anr`; for each method but the baseline
@@ -71,13 +74,21 @@ def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def gallery_digest(gallery: corpus.Gallery) -> str:
+    digest = hashlib.sha256()
+    for s in gallery:
+        digest.update(f"{s.set_id}\t{s.size}\t{s.dim}\n".encode() + s.exemplars.tobytes())
+    return digest.hexdigest()
+
+
 def lane_outputs(workload, seed: int, work: Path, ops: Outputs) -> dict[str, str]:
     """Output name -> digest or repr'd value for one workload at one data
     seed, from one build; failed operations and checks go into ops."""
     _, gallery = pipeline.setup(workload, seed, work, ops)
+    out = {"gallery": gallery_digest(gallery)}
     gallery, _, _ = pipeline.build(workload, gallery, work, ops)
     corpus.save_features(ops.latest["metafeat.build_training_corpus"], work / "features.tsv")
-    out = {name: sha(work / name) for name in ("proxies.tsv", "features.tsv", "model.qts")}
+    out |= {name: sha(work / name) for name in ("proxies.tsv", "features.tsv", "model.qts")}
 
     proxies = corpus.load_proxies(work / "proxies.tsv")
     model = corpus.load_model(work / "model.qts")

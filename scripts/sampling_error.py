@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lqts import sampling, synth
+from lqts import corpus, sampling, synth
 from lqts.similarity import max_max_sim
 
 
@@ -48,9 +48,9 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     gallery, _ = synth.generate(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     reduced = {s.set_id: sampling.robust_select(s, args.samples) for s in gallery}
-    select_time = time.time() - t0
+    select_time = time.perf_counter() - t0
 
     rng = np.random.default_rng(7)
     ids = gallery.set_ids
@@ -62,16 +62,12 @@ def main(argv=None) -> int:
         red = float(max_max_sim(reduced[ids[i]], reduced[ids[j]]).score[0])
         rows.append((ids[i], ids[j], a.size * b.size, full, red, abs(full - red)))
 
-    with open(out / "pair_errors.tsv", "w") as fh:
-        fh.write("set_a\tset_b\tcomparisons_before\tfull_score\treduced_score\tabs_error\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+    header = "set_a\tset_b\tcomparisons_before\tfull_score\treduced_score\tabs_error"
+    corpus.write_lines(out / "pair_errors.tsv", [header, *("\t".join(map(str, r)) for r in rows)])
 
     errors = np.sort([r[5] for r in rows])
-    with open(out / "error_cdf.csv", "w") as fh:
-        fh.write("abs_error,fraction\n")
-        for k, e in enumerate(errors, start=1):
-            fh.write(f"{e},{k / len(errors)}\n")
+    cdf = [f"{e},{k / len(errors)}" for k, e in enumerate(errors, start=1)]
+    corpus.write_lines(out / "error_cdf.csv", ["abs_error,fraction", *cdf])
 
     before = np.array([r[2] for r in rows], dtype=float)
     after = float(args.samples**2)

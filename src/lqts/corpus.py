@@ -2,10 +2,10 @@
 
 A gallery lives in a directory with a ``manifest.tsv`` (columns
 ``set_id <TAB> identity <TAB> relative_path``, identity ``-`` when
-unlabelled) and one descriptor file per set. Set files are CSV with one
-exemplar per row, or a binary alternative starting with the magic
-``QTS1`` followed by two little-endian uint32 counts (n, d) and n*d
-little-endian float32 values in row-major order.
+unlabelled) and one descriptor file per set: by default the magic ``QTS2``,
+two little-endian uint32 counts (n, d) and n*d little-endian float64 values
+in row-major order, which reload bit for bit. ``QTS1`` files (float32
+values) and CSV files (one exemplar per row) are read as well.
 
 Identity labels, when present, are deliberately gated behind
 :meth:`Gallery.evaluation_labels` so that training and retrieval code
@@ -14,6 +14,7 @@ never sees them.
 
 from __future__ import annotations
 
+import codecs
 import os
 import struct
 from collections.abc import Iterable, Iterator
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import CorpusError
 
 MANIFEST_NAME = "manifest.tsv"
-BINARY_MAGIC = b"QTS1"
+BINARY_DTYPES = {b"QTS1": "<f4", b"QTS2": "<f8"}
 UNLABELLED = "-"
 
 
@@ -222,9 +223,11 @@ class ProxyTable:
 def _read_lines(path: str | Path, blob: bytes | None = None) -> Iterator[tuple[str, str]]:
     """Yield ``(path:line, line)`` for each non-blank line of the UTF-8 text file
     at `path` (whose bytes are `blob` if already read), split by `str.splitlines`,
-    so CRLF ends are accepted. Non-UTF-8 bytes raise CorpusError naming their line."""
+    so CRLF ends are accepted. One leading byte-order mark, which some editors
+    write, is dropped. Non-UTF-8 bytes raise CorpusError naming their line."""
     if blob is None:
         blob = Path(path).read_bytes()
+    blob = blob.removeprefix(codecs.BOM_UTF8)
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -257,22 +260,24 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def _load_set_file(path: Path, set_id: str, where: str) -> np.ndarray:
+    """The rows of a ``QTS2``, ``QTS1`` or CSV set file; a binary file's are a
+    view of its bytes, which `FaceSet` copies once to float64."""
     try:
         blob = path.read_bytes()
     except (OSError, UnicodeEncodeError) as exc:  # the latter: a name the file system cannot encode
         raise CorpusError(f"{where}: set {set_id!r}: cannot read {path}: {exc}") from exc
-    if blob[:4] == BINARY_MAGIC:
+    dtype = BINARY_DTYPES.get(blob[:4])
+    if dtype:
         if len(blob) < 12:
             raise CorpusError(f"set {set_id!r}: truncated binary header in {path}")
         n, d = struct.unpack("<II", blob[4:12])
-        expected = 12 + 4 * n * d
+        expected = 12 + np.dtype(dtype).itemsize * n * d
         if len(blob) != expected:
             raise CorpusError(
                 f"set {set_id!r}: binary payload size mismatch in {path} "
                 f"(expected {expected} bytes, found {len(blob)})"
             )
-        data = np.frombuffer(blob, dtype="<f4", offset=12)
-        return data.reshape(n, d).astype(np.float64)
+        return np.frombuffer(blob, dtype=dtype, offset=12).reshape(n, d)
     # a row with a comma is comma-separated, so an empty field fails float()
     rows, width = [], None
     try:
@@ -311,8 +316,9 @@ def load_gallery(path: str | Path) -> Gallery:
     return Gallery(sets=tuple(sets), labels=None if unlabelled else identities)
 
 
-def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> None:
-    """Write a gallery directory (manifest + one set file per set)."""
+def save_gallery(gallery: Gallery, path: str | Path, binary: bool = True) -> None:
+    """Write a gallery directory: the manifest and one set file per set, in
+    ``QTS2`` (``sets/<set_id>.qtsb``) or, with ``binary=False``, CSV."""
     # a path separator or NUL in a set id would name a file outside sets/, a
     # tab or line break in an id or label would split its manifest row, and a
     # "-" label would reload as unlabelled
@@ -330,9 +336,8 @@ def save_gallery(gallery: Gallery, path: str | Path, binary: bool = False) -> No
         rel = f"sets/{s.set_id}.{ext}"
         try:
             if binary:
-                n, d = s.exemplars.shape
-                payload = struct.pack("<II", n, d) + s.exemplars.astype("<f4").tobytes()
-                (root / rel).write_bytes(BINARY_MAGIC + payload)
+                header = b"QTS2" + struct.pack("<II", *s.exemplars.shape)
+                (root / rel).write_bytes(header + s.exemplars.astype("<f8").tobytes())
             else:
                 write_lines(root / rel, [",".join(map(repr, row)) for row in s.exemplars.tolist()])
         except UnicodeEncodeError as exc:  # a set id the file system cannot encode

@@ -272,7 +272,8 @@ class TestDataErrors:
     def test_non_utf8_byte_names_file_and_line(self, tmp_path, monkeypatch, capsys, target, command):
         monkeypatch.chdir(tmp_path)
         rng = np.random.default_rng(0)
-        save_gallery(Gallery(sets=tuple(FaceSet(s, rng.normal(size=(3, 4))) for s in "abc")), "gal")
+        sets = tuple(FaceSet(s, rng.normal(size=(3, 4))) for s in "abc")
+        save_gallery(Gallery(sets=sets), "gal", binary=False)
         Path("proxies.tsv").write_text("# k_p=1\na\t1\tb\t0.9\nb\t1\ta\t0.9\n")
         Path("features.tsv").write_text(
             "1.0\t0.9\t0.8\t0.9\t1.0\t1.0\ta\tb\n0.0\t0.1\t0.2\t0.1\t0.3\t0.2\tc\td\n"
@@ -340,7 +341,7 @@ def test_non_ascii_set_ids_under_an_ascii_locale(tmp_path, command, written):
         (
             ["sample", "--samples", "3", "--out", "out"],
             ASCII_SET_FILES,
-            b"out/sets/\\xe90.csv: set '\\xe90': cannot write",
+            b"out/sets/\\xe90.qtsb: set '\\xe90': cannot write",
         ),
     ],
     ids=["load", "save"],

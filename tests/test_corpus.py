@@ -1,4 +1,6 @@
+import codecs
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +25,30 @@ from lqts.errors import CorpusError
 from lqts.svr import SvrConfig, SvrModel, predict
 
 from conftest import tiny_gallery
+
+
+# 0, 1, the smallest subnormal, a mid-range subnormal and values whose repr
+# needs 17 significant digits
+EDGE_VALUES = [0.0, 1.0, 5e-324, 1.2345e-310, 0.30000000000000004, 0.9999999999999999]
+values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def galleries(draw):
+    """Unlabelled galleries of 1-4 sets with non-ASCII ids, 1-4 rows of
+    dimension 1-4 drawn from `values` and -0.0; a row whose norm underflows
+    to 0, which FaceSet rejects, is drawn again."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(values | st.just(-0.0), min_size=dim, max_size=dim).filter(
+        lambda r: np.linalg.norm([r], axis=1)[0] > 0
+    )
+    set_id = st.text("aé名ü0_-.", min_size=1, max_size=4)
+    ids = draw(st.lists(set_id, min_size=1, max_size=4, unique=True))
+    return Gallery(sets=tuple(FaceSet(i, draw(st.lists(row, min_size=1, max_size=4))) for i in ids))
+
+
+def binary_set_file(n, d, flat, magic=b"QTS2"):
+    return magic + struct.pack("<II", n, d) + np.array(flat, dtype="<f8").tobytes()
 
 
 def write_gallery_dir(tmp_path, rows, files):
@@ -137,15 +163,6 @@ class TestGalleryRoundTrip:
     def test_save_load_identity(self, rng, tmp_path, binary):
         labels = {f"set{i}": f"person{i % 2}" for i in range(4)}
         g = tiny_gallery(rng, n_sets=4, labels=labels)
-        if binary:
-            # binary payload is float32; quantize first so equality is exact
-            g = Gallery(
-                sets=tuple(
-                    FaceSet(s.set_id, s.exemplars.astype(np.float32).astype(np.float64))
-                    for s in g
-                ),
-                labels=labels,
-            )
         save_gallery(g, tmp_path / "out", binary=binary)
         again = load_gallery(tmp_path / "out")
         assert again == g
@@ -157,7 +174,7 @@ class TestGalleryRoundTrip:
         g = Gallery(sets=tuple(FaceSet(sid, rng.normal(size=(3, 4))) for sid in ids), labels=labels)
         table = ProxyTable(k_p=1, entries={"é0": (("名1", 0.9),), "名1": (("ü-2", 0.5),)})
         feats = feature_table(rng.random((2, 5)), np.array([1.0, 0.0]), ids[:2], ids[1:])
-        save_gallery(g, tmp_path / "gal")
+        save_gallery(g, tmp_path / "gal", binary=False)
         save_proxies(table, tmp_path / "p.tsv")
         save_features(feats, tmp_path / "f.tsv")
         save_model(TestModelFile()._model(rng), tmp_path / "m.qts")
@@ -175,10 +192,76 @@ class TestGalleryRoundTrip:
 
     def test_save_is_deterministic(self, rng, tmp_path):
         g = tiny_gallery(rng, n_sets=3)
-        save_gallery(g, tmp_path / "a")
-        save_gallery(g, tmp_path / "b")
-        for rel in ["manifest.tsv"] + [f"sets/set{i}.csv" for i in range(3)]:
-            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+        for binary, ext in [(True, "qtsb"), (False, "csv")]:
+            save_gallery(g, tmp_path / ext / "a", binary=binary)
+            save_gallery(g, tmp_path / ext / "b", binary=binary)
+            for rel in ["manifest.tsv"] + [f"sets/set{i}.{ext}" for i in range(3)]:
+                a, b = (tmp_path / ext / side / rel for side in "ab")
+                assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norms near 1e308
+    @given(g=galleries())
+    @example(g=Gallery(sets=(FaceSet("é", [[-2.5]]), FaceSet("名1", [[0.1], [-1.0], [1.5e100]]))))
+    @example(g=Gallery(sets=(FaceSet("ü", [EDGE_VALUES[:4], [-0.0, -0.0, *EDGE_VALUES[3:5]]]),)))
+    def test_default_writer_reloads_bit_for_bit(self, tmp_path_factory, g):
+        root = tmp_path_factory.mktemp("gal")
+        save_gallery(g, root)
+        again = load_gallery(root)
+        assert again.set_ids == g.set_ids
+        for s, t in zip(g, again):
+            assert (root / "sets" / f"{s.set_id}.qtsb").read_bytes()[:4] == b"QTS2"
+            assert t.exemplars.shape == s.exemplars.shape
+            assert t.exemplars.tobytes() == s.exemplars.tobytes()  # tells -0.0 from 0.0
+
+    def test_qts1_file_loads_its_float32_values(self, tmp_path):
+        # 3e-40 is a float32 subnormal
+        values = np.array([[0.1, -2.5, 3e-40], [1.0, 0.0, -0.0]], dtype="<f4")
+        root = write_gallery_dir(tmp_path, ["a\t-\tsets/a.qtsb\n"], {})
+        (root / "sets/a.qtsb").write_bytes(b"QTS1" + struct.pack("<II", 2, 3) + values.tobytes())
+        s = load_gallery(root).get("a")
+        assert s.exemplars.dtype == np.float64
+        assert s.exemplars.tobytes() == values.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"QTS2\x01\x00\x00\x00", "set 'a': truncated binary header in {path}"),
+            (
+                binary_set_file(2, 2, [1.0, 2.0, 3.0]),
+                "set 'a': binary payload size mismatch in {path} (expected 44 bytes, found 36)",
+            ),
+            (
+                binary_set_file(2, 2, [1.0, 2.0, 3.0, 4.0, 5.0]),
+                "set 'a': binary payload size mismatch in {path} (expected 44 bytes, found 52)",
+            ),
+            (
+                binary_set_file(1, 2, [1.0, 2.0], magic=b"QTS1"),
+                "set 'a': binary payload size mismatch in {path} (expected 20 bytes, found 28)",
+            ),
+            (binary_set_file(0, 3, []), "{path}: set 'a': exemplars must be a non-empty 2-D"),
+            (binary_set_file(2, 0, []), "{path}: set 'a': exemplars must be a non-empty 2-D"),
+            (
+                binary_set_file(2, 2, [1.0, 2.0, float("nan"), 1.0]),
+                "{path}: set 'a': non-finite value in exemplar row 1",
+            ),
+            (
+                binary_set_file(2, 2, [float("-inf"), 2.0, 1.0, 1.0]),
+                "{path}: set 'a': non-finite value in exemplar row 0",
+            ),
+            (
+                binary_set_file(2, 2, [1.0, 2.0, 0.0, -0.0]),
+                "{path}: set 'a': zero-norm exemplar at row 1",
+            ),
+        ],
+        ids=["short-header", "payload-short", "payload-long", "qts1-payload-of-float64",
+             "n-zero", "d-zero", "nan", "inf", "zero-norm"],
+    )
+    def test_malformed_binary_file_names_the_file(self, tmp_path, blob, message):
+        root = write_gallery_dir(tmp_path, ["a\t-\tsets/a.qtsb\n"], {})
+        path = root / "sets/a.qtsb"
+        path.write_bytes(blob)
+        with pytest.raises(CorpusError, match=re.escape(message.format(path=path))):
+            load_gallery(root)
 
 
     @pytest.mark.parametrize(
@@ -299,12 +382,8 @@ class TestProxyTable:
             load_proxies(path)
 
 
-# 0, 1, the smallest subnormal, a mid-range subnormal and values whose repr
-# needs 17 significant digits
-EDGE_VALUES = [0.0, 1.0, 5e-324, 1.2345e-310, 0.30000000000000004, 0.9999999999999999]
 FEATURE_ROW = "1.0\t0.1\t0.2\t0.3\t0.4\t0.5\tr\tp\n"
 set_ids = st.text("abyz019_-.", max_size=6)
-values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
 feature_rows = st.tuples(
     st.lists(values, min_size=5, max_size=5),
     st.sampled_from([0.0, 1.0]),
@@ -442,3 +521,52 @@ class TestModelFile:
         assert m.n_support == 0
         assert predict(m, np.zeros(5)) == 0.7
         assert predict(m, np.full(5, 9.0)) == 0.7
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, which Windows editors and spreadsheets write,
+    is dropped from the start of every text file kind."""
+
+    def _write_all(self, rng, root):
+        g = Gallery(
+            sets=tuple(FaceSet(sid, rng.normal(size=(2, 5))) for sid in "ab"),
+            labels={"a": "p", "b": "q"},
+        )
+        table = ProxyTable(k_p=1, entries={"a": (("b", 0.5),)})
+        feats = feature_table(rng.random((2, 5)), np.array([1.0, 0.0]), ["a", "b"], ["b", "a"])
+        model = TestModelFile()._model(rng)
+        save_gallery(g, root / "gal", binary=False)
+        save_proxies(table, root / "p.tsv")
+        save_features(feats, root / "f.tsv")
+        save_model(model, root / "m.qts")
+        return g, table, feats, model
+
+    @pytest.mark.parametrize(
+        "name", ["gal/manifest.tsv", "gal/sets/a.csv", "p.tsv", "f.tsv", "m.qts"],
+        ids=["manifest", "set-csv", "proxy-table", "feature-table", "model"],
+    )
+    def test_leading_mark_dropped(self, rng, tmp_path, name):
+        g, table, feats, model = self._write_all(rng, tmp_path)
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        again = load_gallery(tmp_path / "gal")
+        assert again == g and again.index_of("a") == 0
+        assert load_proxies(tmp_path / "p.tsv") == table
+        f = load_features(tmp_path / "f.tsv")
+        assert f.s.tobytes() == feats.s.tobytes() and f.ref.tolist() == ["a", "b"]
+        assert load_model(tmp_path / "m.qts") == model
+
+    def test_only_one_mark_dropped(self, rng, tmp_path):
+        self._write_all(rng, tmp_path)
+        path = tmp_path / "gal/sets/a.csv"
+        path.write_bytes(2 * codecs.BOM_UTF8 + path.read_bytes())
+        message = re.escape(f"{path}:1: ") + ".*" + re.escape("float: '\\ufeff")
+        with pytest.raises(CorpusError, match=message):
+            load_gallery(tmp_path / "gal")
+
+    def test_non_utf8_byte_after_a_mark_names_its_line(self, rng, tmp_path):
+        self._write_all(rng, tmp_path)
+        path = tmp_path / "p.tsv"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes() + b"\xff\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:3: not UTF-8 text")):
+            load_proxies(path)

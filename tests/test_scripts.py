@@ -76,7 +76,7 @@ def test_output_digests_repeat_on_tiny_workloads(tiny_digest_runs):
     assert {len(line.split("\t")) for line in runs[0].splitlines()} == {4}
     assert list(outputs) == [(w.name, f"seed={seed}") for w in tiny for seed in (3, 4)]
     assert len(builds) == 2 * len(outputs)  # one build per lane and seed in each run
-    expected = ["proxies.tsv", "features.tsv", "model.qts", "queries"]
+    expected = ["gallery", "proxies.tsv", "features.tsv", "model.qts", "queries"]
     for method in METHODS:
         expected += [f"{method}.{n}" for n in ("rankings", "anr", "anr03", "mean_anr")]
         expected += [f"{method}.gain_pp"] if method != "baseline" else []
