@@ -49,7 +49,10 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+# after PYTHONPATH, so that PYTHONPATH=<another tree>/src selects that tree
+sys.path.append(str(ROOT / "src"))
 import pipeline  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 

@@ -20,7 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+# after PYTHONPATH, so that PYTHONPATH=<another tree>/src selects that tree
+sys.path.append(str(ROOT / "src"))
 import pipeline  # noqa: E402
 from workloads import Workload  # noqa: E402
 

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from lqts import corpus, sampling, synth
-from lqts.similarity import max_max_sim
+# after PYTHONPATH, so that PYTHONPATH=<another tree>/src selects that tree
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+from lqts import corpus, sampling, synth  # noqa: E402
+from lqts.similarity import max_max_sim  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -50,10 +50,9 @@ def _cmd_synth(args) -> int:
         noise=args.noise,
         set_spacing=args.spacing,
     )
-    gallery, truth = synth.generate(config)
+    gallery, _ = synth.generate(config)
     out = Path(args.out)
     corpus.save_gallery(gallery, out)
-    corpus.write_lines(out / "truth.tsv", [f"{sid}\t{truth[sid]}" for sid in gallery.set_ids])
     print(f"wrote {len(gallery)} sets (dim {gallery.dim}) to {out}")
     return 0
 

@@ -2,10 +2,11 @@
 
 A gallery lives in a directory with a ``manifest.tsv`` (columns
 ``set_id <TAB> identity <TAB> relative_path``, identity ``-`` when
-unlabelled) and one descriptor file per set: by default the magic ``QTS2``,
-two little-endian uint32 counts (n, d) and n*d little-endian float64 values
-in row-major order, which reload bit for bit. ``QTS1`` files (float32
-values) and CSV files (one exemplar per row) are read as well.
+unlabelled) and one descriptor file per set. `save_gallery` writes ``QTS2``:
+the magic, two little-endian uint32 counts (n, d) and n*d little-endian
+float64 values in row-major order, which reload bit for bit. `load_gallery`
+also reads ``QTS1`` (float32 values) and CSV (one exemplar per row) set
+files, which galleries made elsewhere may hold.
 
 Identity labels, when present, are deliberately gated behind
 :meth:`Gallery.evaluation_labels` so that training and retrieval code
@@ -57,10 +58,12 @@ class FaceSet:
         if not np.all(np.isfinite(arr)):
             row = int(np.where(~np.isfinite(arr).all(axis=1))[0][0])
             raise CorpusError(f"set {self.set_id!r}: non-finite value in exemplar row {row}")
-        norms = np.linalg.norm(arr, axis=1)
-        if np.any(norms == 0.0):
-            row = int(np.where(norms == 0.0)[0][0])
-            raise CorpusError(f"set {self.set_id!r}: zero-norm exemplar at row {row}")
+        # a norm that overflows would scale its row to zeros in unit_exemplars
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=1)
+        for bad, what in ((norms == 0.0, "zero"), (norms == np.inf, "overflowing")):
+            if bad.any():
+                raise CorpusError(f"set {self.set_id!r}: {what}-norm exemplar at row {bad.argmax()}")
         object.__setattr__(self, "exemplars", _readonly(arr))
 
     @property
@@ -264,7 +267,7 @@ def _load_set_file(path: Path, set_id: str, where: str) -> np.ndarray:
     view of its bytes, which `FaceSet` copies once to float64."""
     try:
         blob = path.read_bytes()
-    except (OSError, UnicodeEncodeError) as exc:  # the latter: a name the file system cannot encode
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a name the file system cannot encode
         raise CorpusError(f"{where}: set {set_id!r}: cannot read {path}: {exc}") from exc
     dtype = BINARY_DTYPES.get(blob[:4])
     if dtype:
@@ -316,9 +319,9 @@ def load_gallery(path: str | Path) -> Gallery:
     return Gallery(sets=tuple(sets), labels=None if unlabelled else identities)
 
 
-def save_gallery(gallery: Gallery, path: str | Path, binary: bool = True) -> None:
-    """Write a gallery directory: the manifest and one set file per set, in
-    ``QTS2`` (``sets/<set_id>.qtsb``) or, with ``binary=False``, CSV."""
+def save_gallery(gallery: Gallery, path: str | Path) -> None:
+    """Write a gallery directory: the manifest and each set as ``QTS2`` in
+    ``sets/<set_id>.qtsb``."""
     # a path separator or NUL in a set id would name a file outside sets/, a
     # tab or line break in an id or label would split its manifest row, and a
     # "-" label would reload as unlabelled
@@ -330,16 +333,12 @@ def save_gallery(gallery: Gallery, path: str | Path, binary: bool = True) -> Non
             raise CorpusError(f"set {s.set_id!r}: label {label!r} is '-' or has a tab or line break")
     root = Path(path)
     (root / "sets").mkdir(parents=True, exist_ok=True)
-    ext = "qtsb" if binary else "csv"
     manifest = []
     for s in gallery.sets:
-        rel = f"sets/{s.set_id}.{ext}"
+        rel = f"sets/{s.set_id}.qtsb"
         try:
-            if binary:
-                header = b"QTS2" + struct.pack("<II", *s.exemplars.shape)
-                (root / rel).write_bytes(header + s.exemplars.astype("<f8").tobytes())
-            else:
-                write_lines(root / rel, [",".join(map(repr, row)) for row in s.exemplars.tolist()])
+            header = b"QTS2" + struct.pack("<II", *s.exemplars.shape)
+            (root / rel).write_bytes(header + s.exemplars.astype("<f8").tobytes())
         except UnicodeEncodeError as exc:  # a set id the file system cannot encode
             raise CorpusError(f"{root / rel}: set {s.set_id!r}: cannot write: {exc}") from None
         identity = gallery.labels[s.set_id] if gallery.labels else UNLABELLED

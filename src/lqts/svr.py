@@ -324,8 +324,9 @@ def train(features: np.recarray, config: SvrConfig = SvrConfig()) -> SvrModel:
     x, y = np.ascontiguousarray(features.s), np.ascontiguousarray(features.label)
     if len(y) == 0:
         raise TrainingError("empty training corpus")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise TrainingError("training data contains non-finite values")
+    # a finite row whose squared norm overflows would make its kernel values NaN
+    if not (np.isfinite(np.einsum("ij,ij->i", x, x)).all() and np.isfinite(y).all()):
+        raise TrainingError("training data contains non-finite values or an overflowing row norm")
     l = x.shape[0]
     c = config.cost
     eps = config.epsilon

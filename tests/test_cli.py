@@ -13,6 +13,8 @@ from lqts.sampling import DEFAULT_SAMPLES
 from lqts.svr import SvrConfig
 from lqts.synth import SynthConfig
 
+from conftest import save_csv_gallery
+
 
 def run(*argv):
     return main(list(argv))
@@ -161,6 +163,14 @@ class TestDataErrors:
         (gal / "sets" / "a.csv").write_text("1.0,oops\n")
         assert run("energy", "--gallery", str(gal), "--out", str(tmp_path / "e.csv")) == 2
 
+    def test_nul_in_a_set_path_names_the_manifest_line(self, tmp_path, capsys):
+        gal = tmp_path / "gal"
+        (gal / "sets").mkdir(parents=True)
+        (gal / "manifest.tsv").write_text("a\t-\tsets/a.csv\nb\t-\tsets/b\0.qtsb\n")
+        (gal / "sets" / "a.csv").write_text("1.0,2.0\n")
+        assert run("proxies", "--gallery", str(gal), "--k", "1", "--out", str(tmp_path / "p.tsv")) == 2
+        assert f"{gal / 'manifest.tsv'}:2: set 'b': cannot read" in capsys.readouterr().err
+
     def test_energy_skips_sets_without_variation(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         sets = (
@@ -273,7 +283,7 @@ class TestDataErrors:
         monkeypatch.chdir(tmp_path)
         rng = np.random.default_rng(0)
         sets = tuple(FaceSet(s, rng.normal(size=(3, 4))) for s in "abc")
-        save_gallery(Gallery(sets=sets), "gal", binary=False)
+        save_csv_gallery(Gallery(sets=sets), "gal")
         Path("proxies.tsv").write_text("# k_p=1\na\t1\tb\t0.9\nb\t1\ta\t0.9\n")
         Path("features.tsv").write_text(
             "1.0\t0.9\t0.8\t0.9\t1.0\t1.0\ta\tb\n0.0\t0.1\t0.2\t0.1\t0.3\t0.2\tc\td\n"
@@ -433,6 +443,8 @@ class TestPipeline:
                 "--exemplars-max", "6",
             ) == 0
         a, b = tmp_path / "a", tmp_path / "b"
+        assert sorted(p.name for p in a.iterdir()) == ["manifest.tsv", "run.json", "sets"]
+        assert all(p.suffix == ".qtsb" for p in (a / "sets").iterdir())
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             if rel.name == "run.json":  # sidecar records the differing --out path
                 continue

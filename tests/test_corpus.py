@@ -24,7 +24,7 @@ from lqts.corpus import (
 from lqts.errors import CorpusError
 from lqts.svr import SvrConfig, SvrModel, predict
 
-from conftest import tiny_gallery
+from conftest import save_csv_gallery, tiny_gallery
 
 
 # 0, 1, the smallest subnormal, a mid-range subnormal and values whose repr
@@ -37,10 +37,10 @@ values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinit
 def galleries(draw):
     """Unlabelled galleries of 1-4 sets with non-ASCII ids, 1-4 rows of
     dimension 1-4 drawn from `values` and -0.0; a row whose norm underflows
-    to 0, which FaceSet rejects, is drawn again."""
+    to 0 or overflows to inf, which FaceSet rejects, is drawn again."""
     dim = draw(st.integers(1, 4))
     row = st.lists(values | st.just(-0.0), min_size=dim, max_size=dim).filter(
-        lambda r: np.linalg.norm([r], axis=1)[0] > 0
+        lambda r: 0 < np.linalg.norm([r], axis=1)[0] < np.inf
     )
     set_id = st.text("aé名ü0_-.", min_size=1, max_size=4)
     ids = draw(st.lists(set_id, min_size=1, max_size=4, unique=True))
@@ -69,6 +69,12 @@ class TestFaceSet:
         with pytest.raises(CorpusError, match="zero-norm"):
             FaceSet("x", np.array([[1.0, 2.0], [0.0, 0.0]]))
 
+    def test_rejects_a_norm_that_overflows(self):
+        # finite values whose norm is inf would scale to a row of zeros
+        with pytest.raises(CorpusError, match=re.escape("set 'x': overflowing-norm exemplar at row 1")):
+            FaceSet("x", np.array([[1.0, 2.0], [1e200, 1.0]]))
+        assert np.linalg.norm(FaceSet("y", [[1e154, 1.0]]).unit_exemplars) == 1.0
+
     def test_exemplars_read_only(self):
         s = FaceSet("x", np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
@@ -87,6 +93,13 @@ class TestGalleryLoad:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="manifest"):
             load_gallery(tmp_path)
+
+    def test_nul_in_a_set_path_names_the_manifest_line(self, tmp_path):
+        rows = ["a\t-\tsets/a.csv\n", "b\t-\tsets/b\0.qtsb\n"]
+        root = write_gallery_dir(tmp_path, rows, {"sets/a.csv": "1.0,2.0\n"})
+        message = f"{root / 'manifest.tsv'}:2: set 'b': cannot read"
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            load_gallery(root)
 
     def test_nan_names_set_and_row(self, tmp_path):
         rows = ["bad\t-\tsets/bad.csv\n"]
@@ -159,11 +172,10 @@ class TestGalleryLoad:
 
 
 class TestGalleryRoundTrip:
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_save_load_identity(self, rng, tmp_path, binary):
+    def test_save_load_identity(self, rng, tmp_path):
         labels = {f"set{i}": f"person{i % 2}" for i in range(4)}
         g = tiny_gallery(rng, n_sets=4, labels=labels)
-        save_gallery(g, tmp_path / "out", binary=binary)
+        save_gallery(g, tmp_path / "out")
         again = load_gallery(tmp_path / "out")
         assert again == g
         assert again.set_ids == g.set_ids
@@ -174,12 +186,12 @@ class TestGalleryRoundTrip:
         g = Gallery(sets=tuple(FaceSet(sid, rng.normal(size=(3, 4))) for sid in ids), labels=labels)
         table = ProxyTable(k_p=1, entries={"é0": (("名1", 0.9),), "名1": (("ü-2", 0.5),)})
         feats = feature_table(rng.random((2, 5)), np.array([1.0, 0.0]), ids[:2], ids[1:])
-        save_gallery(g, tmp_path / "gal", binary=False)
+        save_gallery(g, tmp_path / "gal")
         save_proxies(table, tmp_path / "p.tsv")
         save_features(feats, tmp_path / "f.tsv")
         save_model(TestModelFile()._model(rng), tmp_path / "m.qts")
-        written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
-        assert len(written) == 7
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.parent.name != "sets")
+        assert len(written) == 4
         for path in written:
             text = path.read_bytes().decode("utf-8")
             assert text.endswith("\n") and "\r" not in text
@@ -192,12 +204,10 @@ class TestGalleryRoundTrip:
 
     def test_save_is_deterministic(self, rng, tmp_path):
         g = tiny_gallery(rng, n_sets=3)
-        for binary, ext in [(True, "qtsb"), (False, "csv")]:
-            save_gallery(g, tmp_path / ext / "a", binary=binary)
-            save_gallery(g, tmp_path / ext / "b", binary=binary)
-            for rel in ["manifest.tsv"] + [f"sets/set{i}.{ext}" for i in range(3)]:
-                a, b = (tmp_path / ext / side / rel for side in "ab")
-                assert a.read_bytes() == b.read_bytes()
+        save_gallery(g, tmp_path / "a")
+        save_gallery(g, tmp_path / "b")
+        for rel in ["manifest.tsv"] + [f"sets/set{i}.qtsb" for i in range(3)]:
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norms near 1e308
     @given(g=galleries())
@@ -535,7 +545,7 @@ class TestByteOrderMark:
         table = ProxyTable(k_p=1, entries={"a": (("b", 0.5),)})
         feats = feature_table(rng.random((2, 5)), np.array([1.0, 0.0]), ["a", "b"], ["b", "a"])
         model = TestModelFile()._model(rng)
-        save_gallery(g, root / "gal", binary=False)
+        save_csv_gallery(g, root / "gal")
         save_proxies(table, root / "p.tsv")
         save_features(feats, root / "f.tsv")
         save_model(model, root / "m.qts")

@@ -3,6 +3,9 @@
 import contextlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,15 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", ["output_digests", "run_pipeline", "sampling_error"])
+def test_script_runs_from_a_plain_checkout(tmp_path, name):
+    # with PYTHONPATH unset, the script finds the checkout's own src
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, str(SCRIPTS / f"{name}.py"), "--help"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_pipeline_reports_every_method(tmp_path, capsys):

@@ -141,6 +141,11 @@ class TestTrainBasics:
         with pytest.raises(TrainingError):
             train(training_table(np.array([[np.nan] * 5]), np.array([1.0])))
 
+    def test_row_whose_squared_norm_overflows_rejected(self):
+        x = np.vstack([np.full(5, 0.5), [4.9e194, 0.5, 0.5, 0.5, 0.5]])
+        with pytest.raises(TrainingError, match="overflowing row norm"):
+            train(training_table(x, np.array([0.0, 1.0])))
+
 
 class TestConfig:
     @pytest.mark.parametrize(
