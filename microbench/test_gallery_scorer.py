@@ -10,7 +10,8 @@ The checkout's own `src` is searched after PYTHONPATH, so a run with
 `PYTHONPATH=<another tree>/src` measures that tree's `lqts`.
 
 One call of `test_query_row` is one query row, `GalleryScorer.pair(q,
-everyone)`, with its scores and modes read: gallery set 0 against every
+everyone)`, with its scores and its gallery-side mode coordinates read, as
+an lqts ranking reads them: gallery set 0 against every
 gallery set, itself included, on the seed-11 gallery of each
 pipeline-benchmark workload, reduced as that workload reduces it
 (`perfbench/workloads.py`). `test_mid_gallery_query_row` is that row
@@ -18,7 +19,7 @@ for gallery set n // 2, which lies inside the slice of its size, where
 set 0 starts its slice. `test_query_row_scores` reads the scores
 alone, as proxy selection and the baseline and combiner rankings do; the
 subspace modes are then never built. `test_ragged_query_row` is the
-same row, modes read, on the seed-11 exemplar gallery as generated,
+same row, coordinates read, on the seed-11 exemplar gallery as generated,
 with no robust selection: 173 sets of 20 to 50 exemplars, 31 sizes
 interleaved in gallery order.
 
@@ -27,13 +28,14 @@ settings at 240 identities (727 `subspace-lane` sets, 720
 `exemplar-cap2000` sets of 10 exemplars), three rounds.
 
 `test_pair_list` times the proxy-target pair list of a `Ranker` at the
-paper's scale, `GalleryScorer.pair(proxy, target)` with its modes read,
-as an lqts ranking reads them: every set against 10 (`PROXY_K`) random
+paper's scale, `GalleryScorer.pair(proxy, target)` with its mode
+coordinates read, as an lqts `Ranker` reads them once to tabulate its
+proxy rows' modes: every set against 10 (`PROXY_K`) random
 other sets, in random galleries of (10, 96) sets shaped like the
 paper-scale lanes, 2,837 sets (28,370 pairs) under the exemplar baseline
 and 2,869 (28,690 pairs) under the subspace baseline. It records, from
 one traced call outside the timed rounds, the peak and the held memory
-of the score-only call and the peak of reading the modes, in MiB, in
+of the score-only call and the peak of reading the coordinates, in MiB, in
 `extra_info`.
 
 `test_max_corr_batch` times the subspace kernel alone on the
@@ -43,7 +45,7 @@ proxy-selection row, and 256 aligned pairs, the first PAIR_BLOCK pairs
 (i, j), i < j, the shape of training extraction. Its `scores` variant
 reads the scores alone, as proxy selection and the baseline and combiner
 rankings do, and leaves the modes unbuilt; its `modes` variant reads the
-modes too, as an lqts query row and training extraction do.
+ambient modes too, as training extraction does.
 """
 
 import sys
@@ -79,15 +81,15 @@ def query_row(name: str):
 
 def bench_row(benchmark, scorer, q, everyone):
     """Time gallery set q's row against every gallery set, its scores and
-    modes read, and check them."""
+    gallery-side mode coordinates read, and check them."""
 
     def row():
         out = scorer.pair(q, everyone)
-        return out.score, out.mode_a, out.mode_b
+        return out.score, out.coords_b
 
-    score, mode_a, mode_b = benchmark(row)
+    score, coords = benchmark(row)
     assert score[q] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
-    assert mode_a.shape == mode_b.shape == (len(everyone), scorer.gallery.dim)
+    assert coords.shape == (len(everyone), max(scorer.members))
 
 
 @pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
@@ -137,21 +139,21 @@ def test_pair_list(benchmark, baseline, sets):
         out = scorer.pair(proxy, target)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out.mode_a
-        modes_peak = tracemalloc.get_traced_memory()[1]
+        out.coords
+        coords_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     del out
-    for name, value in (("scores_peak", peak), ("scores_held", held), ("modes_peak", modes_peak)):
+    for name, value in (("scores_peak", peak), ("scores_held", held), ("coords_peak", coords_peak)):
         benchmark.extra_info[f"{name}_mib"] = value / 2**20
 
     def call():
         out = scorer.pair(proxy, target)
-        return out.score, out.mode_a, out.mode_b
+        return out.score, out.coords
 
-    score, mode_a, mode_b = benchmark.pedantic(call, rounds=5, iterations=1)
+    score, (proxy_coords, target_coords) = benchmark.pedantic(call, rounds=5, iterations=1)
     assert score.shape == (sets * PROXY_K,) and np.all((score >= 0.0) & (score <= 1.0))
-    assert mode_a.shape == mode_b.shape == (sets * PROXY_K, 96)
+    assert proxy_coords.shape == target_coords.shape == (sets * PROXY_K, max(scorer.members))
 
 
 @pytest.mark.parametrize("read", ["scores", "modes"])

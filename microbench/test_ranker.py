@@ -14,6 +14,11 @@ that workload reduces it, under each method the benchmark evaluates,
 with that method's settings (`perfbench/pipeline.py` `method_configs`).
 The proxy table and the model are built once per workload, as the
 benchmark's build makes them (`perfbench/workloads.py`), and not timed.
+
+`test_rank_240` is the lqts ranking of gallery set n // 2 on the same
+workloads' galleries at 240 identities, 720 `exemplar-cap2000` sets of 10
+exemplars and 727 `subspace-lane` sets, each built the same way: a query
+row and proxy-row count four times the bench's.
 """
 
 import functools
@@ -34,10 +39,10 @@ from workloads import CORPUS_SEED, PROXY_K, TRAIN_SETS, WORKLOADS  # noqa: E402
 
 
 @functools.cache
-def workload_build(name: str):
+def workload_build(name: str, **synth_settings):
     """The workload's gallery, proxy table and trained model."""
     w = WORKLOADS[name]
-    gallery = workload_gallery(name)
+    gallery = workload_gallery(name, **synth_settings)
     proxies = select_proxies(gallery, w.baseline, PROXY_K)
     features = build_training_corpus(
         gallery, proxies, w.baseline, n_train_sets=TRAIN_SETS, cap=w.cap, seed=CORPUS_SEED
@@ -50,6 +55,16 @@ def workload_build(name: str):
 def test_rank(benchmark, name, method):
     gallery, proxies, model = workload_build(name)
     ranker = Ranker(gallery, method_configs(WORKLOADS[name], model)[method], proxies)
+    query = gallery.set_ids[len(gallery) // 2]
+    result = benchmark(ranker.rank, query)
+    assert sorted(result.ids()) == sorted(set(gallery.set_ids) - {query})
+
+
+@pytest.mark.parametrize("name, sets", [("exemplar-cap2000", 720), ("subspace-lane", 727)])
+def test_rank_240(benchmark, name, sets):
+    gallery, proxies, model = workload_build(name, n_identities=240)
+    assert len(gallery) == sets
+    ranker = Ranker(gallery, method_configs(WORKLOADS[name], model)["lqts"], proxies)
     query = gallery.set_ids[len(gallery) // 2]
     result = benchmark(ranker.rank, query)
     assert sorted(result.ids()) == sorted(set(gallery.set_ids) - {query})

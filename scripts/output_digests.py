@@ -17,7 +17,9 @@ through the bench's `rank_pass`. It prints one line
   the generated floats whatever their format; `proxies.tsv`,
   `features.tsv` and `model.qts`; and for each method `<method>.rankings`
   and `<method>.anr`, the digests of its rankings and of the ANR records
-  of the same rankings;
+  of the same rankings, and `<method>.orders`, the digest of each
+  ranking's id order without its scores, which tells a change of score
+  rounding from a change of order;
 * quality, each value printed with `repr`: `queries`, the admissible query
   count; for each method `<method>.anr03`, its fraction of queries with
   ANR < 0.3, and `<method>.mean_anr`; for each method but the baseline
@@ -106,11 +108,13 @@ def lane_outputs(workload, seed: int, work: Path, ops: Outputs) -> dict[str, str
         config = configs.get(method) or dataclasses.replace(configs["arith"], method=method)
         ranker = retrieval.Ranker(gallery, config, proxies)
         _, results, records = pipeline.rank_pass(ranker, method, queries, checker, ops, labels)
-        rankings = hashlib.sha256()
+        rankings, orders = hashlib.sha256(), hashlib.sha256()
         for qid, ranking in results.items():
             retrieval.save_ranking(retrieval.RankedResult(qid, ranking), work / "ranking.tsv")
             rankings.update(qid.encode() + b"\n" + (work / "ranking.tsv").read_bytes())
+            orders.update("".join(f"{sid}\n" for sid in (qid, *(s for s, _ in ranking))).encode())
         out[f"{method}.rankings"] = rankings.hexdigest()
+        out[f"{method}.orders"] = orders.hexdigest()
         evaluation.write_anr_report(records, work / "records.tsv")
         out[f"{method}.anr"] = sha(work / "records.tsv")
         anrs = [r.anr for r in records]

@@ -52,7 +52,10 @@ class FaceSet:
     exemplars: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.exemplars, dtype=np.float64)
+        # a float32 signalling NaN raises numpy's invalid-cast flag; the
+        # finiteness check below reports it
+        with np.errstate(invalid="ignore"):
+            arr = np.asarray(self.exemplars, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise CorpusError(f"set {self.set_id!r}: exemplars must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(arr)):

@@ -18,6 +18,7 @@ from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py 
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     EXEMPLAR,
     Matches,
+    ambient_modes,
     cosine_sim,
     fit_subspace,
     kernel,
@@ -88,11 +89,13 @@ class GalleryScorer:
     size's array. `compare` is the kernel, one call of the baseline's
     `lqts.similarity.kernel`. `pair` compares gallery sets by index and
     `query` an outside set with gallery sets; both return a `Matches` of
-    one row per pair, its modes ambient unit vectors assembled on first
-    read; a pair list holds one kernel block of gathered sets at a time.
-    Nothing is cached between calls. A gallery set against itself is
-    compared with the rest and its result then replaced by
-    `lqts.similarity.self_pairs`.
+    one row per pair. Its mode coordinates and its ambient modes are each
+    assembled on first read, the coordinates zero-padded to the widest set
+    of their side; a pair list holds one kernel block of gathered sets at a
+    time. `project` tabulates fixed modes against the rows of their gallery
+    sets, for the coordinates of later rows to read. Nothing is cached
+    between calls. A gallery set against itself is compared with the rest
+    and its result then replaced by `lqts.similarity.self_pairs`.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -167,10 +170,11 @@ class GalleryScorer:
         Pairs are grouped by the sizes of their two sets, and each group is
         compared PAIR_BLOCK pairs per kernel call, on sets gathered from
         their sizes' arrays for that call alone. So that a list holds one
-        block of gathered sets at most, the deferred modes of a list longer
-        than PAIR_BLOCK repeat their call when read. A pair of a set with
-        itself is compared with its group, and a `self_pairs` block after
-        the group's kernel blocks replaces its result.
+        block of gathered sets at most, the ambient modes and deferred
+        coordinates of a list longer than PAIR_BLOCK repeat their call when
+        read. A pair of a set with itself is compared with its group, and a
+        `self_pairs` block after the group's kernel blocks replaces its
+        result.
         """
         blocks = []
         base = max(self.members) + 1
@@ -191,19 +195,43 @@ class GalleryScorer:
 
     def _assemble(self, size: int, blocks) -> Matches:
         """The Matches of `size` pairs from (positions, kernel result)
-        blocks: scores now, modes on first read. Blocks are applied in
-        order, so a later block's positions overwrite an earlier one's."""
+        blocks: scores now, coordinates and modes on first read, each side
+        zero-padded to its widest block. Blocks are applied in order, so a
+        later block's positions overwrite an earlier one's."""
         score = np.empty(size)
         for g, res in blocks:
             score[g] = res.score
 
-        def modes():
-            mode_a, mode_b = np.empty((2, size, self.gallery.dim))
-            for g, res in blocks:
-                mode_a[g], mode_b[g] = res.mode_a, res.mode_b
-            return mode_a, mode_b
+        def gather(part, width):
+            def build(_):
+                got = [(g, getattr(res, part)) for g, res in blocks]
+                widths = [max([width, *(x[s].shape[1] for _, x in got)]) for s in (0, 1)]
+                out = tuple(np.zeros((size, w)) for w in widths)
+                for g, x in got:
+                    for arr, side in zip(out, x):
+                        arr[g, : side.shape[1]] = side
+                return out
 
-        return Matches(score, modes)
+            return build
+
+        return Matches(score, gather("coords", 0), gather("modes", self.gallery.dim))
+
+    def project(self, sets, coords: np.ndarray) -> np.ndarray:
+        """Each mode, of coordinates coords[r] in the rows of gallery set
+        sets[r], against every row of that set: a (R, max k) table of signed
+        dot products, zero past the set's k, in `_row_cos`'s einsum
+        arithmetic. The |cosine| of that mode with another mode on the set,
+        of coordinates c, is then min(|c·table[r]|, 1)."""
+        table = np.zeros((len(sets), max(self.members)))
+        for k in self.members:
+            rows = np.flatnonzero(self.ks[sets] == k)
+            for at in range(0, rows.size, PAIR_BLOCK):
+                r = rows[at : at + PAIR_BLOCK]
+                own = self.stacks[k][self.offset[sets[r]]]
+                modes = np.repeat(ambient_modes(coords[r, :k], own), k, axis=0)
+                dots = np.einsum("ij,ij->i", own.reshape(r.size * k, -1), modes)
+                table[r, :k] = dots.reshape(-1, k)
+        return table
 
 
 def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
@@ -230,7 +258,9 @@ def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
 
 
 def _row_cos(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Absolute cosine between matching rows of two stacks of unit modes."""
+    """Absolute dot product of matching rows, at most 1: the |cosine| of two
+    stacks of unit modes, or of mode coordinates against a
+    `GalleryScorer.project` table."""
     return np.minimum(np.abs(np.einsum("ij,ij->i", u, v)), 1.0)
 
 
@@ -239,9 +269,13 @@ class Ranker:
 
     The single implementation of every scoring rule. The proxy table is
     resolved once to (target, proxy) gallery-index rows, each with its
-    proxy-target score and modes. A query then compares itself with the
-    gallery, gathers whole arrays of feature rows by index and merges the
-    rule's estimates into the baseline scores with one maximum.
+    proxy-target score s3. Under lqts each row also keeps its two fixed
+    modes as tables of their dot products with the rows of their own sets
+    (`GalleryScorer.project`), so a query's transitivity features need
+    only its row's mode coordinates (`lqts_features`). A query then
+    compares itself with the gallery, gathers whole arrays of feature rows
+    by index and merges the rule's estimates into the baseline scores with
+    one maximum.
     """
 
     def __init__(self, gallery: Gallery, config: RetrievalConfig, proxies: ProxyTable | None = None):
@@ -262,7 +296,11 @@ class Ranker:
         pt = self.scorer.pair(self._proxy, self._target)
         self._s3 = pt.score
         if config.method == METHOD_LQTS:
-            self._proxy_mode, self._target_mode = pt.mode_a, pt.mode_b
+            # each row's proxy mode against the rows of its proxy set, and
+            # its target mode against the rows of its target set
+            proxy_coords, target_coords = pt.coords
+            self._proxy_table = self.scorer.project(self._proxy, proxy_coords)
+            self._target_table = self.scorer.project(self._target, target_coords)
 
     def rank(self, query) -> RankedResult:
         everyone = np.arange(len(self.gallery))
@@ -282,16 +320,7 @@ class Ranker:
         method = self.config.method
         if t.size:
             if method == METHOD_LQTS:
-                features = np.column_stack(
-                    [
-                        scores[p],
-                        scores[t],
-                        self._s3,
-                        _row_cos(res.mode_b[p], self._proxy_mode),
-                        _row_cos(res.mode_b[t], self._target_mode),
-                    ]
-                )
-                est = np.clip(predict(self.config.model, features), 0.0, 1.0)
+                est = np.clip(predict(self.config.model, self.lqts_features(res)), 0.0, 1.0)
             else:
                 est = COMBINERS[method](scores[p], self._s3)
             np.maximum.at(scores, t, est)
@@ -300,6 +329,18 @@ class Ranker:
         order = order[order != q_idx]
         ranking = tuple(zip(self._ids[order].tolist(), scores[order].tolist()))
         return RankedResult(query_id=query_id, ranking=ranking)
+
+    def lqts_features(self, res: Matches) -> np.ndarray:
+        """The transitivity 5-vector of every proxy row (t, p) against a
+        query row `res`: the query-proxy and query-target scores, s3, and
+        s4 and s5, the |cosine| of the query row's mode on p with the row's
+        proxy mode and of its mode on t with the row's target mode. Each
+        mode lies in its own set's rows, so s4 and s5 are k-term dots of
+        the query row's coordinates with this ranker's tables."""
+        t, p, coords = self._target, self._proxy, res.coords_b
+        s4 = _row_cos(coords[p], self._proxy_table)
+        s5 = _row_cos(coords[t], self._target_table)
+        return np.column_stack([res.score[p], res.score[t], self._s3, s4, s5])
 
 
 def save_ranking(result: RankedResult, path) -> None:

@@ -7,8 +7,12 @@ set (`SUBSPACE`). Under both baselines a set is compared as a (k, d)
 stack of unit rows: its unit exemplars, or its subspace's read-only
 orthonormal basis. Every comparison also exposes the pair of unit
 "modes" (exemplars or canonical vectors) that realized the score, which
-the transitivity features read; a subspace `Matches` builds its modes on
-first read only, so callers that read only scores never pay for them.
+the transitivity features read. Each mode is a combination of its own
+set's rows, so a `Matches` holds it as coordinates in those rows, a
+one-hot row or a canonical coordinate vector, and builds the ambient
+d-vectors only on their first read. A subspace `Matches` builds its
+coordinates on first read too, so callers that read only scores never pay
+for them.
 
 Each baseline has one kernel, over a batch of set pairs
 (`max_max_sim_batch`, `max_corr_batch`), which `kernel` looks up by
@@ -17,9 +21,10 @@ batch of one. A set against itself follows `self_pairs`. The first
 canonical correlation σ₁ of bases a and b is the top singular value of
 M = a·bᵀ (Björck & Golub 1973). `max_corr_batch` takes it as the square
 root of the top eigenvalue of the small k_b×k_b Gram MᵀM, with no
-eigenvector; its modes recover the canonical vectors by inverse iteration
-on first read, as LAPACK finds selected eigenpairs (eigenvalues first,
-then `dstein`), and sit on row 0 of their bases when σ₁ is 0.
+eigenvector; its mode coordinates recover the canonical vectors by
+inverse iteration on first read, as LAPACK finds selected eigenpairs
+(eigenvalues first, then `dstein`), and sit on row 0 of their bases when
+σ₁ is 0.
 
 Absolute cosine is used throughout: principal and canonical directions
 are sign-ambiguous, so signed similarity would be non-deterministic.
@@ -58,27 +63,49 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
 
 
 class Matches:
-    """Scores of a batch of set pairs, one row per pair, and the unit modes
-    that attain them: ambient unit vectors of the data space, a unit
-    exemplar (exemplar baseline) or a canonical vector (subspace baseline).
-    `modes` is the pair (mode_a, mode_b), or a function of no arguments that
-    builds it on first read and is then dropped, with all it holds."""
+    """Scores of a batch of set pairs, one row per pair, and the modes that
+    attain them, each as coordinates in its own set's (k, d) unit rows: a
+    one-hot row picking a unit exemplar (exemplar baseline), or the unit
+    canonical coordinates u₁ and v₁ (subspace baseline). `coords` is the
+    pair (coords_a, coords_b), of shapes (P, k_a) and (P, k_b); `modes` is
+    the pair (mode_a, mode_b) of ambient unit vectors of the data space,
+    coords_a·a and coords_b·b. Either may be given as a function that
+    builds it from this Matches on first read and is then dropped, with all
+    it holds."""
 
-    def __init__(self, score: np.ndarray, modes):
-        self.score, self._modes = score, modes
+    def __init__(self, score: np.ndarray, coords, modes):
+        self.score, self._parts = score, {"coords": coords, "modes": modes}
 
-    def _built(self) -> tuple[np.ndarray, np.ndarray]:
-        if callable(self._modes):
-            self._modes = self._modes()
-        return self._modes
+    def _built(self, part: str) -> tuple[np.ndarray, np.ndarray]:
+        if callable(self._parts[part]):
+            self._parts[part] = self._parts[part](self)
+        return self._parts[part]
 
-    mode_a = property(lambda self: self._built()[0])
-    mode_b = property(lambda self: self._built()[1])
+    coords = property(lambda self: self._built("coords"))
+    modes = property(lambda self: self._built("modes"))
+    coords_b = property(lambda self: self.coords[1])
+    mode_a = property(lambda self: self.modes[0])
+    mode_b = property(lambda self: self.modes[1])
 
     def deferring_to(self, compare) -> Matches:
-        """These scores, with deferred modes, if any, taken from `compare()`,
-        which repeats this comparison: nothing is held for them until read."""
-        return Matches(self.score, lambda: compare()._built()) if callable(self._modes) else self
+        """These scores and any coordinates already built, with the rest
+        taken on first read from `compare()`, which repeats this comparison:
+        nothing is held for them until read."""
+        coords = self._parts["coords"]
+        coords = (lambda _: compare().coords) if callable(coords) else coords
+        return Matches(self.score, coords, lambda _: compare().modes)
+
+
+def ambient_modes(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ambient unit modes, (P, d), of mode coordinates coords (P, k) in
+    the rows (P, k, d) of each pair's set, or in one (k, d) stack."""
+    return np.matmul(coords[:, None, :], rows)[:, 0]
+
+
+def _on_rows(score: np.ndarray, coords, a: np.ndarray, b: np.ndarray) -> Matches:
+    """Matches of coordinates in the rows a and b, its ambient modes built
+    from them on first read."""
+    return Matches(score, coords, lambda res: tuple(map(ambient_modes, res.coords, (a, b))))
 
 
 def self_pairs(reps: np.ndarray) -> Matches:
@@ -87,13 +114,15 @@ def self_pairs(reps: np.ndarray) -> Matches:
     vector. Every diagonal cosine of a unit set is 1, so this is the
     smallest-(i, j) tie rule applied exactly, whatever a kernel's rounding
     would give."""
-    return Matches(np.ones(len(reps)), (reps[:, 0], reps[:, 0]))
+    first = np.eye(reps.shape[1])[[0] * len(reps)]
+    return _on_rows(np.ones(len(reps)), (first, first), reps, reps)
 
 
 def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
     """Largest absolute cosine over all exemplar pairs of each set pair
     (ua[p], ub[p]), or (ua, ub[p]) when ua is 2-D, for unit exemplars ua of
-    shape (P, m_a, d) or (m_a, d) and ub of shape (P, m_b, d).
+    shape (P, m_a, d) or (m_a, d) and ub of shape (P, m_b, d). Each mode's
+    coordinates are one-hot on its exemplar.
 
     Ties resolve to the smallest (i, j) of each pair, by a row-major argmax
     over its block.
@@ -102,9 +131,8 @@ def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
     n, m_a, m_b = cos.shape
     flat = cos.reshape(n, m_a * m_b).argmax(axis=1)
     ia, ib = np.divmod(flat, m_b)
-    rows = np.arange(n)
-    mode_a = ua[ia] if ua.ndim == 2 else ua[rows, ia]
-    return Matches(np.minimum(cos[rows, ia, ib], 1.0), (mode_a, ub[rows, ib]))
+    score = np.minimum(cos[np.arange(n), ia, ib], 1.0)
+    return _on_rows(score, (np.eye(m_a)[ia], np.eye(m_b)[ib]), ua, ub)
 
 
 def max_max_sim(a: FaceSet, b: FaceSet) -> Matches:
@@ -146,19 +174,20 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
 
     σ₁ is the top singular value of M = a·bᵀ, the square root of the top
     eigenvalue λ₁ of the k_b×k_b Gram MᵀM, which one batched `eigvalsh`
-    gives. The modes are built on their first read (`_canonical_modes`):
-    v₁ by inverse iteration on MᵀM − μI with μ just above λ₁,
-    u₁ = M v₁ / ‖M v₁‖, and the modes u₁ᵀ·a and v₁ᵀ·b. Where σ₁ is 0 the
-    modes are row 0 of each basis, as an SVD of a zero M gives.
+    gives. The modes' coordinates are built on their first read
+    (`_canonical_modes`): v₁ by inverse iteration on MᵀM − μI with μ just
+    above λ₁, and u₁ = M v₁ / ‖M v₁‖, so that the modes are u₁ᵀ·a and
+    v₁ᵀ·b. Where σ₁ is 0 both are e₀, the modes row 0 of each basis, as an
+    SVD of a zero M gives.
 
-    Signs are canonicalized: mode_a's largest-magnitude entry is positive,
-    and the mutual cosine u₁ᵀ·M·v₁ is nonnegative.
+    Signs are canonicalized on the coordinates: v₁'s largest-magnitude
+    entry is positive, and the mutual cosine u₁ᵀ·M·v₁ is nonnegative.
     """
     m = np.matmul(a, np.swapaxes(b, -1, -2))
     gram = np.matmul(np.swapaxes(m, -1, -2), m)
     lam = np.linalg.eigvalsh(gram)[:, -1]
     sigma = np.sqrt(np.maximum(lam, 0.0))
-    return Matches(np.minimum(sigma, 1.0), lambda: _canonical_modes(a, b, m, gram, lam))
+    return _on_rows(np.minimum(sigma, 1.0), lambda _: _canonical_modes(m, gram, lam), a, b)
 
 
 # The inverse-iteration shift, relative: μ = λ₁(1 + MODE_SHIFT). eigvalsh
@@ -172,8 +201,9 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
 MODE_SHIFT = 1e-12
 
 
-def _canonical_modes(a, b, m, gram, lam) -> tuple[np.ndarray, np.ndarray]:
-    """max_corr_batch's modes from its bases, M, the Gram MᵀM and λ₁.
+def _canonical_modes(m, gram, lam) -> tuple[np.ndarray, np.ndarray]:
+    """max_corr_batch's mode coordinates (u₁, v₁) from M, the Gram MᵀM and
+    λ₁.
 
     Two steps of inverse iteration on MᵀM/μ − I, which scales the
     eigenvalues into [−1, 0) whatever σ₁'s magnitude. The first step starts
@@ -188,18 +218,13 @@ def _canonical_modes(a, b, m, gram, lam) -> tuple[np.ndarray, np.ndarray]:
     start = np.argmax(np.abs(np.diagonal(inv, axis1=1, axis2=2)), axis=1)
     x = np.matmul(inv, inv[rows, :, start, None])[:, :, 0]
     v = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    v[zero] = np.eye(v.shape[1])[0]
+    flip = v[rows, np.argmax(np.abs(v), axis=1), None] < 0
+    np.negative(v, out=v, where=flip)
     mv = np.matmul(m, v[:, :, None])[:, :, 0]
     u = mv / np.where(zero, 1.0, np.sqrt(np.einsum("ij,ij->i", mv, mv)))[:, None]
-    zero = zero[:, None]
-    mode_a = np.matmul(u[:, None, :], a)[:, 0]
-    mode_b = np.matmul(v[:, None, :], b)[:, 0]
-    np.copyto(mode_a, a[..., 0, :], where=zero)
-    np.copyto(mode_b, b[:, 0], where=zero)
-    top = np.argmax(np.abs(mode_a), axis=1)
-    flip = mode_a[rows, top, None] < 0
-    np.negative(mode_a, out=mode_a, where=flip)
-    np.negative(mode_b, out=mode_b, where=flip)
-    return mode_a, mode_b
+    u[zero] = np.eye(u.shape[1])[0]
+    return u, v
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:

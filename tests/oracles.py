@@ -8,6 +8,9 @@ iteration replaced, kept as its accuracy reference. `match` adds the
 self-pair rule of `lqts.similarity.self_pairs` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
 score at a time from those, with no caching or batching.
+`ambient_mode_features` is the ambient-mode rule for s4 and s5 that
+`lqts.retrieval.Ranker`'s mode coordinates replaced, and `ambient_rank`
+an lqts ranking by it.
 `extract_exemplar` and `extract_subspace` give all of one
 reference/proxy pair's training rows, and `reference_training_corpus`
 pools them over every pair and then applies the cap: the extraction that
@@ -36,6 +39,7 @@ from lqts import sampling, svr
 from lqts.corpus import FaceSet, ProxyTable, feature_table
 from lqts.errors import DimensionMismatchError, TrainingError
 from lqts.metafeat import DEFAULT_CAP, DEFAULT_TRAIN_SETS, PROJECTION_FLOOR, _stratified_cap
+from lqts.retrieval import GalleryScorer
 from lqts.similarity import DEFAULT_SUBSPACE_DIM, EXEMPLAR, MODE_SHIFT, cosine_sim, fit_subspace
 from lqts.similarity import max_corr as batch_max_corr
 from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict
@@ -74,9 +78,9 @@ def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
     takes two inverse-iteration steps on MᵀM/μ − I, μ = λ₁(1 + MODE_SHIFT),
     from the e_j of the inverse's largest |diagonal| entry;
     u₁ = M v₁ / ‖M v₁‖, and the modes are u₁ᵀ·a and v₁ᵀ·b. Both modes are
-    row 0 of their bases when σ₁ is 0. Signs are canonicalized: the
-    largest-magnitude entry of mode_a is positive, and both modes flip
-    together, so the mutual cosine stays nonnegative.
+    row 0 of their bases when σ₁ is 0. Signs are canonicalized on the
+    coordinates: the largest-magnitude entry of v₁ is positive, and u₁
+    follows it, so the mutual cosine stays nonnegative.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
@@ -90,10 +94,10 @@ def max_corr(a: np.ndarray, b: np.ndarray) -> Match:
         inv = np.linalg.inv(gram / (lam * (1.0 + MODE_SHIFT)) - np.eye(len(gram)))
         x = inv @ inv[:, np.argmax(np.abs(np.diagonal(inv)))]
         v = x / np.sqrt(np.einsum("i,i->", x, x))  # the kernel's summation order
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
         mv = m @ v
         mode_a, mode_b = (mv / np.sqrt(np.einsum("i,i->", mv, mv))) @ a, v @ b
-    if mode_a[np.argmax(np.abs(mode_a))] < 0:
-        mode_a, mode_b = -mode_a, -mode_b
     return Match(min(sigma, 1.0), mode_a, mode_b)
 
 
@@ -102,10 +106,8 @@ def svd_max_corr(a: np.ndarray, b: np.ndarray) -> Match:
     reference for the Gram's top eigenvalue and its inverse-iteration modes.
     Its sign rule is max_corr's."""
     u, sing, vt = np.linalg.svd(a @ b.T)
-    mode_a, mode_b = u[:, 0] @ a, vt[0] @ b
-    if mode_a[np.argmax(np.abs(mode_a))] < 0:
-        mode_a, mode_b = -mode_a, -mode_b
-    return Match(float(min(sing[0], 1.0)), mode_a, mode_b)
+    sign = 1.0 if vt[0, np.argmax(np.abs(vt[0]))] > 0 else -1.0
+    return Match(float(min(sing[0], 1.0)), sign * u[:, 0] @ a, sign * vt[0] @ b)
 
 
 def match(a, b) -> Match:
@@ -342,6 +344,50 @@ def score_lqts(query, target, proxies, model) -> float:
         est = min(max(predict(model, feature(query, target, p)), 0.0), 1.0)
         best = max(best, est)
     return float(best)
+
+
+def _row_cos(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.minimum(np.abs(np.einsum("ij,ij->i", u, v)), 1.0)
+
+
+def ambient_mode_features(row, pair_list, proxy, target) -> np.ndarray:
+    """s4 and s5 of every proxy row (proxy[r], target[r]) by the ambient
+    rule that `lqts.retrieval.Ranker` applied before it read mode
+    coordinates: min(|mode_b[p]·proxy_mode|, 1), for mode_b[p] the query
+    row's ambient mode on the proxy's side and proxy_mode the proxy-target
+    pair's mode on the proxy's side, and the same on the target's side.
+    `row` is a query row's `Matches` and `pair_list` the Matches of the
+    pairs (proxy, target)."""
+    return np.column_stack(
+        [
+            _row_cos(row.mode_b[proxy], pair_list.mode_a),
+            _row_cos(row.mode_b[target], pair_list.mode_b),
+        ]
+    )
+
+
+def ambient_rank(gallery, config, proxies, query):
+    """An lqts ranking as `lqts.retrieval.Ranker.rank` made it before it
+    read mode coordinates: the `GalleryScorer` query row and proxy-target
+    pairs of the proxy table's rows, with s4 and s5 by
+    `ambient_mode_features`. Returns (ids, scores), ties by ascending
+    gallery index, the query itself left out."""
+    scorer = GalleryScorer(gallery, config.baseline)
+    t, p = proxies.index_pairs(gallery, range(len(gallery)), config.k_p).T
+    everyone = np.arange(len(gallery))
+    if isinstance(query, str):
+        q_idx = gallery.index_of(query)
+        res = scorer.pair(q_idx, everyone)
+    else:
+        q_idx, res = None, scorer.query(query, everyone)
+    scores = res.score.copy()
+    if t.size:
+        pt = scorer.pair(p, t)
+        modes = ambient_mode_features(res, pt, p, t)
+        features = np.column_stack([res.score[p], res.score[t], pt.score, modes])
+        np.maximum.at(scores, t, np.clip(predict(config.model, features), 0.0, 1.0))
+    order = [j for j in np.argsort(-scores, kind="stable").tolist() if j != q_idx]
+    return [gallery.set_ids[j] for j in order], [float(scores[j]) for j in order]
 
 
 def combine(rule: str, rho_qp: float, rho_pt: float) -> float:

@@ -1,6 +1,7 @@
 import codecs
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestGalleryRoundTrip:
         s = load_gallery(root).get("a")
         assert s.exemplars.dtype == np.float64
         assert s.exemplars.tobytes() == values.astype(np.float64).tobytes()
+
+    def test_qts1_signalling_nan_fails_without_a_numpy_warning(self, tmp_path):
+        # 0xffbf8215 is a float32 signalling NaN: its cast to float64 raises
+        # numpy's invalid-value flag, which must not print ahead of the error
+        payload = np.array([1.0, 2.0], dtype="<f4").tobytes() + bytes([0x15, 0x82, 0xBF, 0xFF, 0, 0, 128, 63])
+        root = write_gallery_dir(tmp_path, ["a\t-\tsets/a.qtsb\n"], {})
+        path = root / "sets/a.qtsb"
+        path.write_bytes(b"QTS1" + struct.pack("<II", 2, 2) + payload)
+        message = f"{path}: set 'a': non-finite value in exemplar row 1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorpusError, match=re.escape(message)):
+                load_gallery(root)
 
     @pytest.mark.parametrize(
         "blob, message",

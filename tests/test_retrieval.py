@@ -25,6 +25,7 @@ from lqts.similarity import Matches, fit_subspace, max_max_sim_batch
 from lqts.svr import SvrConfig, SvrModel, predict
 
 from conftest import random_set, ranker_score
+import oracles
 from oracles import (
     feature,
     match,
@@ -567,9 +568,10 @@ class TestGalleryScorer:
         ])
 
         def wrong(self, a, b):
+            coords = np.full((2, len(b), b.shape[1]), np.nan)
             modes = np.full((2, len(b), b.shape[-1]), np.nan)
             deferred = baseline == "subspace"
-            return Matches(np.full(len(b), -1.0), (lambda: modes) if deferred else modes)
+            return Matches(np.full(len(b), -1.0), (lambda _: coords) if deferred else coords, modes)
 
         monkeypatch.setattr(GalleryScorer, "compare", wrong)
         n = len(gallery)
@@ -860,3 +862,95 @@ class TestRankerMatchesOracles:
                 # scores match within 1e-12, so the order is fixed only
                 # where the oracle's scores differ by more than that
                 assert_ranking_matches(got, gallery, want_ids, want_scores, atol=1e-12)
+
+
+@st.composite
+def coordinate_cases(draw):
+    """A gallery, a proxy table, a model and a query holding every case that
+    mode coordinates must carry: an exact duplicate of a set (exact ties);
+    single-exemplar sets; mixed exemplar counts, so that coordinates are
+    zero-padded, with sets of fewer exemplars than the subspace dimension
+    (rank-clipped bases); and two single-exemplar sets on different axes,
+    each the other's first proxy, whose pair scores exactly 0 under both
+    baselines (σ₁ = 0). The query is a gallery set, an outside set, or an
+    outside set on the first axis, which scores 0 against the second."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(3, 8))
+    sizes = [1, 3, 8] + draw(st.lists(st.integers(1, 9), max_size=3))
+    contents = [rng.normal(size=(m, d)) for m in sizes]
+    axes = np.eye(d)[rng.permutation(d)[:2]] * rng.uniform(0.5, 2.0, size=(2, 1))
+    contents += [axes[:1], -axes[1:]]
+    contents.append(contents[draw(st.integers(0, len(contents) - 1))])
+    order = draw(st.permutations(range(len(contents))))
+    gallery = Gallery(sets=tuple(FaceSet(f"s{i}", contents[j]) for i, j in enumerate(order)))
+    ids = gallery.set_ids
+    lists = {
+        sid: draw(st.lists(st.sampled_from([o for o in ids if o != sid]), max_size=3, unique=True))
+        for sid in ids
+    }
+    first, second = (ids[order.index(len(sizes) + c)] for c in (0, 1))
+    for sid, proxy in ((first, second), (second, first)):
+        lists[sid] = [proxy] + [o for o in lists[sid] if o != proxy][:2]
+    table = ProxyTable(
+        k_p=3,
+        entries={sid: tuple((o, 1.0 - 0.1 * r) for r, o in enumerate(pl)) for sid, pl in lists.items()},
+    )
+    n_sv = draw(st.integers(2, 12))
+    beta = 0.3 * rng.normal(size=n_sv)
+    model = SvrModel(
+        support_vectors=rng.random((n_sv, 5)),
+        coefficients=beta - beta.mean(),
+        bias=float(rng.random()),
+        config=SvrConfig(),
+    )
+    kind = draw(st.sampled_from(["gallery", "outside", "axis"]))
+    if kind == "gallery":
+        query = draw(st.sampled_from(ids))
+    else:
+        query = FaceSet("outside", rng.normal(size=(draw(st.integers(1, 9)), d)) if kind == "outside" else axes[:1])
+    return gallery, table, model, query
+
+
+class TestModeCoordinates:
+    """s4 and s5 from a query row's mode coordinates and the ranker's
+    projected tables, against the ambient rule they replaced
+    (`oracles.ambient_mode_features`): bit for bit under the exemplar
+    baseline, whose coordinates are one-hot, and within 1e-14 under the
+    subspace baseline. Whole lqts rankings follow `oracles.ambient_rank`."""
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @given(case=coordinate_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_mode_features_match_the_ambient_rule(self, baseline, case):
+        gallery, table, model, query = case
+        config = RetrievalConfig(baseline=baseline, method="lqts", k_p=3, model=model)
+        ranker = Ranker(gallery, config, table)
+        everyone = np.arange(len(gallery))
+        if isinstance(query, str):
+            res = ranker.scorer.pair(gallery.index_of(query), everyone)
+        else:
+            res = ranker.scorer.query(query, everyone)
+        t, p = table.index_pairs(gallery, range(len(gallery)), 3).T
+        pt = ranker.scorer.pair(p, t)
+        assert (pt.score == 0.0).sum() >= 2  # the two axis sets, each the other's proxy
+        got = ranker.lqts_features(res)
+        want = oracles.ambient_mode_features(res, pt, p, t)
+        assert np.array_equal(got[:, :3], np.column_stack([res.score[p], res.score[t], pt.score]))
+        if baseline == "exemplar":
+            assert np.array_equal(got[:, 3:], want)
+        else:
+            assert np.max(np.abs(got[:, 3:] - want)) <= 1e-14
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @given(case=coordinate_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_rankings_match_the_ambient_ranker(self, baseline, case):
+        gallery, table, model, query = case
+        config = RetrievalConfig(baseline=baseline, method="lqts", k_p=3, model=model)
+        got = Ranker(gallery, config, table).rank(query)
+        want_ids, want_scores = oracles.ambient_rank(gallery, config, table, query)
+        if baseline == "exemplar":
+            assert got.ids() == want_ids
+            assert [score for _, score in got.ranking] == want_scores
+        else:
+            assert_ranking_matches(got, gallery, want_ids, want_scores, atol=1e-13)

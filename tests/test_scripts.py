@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts, loaded by path and run in-process."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from lqts.evaluation import evaluate_all
-from lqts.retrieval import METHODS, RetrievalConfig
+from lqts.evaluation import admissible_query_ids, evaluate_all
+from lqts.retrieval import METHODS, Ranker, RetrievalConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -90,7 +91,7 @@ def test_output_digests_repeat_on_tiny_workloads(tiny_digest_runs):
     assert len(builds) == 2 * len(outputs)  # one build per lane and seed in each run
     expected = ["gallery", "proxies.tsv", "features.tsv", "model.qts", "queries"]
     for method in METHODS:
-        expected += [f"{method}.{n}" for n in ("rankings", "anr", "anr03", "mean_anr")]
+        expected += [f"{method}.{n}" for n in ("rankings", "orders", "anr", "anr03", "mean_anr")]
         expected += [f"{method}.gain_pp"] if method != "baseline" else []
     expected += ["model.svs", "model.free_svs", "model.bias"]
     assert all(list(out) == expected for out in outputs.values())
@@ -113,6 +114,11 @@ def test_quality_seeds_reports_each_lane_and_seed(tiny_digest_runs):
             )
             anrs = [r.anr for r in evaluate_all(gallery, config, proxies)]
             assert len(anrs) == int(out["queries"])
+            # the ids of every ranking, each query's line then its ranked ids
+            ranker = Ranker(gallery, config, proxies)
+            ids = [[q, *ranker.rank(q).ids()] for q in admissible_query_ids(gallery)[0]]
+            order_lines = "".join(f"{sid}\n" for row in ids for sid in row).encode()
+            assert out[f"{method}.orders"] == hashlib.sha256(order_lines).hexdigest()
             assert float(out[f"{method}.anr03"]) == sum(a < 0.3 for a in anrs) / len(anrs)
             assert float(out[f"{method}.mean_anr"]) == sum(anrs) / len(anrs)
             assert 0.0 <= float(out[f"{method}.mean_anr"]) <= 1.0

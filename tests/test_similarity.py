@@ -335,6 +335,7 @@ class TestAgainstSvd:
         b = np.array([[0.0, 1.0, 0.0]])
         got = max_corr(a, b)
         assert got.score[0] == 0.0
-        # row 0 of each basis, both flipped so that mode_a's largest entry is positive
-        assert np.array_equal(got.mode_a[0], -a[0])
-        assert np.array_equal(got.mode_b[0], -b[0])
+        # row 0 of each basis: the coordinates are e₀ on both sides, whose
+        # largest entry is positive, so neither flips
+        assert np.array_equal(got.mode_a[0], a[0])
+        assert np.array_equal(got.mode_b[0], b[0])
