@@ -23,6 +23,18 @@ same row, coordinates read, on the seed-11 exemplar gallery as generated,
 with no robust selection: 173 sets of 20 to 50 exemplars, 31 sizes
 interleaved in gallery order.
 
+`test_row_overhead` prices a row's fixed cost over its kernel calls, as a
+layer figure. It times `GalleryScorer.pair(0, range(n))`, as
+`Ranker.rank` calls it, and beside it the bare kernel calls of that row,
+`compare(a, stacks[k])` once per set size with set 0's rows a (each
+workload's sizes hold fewer than PAIR_BLOCK sets, so one call each). Both
+read the scores, and in the `coords` variant the gallery-side mode
+coordinates too, as an lqts query does. Outside the timed rounds of the
+row, 400 paired rounds alternate the two calls, and `extra_info` records
+the median kernel and row times and the median of the per-round
+difference, the row's fixed cost, in µs: separate benchmark cases on
+this 2-vCPU box differ by more than that cost from run to run.
+
 `test_select_proxies` builds the proxy table of each workload's
 settings at 240 identities (727 `subspace-lane` sets, 720
 `exemplar-cap2000` sets of 10 exemplars), three rounds.
@@ -49,6 +61,7 @@ ambient modes too, as training extraction does.
 """
 
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -115,6 +128,34 @@ def test_query_row_scores(benchmark, name):
     scorer, everyone = query_row(name)
     score = benchmark(lambda: scorer.pair(0, everyone).score)
     assert score[0] == 1.0 and np.all((score >= 0.0) & (score <= 1.0))
+
+
+@pytest.mark.parametrize("read", ["scores", "coords"])
+@pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
+def test_row_overhead(benchmark, name, read):
+    scorer, everyone = query_row(name)
+    assert max(m.size for m in scorer.members.values()) <= PAIR_BLOCK
+    a = scorer.stacks[int(scorer.ks[0])][0]
+
+    def kernel():
+        outs = [scorer.compare(a, stack) for stack in scorer.stacks.values()]
+        return [(out.score, out.coords_b if read == "coords" else None) for out in outs]
+
+    def row():
+        out = scorer.pair(0, range(len(everyone)))
+        return [(out.score, out.coords_b if read == "coords" else None)]
+
+    seconds = np.empty((400, 2))
+    for r, calls in enumerate([(kernel, row), (row, kernel)] * 200):
+        for call in calls:
+            t = time.perf_counter()
+            call()
+            seconds[r, int(call is row)] = time.perf_counter() - t
+    kernel_us, row_us = np.median(seconds, axis=0) * 1e6
+    fixed_us = np.median(seconds[:, 1] - seconds[:, 0]) * 1e6
+    benchmark.extra_info.update(kernel_us=kernel_us, row_us=row_us, fixed_cost_us=fixed_us)
+    got = benchmark(row)
+    assert got[0][0].size == len(everyone) == sum(len(s) for s in scorer.stacks.values())
 
 
 @pytest.mark.parametrize("name, sets", [("exemplar-cap2000", 720), ("subspace-lane", 727)])

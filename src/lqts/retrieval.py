@@ -88,14 +88,15 @@ class GalleryScorer:
     their gallery positions and `offset` each set's position in its
     size's array. `compare` is the kernel, one call of the baseline's
     `lqts.similarity.kernel`. `pair` compares gallery sets by index and
-    `query` an outside set with gallery sets; both return a `Matches` of
-    one row per pair. Its mode coordinates and its ambient modes are each
-    assembled on first read, the coordinates zero-padded to the widest set
-    of their side; a pair list holds one kernel block of gathered sets at a
-    time. `project` tabulates fixed modes against the rows of their gallery
-    sets, for the coordinates of later rows to read. Nothing is cached
-    between calls. A gallery set against itself is compared with the rest
-    and its result then replaced by `lqts.similarity.self_pairs`.
+    `query` an outside set with gallery sets, by an index array or a
+    range; both return a `Matches` of one row per pair. Each side's mode
+    coordinates are assembled on that side's first read, zero-padded to
+    the widest set of the side, and its ambient modes on theirs; a pair
+    list holds one kernel block of gathered sets at a time. `project`
+    tabulates fixed modes against the rows of their gallery sets, for the
+    coordinates of later rows to read. Nothing is cached between calls. A
+    gallery set against itself is compared with the rest and its result
+    then replaced by `lqts.similarity.self_pairs`.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -121,48 +122,55 @@ class GalleryScorer:
 
     def pair(self, i, j) -> Matches:
         """Gallery sets i against gallery sets j: one index i against an
-        index array j (a row), or two aligned index arrays (a pair list)."""
-        j = np.asarray(j, dtype=np.intp)
+        index array or range j (a row), or two aligned index arrays (a pair
+        list)."""
         if np.ndim(i) == 0:
             return self._row(self.stacks[int(self.ks[i])][self.offset[i]], j, int(i))
-        return self._pairs(np.asarray(i, dtype=np.intp), j)
+        return self._pairs(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
 
     def query(self, s: FaceSet, j) -> Matches:
         """A set from outside the gallery against gallery sets j, a row."""
         if s.dim != self.gallery.dim:
             raise DimensionMismatchError(f"set dims differ: {s.dim} vs {self.gallery.dim}")
-        return self._row(self._rep(s), np.asarray(j, dtype=np.intp), None)
+        return self._row(self._rep(s), j, None)
 
     def _row(self, a, j, own) -> Matches:
-        """Representation a against gallery sets j, where `own` is a's
-        gallery position, None for an outside set.
+        """Representation a against gallery sets j, an index array or a
+        range, where `own` is a's gallery position, None for an outside set.
 
-        j is read as runs of consecutive positions; a whole query row and a
-        proxy-selection row are one run each. In a run, the sets of each
-        size are one slice of that size's array, and the kernel reads them
-        in place, as views of PAIR_BLOCK sets or fewer. Set `own`, if in
-        the run, is compared with the rest, and a `self_pairs` block after
-        the run's kernel blocks replaces its result. No set is padded
-        and each keeps its k rows contiguous, so every product has its true
-        shape and each pair's score and modes are those of max_max_sim or
-        max_corr: BLAS may round a padded product differently, and it sums
-        a strided vector in another order than a contiguous one.
+        j is read as runs of consecutive positions; a range of step 1 is
+        one run, so a whole query row and a proxy-selection row need no
+        run detection. In a run, the sets of each size are one slice of
+        that size's array, and the kernel reads them in place, as views of
+        PAIR_BLOCK sets or fewer. Set `own`, if in the run, is compared
+        with the rest, and a `self_pairs` block after the run's kernel
+        blocks replaces its result. No set is padded and each keeps its k
+        rows contiguous, so every product has its true shape and each
+        pair's score and modes are those of max_max_sim or max_corr: BLAS
+        may round a padded product differently, and it sums a strided
+        vector in another order than a contiguous one.
         """
         n = len(self.ks)
+        if isinstance(j, range) and j.step == 1:
+            size, runs = len(j), [(0, j.start, j.stop)] if j else []
+        else:
+            j = np.asarray(j, dtype=np.intp)
+            edges = [0, *(np.flatnonzero(np.diff(j) != 1) + 1).tolist(), j.size] if j.size else [0]
+            size = j.size
+            runs = [(at, int(j[at]), int(j[end - 1]) + 1) for at, end in zip(edges, edges[1:])]
         blocks = []
-        edges = [0, *(np.flatnonzero(np.diff(j) != 1) + 1).tolist(), j.size] if j.size else [0]
-        for at, end in zip(edges, edges[1:]):
-            lo, hi = int(j[at]), int(j[end - 1]) + 1
+        for at, lo, hi in runs:
             if lo < 0 or hi > n:
                 raise IndexError(f"gallery positions {lo}..{hi - 1} outside 0..{n - 1}")
             for k, members in self.members.items():
                 start, stop = np.searchsorted(members, (lo, hi)).tolist()
                 for s in range(start, stop, PAIR_BLOCK):
                     e = min(s + PAIR_BLOCK, stop)
-                    blocks.append((members[s:e] - lo + at, self.compare(a, self.stacks[k][s:e])))
+                    pos = members[s:e] if lo == at else members[s:e] - lo + at
+                    blocks.append((pos, self.compare(a, self.stacks[k][s:e])))
             if own is not None and lo <= own < hi:
                 blocks.append(([own - lo + at], self_pairs(a[None])))
-        return self._assemble(j.size, blocks)
+        return self._assemble(size, blocks)
 
     def _pairs(self, i, j) -> Matches:
         """Gallery sets i[p] against j[p], two aligned index arrays.
@@ -195,9 +203,10 @@ class GalleryScorer:
 
     def _assemble(self, size: int, blocks) -> Matches:
         """The Matches of `size` pairs from (positions, kernel result)
-        blocks: scores now, coordinates and modes on first read, each side
-        zero-padded to its widest block. Blocks are applied in order, so a
-        later block's positions overwrite an earlier one's."""
+        blocks: scores now; each side's coordinates on that side's first
+        read, from that side of every block alone, and the modes on first
+        read; each zero-padded to its widest block. Blocks are applied in
+        order, so a later block's positions overwrite an earlier one's."""
         score = np.empty(size)
         for g, res in blocks:
             score[g] = res.score
@@ -205,16 +214,16 @@ class GalleryScorer:
         def gather(part, width):
             def build(_):
                 got = [(g, getattr(res, part)) for g, res in blocks]
-                widths = [max([width, *(x[s].shape[1] for _, x in got)]) for s in (0, 1)]
-                out = tuple(np.zeros((size, w)) for w in widths)
+                out = np.zeros((size, max([width, *(x.shape[1] for _, x in got)])))
                 for g, x in got:
-                    for arr, side in zip(out, x):
-                        arr[g, : side.shape[1]] = side
+                    out[g, : x.shape[1]] = x
                 return out
 
             return build
 
-        return Matches(score, gather("coords", 0), gather("modes", self.gallery.dim))
+        modes = gather("mode_a", self.gallery.dim), gather("mode_b", self.gallery.dim)
+        coords = gather("coords_a", 0), gather("coords_b", 0)
+        return Matches(score, coords, lambda res: (modes[0](res), modes[1](res)))
 
     def project(self, sets, coords: np.ndarray) -> np.ndarray:
         """Each mode, of coordinates coords[r] in the rows of gallery set
@@ -247,8 +256,7 @@ def select_proxies(gallery: Gallery, baseline: str, k_p: int) -> ProxyTable:
     # the diagonal's -inf sorts after every score
     scores = np.full((n, n), -np.inf)
     for i in range(n - 1):
-        upper = np.arange(i + 1, n)
-        scores[i, upper] = scores[upper, i] = scorer.pair(i, upper).score
+        scores[i, i + 1 :] = scores[i + 1 :, i] = scorer.pair(i, range(i + 1, n)).score
     order = np.argsort(-scores, axis=1, kind="stable")[:, :k_p]
     ids = gallery.set_ids
     entries = {
@@ -303,7 +311,7 @@ class Ranker:
             self._target_table = self.scorer.project(self._target, target_coords)
 
     def rank(self, query) -> RankedResult:
-        everyone = np.arange(len(self.gallery))
+        everyone = range(len(self.gallery))
         if isinstance(query, str):
             q_idx, query_id = self.gallery.index_of(query), query
             res = self.scorer.pair(q_idx, everyone)
@@ -338,9 +346,11 @@ class Ranker:
         mode lies in its own set's rows, so s4 and s5 are k-term dots of
         the query row's coordinates with this ranker's tables."""
         t, p, coords = self._target, self._proxy, res.coords_b
-        s4 = _row_cos(coords[p], self._proxy_table)
-        s5 = _row_cos(coords[t], self._target_table)
-        return np.column_stack([res.score[p], res.score[t], self._s3, s4, s5])
+        features = np.empty((t.size, 5))
+        features[:, 0], features[:, 1], features[:, 2] = res.score[p], res.score[t], self._s3
+        features[:, 3] = _row_cos(coords[p], self._proxy_table)
+        features[:, 4] = _row_cos(coords[t], self._target_table)
+        return features
 
 
 def save_ranking(result: RankedResult, path) -> None:

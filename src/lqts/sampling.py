@@ -166,7 +166,11 @@ def pre_images(m: KpcaModel, targets: ArrayLike) -> np.ndarray:
     c = expansion_coefficients(m, z[:, None])
     diff = np.empty((z.size, *m.exemplars.shape))
     for _ in range(PREIMAGE_MAX_ITER):
-        sq = np.subtract(m.exemplars, x[:, None, :], out=diff[: live.size])
+        # copy, then subtract in place: longer inner loops than a subtract
+        # that broadcasts the exemplars
+        sq = diff[: live.size]
+        np.copyto(sq, m.exemplars)
+        np.subtract(sq, x[:, None, :], out=sq)
         w = np.square(sq, out=sq).sum(axis=2)
         w *= -m.gamma
         np.multiply(c, np.exp(w, out=w), out=w)

@@ -10,9 +10,10 @@ orthonormal basis. Every comparison also exposes the pair of unit
 the transitivity features read. Each mode is a combination of its own
 set's rows, so a `Matches` holds it as coordinates in those rows, a
 one-hot row or a canonical coordinate vector, and builds the ambient
-d-vectors only on their first read. A subspace `Matches` builds its
-coordinates on first read too, so callers that read only scores never pay
-for them.
+d-vectors only on their first read. A subspace `Matches` builds each
+side's coordinates on that side's first read too, so callers that read
+only scores never pay for them, and a query row, which reads the gallery
+side alone, never builds the query side's.
 
 Each baseline has one kernel, over a batch of set pairs
 (`max_max_sim_batch`, `max_corr_batch`), which `kernel` looks up by
@@ -69,11 +70,13 @@ class Matches:
     canonical coordinates u₁ and v₁ (subspace baseline). `coords` is the
     pair (coords_a, coords_b), of shapes (P, k_a) and (P, k_b); `modes` is
     the pair (mode_a, mode_b) of ambient unit vectors of the data space,
-    coords_a·a and coords_b·b. Either may be given as a function that
-    builds it from this Matches on first read and is then dropped, with all
-    it holds."""
+    coords_a·a and coords_b·b. `modes`, `coords` or either side of `coords`
+    may be given as a function that builds it from this Matches on first
+    read and is then dropped, with all it holds; so a caller that reads
+    coords_b alone never builds coords_a."""
 
     def __init__(self, score: np.ndarray, coords, modes):
+        coords = coords if callable(coords) else list(coords)
         self.score, self._parts = score, {"coords": coords, "modes": modes}
 
     def _built(self, part: str) -> tuple[np.ndarray, np.ndarray]:
@@ -81,18 +84,26 @@ class Matches:
             self._parts[part] = self._parts[part](self)
         return self._parts[part]
 
-    coords = property(lambda self: self._built("coords"))
+    def _side(self, side: int) -> np.ndarray:
+        coords = self._built("coords")
+        if callable(coords[side]):
+            coords[side] = coords[side](self)
+        return coords[side]
+
+    coords_a = property(lambda self: self._side(0))
+    coords_b = property(lambda self: self._side(1))
+    coords = property(lambda self: (self.coords_a, self.coords_b))
     modes = property(lambda self: self._built("modes"))
-    coords_b = property(lambda self: self.coords[1])
     mode_a = property(lambda self: self.modes[0])
     mode_b = property(lambda self: self.modes[1])
 
     def deferring_to(self, compare) -> Matches:
-        """These scores and any coordinates already built, with the rest
-        taken on first read from `compare()`, which repeats this comparison:
-        nothing is held for them until read."""
+        """These scores and their coordinates if already built, with the
+        rest taken on first read from `compare()`, which repeats this
+        comparison: nothing is held for them until read."""
         coords = self._parts["coords"]
-        coords = (lambda _: compare().coords) if callable(coords) else coords
+        if callable(coords) or any(map(callable, coords)):
+            coords = lambda _: compare().coords
         return Matches(self.score, coords, lambda _: compare().modes)
 
 
@@ -114,7 +125,8 @@ def self_pairs(reps: np.ndarray) -> Matches:
     vector. Every diagonal cosine of a unit set is 1, so this is the
     smallest-(i, j) tie rule applied exactly, whatever a kernel's rounding
     would give."""
-    first = np.eye(reps.shape[1])[[0] * len(reps)]
+    first = np.zeros(reps.shape[:2])
+    first[:, 0] = 1.0
     return _on_rows(np.ones(len(reps)), (first, first), reps, reps)
 
 
@@ -174,11 +186,12 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
 
     σ₁ is the top singular value of M = a·bᵀ, the square root of the top
     eigenvalue λ₁ of the k_b×k_b Gram MᵀM, which one batched `eigvalsh`
-    gives. The modes' coordinates are built on their first read
-    (`_canonical_modes`): v₁ by inverse iteration on MᵀM − μI with μ just
-    above λ₁, and u₁ = M v₁ / ‖M v₁‖, so that the modes are u₁ᵀ·a and
-    v₁ᵀ·b. Where σ₁ is 0 both are e₀, the modes row 0 of each basis, as an
-    SVD of a zero M gives.
+    gives. Each side's mode coordinates are built on that side's first
+    read: v₁ by inverse iteration on MᵀM − μI with μ just above λ₁
+    (`_canonical_modes`), and u₁ = M v₁ / ‖M v₁‖ from v₁
+    (`_canonical_partners`), so that the modes are u₁ᵀ·a and v₁ᵀ·b. A
+    query row reads v₁ alone and never builds u₁. Where σ₁ is 0 both are
+    e₀, the modes row 0 of each basis, as an SVD of a zero M gives.
 
     Signs are canonicalized on the coordinates: v₁'s largest-magnitude
     entry is positive, and the mutual cosine u₁ᵀ·M·v₁ is nonnegative.
@@ -187,7 +200,11 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
     gram = np.matmul(np.swapaxes(m, -1, -2), m)
     lam = np.linalg.eigvalsh(gram)[:, -1]
     sigma = np.sqrt(np.maximum(lam, 0.0))
-    return _on_rows(np.minimum(sigma, 1.0), lambda _: _canonical_modes(m, gram, lam), a, b)
+    coords = (
+        lambda res: _canonical_partners(m, res.coords_b, lam),
+        lambda _: _canonical_modes(gram, lam),
+    )
+    return _on_rows(np.minimum(sigma, 1.0), coords, a, b)
 
 
 # The inverse-iteration shift, relative: μ = λ₁(1 + MODE_SHIFT). eigvalsh
@@ -201,9 +218,9 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
 MODE_SHIFT = 1e-12
 
 
-def _canonical_modes(m, gram, lam) -> tuple[np.ndarray, np.ndarray]:
-    """max_corr_batch's mode coordinates (u₁, v₁) from M, the Gram MᵀM and
-    λ₁.
+def _canonical_modes(gram, lam) -> np.ndarray:
+    """max_corr_batch's mode coordinates v₁ on the b side, from the Gram
+    MᵀM and λ₁.
 
     Two steps of inverse iteration on MᵀM/μ − I, which scales the
     eigenvalues into [−1, 0) whatever σ₁'s magnitude. The first step starts
@@ -221,10 +238,17 @@ def _canonical_modes(m, gram, lam) -> tuple[np.ndarray, np.ndarray]:
     v[zero] = np.eye(v.shape[1])[0]
     flip = v[rows, np.argmax(np.abs(v), axis=1), None] < 0
     np.negative(v, out=v, where=flip)
+    return v
+
+
+def _canonical_partners(m, v, lam) -> np.ndarray:
+    """max_corr_batch's mode coordinates u₁ = M v₁ / ‖M v₁‖ on the a side,
+    from M, v₁ and λ₁; e₀ where σ₁ is 0."""
+    zero = lam <= 0.0
     mv = np.matmul(m, v[:, :, None])[:, :, 0]
     u = mv / np.where(zero, 1.0, np.sqrt(np.einsum("ij,ij->i", mv, mv)))[:, None]
     u[zero] = np.eye(u.shape[1])[0]
-    return u, v
+    return u
 
 
 def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:

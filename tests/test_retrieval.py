@@ -593,9 +593,10 @@ class TestGalleryScorer:
         # sets before its kernel calls (2 k d floats a pair) peaks far above
         # one that gathers per call, and a score-only Matches that keeps the
         # gathered sets for its modes holds them. When the pairs double,
-        # peak and held memory may grow by the pairs' outputs only: a score,
-        # two modes (eager under the exemplar baseline) and three indices a
-        # pair, and about 1 KB of Python objects a block.
+        # peak and held memory may grow by the pairs' outputs only, which
+        # 2d + 4 floats a pair bound: a score, the two sides' one-hot mode
+        # coordinates (eager under the exemplar baseline) and three indices
+        # a pair, and about 1 KB of Python objects a block.
         d, block = 64, 4
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=6, d=d) for p in range(12)))
         scorer = GalleryScorer(gallery, baseline)
@@ -684,8 +685,10 @@ class TestGalleryScorer:
     def test_score_only_callers_skip_the_mode_step(self, rng):
         # proxy selection and the baseline and combiner rankings read only
         # scores, so the subspace kernel never builds a mode for them and
-        # runs eigvalsh alone, no eigh and no inverse-iteration solve; lqts
-        # reads the modes of the proxy-target pairs and of the query row
+        # runs eigvalsh alone, no eigh and no inverse-iteration solve. An
+        # lqts Ranker reads both sides' coordinates of its proxy-target
+        # pairs when built, v₁ by the inverting step and u₁ from v₁; a query
+        # row then reads its gallery side's v₁ alone, never u₁
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=8, d=10) for i in range(8)))
         model = constant_model(0.5)
         configs = {
@@ -694,15 +697,25 @@ class TestGalleryScorer:
         }
         table = select_proxies(g, "subspace", 2)
         want = {m: Ranker(g, configs[m], table).rank("s0") for m in ("baseline", "arith")}
-        steps = ((lqts.similarity, "_canonical_modes"), (np.linalg, "eigh"), (np.linalg, "inv"))
+        built = Ranker(g, configs["lqts"], table)
+        queries = ("s0", random_set(rng, "outside", n=8, d=10))
+        want_lqts = [built.rank(q) for q in queries]
+        steps = (
+            (lqts.similarity, "_canonical_modes"),
+            (lqts.similarity, "_canonical_partners"),
+            (np.linalg, "eigh"),
+            (np.linalg, "inv"),
+        )
         for owner, name in steps:
             with mock.patch.object(owner, name, side_effect=AssertionError(f"{name} ran")):
                 assert select_proxies(g, "subspace", 2) == table
                 for method, result in want.items():
                     assert Ranker(g, configs[method], table).rank("s0") == result
-                if name != "eigh":  # the mode step inverts, and no step runs eigh
+                if name != "eigh":  # the mode steps invert or follow, and no step runs eigh
                     with pytest.raises(AssertionError, match=f"{name} ran"):
                         Ranker(g, configs["lqts"], table).rank("s0")
+                if name == "_canonical_partners":
+                    assert [built.rank(q) for q in queries] == want_lqts
 
 
 class TestRetrievalConfig:
