@@ -56,8 +56,9 @@ operand against every other set, the shape of a query row and of a
 proxy-selection row, and 256 aligned pairs, the first PAIR_BLOCK pairs
 (i, j), i < j, the shape of training extraction. Its `scores` variant
 reads the scores alone, as proxy selection and the baseline and combiner
-rankings do, and leaves the modes unbuilt; its `modes` variant reads the
-ambient modes too, as training extraction does.
+rankings do, and leaves the modes unbuilt; its `coords` variant reads both
+sides' mode coordinates too, as training extraction and an lqts `Ranker`'s
+proxy-target pairs do.
 """
 
 import sys
@@ -197,7 +198,7 @@ def test_pair_list(benchmark, baseline, sets):
     assert proxy_coords.shape == target_coords.shape == (sets * PROXY_K, max(scorer.members))
 
 
-@pytest.mark.parametrize("read", ["scores", "modes"])
+@pytest.mark.parametrize("read", ["scores", "coords"])
 @pytest.mark.parametrize("pairs", [181, PAIR_BLOCK])
 def test_max_corr_batch(benchmark, pairs, read):
     bases = np.stack([s.subspace for s in workload_gallery("subspace-lane").sets])
@@ -210,9 +211,9 @@ def test_max_corr_batch(benchmark, pairs, read):
 
     def call():
         out = max_corr_batch(a, b)
-        return out.score, (out.mode_a, out.mode_b) if read == "modes" else None
+        return out.score, out.coords if read == "coords" else None
 
-    score, modes = benchmark(call)
+    score, coords = benchmark(call)
     assert score.shape == (pairs,) and np.all((score >= 0.0) & (score <= 1.0))
-    if read == "modes":
-        assert modes[0].shape == modes[1].shape == (pairs, 96)
+    if read == "coords":
+        assert coords[0].shape == coords[1].shape == (pairs, 6)

@@ -124,12 +124,12 @@ def _exemplar_rows(sets, pairs, start, count, local) -> np.ndarray:
         s3 = c_rx[tp, pt]
         # per label, the side a's cosines with b and its Gram, b's Gram, and both modes
         sides = (c_rx, c_rr, c_xx, tp, pt), (c_rx.T, c_xx, c_rr, pt, tp)
-        for label, (c_ab, c_aa, c_bb, mode_a, mode_b) in enumerate(sides):
+        for label, (c_ab, c_aa, c_bb, a_mode, b_mode) in enumerate(sides):
             rows = slice(*bounds[2 * p + label])
             if rows.stop > rows.start:
                 q, u = _ordered_pairs(local[rows], len(c_aa))
                 n = np.argmax(c_ab[q], axis=1)
-                s = c_ab[q, n], c_aa[q, u], np.full(q.size, s3), c_bb[n, mode_b], c_aa[u, mode_a]
+                s = c_ab[q, n], c_aa[q, u], np.full(q.size, s3), c_bb[n, b_mode], c_aa[u, a_mode]
                 out[rows] = np.column_stack([s[1], s[0], s[2], s[4], s[3]] if label else s)
     return out
 
@@ -189,14 +189,16 @@ def _canonical(sets, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's first canonical correlation and its modes, (P, 2, d):
     modes[p, c] lies in the subspace of set pairs[p, c]. They come
     PAIR_BLOCK pairs at a time, each block from a `GalleryScorer` over
-    the sets it reads."""
+    the sets it reads, which takes each side's mode coordinates to
+    ambient modes (`GalleryScorer.modes`)."""
     s3, modes = np.empty(len(pairs)), np.empty((len(pairs), 2, sets[0].dim))
     for at in range(0, len(pairs), PAIR_BLOCK):
         read, ends = np.unique(pairs[at : at + PAIR_BLOCK], return_inverse=True)
         scorer = GalleryScorer(Gallery(sets=tuple(sets[i] for i in read.tolist())), SUBSPACE)
         corr = scorer.pair(ends[:, 0], ends[:, 1])
         s3[at : at + PAIR_BLOCK] = corr.score
-        modes[at : at + PAIR_BLOCK, 0], modes[at : at + PAIR_BLOCK, 1] = corr.mode_a, corr.mode_b
+        for c, coords in enumerate(corr.coords):
+            modes[at : at + PAIR_BLOCK, c] = scorer.modes(ends[:, c], coords)
     return s3, modes
 
 

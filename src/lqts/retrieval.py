@@ -91,12 +91,14 @@ class GalleryScorer:
     `query` an outside set with gallery sets, by an index array or a
     range; both return a `Matches` of one row per pair. Each side's mode
     coordinates are assembled on that side's first read, zero-padded to
-    the widest set of the side, and its ambient modes on theirs; a pair
-    list holds one kernel block of gathered sets at a time. `project`
-    tabulates fixed modes against the rows of their gallery sets, for the
-    coordinates of later rows to read. Nothing is cached between calls. A
-    gallery set against itself is compared with the rest and its result
-    then replaced by `lqts.similarity.self_pairs`.
+    the widest set of the side. A result holds per-pair products of its
+    kernel calls, never the sets they read, so a pair list holds one
+    kernel block of gathered sets at a time. `modes` takes coordinates in
+    gallery sets to ambient modes, and `project` tabulates fixed modes
+    against the rows of their gallery sets, for the coordinates of later
+    rows to read. Nothing is cached between calls. A gallery set against
+    itself is compared with the rest and its result then replaced by
+    `lqts.similarity.self_pairs`.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -146,9 +148,9 @@ class GalleryScorer:
         with the rest, and a `self_pairs` block after the run's kernel
         blocks replaces its result. No set is padded and each keeps its k
         rows contiguous, so every product has its true shape and each
-        pair's score and modes are those of max_max_sim or max_corr: BLAS
-        may round a padded product differently, and it sums a strided
-        vector in another order than a contiguous one.
+        pair's score and mode coordinates are those of max_max_sim or
+        max_corr: BLAS may round a padded product differently, and it sums
+        a strided vector in another order than a contiguous one.
         """
         n = len(self.ks)
         if isinstance(j, range) and j.step == 1:
@@ -169,7 +171,7 @@ class GalleryScorer:
                     pos = members[s:e] if lo == at else members[s:e] - lo + at
                     blocks.append((pos, self.compare(a, self.stacks[k][s:e])))
             if own is not None and lo <= own < hi:
-                blocks.append(([own - lo + at], self_pairs(a[None])))
+                blocks.append(([own - lo + at], self_pairs(1, len(a))))
         return self._assemble(size, blocks)
 
     def _pairs(self, i, j) -> Matches:
@@ -177,12 +179,9 @@ class GalleryScorer:
 
         Pairs are grouped by the sizes of their two sets, and each group is
         compared PAIR_BLOCK pairs per kernel call, on sets gathered from
-        their sizes' arrays for that call alone. So that a list holds one
-        block of gathered sets at most, the ambient modes and deferred
-        coordinates of a list longer than PAIR_BLOCK repeat their call when
-        read. A pair of a set with itself is compared with its group, and a
-        `self_pairs` block after the group's kernel blocks replaces its
-        result.
+        their sizes' arrays for that call alone. A pair of a set with itself
+        is compared with its group, and a `self_pairs` block after the
+        group's kernel blocks replaces its result.
         """
         blocks = []
         base = max(self.members) + 1
@@ -193,37 +192,47 @@ class GalleryScorer:
             for at in range(0, same.size, PAIR_BLOCK):
                 g = same[at : at + PAIR_BLOCK]
                 a, b = self.offset[i[g]], self.offset[j[g]]
-                def compare(a=a, b=b, k_a=k_a, k_b=k_b):
-                    return self.compare(self.stacks[k_a][a], self.stacks[k_b][b])
-                res = compare()
-                blocks.append((g, res.deferring_to(compare) if j.size > PAIR_BLOCK else res))
+                blocks.append((g, self.compare(self.stacks[k_a][a], self.stacks[k_b][b])))
             own = same[i[same] == j[same]]
-            blocks.append((own, self_pairs(self.stacks[k_b][self.offset[j[own]]])))
+            blocks.append((own, self_pairs(own.size, k_b)))
         return self._assemble(j.size, blocks)
 
     def _assemble(self, size: int, blocks) -> Matches:
         """The Matches of `size` pairs from (positions, kernel result)
-        blocks: scores now; each side's coordinates on that side's first
-        read, from that side of every block alone, and the modes on first
-        read; each zero-padded to its widest block. Blocks are applied in
-        order, so a later block's positions overwrite an earlier one's."""
+        blocks: scores now, and each side's coordinates on that side's first
+        read, from that side of every block alone, zero-padded to its widest
+        block. Blocks are applied in order, so a later block's positions
+        overwrite an earlier one's."""
         score = np.empty(size)
         for g, res in blocks:
             score[g] = res.score
 
-        def gather(part, width):
-            def build(_):
-                got = [(g, getattr(res, part)) for g, res in blocks]
-                out = np.zeros((size, max([width, *(x.shape[1] for _, x in got)])))
-                for g, x in got:
-                    out[g, : x.shape[1]] = x
-                return out
+        def gather(side):
+            got = [(g, getattr(res, side)) for g, res in blocks]
+            out = np.zeros((size, max([0, *(x.shape[1] for _, x in got)])))
+            for g, x in got:
+                out[g, : x.shape[1]] = x
+            return out
 
-            return build
+        return Matches(score, (lambda _: gather("coords_a"), lambda _: gather("coords_b")))
 
-        modes = gather("mode_a", self.gallery.dim), gather("mode_b", self.gallery.dim)
-        coords = gather("coords_a", 0), gather("coords_b", 0)
-        return Matches(score, coords, lambda res: (modes[0](res), modes[1](res)))
+    def _by_size(self, sets):
+        """(k, r, own) per block of PAIR_BLOCK or fewer positions r into
+        `sets` whose gallery sets have k rows, own their (len(r), k, d) rows."""
+        for k in self.members:
+            rows = np.flatnonzero(self.ks[sets] == k)
+            for at in range(0, rows.size, PAIR_BLOCK):
+                r = rows[at : at + PAIR_BLOCK]
+                yield k, r, self.stacks[k][self.offset[sets[r]]]
+
+    def modes(self, sets, coords: np.ndarray) -> np.ndarray:
+        """The ambient unit modes, (R, d), of coordinates coords[r] in the
+        rows of gallery set sets[r], each by `ambient_modes` on the set's
+        own k rows, as a kernel reads them."""
+        out = np.empty((len(sets), self.gallery.dim))
+        for k, r, own in self._by_size(sets):
+            out[r] = ambient_modes(coords[r, :k], own)
+        return out
 
     def project(self, sets, coords: np.ndarray) -> np.ndarray:
         """Each mode, of coordinates coords[r] in the rows of gallery set
@@ -232,14 +241,10 @@ class GalleryScorer:
         arithmetic. The |cosine| of that mode with another mode on the set,
         of coordinates c, is then min(|c·table[r]|, 1)."""
         table = np.zeros((len(sets), max(self.members)))
-        for k in self.members:
-            rows = np.flatnonzero(self.ks[sets] == k)
-            for at in range(0, rows.size, PAIR_BLOCK):
-                r = rows[at : at + PAIR_BLOCK]
-                own = self.stacks[k][self.offset[sets[r]]]
-                modes = np.repeat(ambient_modes(coords[r, :k], own), k, axis=0)
-                dots = np.einsum("ij,ij->i", own.reshape(r.size * k, -1), modes)
-                table[r, :k] = dots.reshape(-1, k)
+        for k, r, own in self._by_size(sets):
+            modes = np.repeat(ambient_modes(coords[r, :k], own), k, axis=0)
+            dots = np.einsum("ij,ij->i", own.reshape(r.size * k, -1), modes)
+            table[r, :k] = dots.reshape(-1, k)
         return table
 
 

@@ -8,12 +8,12 @@ stack of unit rows: its unit exemplars, or its subspace's read-only
 orthonormal basis. Every comparison also exposes the pair of unit
 "modes" (exemplars or canonical vectors) that realized the score, which
 the transitivity features read. Each mode is a combination of its own
-set's rows, so a `Matches` holds it as coordinates in those rows, a
-one-hot row or a canonical coordinate vector, and builds the ambient
-d-vectors only on their first read. A subspace `Matches` builds each
-side's coordinates on that side's first read too, so callers that read
-only scores never pay for them, and a query row, which reads the gallery
-side alone, never builds the query side's.
+set's rows, so a `Matches` holds it only as coordinates in those rows, a
+one-hot row or a canonical coordinate vector; `ambient_modes` takes them
+to d-vectors. A kernel builds each side's coordinates on that side's
+first read, so callers that read only scores never pay for them, and a
+query row, which reads the gallery side alone, never builds the query
+side's.
 
 Each baseline has one kernel, over a batch of set pairs
 (`max_max_sim_batch`, `max_corr_batch`), which `kernel` looks up by
@@ -68,43 +68,22 @@ class Matches:
     attain them, each as coordinates in its own set's (k, d) unit rows: a
     one-hot row picking a unit exemplar (exemplar baseline), or the unit
     canonical coordinates u₁ and v₁ (subspace baseline). `coords` is the
-    pair (coords_a, coords_b), of shapes (P, k_a) and (P, k_b); `modes` is
-    the pair (mode_a, mode_b) of ambient unit vectors of the data space,
-    coords_a·a and coords_b·b. `modes`, `coords` or either side of `coords`
-    may be given as a function that builds it from this Matches on first
-    read and is then dropped, with all it holds; so a caller that reads
-    coords_b alone never builds coords_a."""
+    pair (coords_a, coords_b), of shapes (P, k_a) and (P, k_b); either side
+    may be a function that builds it from this Matches on that side's first
+    read and is then dropped, with all it holds. `ambient_modes` takes the
+    coordinates to unit vectors of the data space."""
 
-    def __init__(self, score: np.ndarray, coords, modes):
-        coords = coords if callable(coords) else list(coords)
-        self.score, self._parts = score, {"coords": coords, "modes": modes}
-
-    def _built(self, part: str) -> tuple[np.ndarray, np.ndarray]:
-        if callable(self._parts[part]):
-            self._parts[part] = self._parts[part](self)
-        return self._parts[part]
+    def __init__(self, score: np.ndarray, coords):
+        self.score, self._coords = score, list(coords)
 
     def _side(self, side: int) -> np.ndarray:
-        coords = self._built("coords")
-        if callable(coords[side]):
-            coords[side] = coords[side](self)
-        return coords[side]
+        if callable(self._coords[side]):
+            self._coords[side] = self._coords[side](self)
+        return self._coords[side]
 
     coords_a = property(lambda self: self._side(0))
     coords_b = property(lambda self: self._side(1))
     coords = property(lambda self: (self.coords_a, self.coords_b))
-    modes = property(lambda self: self._built("modes"))
-    mode_a = property(lambda self: self.modes[0])
-    mode_b = property(lambda self: self.modes[1])
-
-    def deferring_to(self, compare) -> Matches:
-        """These scores and their coordinates if already built, with the
-        rest taken on first read from `compare()`, which repeats this
-        comparison: nothing is held for them until read."""
-        coords = self._parts["coords"]
-        if callable(coords) or any(map(callable, coords)):
-            coords = lambda _: compare().coords
-        return Matches(self.score, coords, lambda _: compare().modes)
 
 
 def ambient_modes(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -113,28 +92,26 @@ def ambient_modes(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(coords[:, None, :], rows)[:, 0]
 
 
-def _on_rows(score: np.ndarray, coords, a: np.ndarray, b: np.ndarray) -> Matches:
-    """Matches of coordinates in the rows a and b, its ambient modes built
-    from them on first read."""
-    return Matches(score, coords, lambda res: tuple(map(ambient_modes, res.coords, (a, b))))
-
-
-def self_pairs(reps: np.ndarray) -> Matches:
-    """Each of a (P, k, d) stack of sets against itself: score exactly 1,
-    both modes on the set's row 0, its first unit exemplar or first basis
-    vector. Every diagonal cosine of a unit set is 1, so this is the
-    smallest-(i, j) tie rule applied exactly, whatever a kernel's rounding
-    would give."""
-    first = np.zeros(reps.shape[:2])
+def self_pairs(n: int, k: int) -> Matches:
+    """Each of n sets of k rows against itself: score exactly 1, both modes
+    on the set's row 0, its first unit exemplar or first basis vector.
+    Every diagonal cosine of a unit set is 1, so this is the smallest-(i, j)
+    tie rule applied exactly, whatever a kernel's rounding would give."""
+    first = np.zeros((n, k))
     first[:, 0] = 1.0
-    return _on_rows(np.ones(len(reps)), (first, first), reps, reps)
+    return Matches(np.ones(n), (first, first))
+
+
+def _one_hot(index: np.ndarray, m: int) -> np.ndarray:
+    """Rows of width m, each one-hot at its entry of index."""
+    return np.eye(m)[index]
 
 
 def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
     """Largest absolute cosine over all exemplar pairs of each set pair
     (ua[p], ub[p]), or (ua, ub[p]) when ua is 2-D, for unit exemplars ua of
     shape (P, m_a, d) or (m_a, d) and ub of shape (P, m_b, d). Each mode's
-    coordinates are one-hot on its exemplar.
+    coordinates are one-hot on its exemplar, built on its side's first read.
 
     Ties resolve to the smallest (i, j) of each pair, by a row-major argmax
     over its block.
@@ -144,7 +121,7 @@ def max_max_sim_batch(ua: np.ndarray, ub: np.ndarray) -> Matches:
     flat = cos.reshape(n, m_a * m_b).argmax(axis=1)
     ia, ib = np.divmod(flat, m_b)
     score = np.minimum(cos[np.arange(n), ia, ib], 1.0)
-    return _on_rows(score, (np.eye(m_a)[ia], np.eye(m_b)[ib]), ua, ub)
+    return Matches(score, (lambda _: _one_hot(ia, m_a), lambda _: _one_hot(ib, m_b)))
 
 
 def max_max_sim(a: FaceSet, b: FaceSet) -> Matches:
@@ -153,7 +130,7 @@ def max_max_sim(a: FaceSet, b: FaceSet) -> Matches:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"set dims differ: {a.dim} vs {b.dim}")
     if a is b:
-        return self_pairs(a.unit_exemplars[None])
+        return self_pairs(1, a.size)
     return max_max_sim_batch(a.unit_exemplars, b.unit_exemplars[None])
 
 
@@ -204,7 +181,7 @@ def max_corr_batch(a: np.ndarray, b: np.ndarray) -> Matches:
         lambda res: _canonical_partners(m, res.coords_b, lam),
         lambda _: _canonical_modes(gram, lam),
     )
-    return _on_rows(np.minimum(sigma, 1.0), coords, a, b)
+    return Matches(np.minimum(sigma, 1.0), coords)
 
 
 # The inverse-iteration shift, relative: μ = λ₁(1 + MODE_SHIFT). eigvalsh
@@ -259,7 +236,7 @@ def max_corr(a: np.ndarray, b: np.ndarray) -> Matches:
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"subspace ambient dims differ: {a.shape[1]} vs {b.shape[1]}")
     if a is b:
-        return self_pairs(a[None])
+        return self_pairs(1, len(a))
     return max_corr_batch(a, b[None])
 
 

@@ -8,6 +8,8 @@ iteration replaced, kept as its accuracy reference. `match` adds the
 self-pair rule of `lqts.similarity.self_pairs` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
 score at a time from those, with no caching or batching.
+`ambient_pair` gives a batch result's modes as ambient unit vectors,
+from its mode coordinates, for checks against those pair functions.
 `ambient_mode_features` is the ambient-mode rule for s4 and s5 that
 `lqts.retrieval.Ranker`'s mode coordinates replaced, and `ambient_rank`
 an lqts ranking by it.
@@ -40,7 +42,14 @@ from lqts.corpus import FaceSet, ProxyTable, feature_table
 from lqts.errors import DimensionMismatchError, TrainingError
 from lqts.metafeat import DEFAULT_CAP, DEFAULT_TRAIN_SETS, PROJECTION_FLOOR, _stratified_cap
 from lqts.retrieval import GalleryScorer
-from lqts.similarity import DEFAULT_SUBSPACE_DIM, EXEMPLAR, MODE_SHIFT, cosine_sim, fit_subspace
+from lqts.similarity import (
+    DEFAULT_SUBSPACE_DIM,
+    EXEMPLAR,
+    MODE_SHIFT,
+    ambient_modes,
+    cosine_sim,
+    fit_subspace,
+)
 from lqts.similarity import max_corr as batch_max_corr
 from lqts.svr import ETA_FLOOR, SvrConfig, SvrModel, _kernel_matvec, _RowCache, predict
 
@@ -108,6 +117,24 @@ def svd_max_corr(a: np.ndarray, b: np.ndarray) -> Match:
     u, sing, vt = np.linalg.svd(a @ b.T)
     sign = 1.0 if vt[0, np.argmax(np.abs(vt[0]))] > 0 else -1.0
     return Match(float(min(sing[0], 1.0)), sign * u[:, 0] @ a, sign * vt[0] @ b)
+
+
+def ambient_pair(res, a, b) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(mode_a, mode_b) of a `lqts.similarity.Matches`: each side's mode
+    coordinates taken by `lqts.similarity.ambient_modes`, pair by pair, in
+    the rows of that side's set, the first k coordinates for a set of k
+    rows. a and b give each side's sets: one FaceSet (its unit exemplars)
+    or one (k, d) stack for every pair, or a list or (P, k, d) array of
+    them, one per pair. A side given None is not read and gives None."""
+
+    def side(coords, sets):
+        if isinstance(sets, FaceSet) or (isinstance(sets, np.ndarray) and sets.ndim == 2):
+            sets = [sets] * len(coords)
+        rows = [x.unit_exemplars if isinstance(x, FaceSet) else x for x in sets]
+        return np.array([ambient_modes(c[None, : len(r)], r)[0] for c, r in zip(coords, rows)])
+
+    sides = (("coords_a", a), ("coords_b", b))
+    return tuple(None if x is None else side(getattr(res, name), x) for name, x in sides)
 
 
 def match(a, b) -> Match:
@@ -231,7 +258,8 @@ def _subspace_pair(reference, proxy, ref_sub: np.ndarray, prox_sub: np.ndarray):
     """(positives, negatives, skipped positives, skipped negatives) for one
     reference/proxy pair, given both sets' fitted (k, d) subspace bases."""
     corr = batch_max_corr(ref_sub, prox_sub)
-    s3, f_tp, f_pt = corr.score[0], corr.mode_a[0], corr.mode_b[0]
+    (f_tp,), (f_pt,) = ambient_pair(corr, ref_sub, prox_sub)
+    s3 = corr.score[0]
     pos_rows, skipped_pos = _subspace_side(reference.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3)
     neg_rows, skipped_neg = _subspace_side(proxy.unit_exemplars, ref_sub, prox_sub, f_pt, f_tp, s3)
     return pos_rows, neg_rows, skipped_pos, skipped_neg
@@ -350,19 +378,22 @@ def _row_cos(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(np.einsum("ij,ij->i", u, v)), 1.0)
 
 
-def ambient_mode_features(row, pair_list, proxy, target) -> np.ndarray:
+def ambient_mode_features(scorer, row, pair_list, proxy, target) -> np.ndarray:
     """s4 and s5 of every proxy row (proxy[r], target[r]) by the ambient
     rule that `lqts.retrieval.Ranker` applied before it read mode
     coordinates: min(|mode_b[p]·proxy_mode|, 1), for mode_b[p] the query
     row's ambient mode on the proxy's side and proxy_mode the proxy-target
     pair's mode on the proxy's side, and the same on the target's side.
-    `row` is a query row's `Matches` and `pair_list` the Matches of the
-    pairs (proxy, target)."""
+    `row` is a query row's `Matches` against every set of the gallery
+    scorer `scorer`, and `pair_list` the Matches of the pairs (proxy,
+    target); the modes come from their coordinates by `ambient_pair`."""
+    reps = [scorer._rep(s) for s in scorer.gallery.sets]
+    _, row_modes = ambient_pair(row, None, reps)
+    proxy_modes, target_modes = ambient_pair(
+        pair_list, [reps[x] for x in proxy], [reps[x] for x in target]
+    )
     return np.column_stack(
-        [
-            _row_cos(row.mode_b[proxy], pair_list.mode_a),
-            _row_cos(row.mode_b[target], pair_list.mode_b),
-        ]
+        [_row_cos(row_modes[proxy], proxy_modes), _row_cos(row_modes[target], target_modes)]
     )
 
 
@@ -383,7 +414,7 @@ def ambient_rank(gallery, config, proxies, query):
     scores = res.score.copy()
     if t.size:
         pt = scorer.pair(p, t)
-        modes = ambient_mode_features(res, pt, p, t)
+        modes = ambient_mode_features(scorer, res, pt, p, t)
         features = np.column_stack([res.score[p], res.score[t], pt.score, modes])
         np.maximum.at(scores, t, np.clip(predict(config.model, features), 0.0, 1.0))
     order = [j for j in np.argsort(-scores, kind="stable").tolist() if j != q_idx]

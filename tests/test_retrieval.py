@@ -444,17 +444,21 @@ def pair_function_results(lefts, rights):
     return [match(a, b)[:3] for a, b in zip(lefts, rights)]
 
 
-def assert_same_matches(got, want):
+def assert_same_matches(got, want, lefts, rights):
+    """got's scores, and its modes in the sets lefts and rights
+    (`oracles.ambient_pair`), equal the rows want."""
     assert got.score.tolist() == [score for score, _, _ in want]
+    modes_a, modes_b = oracles.ambient_pair(got, lefts, rights)
     for p, (_, mode_a, mode_b) in enumerate(want):
-        assert np.array_equal(got.mode_a[p], mode_a)
-        assert np.array_equal(got.mode_b[p], mode_b)
+        assert np.array_equal(modes_a[p], mode_a)
+        assert np.array_equal(modes_b[p], mode_b)
 
 
 class TestGalleryScorer:
     """The batched kernels against the scalar max_max_sim and max_corr, pair
-    by pair: equal scores and ambient modes, ties included, and a gallery
-    set against itself by the self-pair rule."""
+    by pair: equal scores and, from the mode coordinates, equal ambient
+    modes, ties included, and a gallery set against itself by the self-pair
+    rule."""
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     @given(
@@ -463,9 +467,9 @@ class TestGalleryScorer:
     @settings(max_examples=200, deadline=None)
     def test_every_call_form_equals_pair_functions(self, baseline, data, interleaved, block):
         # every call is made, and its scores read, before any mode is read;
-        # the modes then equal the pair functions' too, and a second read
-        # returns the same arrays. With 2 pairs per kernel call, rows and
-        # pair lists span several blocks of each size group.
+        # the modes then equal the pair functions' too, and a second read of
+        # the coordinates returns the same arrays. With 2 pairs per kernel
+        # call, rows and pair lists span several blocks of each size group.
         gallery, external, i, j = data.draw(scorer_cases(interleaved=interleaved))
         reps = representations(gallery, baseline)
         ext = external if baseline == "exemplar" else fit_subspace(external)
@@ -492,9 +496,9 @@ class TestGalleryScorer:
         wants = [pair_function_results(lefts, rights) for _, lefts, rights in calls]
         for (got, _, _), want in zip(calls, wants):
             assert got.score.tolist() == [score for score, _, _ in want]
-        for (got, _, _), want in zip(calls, wants):
-            assert_same_matches(got, want)
-            assert got.mode_a is got.mode_a and got.mode_b is got.mode_b
+        for (got, lefts, rights), want in zip(calls, wants):
+            assert_same_matches(got, want, lefts, rights)
+            assert got.coords_a is got.coords_a and got.coords_b is got.coords_b
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_query_rows_of_wide_sets(self, rng, baseline):
@@ -507,13 +511,15 @@ class TestGalleryScorer:
         scorer = GalleryScorer(gallery, baseline)
         for q, s in enumerate(gallery.sets):
             got = scorer.pair(q, np.arange(len(gallery)))
+            mode_a, mode_b = oracles.ambient_pair(got, reps[q], reps)
             first = s.unit_exemplars[0] if baseline == "exemplar" else s.subspace[0]
             assert got.score[q] == 1.0
-            assert np.array_equal(got.mode_a[q], first)
-            assert np.array_equal(got.mode_b[q], first)
+            assert np.array_equal(mode_a[q], first)
+            assert np.array_equal(mode_b[q], first)
             others = [p for p in range(len(gallery)) if p != q]
-            want = pair_function_results([reps[q]] * len(others), [reps[p] for p in others])
-            assert_same_matches(scorer.pair(q, np.array(others)), want)
+            lefts, rights = [reps[q]] * len(others), [reps[p] for p in others]
+            want = pair_function_results(lefts, rights)
+            assert_same_matches(scorer.pair(q, np.array(others)), want, lefts, rights)
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_rows_read_the_storage_in_place(self, rng, baseline, monkeypatch):
@@ -556,22 +562,23 @@ class TestGalleryScorer:
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     @pytest.mark.parametrize("pairs", [PAIR_BLOCK, PAIR_BLOCK + 1])
     def test_self_pairs_replace_the_kernel_result(self, rng, baseline, pairs, monkeypatch):
-        # a kernel that gets every pair wrong, its modes deferred under the
-        # subspace baseline as max_corr_batch defers them: a set's entry
-        # against itself still reads score 1 and its row 0 on both sides,
-        # in every query row and in a pair list of one kernel block and
-        # of a longer list, whose deferred modes repeat the kernel call
+        # a kernel that gets every pair wrong, NaN coordinates built on
+        # read under the subspace baseline as max_corr_batch builds them: a
+        # set's entry against itself still reads score 1 and its row 0 on
+        # both sides, in every query row and in a pair list of one kernel
+        # block and of a longer list
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=2 + p % 2, d=5) for p in range(7)))
         scorer = GalleryScorer(gallery, baseline)
+        reps = representations(gallery, baseline)
         first = np.array([
             s.unit_exemplars[0] if baseline == "exemplar" else s.subspace[0] for s in gallery.sets
         ])
 
         def wrong(self, a, b):
             coords = np.full((2, len(b), b.shape[1]), np.nan)
-            modes = np.full((2, len(b), b.shape[-1]), np.nan)
-            deferred = baseline == "subspace"
-            return Matches(np.full(len(b), -1.0), (lambda _: coords) if deferred else coords, modes)
+            if baseline == "subspace":
+                return Matches(np.full(len(b), -1.0), (lambda _: coords[0], lambda _: coords[1]))
+            return Matches(np.full(len(b), -1.0), coords)
 
         monkeypatch.setattr(GalleryScorer, "compare", wrong)
         n = len(gallery)
@@ -582,21 +589,25 @@ class TestGalleryScorer:
         calls.append((scorer.pair(i, j), i, j))
         for got, left, right in calls:
             own = left == right
+            sides = [reps[x] for x in left], [reps[x] for x in right]
+            mode_a, mode_b = oracles.ambient_pair(got, *sides)
             assert np.all(got.score[own] == 1.0) and np.all(got.score[~own] == -1.0)
-            assert np.array_equal(got.mode_a[own], first[left[own]])
-            assert np.array_equal(got.mode_b[own], first[left[own]])
-            assert np.isnan(got.mode_a[~own]).all() and np.isnan(got.mode_b[~own]).all()
+            assert np.array_equal(mode_a[own], first[left[own]])
+            assert np.array_equal(mode_b[own], first[left[own]])
+            assert np.isnan(mode_a[~own]).all() and np.isnan(mode_b[~own]).all()
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_pair_list_holds_one_block(self, rng, baseline, monkeypatch):
         # with four pairs per kernel call, a call that gathers every pair's
         # sets before its kernel calls (2 k d floats a pair) peaks far above
-        # one that gathers per call, and a score-only Matches that keeps the
-        # gathered sets for its modes holds them. When the pairs double,
-        # peak and held memory may grow by the pairs' outputs only, which
-        # 2d + 4 floats a pair bound: a score, the two sides' one-hot mode
-        # coordinates (eager under the exemplar baseline) and three indices
-        # a pair, and about 1 KB of Python objects a block.
+        # one that gathers per call, and a score-only Matches that kept the
+        # gathered sets would hold them. When the pairs double, peak and
+        # held memory may grow by the pairs' outputs only, which 2d + 4
+        # floats a pair bound: a score, what the kernel keeps to build the
+        # coordinates on read (the two argmax indices under the exemplar
+        # baseline; M, MᵀM and λ₁, 2k² + 1 floats, under the subspace
+        # baseline) and three indices a pair, and about 1 KB of Python
+        # objects a block.
         d, block = 64, 4
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=6, d=d) for p in range(12)))
         scorer = GalleryScorer(gallery, baseline)
@@ -619,6 +630,29 @@ class TestGalleryScorer:
         outputs = 256 * 8 * (2 * d + 4) + 256 // block * 1024
         assert np.all(large - small < outputs)
 
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_long_pair_list_reads_coords_without_a_second_call(self, rng, baseline, monkeypatch):
+        # a pair list longer than PAIR_BLOCK keeps its kernel results, which
+        # hold per-pair products and no gathered set, so reading its
+        # coordinates repeats no kernel call
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=2 + p % 2, d=5) for p in range(7)))
+        scorer = GalleryScorer(gallery, baseline)
+        compared = []
+        real_compare = GalleryScorer.compare
+
+        def counting(self, a, b):
+            compared.append(len(b))
+            return real_compare(self, a, b)
+
+        monkeypatch.setattr(GalleryScorer, "compare", counting)
+        i = rng.integers(0, 7, size=3 * PAIR_BLOCK)
+        j = (i + rng.integers(1, 7, size=i.size)) % 7
+        res = scorer.pair(i, j)
+        assert sum(compared) == i.size and len(compared) > 1
+        calls = len(compared)
+        res.coords
+        assert len(compared) == calls
+
     def test_row_positions_outside_the_gallery_raise(self, rng):
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=3, d=4) for p in range(3)))
         scorer = GalleryScorer(gallery, "exemplar")
@@ -637,11 +671,12 @@ class TestGalleryScorer:
                 group = [s for s in gallery.sets if s.size == m]
                 stacked = np.stack([s.unit_exemplars for s in group])
                 got = max_max_sim_batch(a.unit_exemplars, stacked)
+                mode_a, mode_b = oracles.ambient_pair(got, a, stacked)
                 want = [max_max_sim(a, b) for b in group]
                 assert got.score.tolist() == [r.score for r in want]
-                assert np.array_equal(got.mode_a, [a.unit_exemplars[r.index_a] for r in want])
+                assert np.array_equal(mode_a, [a.unit_exemplars[r.index_a] for r in want])
                 assert np.array_equal(
-                    got.mode_b, [b.unit_exemplars[r.index_b] for b, r in zip(group, want)]
+                    mode_b, [b.unit_exemplars[r.index_b] for b, r in zip(group, want)]
                 )
 
     def test_exact_tie_resolves_row_major(self):
@@ -649,9 +684,10 @@ class TestGalleryScorer:
         a = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         b = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         got = max_max_sim_batch(a, b)
+        mode_a, mode_b = oracles.ambient_pair(got, a, b)
         assert got.score[0] == 1.0
-        assert np.array_equal(got.mode_a[0], a[0, 0])
-        assert np.array_equal(got.mode_b[0], b[0, 1])
+        assert np.array_equal(mode_a[0], a[0, 0])
+        assert np.array_equal(mode_b[0], b[0, 1])
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_external_query_of_another_dimension(self, rng, baseline):
@@ -716,6 +752,25 @@ class TestGalleryScorer:
                         Ranker(g, configs["lqts"], table).rank("s0")
                 if name == "_canonical_partners":
                     assert [built.rank(q) for q in queries] == want_lqts
+
+    def test_score_only_exemplar_callers_skip_the_one_hot_step(self, rng):
+        # the exemplar kernel builds each side's one-hot coordinates on that
+        # side's first read: proxy selection and the baseline and combiner
+        # rankings read only scores and never build one, while an lqts
+        # Ranker reads both sides of its proxy-target pairs when built
+        g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=8, d=10) for i in range(8)))
+        configs = {
+            method: RetrievalConfig(method=method, k_p=2, model=constant_model(0.5))
+            for method in ("baseline", "arith", "lqts")
+        }
+        table = select_proxies(g, "exemplar", 2)
+        want = {m: Ranker(g, configs[m], table).rank("s0") for m in ("baseline", "arith")}
+        with mock.patch.object(lqts.similarity, "_one_hot", side_effect=AssertionError("one-hot")):
+            assert select_proxies(g, "exemplar", 2) == table
+            for method, result in want.items():
+                assert Ranker(g, configs[method], table).rank("s0") == result
+            with pytest.raises(AssertionError, match="one-hot"):
+                Ranker(g, configs["lqts"], table)
 
 
 class TestRetrievalConfig:
@@ -947,7 +1002,7 @@ class TestModeCoordinates:
         pt = ranker.scorer.pair(p, t)
         assert (pt.score == 0.0).sum() >= 2  # the two axis sets, each the other's proxy
         got = ranker.lqts_features(res)
-        want = oracles.ambient_mode_features(res, pt, p, t)
+        want = oracles.ambient_mode_features(ranker.scorer, res, pt, p, t)
         assert np.array_equal(got[:, :3], np.column_stack([res.score[p], res.score[t], pt.score]))
         if baseline == "exemplar":
             assert np.array_equal(got[:, 3:], want)
