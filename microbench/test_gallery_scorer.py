@@ -10,9 +10,9 @@ The checkout's own `src` is searched after PYTHONPATH, so a run with
 `PYTHONPATH=<another tree>/src` measures that tree's `lqts`.
 
 One call of `test_query_row` is one query row, `GalleryScorer.pair(q,
-everyone)`, with its scores and its gallery-side mode coordinates read, as
-an lqts ranking reads them: gallery set 0 against every
-gallery set, itself included, on the seed-11 gallery of each
+range(n))` as `Ranker.rank` calls it, with its scores and its gallery-side
+mode coordinates read, as an lqts ranking reads them: gallery set 0
+against every gallery set, itself included, on the seed-11 gallery of each
 pipeline-benchmark workload, reduced as that workload reduces it
 (`perfbench/workloads.py`). `test_mid_gallery_query_row` is that row
 for gallery set n // 2, which lies inside the slice of its size, where
@@ -88,9 +88,10 @@ def workload_gallery(name: str, **synth_settings) -> Gallery:
 
 
 def query_row(name: str):
-    """A scorer on the workload's gallery, and every gallery index."""
+    """A scorer on the workload's gallery, and the range of every gallery
+    index, the row `Ranker.rank` reads."""
     gallery = workload_gallery(name)
-    return GalleryScorer(gallery, WORKLOADS[name].baseline), np.arange(len(gallery))
+    return GalleryScorer(gallery, WORKLOADS[name].baseline), range(len(gallery))
 
 
 def bench_row(benchmark, scorer, q, everyone):
@@ -121,7 +122,7 @@ def test_mid_gallery_query_row(benchmark, name):
 def test_ragged_query_row(benchmark):
     gallery, _ = synth.generate(synth.SynthConfig(seed=ACCEPTANCE_SEED))
     assert len({s.size for s in gallery.sets}) == 31
-    bench_row(benchmark, GalleryScorer(gallery, "exemplar"), 0, np.arange(len(gallery)))
+    bench_row(benchmark, GalleryScorer(gallery, "exemplar"), 0, range(len(gallery)))
 
 
 @pytest.mark.parametrize("name", ["exemplar-cap2000", "subspace-lane"])
@@ -143,7 +144,7 @@ def test_row_overhead(benchmark, name, read):
         return [(out.score, out.coords_b if read == "coords" else None) for out in outs]
 
     def row():
-        out = scorer.pair(0, range(len(everyone)))
+        out = scorer.pair(0, everyone)
         return [(out.score, out.coords_b if read == "coords" else None)]
 
     seconds = np.empty((400, 2))

@@ -96,11 +96,7 @@ class FaceSet:
     def __eq__(self, other):
         if not isinstance(other, FaceSet):
             return NotImplemented
-        return (
-            self.set_id == other.set_id
-            and self.exemplars.shape == other.exemplars.shape
-            and np.array_equal(self.exemplars, other.exemplars)
-        )
+        return self.set_id == other.set_id and np.array_equal(self.exemplars, other.exemplars)
 
     def __repr__(self):
         return f"FaceSet({self.set_id!r}, n={self.size}, d={self.dim})"
@@ -195,6 +191,8 @@ class ProxyTable:
             if len({p for p, _ in plist}) < len(plist):
                 raise CorpusError(f"proxy list of {sid!r} repeats a proxy")
             scores = [s for _, s in plist]
+            if not np.all(np.isfinite(scores)):
+                raise CorpusError(f"proxy list of {sid!r} holds a non-finite score")
             if any(a < b for a, b in zip(scores, scores[1:])):
                 raise CorpusError(f"proxy list of {sid!r} not sorted by descending score")
             if plist:
@@ -252,6 +250,17 @@ def _split(where: str, line: str, sep: str | None, width: int | None) -> list[st
         return fields
     name = {"\t": "tab", ",": "comma"}.get(sep, "whitespace")
     raise CorpusError(f"{where}: expected {width} {name}-separated columns, found {len(fields)}")
+
+
+def _splits_row(text) -> bool:
+    """Whether `text` holds a tab or a line break, which would split its row."""
+    return len(f"_{text}_".replace("\t", "\n").splitlines()) > 1
+
+
+def _check_ids(ids: Iterable) -> None:
+    """Reject, before anything is written, a set id that `_splits_row`."""
+    if bad := [sid for sid in ids if _splits_row(sid)]:
+        raise CorpusError(f"set {bad[0]!r}: has a tab or line break")
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -325,14 +334,13 @@ def load_gallery(path: str | Path) -> Gallery:
 def save_gallery(gallery: Gallery, path: str | Path) -> None:
     """Write a gallery directory: the manifest and each set as ``QTS2`` in
     ``sets/<set_id>.qtsb``."""
-    # a path separator or NUL in a set id would name a file outside sets/, a
-    # tab or line break in an id or label would split its manifest row, and a
-    # "-" label would reload as unlabelled
+    # a path separator or NUL in a set id would name a file outside sets/,
+    # and a "-" label would reload as unlabelled
     for s in gallery.sets:
         label = gallery.labels[s.set_id] if gallery.labels else ""
-        if set(s.set_id) & {"/", os.sep, "\0", "\t"} or len(f"_{s.set_id}_".splitlines()) > 1:
+        if set(s.set_id) & {"/", os.sep, "\0"} or _splits_row(s.set_id):
             raise CorpusError(f"set {s.set_id!r}: holds a path separator, NUL, tab or line break")
-        if label == UNLABELLED or "\t" in label or len(f"_{label}_".splitlines()) > 1:
+        if label == UNLABELLED or _splits_row(label):
             raise CorpusError(f"set {s.set_id!r}: label {label!r} is '-' or has a tab or line break")
     root = Path(path)
     (root / "sets").mkdir(parents=True, exist_ok=True)
@@ -354,6 +362,7 @@ def save_gallery(gallery: Gallery, path: str | Path) -> None:
 
 
 def save_proxies(table: ProxyTable, path: str | Path) -> None:
+    _check_ids(x for sid, plist in table.entries.items() for x in (sid, *(p for p, _ in plist)))
     rows = [
         f"{sid}\t{rank}\t{pid}\t{score!r}"
         for sid, plist in table.entries.items()
@@ -375,8 +384,8 @@ def load_proxies(path: str | Path) -> ProxyTable:
     every other ``#`` line is a comment. A missing or second header, a
     non-integer k_p or rank, a non-numeric score or a list longer than k_p
     raises CorpusError naming the file and line; a list that ProxyTable
-    rejects (a repeated proxy, the set itself, unsorted scores) names the
-    file."""
+    rejects (a repeated proxy, the set itself, a non-finite or unsorted
+    score) names the file."""
     entries: dict[str, list[tuple[str, float]]] = {}
     k_p = None
     for where, line in _read_lines(path):
@@ -425,6 +434,7 @@ def feature_table(s, label, ref, proxy) -> np.recarray:
 
 def save_features(features: np.recarray, path: str | Path) -> None:
     """Write a feature table as TSV: label, s1..s5, ref_id, proxy_id."""
+    _check_ids([*features.ref, *features.proxy])
     values = np.column_stack([features.label, features.s]).tolist()
     rows = zip(values, features.ref, features.proxy)
     write_lines(path, ["\t".join(map(repr, v)) + f"\t{ref}\t{proxy}" for v, ref, proxy in rows])

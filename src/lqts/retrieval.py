@@ -78,6 +78,15 @@ class RankedResult:
 PAIR_BLOCK = 256
 
 
+def _blocks(keys: np.ndarray):
+    """(key, r) per block of PAIR_BLOCK or fewer positions r of `keys`
+    holding key, keys ascending and each key's positions in order."""
+    for key in np.unique(keys).tolist():
+        same = np.flatnonzero(keys == key)
+        for at in range(0, same.size, PAIR_BLOCK):
+            yield key, same[at : at + PAIR_BLOCK]
+
+
 class GalleryScorer:
     """Batched baseline comparisons against one gallery.
 
@@ -87,18 +96,13 @@ class GalleryScorer:
     as one contiguous (n_k, k, d) array `stacks[k]`; `members[k]` holds
     their gallery positions and `offset` each set's position in its
     size's array. `compare` is the kernel, one call of the baseline's
-    `lqts.similarity.kernel`. `pair` compares gallery sets by index and
-    `query` an outside set with gallery sets, by an index array or a
-    range; both return a `Matches` of one row per pair. Each side's mode
-    coordinates are assembled on that side's first read, zero-padded to
-    the widest set of the side. A result holds per-pair products of its
-    kernel calls, never the sets they read, so a pair list holds one
-    kernel block of gathered sets at a time. `modes` takes coordinates in
-    gallery sets to ambient modes, and `project` tabulates fixed modes
-    against the rows of their gallery sets, for the coordinates of later
-    rows to read. Nothing is cached between calls. A gallery set against
-    itself is compared with the rest and its result then replaced by
-    `lqts.similarity.self_pairs`.
+    `lqts.similarity.kernel`. `pair` compares gallery sets by index, in a
+    row or a pair list, and `query` an outside set with a row; each
+    returns a `Matches` of one row per pair, a gallery set against itself
+    by `lqts.similarity.self_pairs`. `modes` takes coordinates in gallery
+    sets to ambient modes, and `project` tabulates fixed modes against the
+    rows of their gallery sets, for the coordinates of later rows to read.
+    Nothing is cached between calls.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -117,92 +121,80 @@ class GalleryScorer:
         """A set's (k, d) unit rows: its unit exemplars or subspace basis."""
         return s.unit_exemplars if self.baseline == EXEMPLAR else s.subspace
 
+    def _inside(self, lo, hi) -> None:
+        """The bounds rule: gallery positions lo..hi, if any, lie in 0..n−1."""
+        if lo <= hi and (lo < 0 or hi >= len(self.ks)):
+            raise IndexError(f"gallery positions {lo}..{hi} outside 0..{len(self.ks) - 1}")
+
     def compare(self, a, b) -> Matches:
         """One kernel call: representation a, or each of a stack aligned
         with b, against each representation of the stack b."""
         return self.kernel(a, b)
 
     def pair(self, i, j) -> Matches:
-        """Gallery sets i against gallery sets j: one index i against an
-        index array or range j (a row), or two aligned index arrays (a pair
-        list)."""
-        if np.ndim(i) == 0:
-            return self._row(self.stacks[int(self.ks[i])][self.offset[i]], j, int(i))
-        return self._pairs(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
+        """Gallery sets i against j: a row, one index i against a range j of
+        step 1, or else a pair list of two aligned index arrays, a scalar
+        broadcast against the other side."""
+        if isinstance(j, range) and j.step == 1:
+            i = int(i)
+            self._inside(i, i)
+            return self._row(self.stacks[int(self.ks[i])][self.offset[i]], j, i)
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
+        self._inside(np.min([i, j], initial=len(self.ks)), np.max([i, j], initial=-1))
+        return self._pairs(i, j)
 
-    def query(self, s: FaceSet, j) -> Matches:
-        """A set from outside the gallery against gallery sets j, a row."""
+    def query(self, s: FaceSet, j: range) -> Matches:
+        """A set from outside the gallery against a row, a range j of step 1."""
+        if not (isinstance(j, range) and j.step == 1):
+            raise TypeError(f"query takes a range of step 1, not {j!r}")
         if s.dim != self.gallery.dim:
             raise DimensionMismatchError(f"set dims differ: {s.dim} vs {self.gallery.dim}")
         return self._row(self._rep(s), j, None)
 
-    def _row(self, a, j, own) -> Matches:
-        """Representation a against gallery sets j, an index array or a
-        range, where `own` is a's gallery position, None for an outside set.
+    def _row(self, a, j: range, own) -> Matches:
+        """Representation a against the gallery sets of the range j, where
+        `own` is a's gallery position, None for an outside set.
 
-        j is read as runs of consecutive positions; a range of step 1 is
-        one run, so a whole query row and a proxy-selection row need no
-        run detection. In a run, the sets of each size are one slice of
-        that size's array, and the kernel reads them in place, as views of
-        PAIR_BLOCK sets or fewer. Set `own`, if in the run, is compared
-        with the rest, and a `self_pairs` block after the run's kernel
-        blocks replaces its result. No set is padded and each keeps its k
-        rows contiguous, so every product has its true shape and each
-        pair's score and mode coordinates are those of max_max_sim or
-        max_corr: BLAS may round a padded product differently, and it sums
-        a strided vector in another order than a contiguous one.
+        The sets of each size in j are one slice of that size's array,
+        which the kernel reads in place, PAIR_BLOCK sets or fewer per call,
+        unpadded and each set's k rows contiguous, so each pair's score and
+        mode coordinates are those of max_max_sim or max_corr (BLAS may
+        round a padded product otherwise, and sums a strided vector in
+        another order than a contiguous one). Set `own`, if in j, is
+        compared with the rest, then replaced by a `self_pairs` block.
         """
-        n = len(self.ks)
-        if isinstance(j, range) and j.step == 1:
-            size, runs = len(j), [(0, j.start, j.stop)] if j else []
-        else:
-            j = np.asarray(j, dtype=np.intp)
-            edges = [0, *(np.flatnonzero(np.diff(j) != 1) + 1).tolist(), j.size] if j.size else [0]
-            size = j.size
-            runs = [(at, int(j[at]), int(j[end - 1]) + 1) for at, end in zip(edges, edges[1:])]
+        self._inside(j.start, j.stop - 1)
         blocks = []
-        for at, lo, hi in runs:
-            if lo < 0 or hi > n:
-                raise IndexError(f"gallery positions {lo}..{hi - 1} outside 0..{n - 1}")
-            for k, members in self.members.items():
-                start, stop = np.searchsorted(members, (lo, hi)).tolist()
-                for s in range(start, stop, PAIR_BLOCK):
-                    e = min(s + PAIR_BLOCK, stop)
-                    pos = members[s:e] if lo == at else members[s:e] - lo + at
-                    blocks.append((pos, self.compare(a, self.stacks[k][s:e])))
-            if own is not None and lo <= own < hi:
-                blocks.append(([own - lo + at], self_pairs(1, len(a))))
-        return self._assemble(size, blocks)
+        for k, members in self.members.items():
+            start, stop = np.searchsorted(members, (j.start, j.stop)).tolist()
+            for s in range(start, stop, PAIR_BLOCK):
+                e = min(s + PAIR_BLOCK, stop)
+                blocks.append((members[s:e] - j.start, self.compare(a, self.stacks[k][s:e])))
+        if own is not None and own in j:
+            blocks.append(([own - j.start], self_pairs(1, len(a))))
+        return self._assemble(len(j), blocks)
 
     def _pairs(self, i, j) -> Matches:
-        """Gallery sets i[p] against j[p], two aligned index arrays.
-
-        Pairs are grouped by the sizes of their two sets, and each group is
-        compared PAIR_BLOCK pairs per kernel call, on sets gathered from
-        their sizes' arrays for that call alone. A pair of a set with itself
-        is compared with its group, and a `self_pairs` block after the
-        group's kernel blocks replaces its result.
-        """
-        blocks = []
+        """Gallery sets i[p] against j[p], two aligned index arrays: the
+        pairs of each (k_a, k_b) shape PAIR_BLOCK per kernel call, on sets
+        gathered for that call alone, so a pair list holds one block of
+        gathered sets at a time; then one `self_pairs` block replaces every
+        pair of a set with itself."""
         base = max(self.members) + 1
-        shapes = self.ks[i] * base + self.ks[j]
-        for shape in np.unique(shapes).tolist():
+        blocks = []
+        for shape, g in _blocks(self.ks[i] * base + self.ks[j]):
             k_a, k_b = divmod(shape, base)
-            same = np.flatnonzero(shapes == shape)
-            for at in range(0, same.size, PAIR_BLOCK):
-                g = same[at : at + PAIR_BLOCK]
-                a, b = self.offset[i[g]], self.offset[j[g]]
-                blocks.append((g, self.compare(self.stacks[k_a][a], self.stacks[k_b][b])))
-            own = same[i[same] == j[same]]
-            blocks.append((own, self_pairs(own.size, k_b)))
+            a, b = self.stacks[k_a][self.offset[i[g]]], self.stacks[k_b][self.offset[j[g]]]
+            blocks.append((g, self.compare(a, b)))
+        own = np.flatnonzero(i == j)
+        blocks.append((own, self_pairs(own.size, self.ks[i[own]].max(initial=1))))
         return self._assemble(j.size, blocks)
 
     def _assemble(self, size: int, blocks) -> Matches:
-        """The Matches of `size` pairs from (positions, kernel result)
-        blocks: scores now, and each side's coordinates on that side's first
-        read, from that side of every block alone, zero-padded to its widest
-        block. Blocks are applied in order, so a later block's positions
-        overwrite an earlier one's."""
+        """The Matches of `size` pairs from (positions, kernel result) blocks,
+        applied in order so that a later block overwrites an earlier one's
+        positions: scores now, and each side's coordinates on its first read,
+        from that side of every block alone, zero-padded to its widest block."""
         score = np.empty(size)
         for g, res in blocks:
             score[g] = res.score
@@ -219,11 +211,8 @@ class GalleryScorer:
     def _by_size(self, sets):
         """(k, r, own) per block of PAIR_BLOCK or fewer positions r into
         `sets` whose gallery sets have k rows, own their (len(r), k, d) rows."""
-        for k in self.members:
-            rows = np.flatnonzero(self.ks[sets] == k)
-            for at in range(0, rows.size, PAIR_BLOCK):
-                r = rows[at : at + PAIR_BLOCK]
-                yield k, r, self.stacks[k][self.offset[sets[r]]]
+        for k, r in _blocks(self.ks[sets]):
+            yield k, r, self.stacks[k][self.offset[sets[r]]]
 
     def modes(self, sets, coords: np.ndarray) -> np.ndarray:
         """The ambient unit modes, (R, d), of coordinates coords[r] in the

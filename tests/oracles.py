@@ -405,7 +405,7 @@ def ambient_rank(gallery, config, proxies, query):
     gallery index, the query itself left out."""
     scorer = GalleryScorer(gallery, config.baseline)
     t, p = proxies.index_pairs(gallery, range(len(gallery)), config.k_p).T
-    everyone = np.arange(len(gallery))
+    everyone = range(len(gallery))
     if isinstance(query, str):
         q_idx = gallery.index_of(query)
         res = scorer.pair(q_idx, everyone)

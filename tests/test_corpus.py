@@ -338,6 +338,28 @@ class TestProxyTable:
         with pytest.raises(CorpusError, match="sorted"):
             ProxyTable(k_p=2, entries={"a": (("b", 0.1), ("c", 0.9))})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, tmp_path, bad):
+        # NaN compares false both ways, so it would hide the unsorted 0.5, 0.9
+        plist = (("b", 0.5), ("c", bad), ("d", 0.9))
+        with pytest.raises(CorpusError, match=re.escape("proxy list of 'a' holds a non-finite score")):
+            ProxyTable(k_p=3, entries={"a": plist})
+        path = tmp_path / "p.tsv"
+        rows = "".join(f"a\t{rank}\t{p}\t{v!r}\n" for rank, (p, v) in enumerate(plist, 1))
+        path.write_text("# k_p=3\n" + rows)
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: proxy list of 'a' holds a non-finite")):
+            load_proxies(path)
+
+    @pytest.mark.parametrize(
+        "set_id", ["a\tb", "a\nb", "a\rb", "a\x85b"], ids=["tab", "lf", "cr", "nel"]
+    )
+    @pytest.mark.parametrize("side", ["set", "proxy"])
+    def test_id_that_splits_a_row_rejected_before_the_write(self, tmp_path, set_id, side):
+        entries = {set_id: (("p", 0.9),)} if side == "set" else {"s": ((set_id, 0.9),)}
+        with pytest.raises(CorpusError, match=re.escape(f"set {set_id!r}: has a tab or line break")):
+            save_proxies(ProxyTable(k_p=1, entries=entries), tmp_path / "p.tsv")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "k_p, plist, message",
         [
@@ -442,6 +464,18 @@ class TestFeatureFile:
         assert again.s.tobytes() == feats.s.tobytes()
         assert again.label.tobytes() == feats.label.tobytes()
         assert again.ref.tolist() == list(ref) and again.proxy.tolist() == list(proxy)
+
+    @pytest.mark.parametrize(
+        "set_id", ["r\tx", "r\nx", "r\rx", "r\x85x"], ids=["tab", "lf", "cr", "nel"]
+    )
+    @pytest.mark.parametrize("side", ["ref", "proxy"])
+    def test_id_that_splits_a_row_rejected_before_the_write(self, tmp_path, set_id, side):
+        ids = {"ref": ["r0", "r1"], "proxy": ["p0", "p1"]}
+        ids[side][1] = set_id
+        feats = feature_table(np.full((2, 5), 0.5), np.array([1.0, 0.0]), ids["ref"], ids["proxy"])
+        with pytest.raises(CorpusError, match=re.escape(f"set {set_id!r}: has a tab or line break")):
+            save_features(feats, tmp_path / "f.tsv")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "row, message",

@@ -480,25 +480,48 @@ class TestGalleryScorer:
                 at = np.flatnonzero(scorer.ks == k)
                 assert at[-1] - at[0] + 1 > at.size
             assert len(external.unit_exemplars if baseline == "exemplar" else ext) not in scorer.ks
-        everyone = np.arange(n)
         with mock.patch.object(lqts.retrieval, "PAIR_BLOCK", block):
             # query rows, the query against itself included
-            calls = [(scorer.pair(q, everyone), [reps[q]] * n, reps) for q in everyone]
+            calls = [(scorer.pair(q, range(n)), [reps[q]] * n, reps) for q in range(n)]
             # upper-triangle rows, as select_proxies makes them
-            for q in everyone:
-                upper = everyone[q + 1 :]
-                calls.append((scorer.pair(q, upper), [reps[q]] * upper.size, reps[q + 1 :]))
+            for q in range(n):
+                upper = range(q + 1, n)
+                calls.append((scorer.pair(q, upper), [reps[q]] * len(upper), reps[q + 1 :]))
             calls.append((scorer.pair(i, j), [reps[p] for p in i], [reps[p] for p in j]))
-            calls.append((scorer.query(external, everyone), [ext] * n, reps))
-            # one set against the pair list's right side: runs of any length, in any order
+            calls.append((scorer.query(external, range(n)), [ext] * n, reps))
+            half = range(n // 2, n)
+            calls.append((scorer.query(external, half), [ext] * len(half), reps[n // 2 :]))
+            # one set broadcast against the pair list's right side, in any order
             calls.append((scorer.pair(n - 1, j), [reps[-1]] * j.size, [reps[p] for p in j]))
-            calls.append((scorer.query(external, j), [ext] * j.size, [reps[p] for p in j]))
         wants = [pair_function_results(lefts, rights) for _, lefts, rights in calls]
         for (got, _, _), want in zip(calls, wants):
             assert got.score.tolist() == [score for score, _, _ in want]
         for (got, lefts, rights), want in zip(calls, wants):
             assert_same_matches(got, want, lefts, rights)
             assert got.coords_a is got.coords_a and got.coords_b is got.coords_b
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    @given(
+        data=st.data(), interleaved=st.booleans(), block=st.sampled_from([2, PAIR_BLOCK])
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_broadcast_pair_list_is_its_row_gathered(self, baseline, data, interleaved, block):
+        # one set against any index array, repeats and any order included,
+        # is that set's range row at those positions, scores and both sides'
+        # coordinates bit for bit; the list's coordinates are as wide as its
+        # widest set, the row's as the gallery's, and zero past that
+        gallery = data.draw(scorer_cases(interleaved=interleaved))[0]
+        n = len(gallery)
+        q = data.draw(st.integers(0, n - 1))
+        j = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n)), dtype=np.intp)
+        scorer = GalleryScorer(gallery, baseline)
+        with mock.patch.object(lqts.retrieval, "PAIR_BLOCK", block):
+            row, got = scorer.pair(q, range(n)), scorer.pair(q, j)
+        assert got.score.tobytes() == row.score[j].tobytes()
+        for have, want in zip(got.coords, row.coords):
+            padded = np.zeros_like(want[j])
+            padded[:, : have.shape[1]] = have
+            assert padded.tobytes() == want[j].tobytes()
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_query_rows_of_wide_sets(self, rng, baseline):
@@ -510,7 +533,7 @@ class TestGalleryScorer:
         reps = representations(gallery, baseline)
         scorer = GalleryScorer(gallery, baseline)
         for q, s in enumerate(gallery.sets):
-            got = scorer.pair(q, np.arange(len(gallery)))
+            got = scorer.pair(q, range(len(gallery)))
             mode_a, mode_b = oracles.ambient_pair(got, reps[q], reps)
             first = s.unit_exemplars[0] if baseline == "exemplar" else s.subspace[0]
             assert got.score[q] == 1.0
@@ -542,9 +565,8 @@ class TestGalleryScorer:
         monkeypatch.setattr(GalleryScorer, "compare", spy)
         monkeypatch.setattr(lqts.retrieval, "PAIR_BLOCK", 3)
         n = len(gallery)
-        everyone = np.arange(n)
-        rows = [(q, row) for q in range(n) for row in (everyone, everyone[q + 1 :])]
-        rows.append((None, everyone))
+        rows = [(q, row) for q in range(n) for row in (range(n), range(q + 1, n))]
+        rows.append((None, range(n)))
         for q, row in rows:
             compared.clear()
             if q is None:
@@ -555,7 +577,7 @@ class TestGalleryScorer:
                 assert any(np.shares_memory(b, s) for s in stored)
                 if q is not None:
                     assert np.shares_memory(a, scorer.stacks[scorer.ks[q]])
-            assert sum(len(b) for _, b in compared) == row.size
+            assert sum(len(b) for _, b in compared) == len(row)
             per_size = np.unique(scorer.ks[row], return_counts=True)[1]
             assert len(compared) == sum(-(-n_k // 3) for n_k in per_size.tolist())
 
@@ -585,7 +607,7 @@ class TestGalleryScorer:
         i = rng.integers(0, n, size=pairs)
         j = (i + rng.integers(1, n, size=pairs)) % n
         j[::3] = i[::3]
-        calls = [(scorer.pair(q, np.arange(n)), np.full(n, q), np.arange(n)) for q in range(n)]
+        calls = [(scorer.pair(q, range(n)), np.full(n, q), np.arange(n)) for q in range(n)]
         calls.append((scorer.pair(i, j), i, j))
         for got, left, right in calls:
             own = left == right
@@ -656,10 +678,30 @@ class TestGalleryScorer:
     def test_row_positions_outside_the_gallery_raise(self, rng):
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=3, d=4) for p in range(3)))
         scorer = GalleryScorer(gallery, "exemplar")
-        for j in ([0, 1, 3], [-1, 0], [2, 5]):
+        for j in (range(0, 4), range(-1, 1), range(2, 6)):
             with pytest.raises(IndexError):
                 scorer.pair(0, j)
             with pytest.raises(IndexError):
+                scorer.query(gallery.sets[0], j)
+        for i in (-1, 3):
+            with pytest.raises(IndexError):
+                scorer.pair(i, range(3))
+        assert scorer.pair(0, range(3, 3)).score.size == 0
+
+    def test_pair_list_positions_outside_the_gallery_raise(self, rng):
+        # -1 would otherwise read the last set, and n the end of an array
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=3, d=4) for p in range(3)))
+        scorer = GalleryScorer(gallery, "exemplar")
+        for i, j in ((0, [0, -1]), (0, [1, 3]), ([-1, 0], [1, 2]), ([2, 3], 0)):
+            with pytest.raises(IndexError):
+                scorer.pair(i, j)
+        assert scorer.pair([], []).score.size == 0
+
+    def test_query_takes_a_range(self, rng):
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=3, d=4) for p in range(3)))
+        scorer = GalleryScorer(gallery, "exemplar")
+        for j in ([0, 1], np.arange(3), range(0, 3, 2)):
+            with pytest.raises(TypeError):
                 scorer.query(gallery.sets[0], j)
 
     @given(case=scorer_cases())
@@ -993,7 +1035,7 @@ class TestModeCoordinates:
         gallery, table, model, query = case
         config = RetrievalConfig(baseline=baseline, method="lqts", k_p=3, model=model)
         ranker = Ranker(gallery, config, table)
-        everyone = np.arange(len(gallery))
+        everyone = range(len(gallery))
         if isinstance(query, str):
             res = ranker.scorer.pair(gallery.index_of(query), everyone)
         else:
