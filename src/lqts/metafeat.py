@@ -32,8 +32,9 @@ projects a side set's unit exemplars onto a stack of bases, its own too.
 One walk over the side sets (`_by_side`) feeds both the count and the
 rows: each side set's own projection once, and its projections on its
 partners' subspaces, with their norms, in one stacked product per block
-of PAIR_BLOCK partners or fewer. The count reads the norms; the rows
-reconstruct both projections and take the mode dots per block. A stacked
+of PAIR_BLOCK partners or fewer, cut by the retrieval layer's block walk,
+`_blocks`. The count reads the norms; the rows reconstruct both
+projections and take the mode dots per block. A stacked
 product is one BLAS call per stacked matrix, so every product keeps the
 shape the whole pair or set gives it, and the kept rows are gathered
 from its results: a kept row is bit for bit the row the pool would hold.
@@ -46,7 +47,7 @@ import logging
 import numpy as np
 
 from .corpus import Gallery, ProxyTable, feature_table, is_count
-from .retrieval import PAIR_BLOCK, GalleryScorer
+from .retrieval import PAIR_BLOCK, GalleryScorer, _blocks
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     EXEMPLAR,
@@ -138,20 +139,15 @@ def _exemplar_rows(sets, pairs, start, count, local) -> np.ndarray:
 # training extraction, subspace baseline
 
 
-def _norms(coords: np.ndarray) -> np.ndarray:
-    """Row norms over the last axis, in `np.linalg.norm(..., axis=1)`'s
-    arithmetic at any number of leading axes."""
-    return np.sqrt(np.add.reduce(coords * coords, axis=-1))
-
-
 def _project(sets, side: int, onto) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Set `side`'s unit exemplars, (m, d), on the subspaces of the sets
     `onto`, one stacked product: the coordinates, (B, m, k), their norms,
-    (B, m), and the stacked bases, (B, k, d). A set's own projection is
-    its projection onto itself, `onto` = [side]."""
+    (B, m), in `np.linalg.norm(..., axis=1)`'s arithmetic, and the stacked
+    bases, (B, k, d). A set's own projection is its projection onto
+    itself, `onto` = [side]."""
     bases = np.stack([sets[t].subspace for t in onto])
     coords = np.matmul(sets[side].unit_exemplars, bases.swapaxes(1, 2))
-    return coords, _norms(coords), bases
+    return coords, np.sqrt(np.add.reduce(coords * coords, axis=-1)), bases
 
 
 def _recon(coords: np.ndarray, norms: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -165,24 +161,20 @@ def _by_side(sets, pairs: np.ndarray, entries: np.ndarray):
     """Entries, 2 * pair + label, grouped for stacked products: one (block,
     own, cross) per block of PAIR_BLOCK or fewer entries of one side set
     whose partners' subspaces share a rank k (a rank-clipped subspace has
-    k below the default dimension), side sets in ascending order. `own` is
-    the side set's `_project` on its own subspace, made once per side set,
-    and `cross` its `_project` on the block's partners' subspaces."""
+    k below the default dimension): `_blocks` keyed by side * base + k,
+    base above every k. `own` is the side set's `_project` on its own
+    subspace, made when the side set changes, and `cross` its `_project`
+    on the block's partners' subspaces."""
     flat = pairs.reshape(-1)
     side, partner = flat[entries], flat[entries ^ 1]
-    rank = np.zeros(len(sets), dtype=np.intp)
-    read = np.unique(partner)
-    rank[read] = [sets[t].subspace.shape[0] for t in read.tolist()]
-    order = np.lexsort((rank[partner], side))
-    entries, side, k = entries[order], side[order], rank[partner[order]]
-    edges = (np.flatnonzero((np.diff(side) != 0) | (np.diff(k) != 0)) + 1).tolist()
-    for lo, hi in zip([0, *edges], [*edges, entries.size]) if entries.size else ():
-        s = int(side[lo])
-        if lo == 0 or side[lo - 1] != s:
+    k = np.array([len(sets[t].subspace) for t in partner.tolist()], dtype=np.intp)
+    base, s = int(k.max(initial=0)) + 1, None
+    for key, r in _blocks(side * base + k, PAIR_BLOCK):
+        block = entries[r]
+        if key // base != s:
+            s = key // base
             own = _project(sets, s, [s])
-        for at in range(lo, hi, PAIR_BLOCK):
-            block = entries[at : min(at + PAIR_BLOCK, hi)]
-            yield block, own, _project(sets, s, flat[block ^ 1].tolist())
+        yield block, own, _project(sets, s, flat[block ^ 1].tolist())
 
 
 def _canonical(sets, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +182,8 @@ def _canonical(sets, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     modes[p, c] lies in the subspace of set pairs[p, c]. They come
     PAIR_BLOCK pairs at a time, each block from a `GalleryScorer` over
     the sets it reads, which takes each side's mode coordinates to
-    ambient modes (`GalleryScorer.modes`)."""
+    ambient modes (`GalleryScorer.modes`); a scorer over the whole
+    gallery would fit the subspaces of sets that no pair reads."""
     s3, modes = np.empty(len(pairs)), np.empty((len(pairs), 2, sets[0].dim))
     for at in range(0, len(pairs), PAIR_BLOCK):
         read, ends = np.unique(pairs[at : at + PAIR_BLOCK], return_inverse=True)

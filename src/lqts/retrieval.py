@@ -78,13 +78,14 @@ class RankedResult:
 PAIR_BLOCK = 256
 
 
-def _blocks(keys: np.ndarray):
-    """(key, r) per block of PAIR_BLOCK or fewer positions r of `keys`
-    holding key, keys ascending and each key's positions in order."""
-    for key in np.unique(keys).tolist():
-        same = np.flatnonzero(keys == key)
-        for at in range(0, same.size, PAIR_BLOCK):
-            yield key, same[at : at + PAIR_BLOCK]
+def _blocks(keys: np.ndarray, size: int):
+    """(key, r) per block of `size` or fewer positions r of `keys` holding
+    key, keys ascending and each key's positions ascending: one stable
+    sort, split where the key changes."""
+    order = np.argsort(keys, kind="stable")
+    for run in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        for at in range(0, run.size, size):
+            yield keys[run[0]].item(), run[at : at + size]
 
 
 class GalleryScorer:
@@ -111,7 +112,7 @@ class GalleryScorer:
         self.baseline = baseline
         reps = [self._rep(s) for s in gallery.sets]
         self.ks = np.array([len(r) for r in reps], dtype=np.intp)
-        self.members = {k: np.flatnonzero(self.ks == k) for k in np.unique(self.ks).tolist()}
+        self.members = dict(_blocks(self.ks, self.ks.size))
         self.stacks = {k: np.stack([reps[i] for i in m]) for k, m in self.members.items()}
         self.offset = np.empty(len(reps), dtype=np.intp)
         for m in self.members.values():
@@ -134,12 +135,12 @@ class GalleryScorer:
     def pair(self, i, j) -> Matches:
         """Gallery sets i against j: a row, one index i against a range j of
         step 1, or else a pair list of two aligned index arrays, a scalar
-        broadcast against the other side."""
+        broadcast against the other side and two scalars a list of one."""
         if isinstance(j, range) and j.step == 1:
             i = int(i)
             self._inside(i, i)
             return self._row(self.stacks[int(self.ks[i])][self.offset[i]], j, i)
-        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
+        i, j = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.intp)) for x in (i, j)))
         self._inside(np.min([i, j], initial=len(self.ks)), np.max([i, j], initial=-1))
         return self._pairs(i, j)
 
@@ -162,6 +163,8 @@ class GalleryScorer:
         round a padded product otherwise, and sums a strided vector in
         another order than a contiguous one). Set `own`, if in j, is
         compared with the rest, then replaced by a `self_pairs` block.
+        A `_blocks` walk of j's sizes gives the same slices, but it sorts
+        j's positions first: 10.4 against 4.0 µs a row.
         """
         self._inside(j.start, j.stop - 1)
         blocks = []
@@ -182,7 +185,7 @@ class GalleryScorer:
         pair of a set with itself."""
         base = max(self.members) + 1
         blocks = []
-        for shape, g in _blocks(self.ks[i] * base + self.ks[j]):
+        for shape, g in _blocks(self.ks[i] * base + self.ks[j], PAIR_BLOCK):
             k_a, k_b = divmod(shape, base)
             a, b = self.stacks[k_a][self.offset[i[g]]], self.stacks[k_b][self.offset[j[g]]]
             blocks.append((g, self.compare(a, b)))
@@ -211,7 +214,7 @@ class GalleryScorer:
     def _by_size(self, sets):
         """(k, r, own) per block of PAIR_BLOCK or fewer positions r into
         `sets` whose gallery sets have k rows, own their (len(r), k, d) rows."""
-        for k, r in _blocks(self.ks[sets]):
+        for k, r in _blocks(self.ks[sets], PAIR_BLOCK):
             yield k, r, self.stacks[k][self.offset[sets[r]]]
 
     def modes(self, sets, coords: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ SVD form of `max_corr` that the Gram's top eigenvalue and inverse
 iteration replaced, kept as its accuracy reference. `match` adds the
 self-pair rule of `lqts.similarity.self_pairs` on top.
 The scorers build one retrieval-time transitivity 5-vector or one target
-score at a time from those, with no caching or batching.
+score at a time from those, with no caching or batching, and their s4
+and s5 by this module's own `abs_cosine`.
 `ambient_pair` gives a batch result's modes as ambient unit vectors,
 from its mode coordinates, for checks against those pair functions.
 `ambient_mode_features` is the ambient-mode rule for s4 and s5 that
@@ -47,7 +48,6 @@ from lqts.similarity import (
     EXEMPLAR,
     MODE_SHIFT,
     ambient_modes,
-    cosine_sim,
     fit_subspace,
 )
 from lqts.similarity import max_corr as batch_max_corr
@@ -172,6 +172,11 @@ def per_pair_select_proxies(gallery, baseline: str, k_p: int) -> ProxyTable:
     return ProxyTable(k_p=k_p, entries=entries)
 
 
+def abs_cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """min(|u·v| / (‖u‖‖v‖), 1), the |cosine| of two nonzero vectors."""
+    return min(abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v)), 1.0)
+
+
 def feature(query, target, proxy) -> np.ndarray:
     """Retrieval-time transitivity feature: the baseline scores of the three
     pairs plus the cosines between the two proxy-side and the two
@@ -184,7 +189,7 @@ def feature(query, target, proxy) -> np.ndarray:
     f_pq, f_pt = r_qp.mode_b, r_pt.mode_a
     f_tq, f_tp = r_qt.mode_b, r_pt.mode_b
     return np.array(
-        [r_qp.score, r_qt.score, r_pt.score, cosine_sim(f_pq, f_pt), cosine_sim(f_tq, f_tp)]
+        [r_qp.score, r_qt.score, r_pt.score, abs_cosine(f_pq, f_pt), abs_cosine(f_tq, f_tp)]
     )
 
 

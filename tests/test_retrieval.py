@@ -19,6 +19,7 @@ from lqts.retrieval import (
     GalleryScorer,
     Ranker,
     RetrievalConfig,
+    _blocks,
     select_proxies,
 )
 from lqts.similarity import Matches, fit_subspace, max_max_sim_batch
@@ -34,6 +35,34 @@ from oracles import (
     score_lqts,
     score_simple,
 )
+
+
+def reference_blocks(keys, size):
+    """The block walk as np.unique and flatnonzero give it: each key
+    ascending, its positions ascending, cut every `size` positions."""
+    for key in np.unique(keys).tolist():
+        same = np.flatnonzero(keys == key)
+        for at in range(0, same.size, size):
+            yield key, same[at : at + size]
+
+
+class TestBlocks:
+    @given(
+        keys=st.lists(st.integers(0, 6), max_size=40),
+        size=st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(keys=[], size=1)
+    @example(keys=[4], size=1)
+    @example(keys=[2] * 9, size=4)
+    @example(keys=[5, 0, 5, 5, 0, 5, 5], size=2)
+    @example(keys=[3, 1, 3, 1], size=1)
+    def test_equals_unique_walk(self, keys, size):
+        keys = np.array(keys, dtype=np.intp)
+        got = [(key, r.tolist()) for key, r in _blocks(keys, size)]
+        want = [(key, r.tolist()) for key, r in reference_blocks(keys, size)]
+        assert got == want
+        assert all(type(key) is int for key, _ in got)
 
 
 def constant_model(value: float) -> SvrModel:
@@ -696,6 +725,27 @@ class TestGalleryScorer:
             with pytest.raises(IndexError):
                 scorer.pair(i, j)
         assert scorer.pair([], []).score.size == 0
+
+    @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
+    def test_two_scalars_are_a_pair_list_of_one(self, rng, baseline):
+        gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=2 + p, d=5) for p in range(3)))
+        scorer = GalleryScorer(gallery, baseline)
+        for i, j in ((0, 1), (2, 0), (1, 1)):
+            got, want = scorer.pair(i, j), scorer.pair([i], [j])
+            assert got.score.tobytes() == want.score.tobytes()
+            for have, expected in zip(got.coords, want.coords):
+                assert have.tobytes() == expected.tobytes()
+
+    def test_members_are_each_sizes_gallery_positions(self, rng):
+        sizes = [3, 1, 3, 2, 1, 3, 2]
+        sets = (random_set(rng, f"s{p}", n=m, d=4) for p, m in enumerate(sizes))
+        gallery = Gallery(sets=tuple(sets))
+        scorer = GalleryScorer(gallery, "exemplar")
+        ks = scorer.ks
+        want = {k: np.flatnonzero(ks == k) for k in np.unique(ks).tolist()}
+        assert list(scorer.members) == list(want)
+        for k, m in want.items():
+            assert scorer.members[k].tolist() == m.tolist()
 
     def test_query_takes_a_range(self, rng):
         gallery = Gallery(sets=tuple(random_set(rng, f"s{p}", n=3, d=4) for p in range(3)))
