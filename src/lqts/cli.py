@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import sys
@@ -69,6 +71,12 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one RFC 4180 field, quoted only where it must be."""
+    csv.writer(buf := io.StringIO()).writerow([text])
+    return buf.getvalue().removesuffix("\r\n")
+
+
 def _cmd_energy(args) -> int:
     gallery = corpus.load_gallery(args.gallery)
     out = Path(args.out)
@@ -80,7 +88,7 @@ def _cmd_energy(args) -> int:
         except DegenerateSetError:
             skipped += 1
             continue
-        lines.append(f"{s.set_id},{repr(r2)},{repr(r3)}")
+        lines.append(f"{_csv_field(s.set_id)},{r2!r},{r3!r}")
     corpus.write_lines(out, lines)
     if skipped:
         print(f"skipped {skipped} sets without variation", file=sys.stderr)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Gallery, ProxyTable, is_count, write_lines
+from .corpus import Gallery, ProxyTable, _check_ids, is_count, write_lines
 from .errors import CorpusError
 from .retrieval import RankedResult, Ranker, RetrievalConfig
 
@@ -173,6 +173,7 @@ def write_reports(records, out_dir, top_k: int = DEFAULT_TOP_K) -> None:
 
 
 def write_anr_report(records, path) -> None:
+    _check_ids(r.query_id for r in records)
     rows = (f"{r.query_id}\t{r.n}\t{r.c}\t{repr(r.anr)}" for r in records)
     write_lines(path, ["query_id\tn\tc\tanr", *rows])
 

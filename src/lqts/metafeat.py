@@ -34,10 +34,12 @@ rows: each side set's own projection once, and its projections on its
 partners' subspaces, with their norms, in one stacked product per block
 of PAIR_BLOCK partners or fewer, cut by the retrieval layer's block walk,
 `_blocks`. The count reads the norms; the rows reconstruct both
-projections and take the mode dots per block. A stacked
-product is one BLAS call per stacked matrix, so every product keeps the
-shape the whole pair or set gives it, and the kept rows are gathered
-from its results: a kept row is bit for bit the row the pool would hold.
+projections and take the mode dots per block. The pairs' s3 and modes
+come from the subspace kernel itself (`_canonical`), so extraction builds
+no retrieval object. A stacked product is one BLAS call per stacked
+matrix, so every product keeps the shape the whole pair or set gives it,
+and the kept rows are gathered from its results: a kept row is bit for
+bit the row the pool would hold.
 """
 
 from __future__ import annotations
@@ -47,15 +49,16 @@ import logging
 import numpy as np
 
 from .corpus import Gallery, ProxyTable, feature_table, is_count
-from .retrieval import PAIR_BLOCK, GalleryScorer, _blocks
+from .retrieval import PAIR_BLOCK, _blocks
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
     EXEMPLAR,
-    SUBSPACE,
+    ambient_modes,
     cosine_sim,
     fit_subspace,
     kernel,
     max_corr,
+    max_corr_batch,
     max_max_sim,
 )
 
@@ -179,19 +182,20 @@ def _by_side(sets, pairs: np.ndarray, entries: np.ndarray):
 
 def _canonical(sets, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's first canonical correlation and its modes, (P, 2, d):
-    modes[p, c] lies in the subspace of set pairs[p, c]. They come
-    PAIR_BLOCK pairs at a time, each block from a `GalleryScorer` over
-    the sets it reads, which takes each side's mode coordinates to
-    ambient modes (`GalleryScorer.modes`); a scorer over the whole
-    gallery would fit the subspaces of sets that no pair reads."""
+    modes[p, c] lies in the subspace of set pairs[p, c]. Each block of
+    PAIR_BLOCK or fewer pairs of one pair of ranks (`_blocks` keyed by
+    k_a * base + k_b, base above every k) is one `max_corr_batch` call on
+    the stacked bases, whose mode coordinates `ambient_modes` takes to
+    modes. Only the sets the pairs read are fitted."""
     s3, modes = np.empty(len(pairs)), np.empty((len(pairs), 2, sets[0].dim))
-    for at in range(0, len(pairs), PAIR_BLOCK):
-        read, ends = np.unique(pairs[at : at + PAIR_BLOCK], return_inverse=True)
-        scorer = GalleryScorer(Gallery(sets=tuple(sets[i] for i in read.tolist())), SUBSPACE)
-        corr = scorer.pair(ends[:, 0], ends[:, 1])
-        s3[at : at + PAIR_BLOCK] = corr.score
+    k = np.array([len(sets[t].subspace) for t in pairs.flat], dtype=np.intp).reshape(pairs.shape)
+    base = int(k.max(initial=0)) + 1
+    for _, g in _blocks(k[:, 0] * base + k[:, 1], PAIR_BLOCK):
+        bases = [np.stack([sets[t].subspace for t in side]) for side in pairs[g].T.tolist()]
+        corr = max_corr_batch(*bases)
+        s3[g] = corr.score
         for c, coords in enumerate(corr.coords):
-            modes[at : at + PAIR_BLOCK, c] = scorer.modes(ends[:, c], coords)
+            modes[g, c] = ambient_modes(coords, bases[c])
     return s3, modes
 
 

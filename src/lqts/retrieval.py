@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FaceSet, Gallery, ProxyTable, is_count, write_lines
+from .corpus import FaceSet, Gallery, ProxyTable, _check_ids, is_count, write_lines
 from .errors import DimensionMismatchError, UsageError
 from .sampling import robust_select  # noqa: F401  unused; perfbench/tracing.py patches this name here
 from .similarity import (  # noqa: F401  perfbench/tracing.py patches the unused names here
@@ -100,10 +100,9 @@ class GalleryScorer:
     `lqts.similarity.kernel`. `pair` compares gallery sets by index, in a
     row or a pair list, and `query` an outside set with a row; each
     returns a `Matches` of one row per pair, a gallery set against itself
-    by `lqts.similarity.self_pairs`. `modes` takes coordinates in gallery
-    sets to ambient modes, and `project` tabulates fixed modes against the
-    rows of their gallery sets, for the coordinates of later rows to read.
-    Nothing is cached between calls.
+    by `lqts.similarity.self_pairs`. `project` tabulates `Ranker`'s fixed
+    proxy-row modes against the rows of their gallery sets, for the
+    coordinates of later rows to read. Nothing is cached between calls.
     """
 
     def __init__(self, gallery: Gallery, baseline: str):
@@ -211,21 +210,6 @@ class GalleryScorer:
 
         return Matches(score, (lambda _: gather("coords_a"), lambda _: gather("coords_b")))
 
-    def _by_size(self, sets):
-        """(k, r, own) per block of PAIR_BLOCK or fewer positions r into
-        `sets` whose gallery sets have k rows, own their (len(r), k, d) rows."""
-        for k, r in _blocks(self.ks[sets], PAIR_BLOCK):
-            yield k, r, self.stacks[k][self.offset[sets[r]]]
-
-    def modes(self, sets, coords: np.ndarray) -> np.ndarray:
-        """The ambient unit modes, (R, d), of coordinates coords[r] in the
-        rows of gallery set sets[r], each by `ambient_modes` on the set's
-        own k rows, as a kernel reads them."""
-        out = np.empty((len(sets), self.gallery.dim))
-        for k, r, own in self._by_size(sets):
-            out[r] = ambient_modes(coords[r, :k], own)
-        return out
-
     def project(self, sets, coords: np.ndarray) -> np.ndarray:
         """Each mode, of coordinates coords[r] in the rows of gallery set
         sets[r], against every row of that set: a (R, max k) table of signed
@@ -233,7 +217,8 @@ class GalleryScorer:
         arithmetic. The |cosine| of that mode with another mode on the set,
         of coordinates c, is then min(|c·table[r]|, 1)."""
         table = np.zeros((len(sets), max(self.members)))
-        for k, r, own in self._by_size(sets):
+        for k, r in _blocks(self.ks[sets], PAIR_BLOCK):
+            own = self.stacks[k][self.offset[sets[r]]]
             modes = np.repeat(ambient_modes(coords[r, :k], own), k, axis=0)
             dots = np.einsum("ij,ij->i", own.reshape(r.size * k, -1), modes)
             table[r, :k] = dots.reshape(-1, k)
@@ -351,5 +336,6 @@ class Ranker:
 
 
 def save_ranking(result: RankedResult, path) -> None:
+    _check_ids(sid for sid, _ in result.ranking)
     rows = (f"{rank}\t{sid}\t{repr(score)}" for rank, (sid, score) in enumerate(result.ranking, 1))
     write_lines(path, ["rank\tset_id\tscore", *rows])

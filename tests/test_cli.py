@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -296,6 +297,20 @@ class TestDataErrors:
         query = ["--query", "a"] if command[0] == "retrieve" else []
         assert run(*command, *gallery, *query, "--out", "out") == 2
         assert f"{target}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_energy_report_ids_are_csv_fields(tmp_path):
+    # a comma or a quote in an id must not split its row
+    rng = np.random.default_rng(0)
+    ids = ["a,b", 'q"x', "plain"]
+    gal, out = tmp_path / "gal", tmp_path / "e.csv"
+    save_gallery(Gallery(sets=tuple(FaceSet(sid, rng.normal(size=(15, 4))) for sid in ids)), gal)
+    assert run("energy", "--gallery", str(gal), "--out", str(out)) == 0
+    with open(out, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["set_id", "lambda2_ratio", "lambda3_ratio"]
+    assert [row[0] for row in rows[1:]] == ids
+    assert {len(row) for row in rows} == {3}
 
 
 ASCII_SET_FILES = ["s0.csv", "s1.csv", "s2.csv", "s3.csv"]

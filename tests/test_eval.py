@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lqts.evaluation import (
     evaluate_all,
     independence_prediction,
     rank_k_stats,
+    write_anr_report,
     write_rank_k_report,
     write_reports,
 )
@@ -257,3 +259,10 @@ class TestReports:
         with pytest.raises(ValueError, match="top_k must be an integer"):
             write_reports(recs, tmp_path / "eval", top_k=top_k)
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("query_id", ["t\tab", "t\nab"], ids=["tab", "lf"])
+    def test_anr_report_rejects_an_id_that_splits_a_row(self, tmp_path, query_id):
+        recs = [AnrRecord("a", 300, 1, (5,), 0.0), AnrRecord(query_id, 300, 1, (9,), 0.1)]
+        with pytest.raises(CorpusError, match=re.escape(f"set {query_id!r}: has a tab or line break")):
+            write_anr_report(recs, tmp_path / "anr.tsv")
+        assert not any(tmp_path.iterdir())

@@ -13,12 +13,12 @@ import lqts.similarity
 from lqts import corpus, synth
 from lqts.corpus import FaceSet, Gallery, ProxyTable
 from lqts.errors import CorpusError
-from lqts.metafeat import build_training_corpus
+from lqts.metafeat import _canonical, build_training_corpus
 from lqts.retrieval import PAIR_BLOCK, select_proxies
 from lqts.similarity import DEFAULT_SUBSPACE_DIM, fit_subspace
 
 from conftest import random_set
-from oracles import extract_exemplar, extract_subspace, feature, reference_training_corpus
+from oracles import ambient_pair, extract_exemplar, extract_subspace, feature, reference_training_corpus
 
 
 def unit(v):
@@ -456,6 +456,65 @@ def extraction_cases(draw):
     table = ProxyTable(k_p=3, entries=entries)
     n_train_sets = draw(st.integers(1, len(ids) + 1))
     return gallery, table, n_train_sets, draw(st.integers(0, 2**16))
+
+
+def canonical_set(i, kind, n, seed, d=6):
+    """Set c{i}: n generic exemplars of rank min(n, 4), so a rank-clipped
+    subspace past 4, or, for kind "low" or "high", positive multiples of
+    min(n, d // 2) distinct axes among the first or the last d // 2, so
+    that a low set and a high set correlate at exactly 0."""
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        x = rng.normal(size=(n, min(n, 4))) @ rng.normal(size=(min(n, 4), d))
+    else:
+        n = min(n, d // 2)
+        x = np.zeros((n, d))
+        axes = rng.choice(d // 2, size=n, replace=False) + (d // 2 if kind == "high" else 0)
+        x[np.arange(n), axes] = rng.uniform(0.5, 2.0, size=n)
+    return FaceSet(f"c{i}", x)
+
+
+class TestCanonical:
+    """`_canonical`, the pairs' first canonical correlations and modes,
+    against the per-pair kernel, bit for bit."""
+
+    @given(
+        specs=st.lists(
+            st.tuples(st.sampled_from(["generic", "low", "high"]), st.integers(1, 5), st.integers(0, 2**16)),
+            min_size=2,
+            max_size=6,
+        ),
+        block=st.sampled_from([1, 2, PAIR_BLOCK]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_pair_max_corr(self, specs, block, data):
+        # no pairs, ragged ranks from 1 and pairs at exactly 0 included; a
+        # small block splits the pairs of one pair of ranks
+        sets = [canonical_set(i, *spec) for i, spec in enumerate(specs)]
+        ends = st.integers(0, len(sets) - 1)
+        listed = data.draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=12))
+        pairs = np.array(listed, dtype=np.intp).reshape(-1, 2)
+        with mock.patch.object(lqts.metafeat, "PAIR_BLOCK", block):
+            s3, modes = _canonical(sets, pairs)
+        assert s3.shape == (len(pairs),) and modes.shape == (len(pairs), 2, sets[0].dim)
+        for p, (r, x) in enumerate(pairs.tolist()):
+            a, b = sets[r].subspace, sets[x].subspace
+            want = lqts.similarity.max_corr(a, b)
+            (mode_a,), (mode_b,) = ambient_pair(want, a, b)
+            assert s3[p] == want.score[0]
+            assert np.array_equal(modes[p, 0], mode_a) and np.array_equal(modes[p, 1], mode_b)
+
+    def test_orthogonal_pairs_take_row_0_modes(self):
+        # ranks 1 to 3 on the first three axes against ranks 1 and 3 on the
+        # last three
+        specs = [("low", 1), ("low", 3), ("high", 1), ("high", 3), ("low", 2)]
+        sets = [canonical_set(i, kind, n, i) for i, (kind, n) in enumerate(specs)]
+        pairs = np.array([[0, 2], [1, 3], [3, 4], [2, 1]])
+        s3, modes = _canonical(sets, pairs)
+        assert np.array_equal(s3, np.zeros(len(pairs)))
+        for p, (r, x) in enumerate(pairs.tolist()):
+            assert np.array_equal(modes[p], [sets[r].subspace[0], sets[x].subspace[0]])
 
 
 class TestCapFirstMatchesReference:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +21,7 @@ from lqts.retrieval import (
     Ranker,
     RetrievalConfig,
     _blocks,
+    save_ranking,
     select_proxies,
 )
 from lqts.similarity import Matches, fit_subspace, max_max_sim_batch
@@ -322,6 +324,14 @@ class TestRankGallery:
         np.testing.assert_allclose(
             [s for _, s in base.ranking], [s for _, s in lqts.ranking], atol=1e-12
         )
+
+    @pytest.mark.parametrize("set_id", ["t\tab", "t\nab"], ids=["tab", "lf"])
+    def test_save_ranking_rejects_an_id_that_splits_a_row(self, rng, tmp_path, set_id):
+        g = Gallery(sets=(random_set(rng, "q", n=3, d=5), random_set(rng, set_id, n=3, d=5)))
+        result = Ranker(g, RetrievalConfig(method="baseline")).rank("q")
+        with pytest.raises(CorpusError, match=re.escape(f"set {set_id!r}: has a tab or line break")):
+            save_ranking(result, tmp_path / "ranking.tsv")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("baseline", ["exemplar", "subspace"])
     def test_query_never_ranks_itself(self, rng, baseline):
