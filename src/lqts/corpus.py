@@ -252,15 +252,21 @@ def _split(where: str, line: str, sep: str | None, width: int | None) -> list[st
     raise CorpusError(f"{where}: expected {width} {name}-separated columns, found {len(fields)}")
 
 
-def _splits_row(text) -> bool:
-    """Whether `text` holds a tab or a line break, which would split its row."""
+def _unwritable(text) -> bool:
+    """Whether `text` cannot be one field of a `write_lines` row: a tab or a
+    line break would split the row, and a lone surrogate (what `os.fsdecode`
+    gives for a file name that is not UTF-8) does not encode as UTF-8."""
+    try:
+        f"{text}".encode("utf-8")
+    except UnicodeEncodeError:
+        return True
     return len(f"_{text}_".replace("\t", "\n").splitlines()) > 1
 
 
 def _check_ids(ids: Iterable) -> None:
-    """Reject, before anything is written, a set id that `_splits_row`."""
-    if bad := [sid for sid in ids if _splits_row(sid)]:
-        raise CorpusError(f"set {bad[0]!r}: has a tab or line break")
+    """Reject, before anything is written, a set id that is `_unwritable`."""
+    if bad := [sid for sid in ids if _unwritable(sid)]:
+        raise CorpusError(f"set {bad[0]!r}: has a tab or line break, or is not UTF-8 text")
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -338,10 +344,14 @@ def save_gallery(gallery: Gallery, path: str | Path) -> None:
     # and a "-" label would reload as unlabelled
     for s in gallery.sets:
         label = gallery.labels[s.set_id] if gallery.labels else ""
-        if set(s.set_id) & {"/", os.sep, "\0"} or _splits_row(s.set_id):
-            raise CorpusError(f"set {s.set_id!r}: holds a path separator, NUL, tab or line break")
-        if label == UNLABELLED or _splits_row(label):
-            raise CorpusError(f"set {s.set_id!r}: label {label!r} is '-' or has a tab or line break")
+        if set(s.set_id) & {"/", os.sep, "\0"} or _unwritable(s.set_id):
+            raise CorpusError(
+                f"set {s.set_id!r}: holds a path separator, NUL, tab or line break, or is not UTF-8 text"
+            )
+        if label == UNLABELLED or _unwritable(label):
+            raise CorpusError(
+                f"set {s.set_id!r}: label {label!r} is '-', has a tab or line break, or is not UTF-8 text"
+            )
     root = Path(path)
     (root / "sets").mkdir(parents=True, exist_ok=True)
     manifest = []

@@ -161,10 +161,12 @@ def independence_prediction(p1: float, n1: float, k: int) -> tuple[float, float]
 def write_reports(records, out_dir, top_k: int = DEFAULT_TOP_K) -> None:
     """Write one evaluation's reports into out_dir, creating it: anr.tsv,
     cdf.csv at CDF_THRESHOLDS and rank{top_k}.csv (rank100.csv by default).
-    No records or a top_k that is not an integer >= 1 raise ValueError
-    before anything is created."""
+    No records or a top_k that is not an integer >= 1 raise ValueError, and
+    a query id that `write_anr_report` rejects raises CorpusError, before
+    anything is created."""
     cdf = anr_cdf(records, CDF_THRESHOLDS)
     rank_k_stats(records, top_k)  # the top_k check, before anything is written
+    _check_ids(r.query_id for r in records)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_anr_report(records, out / "anr.tsv")

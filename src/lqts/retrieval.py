@@ -66,13 +66,6 @@ class RankedResult:
     def ids(self) -> list[str]:
         return [sid for sid, _ in self.ranking]
 
-    def rank_of(self, set_id: str) -> int:
-        """1-based rank of a gallery set in this result."""
-        for pos, (sid, _) in enumerate(self.ranking, start=1):
-            if sid == set_id:
-                return pos
-        raise KeyError(set_id)
-
 
 # pairs per kernel call, which bounds the kernel's temporaries
 PAIR_BLOCK = 256

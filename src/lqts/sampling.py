@@ -33,13 +33,9 @@ def _sq_dists(x: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def median_heuristic_gamma(exemplars: np.ndarray) -> float:
-    """RBF bandwidth 1 / (2 * median^2) of pairwise distances."""
-    return _median_gamma(_sq_dists(exemplars))
-
-
 def _median_gamma(d2: np.ndarray) -> float:
-    """median_heuristic_gamma from the set's pairwise squared distances."""
+    """The median-heuristic RBF bandwidth 1 / (2 * median^2) from a set's
+    pairwise squared distances."""
     dists = np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)])
     med = float(np.median(dists))
     if med == 0.0:

@@ -290,11 +290,12 @@ class TestGalleryRoundTrip:
 
     @pytest.mark.parametrize(
         "set_id",
-        ["../../escaped", "a/b", "a\0b", "a\tb", "a\rb", "a\nb", "a\x85b"],
-        ids=["parent-dirs", "slash", "nul", "tab", "cr", "lf", "nel"],
+        ["../../escaped", "a/b", "a\0b", "a\tb", "a\rb", "a\nb", "a\x85b", "ok\udcff", "ok\ud800"],
+        ids=["parent-dirs", "slash", "nul", "tab", "cr", "lf", "nel", "escaped-byte", "surrogate"],
     )
     def test_unsafe_set_id_rejected_before_any_write(self, rng, tmp_path, set_id):
-        # dotted ids name files inside sets/, so the error names set_id
+        # dotted ids name files inside sets/, so the error names set_id;
+        # "ok\udcff" is what os.fsdecode gives for a file name that is not UTF-8
         ids = ["..", "a..b", set_id]
         g = Gallery(sets=tuple(FaceSet(sid, rng.normal(size=(2, 3))) for sid in ids))
         with pytest.raises(CorpusError, match=re.escape(f"set {set_id!r}: holds a path separator")):
@@ -308,10 +309,11 @@ class TestGalleryRoundTrip:
             {"a": "p\r1", "b": "q"},
             {"a": "p\n1", "b": "q"},
             {"a": "p\x851", "b": "q"},
+            {"a": "p\udcff", "b": "q"},
             {"a": "-", "b": "q"},
             {"a": "-", "b": "-"},
         ],
-        ids=["tab", "cr", "lf", "nel", "one-dash", "all-dash"],
+        ids=["tab", "cr", "lf", "nel", "non-utf8", "one-dash", "all-dash"],
     )
     def test_unsafe_label_rejected_before_any_write(self, rng, tmp_path, labels):
         # each would reload as another gallery: a split row, mixed rows, or unlabelled
@@ -351,7 +353,7 @@ class TestProxyTable:
             load_proxies(path)
 
     @pytest.mark.parametrize(
-        "set_id", ["a\tb", "a\nb", "a\rb", "a\x85b"], ids=["tab", "lf", "cr", "nel"]
+        "set_id", ["a\tb", "a\nb", "a\rb", "a\x85b", "a\udcff"], ids=["tab", "lf", "cr", "nel", "non-utf8"]
     )
     @pytest.mark.parametrize("side", ["set", "proxy"])
     def test_id_that_splits_a_row_rejected_before_the_write(self, tmp_path, set_id, side):
@@ -466,7 +468,7 @@ class TestFeatureFile:
         assert again.ref.tolist() == list(ref) and again.proxy.tolist() == list(proxy)
 
     @pytest.mark.parametrize(
-        "set_id", ["r\tx", "r\nx", "r\rx", "r\x85x"], ids=["tab", "lf", "cr", "nel"]
+        "set_id", ["r\tx", "r\nx", "r\rx", "r\x85x", "r\udcff"], ids=["tab", "lf", "cr", "nel", "non-utf8"]
     )
     @pytest.mark.parametrize("side", ["ref", "proxy"])
     def test_id_that_splits_a_row_rejected_before_the_write(self, tmp_path, set_id, side):

@@ -260,9 +260,15 @@ class TestReports:
             write_reports(recs, tmp_path / "eval", top_k=top_k)
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("query_id", ["t\tab", "t\nab"], ids=["tab", "lf"])
+    @pytest.mark.parametrize("query_id", ["t\tab", "t\nab", "t\udcff"], ids=["tab", "lf", "non-utf8"])
     def test_anr_report_rejects_an_id_that_splits_a_row(self, tmp_path, query_id):
         recs = [AnrRecord("a", 300, 1, (5,), 0.0), AnrRecord(query_id, 300, 1, (9,), 0.1)]
         with pytest.raises(CorpusError, match=re.escape(f"set {query_id!r}: has a tab or line break")):
             write_anr_report(recs, tmp_path / "anr.tsv")
         assert not any(tmp_path.iterdir())
+
+    def test_reports_reject_an_id_that_splits_a_row_before_making_the_directory(self, tmp_path):
+        recs = [AnrRecord("a", 300, 1, (5,), 0.0), AnrRecord("t\tab", 300, 1, (9,), 0.1)]
+        with pytest.raises(CorpusError, match=re.escape("set 't\\tab': has a tab or line break")):
+            write_reports(recs, tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()

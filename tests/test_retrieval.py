@@ -325,7 +325,7 @@ class TestRankGallery:
             [s for _, s in base.ranking], [s for _, s in lqts.ranking], atol=1e-12
         )
 
-    @pytest.mark.parametrize("set_id", ["t\tab", "t\nab"], ids=["tab", "lf"])
+    @pytest.mark.parametrize("set_id", ["t\tab", "t\nab", "t\udcff"], ids=["tab", "lf", "non-utf8"])
     def test_save_ranking_rejects_an_id_that_splits_a_row(self, rng, tmp_path, set_id):
         g = Gallery(sets=(random_set(rng, "q", n=3, d=5), random_set(rng, set_id, n=3, d=5)))
         result = Ranker(g, RetrievalConfig(method="baseline")).rank("q")
@@ -424,7 +424,7 @@ class TestRankGallery:
                 got = Ranker(g, config, table).rank(query)
                 scores = dict(got.ranking)
                 assert scores["s1"] == scores["dup"]
-                assert got.rank_of("s1") < got.rank_of("dup")
+                assert got.ids().index("s1") < got.ids().index("dup")
 
     def test_external_query_ranks_whole_gallery(self, rng):
         g = Gallery(sets=tuple(random_set(rng, f"s{i}", n=3, d=5) for i in range(4)))

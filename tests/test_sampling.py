@@ -13,7 +13,6 @@ from lqts.sampling import (
     energy_report,
     expansion_coefficients,
     fit_kpca,
-    median_heuristic_gamma,
     pre_image,
     pre_images,
     robust_select,
@@ -384,4 +383,4 @@ class TestMedianHeuristic:
             np.linalg.norm(x[i] - x[j]) for i in range(20) for j in range(i + 1, 20)
         ]
         expected = 1.0 / (2.0 * np.median(dists) ** 2)
-        assert median_heuristic_gamma(x) == pytest.approx(expected, rel=1e-9)
+        assert fit_kpca(FaceSet("q", x)).gamma == pytest.approx(expected, rel=1e-9)
